@@ -251,17 +251,22 @@ def fisher_information(f: RadialDensity) -> float:
 
 
 def fisher_gain_check(phi: CharacteristicProfile, e, r_nodes=None,
-                      quad_order: int = 64) -> dict:
+                      quad_order: int = 64, f: RadialDensity | None = None) -> dict:
     """Check I(Q+ f) <= (1 + growth(e)) I(f) for the density behind phi.
 
     growth(e) = (1-e)(2+e+15e^2)/(8e^3); the factor tends to 1 as e -> 1.
+    A caller that holds f = reconstruct(phi, r_nodes) may pass it to skip
+    the rebuild; the gained density is then reconstructed on f.r.
     Returns a report dict; the `holds` flag carries the verdict.
     """
     e = _check_e(e)
-    if r_nodes is None:
-        r_nodes = default_r_nodes()
-    f = reconstruct(phi, r_nodes)
-    gained = reconstruct(spectral.gain_fourier(phi, e, quad_order=quad_order), r_nodes)
+    if f is None:
+        if r_nodes is None:
+            r_nodes = default_r_nodes()
+        f = reconstruct(phi, r_nodes)
+    elif r_nodes is not None and not np.array_equal(np.asarray(r_nodes, dtype=float), f.r):
+        raise ValueError("f must be reconstructed on r_nodes")
+    gained = reconstruct(spectral.gain_fourier(phi, e, quad_order=quad_order), f.r)
     I_f = fisher_information(f)
     I_gain = fisher_information(gained)
     factor = 1.0 + Restitution(e).growth

@@ -15,13 +15,14 @@ adds the drift generator E x d phi/dx by Strang splitting, the drift
 half-steps applied as exact resampling phi(x) <- phi(x exp(E dt/2)).
 
 Profiles live on a uniform radial grid. Gain quadrature queries and drift
-resampling both interpolate through precomputed gather plans. The default
-scheme is quintic Hermite interpolation with sixth-order 7-point slopes and
-fourth-order 5-point curvatures. The alternatives are "cubic-monotone"
-(fourth-order slopes clipped into the Fritsch-Carlson monotone box, so no new
-extrema are created) and "linear". Every scheme is written in increment form
-and the gain in deviation form, so the constant profile phi = 1 is a fixed
-point of the gain and of the drift resample bit for bit.
+resampling both evaluate the profile off the grid by quintic Hermite
+interpolation with sixth-order 7-point slopes and fourth-order 5-point
+curvatures. That evaluation is linear in the profile and factors into two
+maps: a fixed stencil map from the deviation phi - 1 to a per-interval table
+of values, slopes and curvatures, then a block-sparse gather matrix built once
+per set of query positions (`_InterpPlan`). The table of phi = 1 is exactly
+zero and the gain is evaluated in deviation form, so the constant profile
+phi = 1 is a fixed point of the gain and of the drift resample bit for bit.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import trapezoid
+from scipy.sparse import bsr_matrix
 
 from .kinematics import RatePair, _check_e, dissipation_constant
 
@@ -149,7 +151,6 @@ class CharacteristicProfile:
         return f"CharacteristicProfile(n={self.grid.n}, x_max={self.grid.x_max}, t={self.time})"
 
 
-_INTERP_SCHEMES = ("quintic", "cubic-monotone", "linear")
 _FRAMES = ("unscaled-f", "rescaled-g")
 
 
@@ -160,7 +161,6 @@ class SolverConfig:
     dt: float = 0.005
     t_max: float = 10.0
     quad_order: int = 64
-    interp: str = "quintic"
     frame: str = "rescaled-g"
 
     def __post_init__(self):
@@ -170,8 +170,6 @@ class SolverConfig:
             raise ValueError(f"t_max must be positive, got {self.t_max}")
         if self.quad_order < 32:
             raise ValueError(f"quad_order must be at least 32, got {self.quad_order}")
-        if self.interp not in _INTERP_SCHEMES:
-            raise ValueError(f"interp must be one of {_INTERP_SCHEMES}, got {self.interp!r}")
         if self.frame not in _FRAMES:
             raise ValueError(f"frame must be one of {_FRAMES}, got {self.frame!r}")
 
@@ -213,26 +211,6 @@ def _d5_slopes(v: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def _mono_slopes(v: np.ndarray, h: float) -> np.ndarray:
-    # Monotonicity-limited fourth-order slopes. The harmonic-mean PCHIP rule
-    # is only O(h) accurate near smooth extrema, which the moment stencils at
-    # x = 0 amplify by 1/h^2; instead the centered fourth-order estimates are
-    # clipped into the Fritsch-Carlson box [0, 3 min(|m-|, |m+|)], so the
-    # limiter is inactive wherever the data is resolved and locally monotone.
-    d = _d5_slopes(v, h)
-    m = np.diff(v) / h
-    m0, m1 = m[:-1], m[1:]
-    sign = np.sign(m0)
-    cap = 3.0 * np.minimum(np.abs(m0), np.abs(m1))
-    d[1:-1] = np.where(m0 * m1 > 0,
-                       sign * np.clip(d[1:-1] * sign, 0.0, cap),
-                       0.0)
-    for i, mi in ((0, m[0]), (-1, m[-1])):
-        s = np.sign(mi)
-        d[i] = s * min(max(d[i] * s, 0.0), 3.0 * abs(mi)) if mi != 0.0 else 0.0
-    return d
-
-
 def _quintic_derivs(v: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     # sixth-order 7-point slopes and fourth-order 5-point curvatures with
     # even extension across x = 0 and one-sided closures at the top edge
@@ -255,71 +233,76 @@ def _quintic_derivs(v: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     return d, c
 
 
+_PLAN_CHUNK = 8192
+
+
 class _InterpPlan:
-    """Precomputed gather indices and Hermite bases for fixed query scales.
+    """Quintic Hermite evaluation at fixed query positions as a linear operator.
 
     For scale a the queries against profile values v are a * x_i; on the
     uniform grid the fractional position is simply a * i. Queries beyond
     x_max are clamped to the boundary node and counted in `clamped`.
 
-    The Hermite forms are evaluated in increment form, v0 + w (v1 - v0) plus
-    slope and curvature corrections: the two value weights need not sum to 1
-    in floating point, whereas the slope and curvature stencils of the constant
-    profile phi = 1 vanish exactly, so phi = 1 is reproduced bit for bit.
+    The evaluation is the product of two linear maps. The first is the fixed
+    stencil map from a profile to its per-interval table T: with u = v - 1 and
+    (d, c) the slopes and curvatures of u, row i of the (n-1, 6) table is
+    [u_i, u_{i+1}, h d_i, h d_{i+1}, h^2 c_i, h^2 c_{i+1}]. The second is the
+    plan's block-sparse gather matrix M, built once: query r has one 1x6 block
+    at block column idx_r holding the Hermite weights
+    [1-H3, H3, H1, H4, H2, H5](t_r), so eval(v) = 1 + M @ T. The table of the
+    constant profile phi = 1 is exactly zero, so phi = 1 is reproduced bit for
+    bit whatever the summation order. M stores 56 bytes per query: six
+    weights, a block index and a row pointer.
     """
 
-    __slots__ = ("idx", "t", "h", "scheme", "B", "clamped")
+    __slots__ = ("shape", "h", "M", "clamped")
 
-    def __init__(self, positions: np.ndarray, n: int, h: float,
-                 scheme: str = "quintic") -> None:
+    def __init__(self, positions: np.ndarray, n: int, h: float) -> None:
         p = np.asarray(positions, dtype=float)
-        over = p > (n - 1) + 1e-9
-        self.clamped = int(np.count_nonzero(over))
-        p = np.minimum(p, float(n - 1))
-        idx = np.minimum(p.astype(np.int64), n - 2)
-        t = p - idx
-        self.idx = idx
-        self.t = t
-        self.h = h
-        self.scheme = scheme
-        # value-left weights are implied (1 - value-right) by the increment form
-        if scheme == "cubic-monotone":
-            t2 = t * t
-            t3 = t2 * t
-            self.B = (-2.0 * t3 + 3.0 * t2,        # value right
-                      t3 - 2.0 * t2 + t,           # slope left
-                      t3 - t2)                     # slope right
-        elif scheme == "quintic":
+        self.shape = p.shape
+        p = p.ravel()
+        self.clamped = int(np.count_nonzero(p > (n - 1) + 1e-9))
+        m = len(p)
+        idx = np.empty(m, dtype=np.int32)
+        W = np.empty((m, 1, 6))
+        # built in cache-sized chunks: temporaries the size of the plan would
+        # each cost a page fault per page
+        for a in range(0, m, _PLAN_CHUNK):
+            pc = np.minimum(p[a:a + _PLAN_CHUNK], float(n - 1))
+            ic = np.minimum(pc.astype(np.int32), np.int32(n - 2))
+            idx[a:a + _PLAN_CHUNK] = ic
+            t = pc - ic
             t2 = t * t
             t3 = t2 * t
             t4 = t3 * t
             t5 = t4 * t
-            self.B = (10.0 * t3 - 15.0 * t4 + 6.0 * t5,       # value right
-                      t - 6.0 * t3 + 8.0 * t4 - 3.0 * t5,     # slope left
-                      -4.0 * t3 + 7.0 * t4 - 3.0 * t5,        # slope right
-                      0.5 * (t2 - 3.0 * t3 + 3.0 * t4 - t5),  # curvature left
-                      0.5 * (t3 - 2.0 * t4 + t5))             # curvature right
-        elif scheme == "linear":
-            self.B = None
-        else:
-            raise ValueError(f"unknown interpolation scheme {scheme!r}")
+            Wc = W[a:a + _PLAN_CHUNK, 0]
+            Wc[:, 1] = 10.0 * t3 - 15.0 * t4 + 6.0 * t5         # value right, H3
+            Wc[:, 0] = 1.0 - Wc[:, 1]                           # value left
+            Wc[:, 2] = t - 6.0 * t3 + 8.0 * t4 - 3.0 * t5       # slope left
+            Wc[:, 3] = -4.0 * t3 + 7.0 * t4 - 3.0 * t5          # slope right
+            Wc[:, 4] = 0.5 * (t2 - 3.0 * t3 + 3.0 * t4 - t5)    # curvature left
+            Wc[:, 5] = 0.5 * (t3 - 2.0 * t4 + t5)               # curvature right
+        rows = np.arange(m + 1, dtype=np.int32)
+        self.M = bsr_matrix((W, idx, rows), shape=(m, 6 * (n - 1)))
+        self.h = h
 
     def eval(self, v: np.ndarray) -> np.ndarray:
-        i0 = self.idx
-        v0 = v[i0]
-        v1 = v[i0 + 1]
-        if self.scheme == "linear":
-            return v0 + self.t * (v1 - v0)
-        if self.scheme == "cubic-monotone":
-            d = _mono_slopes(v, self.h)
-            b2, b1, b3 = self.B
-            return v0 + b2 * (v1 - v0) + self.h * (b1 * d[i0] + b3 * d[i0 + 1])
-        d, c = _quintic_derivs(v, self.h)
-        H3, H1, H4, H2, H5 = self.B
         h = self.h
-        return (v0 + H3 * (v1 - v0)
-                + h * (H1 * d[i0] + H4 * d[i0 + 1])
-                + h * h * (H2 * c[i0] + H5 * c[i0 + 1]))
+        u = v - 1.0
+        d, c = _quintic_derivs(u, h)
+        T = np.empty((len(v) - 1, 6))
+        T[:, 0] = u[:-1]
+        T[:, 1] = u[1:]
+        d *= h
+        T[:, 2] = d[:-1]
+        T[:, 3] = d[1:]
+        c *= h * h
+        T[:, 4] = c[:-1]
+        T[:, 5] = c[1:]
+        out = self.M @ T.ravel()
+        out += 1.0  # in place: a second array of the plan's size costs page faults
+        return out.reshape(self.shape)
 
 
 def gain_scales(e: float, quad_order: int = 64):
@@ -335,23 +318,26 @@ def gain_scales(e: float, quad_order: int = 64):
 class _GainPlan:
     __slots__ = ("plan", "w", "q")
 
-    def __init__(self, grid: RadialGrid, e: float, quad_order: int, interp: str) -> None:
+    def __init__(self, grid: RadialGrid, e: float, quad_order: int) -> None:
         s, w, a_minus, a_plus = gain_scales(e, quad_order)
         if float(max(np.max(a_minus), np.max(a_plus))) > 1.0 + 1e-12:
             # cannot happen for e in (0, 1]; guard against regressions
             warnings.warn("gain quadrature queries beyond x_max were clamped")
         scales = np.concatenate([a_minus, a_plus])
         positions = np.multiply.outer(scales, np.arange(grid.n, dtype=float))
-        self.plan = _InterpPlan(positions, grid.n, grid.dx, scheme=interp)
+        self.plan = _InterpPlan(positions, grid.n, grid.dx)
         self.w = w
         self.q = int(quad_order)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         vals = self.plan.eval(v)
         prod = vals[: self.q] * vals[self.q:]
+        prod -= 1.0
         # deviation form 1 + (1/2) w.(prod - 1): (1/2) sum(w) = 1 holds only
         # to rounding, and its rounding depends on the BLAS summation order
-        out = 1.0 + 0.5 * (self.w @ (prod - 1.0))
+        out = self.w @ prod
+        out *= 0.5
+        out += 1.0
         out[0] = 1.0  # exact mass conservation at x = 0
         return out
 
@@ -361,52 +347,48 @@ _DRIFT_CACHE: dict[tuple, _InterpPlan] = {}
 _CACHE_CAP = 16
 
 
-def _gain_plan(grid: RadialGrid, e: float, quad_order: int, interp: str) -> _GainPlan:
-    key = (grid.n, round(grid.x_max, 12), round(e, 15), quad_order, interp)
+def _gain_plan(grid: RadialGrid, e: float, quad_order: int) -> _GainPlan:
+    key = (grid.n, round(grid.x_max, 12), round(e, 15), quad_order)
     plan = _GAIN_CACHE.get(key)
     if plan is None:
         if len(_GAIN_CACHE) >= _CACHE_CAP:
             _GAIN_CACHE.pop(next(iter(_GAIN_CACHE)))
-        plan = _GainPlan(grid, e, quad_order, interp)
+        plan = _GainPlan(grid, e, quad_order)
         _GAIN_CACHE[key] = plan
     return plan
 
 
-def _drift_plan(grid: RadialGrid, shift: float, scheme: str) -> _InterpPlan:
-    key = (grid.n, round(grid.x_max, 12), round(shift, 18), scheme)
+def _drift_plan(grid: RadialGrid, shift: float) -> _InterpPlan:
+    key = (grid.n, round(grid.x_max, 12), round(shift, 18))
     plan = _DRIFT_CACHE.get(key)
     if plan is None:
         if len(_DRIFT_CACHE) >= _CACHE_CAP:
             _DRIFT_CACHE.pop(next(iter(_DRIFT_CACHE)))
-        positions = math.exp(shift) * np.arange(grid.n, dtype=float)[None, :]
-        plan = _InterpPlan(positions, grid.n, grid.dx, scheme=scheme)
+        positions = math.exp(shift) * np.arange(grid.n, dtype=float)
+        plan = _InterpPlan(positions, grid.n, grid.dx)
         _DRIFT_CACHE[key] = plan
     return plan
 
 
-def gain_fourier(phi: CharacteristicProfile, e, quad_order: int = 64,
-                 interp: str = "quintic") -> CharacteristicProfile:
+def gain_fourier(phi: CharacteristicProfile, e, quad_order: int = 64) -> CharacteristicProfile:
     """Apply the Fourier gain operator to a profile.
 
     phi == 1 is a fixed point for every e, bit for bit and independent of the
-    summation order of the quadrature: the increment-form interpolation
-    returns exactly 1 at every query, so every product is exactly 1, and the
+    summation order of the quadrature: the interpolation operator acts on the
+    deviation phi - 1, so it returns exactly 1 at every query, every product
+    is exactly 1, and the
     gain is evaluated in deviation form 1 + (1/2) w.(prod - 1), which adds
     exact zeros. For e = 1 every Maxwellian is a fixed point since
     a-^2 + a+^2 = 1. Output mass is exact: (Q+ phi)(0) = 1.
     """
     e = _check_e(e)
-    if interp not in _INTERP_SCHEMES:
-        raise ValueError(f"interp must be one of {_INTERP_SCHEMES}")
-    plan = _gain_plan(phi.grid, e, int(quad_order), interp)
+    plan = _gain_plan(phi.grid, e, int(quad_order))
     return CharacteristicProfile(phi.grid, plan.apply(phi.values), phi.time)
 
 
-def _drift_vals(v: np.ndarray, grid: RadialGrid, shift: float,
-                scheme: str = "quintic") -> np.ndarray:
+def _drift_vals(v: np.ndarray, grid: RadialGrid, shift: float) -> np.ndarray:
     # exact rescaling phi(x) -> phi(x e^{shift})
-    plan = _drift_plan(grid, shift, scheme)
-    out = plan.eval(v)[0]
+    out = _drift_plan(grid, shift).eval(v)
     out[0] = 1.0
     return out
 
@@ -431,15 +413,15 @@ def step(phi: CharacteristicProfile, e, config: SolverConfig) -> CharacteristicP
     |phi| above 1 + 1e-6 it is retried once as two half steps, then aborted.
     """
     e = _check_e(e)
-    gain = _gain_plan(phi.grid, e, config.quad_order, config.interp)
+    gain = _gain_plan(phi.grid, e, config.quad_order)
     E = dissipation_rate(e)
     rescaled = config.frame == "rescaled-g"
 
     def advance(v, dt):
         if rescaled and E > 0.0:
-            v = _drift_vals(v, phi.grid, E * dt / 2.0, config.interp)
+            v = _drift_vals(v, phi.grid, E * dt / 2.0)
             v = _rk4_vals(v, dt, gain)
-            v = _drift_vals(v, phi.grid, E * dt / 2.0, config.interp)
+            v = _drift_vals(v, phi.grid, E * dt / 2.0)
         else:
             v = _rk4_vals(v, dt, gain)
         return v
@@ -524,11 +506,10 @@ def evolve(phi0: CharacteristicProfile, e, config: SolverConfig,
                           config=config, e=e)
 
 
-def steady_residual(phi: CharacteristicProfile, e, quad_order: int = 64,
-                    interp: str = "quintic") -> float:
+def steady_residual(phi: CharacteristicProfile, e, quad_order: int = 64) -> float:
     """Sup-norm of (Q+ phi - phi + E x phi') over the grid."""
     e = _check_e(e)
-    gain = _gain_plan(phi.grid, e, int(quad_order), interp)
+    gain = _gain_plan(phi.grid, e, int(quad_order))
     E = dissipation_rate(e)
     R = gain.apply(phi.values) - phi.values \
         + E * phi.grid.x * _d5_slopes(phi.values, phi.grid.dx)
@@ -582,7 +563,7 @@ def steady_profile(e, config: SolverConfig | None = None, tol: float = 1e-7,
     if burn_in is not None:
         dt_c, t_c = burn_in
         cfg_c = SolverConfig(dt=dt_c, t_max=config.t_max, quad_order=config.quad_order,
-                             interp=config.interp, frame="rescaled-g")
+                             frame="rescaled-g")
         for _ in range(int(round(t_c / dt_c))):
             phi = step(phi, e, cfg_c)
 
@@ -607,7 +588,7 @@ def steady_profile(e, config: SolverConfig | None = None, tol: float = 1e-7,
     best.meta.update({
         "converged": converged,
         "cauchy_d2": achieved,
-        "fixed_point_residual": steady_residual(best, e, config.quad_order, config.interp),
+        "fixed_point_residual": steady_residual(best, e, config.quad_order),
         "envelope": envelope_report(best),
         "e": e,
     })
@@ -734,11 +715,10 @@ def gamma_constants(alpha: float, e) -> tuple[float, float, float, float]:
     return A1, A2, gamma, gamma_star
 
 
-def evaluate(phi: CharacteristicProfile, x, scheme: str = "quintic") -> np.ndarray:
+def evaluate(phi: CharacteristicProfile, x) -> np.ndarray:
     """Evaluate the profile at arbitrary abscissae (clamped to the grid)."""
     xq = np.clip(np.asarray(x, dtype=float), 0.0, phi.grid.x_max)
-    plan = _InterpPlan(np.atleast_1d(xq) / phi.grid.dx, phi.grid.n, phi.grid.dx,
-                       scheme=scheme)
+    plan = _InterpPlan(np.atleast_1d(xq) / phi.grid.dx, phi.grid.n, phi.grid.dx)
     out = plan.eval(phi.values)
     return out if np.ndim(x) else float(out[0])
 

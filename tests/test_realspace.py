@@ -184,6 +184,17 @@ def test_fisher_gain_bound(bimax):
         1.0 + 0.2 * (2 + 0.8 + 15 * 0.64) / (8 * 0.512), abs=1e-14)
 
 
+def test_fisher_gain_check_reuses_density(bimax):
+    # a density the caller already reconstructed gives the same report
+    phi, _ = bimax
+    r = rs.default_r_nodes(8.0, 801)
+    f = rs.reconstruct(phi, r)
+    for e in (0.8, 0.99):
+        assert rs.fisher_gain_check(phi, e, f=f) == rs.fisher_gain_check(phi, e, r_nodes=r)
+    with pytest.raises(ValueError):
+        rs.fisher_gain_check(phi, 0.9, r_nodes=r[:-1], f=f)
+
+
 def test_fisher_trajectory_elastic():
     g = sp.RadialGrid(1024, 30.0)
     M = sp.CharacteristicProfile.maxwellian(g, 1.0)

@@ -60,8 +60,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         sp.SolverConfig(quad_order=16)
     with pytest.raises(ValueError):
-        sp.SolverConfig(interp="quadratic")
-    with pytest.raises(ValueError):
         sp.SolverConfig(frame="lab")
 
 
@@ -110,21 +108,20 @@ def test_gain_fixed_point_constant():
         assert np.array_equal(out.values, np.ones(g.n))
 
 
-@pytest.mark.parametrize("scheme", ["quintic", "cubic-monotone"])
-def test_interp_plan_reproduces_ones_bit_exact(scheme):
+def test_interp_plan_reproduces_ones_bit_exact():
     # root cause of the gain fixed point: the Hermite value weights sum to 1
-    # only to rounding, so the increment form must carry phi = 1 exactly
+    # only to rounding, so the operator must act on phi - 1 to carry phi = 1
+    # exactly
     g = sp.RadialGrid(512, 20.0)
-    plan = sp._gain_plan(g, 0.3, 64, scheme).plan
+    plan = sp._gain_plan(g, 0.3, 64).plan
     assert np.array_equal(plan.eval(np.ones(g.n)), np.ones((128, g.n)))
 
 
-@pytest.mark.parametrize("scheme", ["quintic", "cubic-monotone"])
-def test_drift_resample_of_ones_bit_exact(scheme):
+def test_drift_resample_of_ones_bit_exact():
     g = sp.RadialGrid(512, 20.0)
     for e, dt in ((0.3, 0.01), (0.95, 0.005)):
         shift = sp.dissipation_rate(e) * dt / 2.0
-        assert np.array_equal(sp._drift_vals(np.ones(g.n), g, shift, scheme), np.ones(g.n))
+        assert np.array_equal(sp._drift_vals(np.ones(g.n), g, shift), np.ones(g.n))
 
 
 @pytest.mark.parametrize("quad_order", [32, 64])
@@ -167,20 +164,71 @@ def test_gain_moment_contraction():
 def test_gain_never_clamps():
     # both scale families lie in [0, 1]: queries stay on the grid
     g = sp.RadialGrid(512, 20.0)
-    plan = sp._gain_plan(g, 0.4, 64, "quintic")
+    plan = sp._gain_plan(g, 0.4, 64)
     assert plan.plan.clamped == 0
 
 
-def test_gain_interp_schemes():
-    g = sp.RadialGrid(1024, 30.0)
-    M = sp.CharacteristicProfile.maxwellian(g, 1.0)
-    gq = sp.gain_fourier(M, 0.9, interp="quintic")
-    gc = sp.gain_fourier(M, 0.9, interp="cubic-monotone")
-    gl = sp.gain_fourier(M, 0.9, interp="linear")
-    assert np.max(np.abs(gc.values - gq.values)) < 1e-6
-    assert 1e-6 < np.max(np.abs(gl.values - gq.values)) < 1e-2
-    with pytest.raises(ValueError):
-        sp.gain_fourier(M, 0.9, interp="quadratic")
+def _hermite_reference(v, positions, h):
+    # quintic Hermite evaluation in increment form, gathered query by query;
+    # the operator form of _InterpPlan must reproduce it
+    n = len(v)
+    p = np.minimum(np.asarray(positions, dtype=float), float(n - 1))
+    i0 = np.minimum(p.astype(np.int64), n - 2)
+    t = p - i0
+    d, c = sp._quintic_derivs(v, h)
+    H3 = 10 * t ** 3 - 15 * t ** 4 + 6 * t ** 5
+    H1 = t - 6 * t ** 3 + 8 * t ** 4 - 3 * t ** 5
+    H4 = -4 * t ** 3 + 7 * t ** 4 - 3 * t ** 5
+    H2 = 0.5 * (t ** 2 - 3 * t ** 3 + 3 * t ** 4 - t ** 5)
+    H5 = 0.5 * (t ** 3 - 2 * t ** 4 + t ** 5)
+    v0, v1 = v[i0], v[i0 + 1]
+    return (v0 + H3 * (v1 - v0) + h * (H1 * d[i0] + H4 * d[i0 + 1])
+            + h * h * (H2 * c[i0] + H5 * c[i0 + 1]))
+
+
+def test_interp_operator_matches_hermite_reference():
+    rng = np.random.default_rng(11)
+    g = sp.RadialGrid(512, 20.0)
+    ramp = np.arange(g.n, dtype=float)
+    tol = 1e-14
+    for _ in range(3):
+        v = rng.uniform(-1.0, 1.0, g.n)
+        v[0] = 1.0
+        # gain: both scale families, and the quadrature over their products
+        for e, q in ((0.3, 32), (0.95, 64)):
+            gain = sp._gain_plan(g, e, q)
+            idx = gain.plan.M.indices
+            assert idx.min() <= 2 and idx.max() >= g.n - 5
+            _, w, am, ap = sp.gain_scales(e, q)
+            ref = _hermite_reference(v, np.multiply.outer(np.concatenate([am, ap]), ramp), g.dx)
+            assert np.max(np.abs(gain.plan.eval(v) - ref)) <= tol
+            ref_gain = 1.0 + 0.5 * (w @ (ref[:q] * ref[q:] - 1.0))
+            ref_gain[0] = 1.0
+            assert np.max(np.abs(gain.apply(v) - ref_gain)) <= tol
+        # drift: the dilated queries run past x_max and are clamped
+        for shift in (1e-4, 0.02):
+            plan = sp._drift_plan(g, shift)
+            assert plan.clamped > 0
+            ref = _hermite_reference(v, math.exp(shift) * ramp, g.dx)
+            ref[0] = 1.0
+            assert np.max(np.abs(sp._drift_vals(v, g, shift) - ref)) <= tol
+        # evaluate: both ends of the grid, and abscissae past x_max
+        phi = sp.CharacteristicProfile(g, v)
+        xq = np.concatenate([rng.uniform(0.0, 3.0, 50), [0.0, g.dx, 2.5 * g.dx],
+                             g.x_max - rng.uniform(0.0, 5.0, 50) * g.dx,
+                             g.x_max + rng.uniform(0.0, 2.0, 5)])
+        ref = _hermite_reference(v, np.minimum(xq, g.x_max) / g.dx, g.dx)
+        assert np.max(np.abs(sp.evaluate(phi, xq) - ref)) <= tol
+
+
+def test_gain_plan_footprint():
+    # 48 B of weights, a 4 B block index and a 4 B row pointer per query
+    g = sp.RadialGrid(4096, 50.0)
+    M = sp._GainPlan(g, 0.95, 64).plan.M
+    queries = 2 * 64 * g.n
+    assert M.shape[0] == queries
+    stored = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+    assert stored <= 56 * queries + M.indptr.itemsize  # the closing row pointer
 
 
 @settings(max_examples=15, deadline=None)
