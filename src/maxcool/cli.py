@@ -165,8 +165,8 @@ def _cmd_dsmc(cfg: ExperimentConfig, x_grid_text: str | None) -> int:
 
 def _cmd_steady(cfg: ExperimentConfig) -> int:
     grid = sp.RadialGrid(cfg.grid_n, cfg.x_max)
-    solver = sp.SolverConfig(dt=cfg.dt, t_max=cfg.t_max, quad_order=32,
-                             frame="rescaled-g")
+    solver = sp.SolverConfig(dt=cfg.dt, t_max=cfg.t_max,
+                             quad_order=harness.QUAD_ORDER, frame="rescaled-g")
     phi = sp.steady_profile(cfg.e, solver, tol=cfg.tol, grid=grid,
                             burn_in=(5 * cfg.dt, min(60.0, cfg.t_max / 3)))
     if cfg.out:
@@ -184,8 +184,8 @@ def _cmd_steady(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_sweep(cfg: ExperimentConfig) -> int:
-    solver = sp.SolverConfig(dt=cfg.dt, t_max=cfg.t_max, quad_order=32,
-                             frame="rescaled-g")
+    solver = sp.SolverConfig(dt=cfg.dt, t_max=cfg.t_max,
+                             quad_order=harness.QUAD_ORDER, frame="rescaled-g")
     table = harness.sweep_epsilon(cfg.eps_values(), config=solver,
                                   grid=sp.RadialGrid(cfg.grid_n, cfg.x_max),
                                   tol=cfg.tol, raise_on_failure=False)
@@ -208,8 +208,7 @@ def _cmd_sweep(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_verify(cfg: ExperimentConfig) -> int:
-    report = harness.verify(cfg.suite, fast=cfg.fast,
-                            out_dir=cfg.out_dir or None, cfg=cfg)
+    report = harness.verify(cfg.suite, fast=cfg.fast, out_dir=cfg.out_dir or None)
     for c in report["checks"]:
         if c["status"] != "pass":
             print(f"[{c['status']}] {c['suite']}/{c['name']}: "

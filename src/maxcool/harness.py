@@ -5,10 +5,12 @@ exponential-rate fitter used by every decay check, the flat key=value
 experiment configuration (lossless text round trip, CLI > file > defaults
 precedence), the named verification suites that aggregate module-level
 assertions into a pass/fail report, and the small-inelasticity steady-state
-sweep. Every CSV/JSON artifact written here embeds the fully resolved
-configuration plus its SHA-256 content hash, so any reported number can be
-regenerated from the command line alone. All randomness is seeded; reports
-are deterministic given the config.
+sweep. The suites read their sizes, steps, horizons and tolerances from one
+declared table (`FULL`, or `FAST` for smoke runs). A verify report and each
+of its artifacts carry a provenance stamp (suite, fast, that table, and the
+package versions) plus the SHA-256 of its canonical text; the other CLI
+artifacts embed their resolved configuration the same way. All randomness
+is seeded; reports are deterministic given the stamp.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy
 
+from . import __version__
 from . import dsmc
 from . import kinematics as kin
 from . import realspace as rs
@@ -36,6 +40,10 @@ __all__ = [
     "RateFit",
     "fit_exponential_rate",
     "ExperimentConfig",
+    "QUAD_ORDER",
+    "SuiteParams",
+    "FULL",
+    "FAST",
     "config_fingerprint",
     "embed_provenance",
     "save_trace",
@@ -282,12 +290,16 @@ def embed_provenance(path, cfg: ExperimentConfig) -> None:
     header, so provenance embedding never breaks a round trip.
     """
     text, sha = config_fingerprint(cfg)
+    _insert_comments(path, [f"cfg {ln}" for ln in text.strip().splitlines()]
+                     + [f"sha256 {sha}"])
+
+
+def _insert_comments(path, comments: list[str]) -> None:
     p = Path(path)
     lines = p.read_text(encoding="utf-8").splitlines(keepends=True)
     if not lines:
         raise ValueError(f"cannot embed provenance in empty file {path}")
-    block = "".join(f"# cfg {ln}\n" for ln in text.strip().splitlines())
-    block += f"# sha256 {sha}\n"
+    block = "".join(f"# {c}\n" for c in comments)
     p.write_text(lines[0] + block + "".join(lines[1:]), encoding="utf-8")
 
 
@@ -304,6 +316,110 @@ def save_trace(path, trace: sp.EvolutionTrace, e: float, frame: str) -> None:
 
 
 # ---------------------------------------------------------------------------
+# suite parameters
+
+# Gain quadrature order of every steady solve, sweep and suite run; `evolve`
+# keeps the solver default.
+QUAD_ORDER = 32
+
+
+@dataclass(frozen=True)
+class SuiteParams:
+    """Every size, step, horizon, tolerance and sample count of the suites.
+
+    `FULL` sizes the reported battery and `FAST` the smoke runs; the asserted
+    laws and their bounds are the same in both. Grids are `(n, x_max)` for
+    `spectral.RadialGrid`, node sets `(r_max, n)` for
+    `realspace.default_r_nodes`. Fields with defaults hold in both tables.
+    The whole table is stamped into every verify report and its hash.
+    """
+
+    dt: float                           # spectral step of the suites and the corpus
+    grid: tuple[int, float]             # every suite run except the sweep
+    n_particles: int                    # DSMC ensembles: weak-decay and frame-consistency
+    run_t_max: float                    # tracked e=0.95 run; also ends the d2 fit window
+    steady_t_max: float                 # shared e=0.95 steady solve
+    steady_tol: float
+    steady_burn_in: tuple[float, float]
+    kin_triples: int
+    mc_samples: int
+    kernel_seeds: tuple[int, ...]
+    fisher_t_max: float
+    fisher_r_nodes: tuple[float, int] | None  # None: the realspace default
+    fisher_checks: int
+    gain_es: tuple[float, ...]
+    gain_entries: int | None            # leading corpus entries; None: all
+    frame_t_max: float
+    ecf_t_max: float
+    corpus_grid: tuple[int, float]
+    r_nodes: tuple[float, int]          # reconstructions of the corpus and the sweep
+    corpus_t_max: float                 # evolved corpus entry
+    corpus_steady_t_max: float
+    corpus_tol_floor: float             # the corpus steady tol is max(tol, floor)
+    corpus_burn_in: tuple[float, float]
+    sweep_eps: tuple[float, ...]
+    sweep_grid: tuple[int, float]
+    sweep_tol: float
+    sweep_burn_in: tuple[float, float]
+    sweep_dt: float = 0.01
+    sweep_t_max: float = 250.0
+    decay_t_max: float = 10.0           # m2-rate runs, spectral and DSMC
+    dsmc_dt: float = 0.01
+    quad_order: int = QUAD_ORDER
+
+    def solver(self, dt: float, t_max: float,
+               frame: str = "rescaled-g") -> sp.SolverConfig:
+        return sp.SolverConfig(dt=dt, t_max=t_max, quad_order=self.quad_order,
+                               frame=frame)
+
+
+FULL = SuiteParams(
+    dt=0.01, grid=(1024, 30.0), n_particles=100_000, run_t_max=40.0,
+    steady_t_max=250.0, steady_tol=1e-7, steady_burn_in=(0.05, 80.0),
+    kin_triples=1_000_000, mc_samples=1_000_000, kernel_seeds=(11, 23, 47),
+    fisher_t_max=20.0, fisher_r_nodes=None, fisher_checks=9,
+    gain_es=(0.8, 0.9, 0.99), gain_entries=None,
+    frame_t_max=5.0, ecf_t_max=10.0,
+    corpus_grid=(2048, 40.0), r_nodes=(10.0, 2001), corpus_t_max=5.0,
+    corpus_steady_t_max=250.0, corpus_tol_floor=0.0, corpus_burn_in=(0.05, 80.0),
+    sweep_eps=(0.1, 0.05, 0.02, 0.01), sweep_grid=(1024, 30.0), sweep_tol=1e-6,
+    sweep_burn_in=(0.05, 60.0),
+)
+
+FAST = SuiteParams(
+    dt=0.02, grid=(256, 20.0), n_particles=20_000, run_t_max=30.0,
+    steady_t_max=120.0, steady_tol=1e-5, steady_burn_in=(0.1, 30.0),
+    kin_triples=10_000, mc_samples=50_000, kernel_seeds=(11,),
+    fisher_t_max=4.0, fisher_r_nodes=(8.0, 801), fisher_checks=4,
+    gain_es=(0.9,), gain_entries=2,
+    frame_t_max=2.0, ecf_t_max=4.0,
+    corpus_grid=(512, 24.0), r_nodes=(8.0, 1201), corpus_t_max=2.0,
+    corpus_steady_t_max=80.0, corpus_tol_floor=1e-5, corpus_burn_in=(0.1, 20.0),
+    sweep_eps=(0.1, 0.02), sweep_grid=(512, 24.0), sweep_tol=1e-5,
+    sweep_burn_in=(0.1, 20.0),
+)
+
+
+def _params(fast: bool) -> SuiteParams:
+    if fast:
+        return FAST
+    return FULL
+
+
+def _provenance(suite: str, fast: bool) -> tuple[dict, str]:
+    """The verify stamp and the SHA-256 of its canonical JSON text."""
+    stamp = {"suite": suite, "fast": fast,
+             "table": dataclasses.asdict(_params(fast)),
+             "versions": {"maxcool": __version__, "numpy": np.__version__,
+                          "scipy": scipy.__version__}}
+    return stamp, hashlib.sha256(_canonical(stamp).encode("utf-8")).hexdigest()
+
+
+def _canonical(stamp: dict) -> str:
+    return json.dumps(stamp, sort_keys=True, separators=(",", ":"))
+
+
+# ---------------------------------------------------------------------------
 # density corpus
 
 def density_corpus(e: float = 0.9, grid: sp.RadialGrid | None = None,
@@ -314,12 +430,17 @@ def density_corpus(e: float = 0.9, grid: sp.RadialGrid | None = None,
     evolved in the rescaled frame, and the steady profile at `e`. Densities
     for the evolved/steady entries are reconstructed on `r_nodes`.
     """
+    return _density_corpus(_params(fast), e, grid, r_nodes, tol)
+
+
+def _density_corpus(params: SuiteParams, e: float = 0.9,
+                    grid: sp.RadialGrid | None = None, r_nodes=None,
+                    tol: float = 1e-6) -> list[dict]:
     if grid is None:
-        grid = sp.RadialGrid(512, 24.0) if fast else sp.RadialGrid(2048, 40.0)
+        grid = sp.RadialGrid(*params.corpus_grid)
     if r_nodes is None:
-        r_nodes = rs.default_r_nodes(8.0, 1201) if fast else rs.default_r_nodes(10.0, 2001)
-    dt = 0.02 if fast else 0.01
-    t_ev = 2.0 if fast else 5.0
+        r_nodes = rs.default_r_nodes(*params.r_nodes)
+    t_ev = params.corpus_t_max
 
     phi_max = sp.CharacteristicProfile.maxwellian(grid, 1.0)
     phi_a = sp.CharacteristicProfile.bimaxwellian(grid, 0.5, 0.6, 1.4)
@@ -332,14 +453,13 @@ def density_corpus(e: float = 0.9, grid: sp.RadialGrid | None = None,
         {"name": "mixture-b", "phi": phi_b,
          "f": rs.RadialDensity.mixture(r_nodes, 0.25, 0.5, 1.5)},
     ]
-    cfg = sp.SolverConfig(dt=dt, t_max=t_ev, quad_order=32, frame="rescaled-g")
-    evolved = sp.evolve(phi_a, e, cfg, diagnostics_schedule=[t_ev]).final
+    evolved = sp.evolve(phi_a, e, params.solver(params.dt, t_ev),
+                        diagnostics_schedule=[t_ev]).final
     entries.append({"name": "evolved", "phi": evolved,
                     "f": rs.reconstruct(evolved, r_nodes)})
-    scfg = sp.SolverConfig(dt=dt, t_max=80.0 if fast else 250.0,
-                           quad_order=32, frame="rescaled-g")
-    steady = sp.steady_profile(e, scfg, tol=max(tol, 1e-5) if fast else tol,
-                               grid=grid, burn_in=(0.1, 20.0) if fast else (0.05, 80.0))
+    steady = sp.steady_profile(e, params.solver(params.dt, params.corpus_steady_t_max),
+                               tol=max(tol, params.corpus_tol_floor), grid=grid,
+                               burn_in=params.corpus_burn_in)
     entries.append({"name": "steady", "phi": steady,
                     "f": rs.reconstruct(steady, r_nodes)})
     return entries
@@ -354,7 +474,8 @@ def _sweep_envelope(eps: np.ndarray) -> np.ndarray:
 
 def sweep_epsilon(eps_list, config: sp.SolverConfig | None = None,
                   grid: sp.RadialGrid | None = None, r_nodes=None,
-                  tol: float = 1e-6, burn_in: tuple[float, float] | None = (0.05, 60.0),
+                  tol: float = FULL.sweep_tol,
+                  burn_in: tuple[float, float] | None = FULL.sweep_burn_in,
                   raise_on_failure: bool = True) -> dict:
     """Steady-state distance to the Maxwellian across small inelasticities.
 
@@ -364,8 +485,10 @@ def sweep_epsilon(eps_list, config: sp.SolverConfig | None = None,
     decreases strictly with eps and that the fitted envelope constant
     C(eps) = L1 / (sqrt(eps) (1 + sqrt|log eps|)) is stable within a factor 3
     between consecutive points. Non-converged points are dropped and
-    reported. With `raise_on_failure` the checks raise AssertionError; the
-    returned table always carries the full data and verdicts.
+    reported; each row and dropped entry lists the warnings its solve raised.
+    With `raise_on_failure` the checks raise AssertionError; the returned
+    table always carries the full data and verdicts. The defaults are the
+    `FULL` sweep suite's.
 
     Note: the envelope is an upper bound, and the measured distances fall
     faster than it (roughly like eps^2), so the two-sided factor-3 stability
@@ -380,22 +503,22 @@ def sweep_epsilon(eps_list, config: sp.SolverConfig | None = None,
     if np.any(np.diff(eps) >= 0):
         raise ValueError("eps values must be strictly descending")
     if grid is None:
-        grid = sp.RadialGrid(1024, 30.0)
+        grid = sp.RadialGrid(*FULL.sweep_grid)
     if r_nodes is None:
-        r_nodes = rs.default_r_nodes(10.0, 2001)
+        r_nodes = rs.default_r_nodes(*FULL.r_nodes)
     if config is None:
-        config = sp.SolverConfig(dt=0.01, t_max=250.0, quad_order=32, frame="rescaled-g")
+        config = FULL.solver(FULL.sweep_dt, FULL.sweep_t_max)
 
     rows: list[dict] = []
     dropped: list[dict] = []
     for ev in eps:
         e = 1.0 - 2.0 * ev
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            phi = sp.steady_profile(e, config, tol=tol, grid=grid, burn_in=burn_in)
+        phi, caught = _recording_warnings(sp.steady_profile, e, config, tol=tol,
+                                          grid=grid, burn_in=burn_in)
         if not phi.meta.get("converged", False):
             dropped.append({"eps": float(ev), "e": e,
-                            "cauchy_d2": phi.meta.get("cauchy_d2")})
+                            "cauchy_d2": phi.meta.get("cauchy_d2"),
+                            "warnings": caught})
             logger.warning("sweep: dropping eps=%g (steady state not converged)", ev)
             continue
         f = rs.reconstruct(phi, r_nodes)
@@ -404,7 +527,8 @@ def sweep_epsilon(eps_list, config: sp.SolverConfig | None = None,
         env = float(_sweep_envelope(np.array([ev]))[0])
         rows.append({"eps": float(ev), "e": e, "l1": l1, "envelope": env,
                      "c_fit": l1 / env,
-                     "residual": phi.meta.get("fixed_point_residual")})
+                     "residual": phi.meta.get("fixed_point_residual"),
+                     "warnings": caught})
 
     c = np.array([r["c_fit"] for r in rows])
     l1s = np.array([r["l1"] for r in rows])
@@ -419,7 +543,7 @@ def sweep_epsilon(eps_list, config: sp.SolverConfig | None = None,
         "eps": [r["eps"] for r in rows], "e": [r["e"] for r in rows],
         "l1": [r["l1"] for r in rows], "envelope": [r["envelope"] for r in rows],
         "c_fit": c.tolist(), "c_ratios": ratios.tolist(),
-        "rows": rows, "dropped": dropped,
+        "warnings": [r["warnings"] for r in rows], "rows": rows, "dropped": dropped,
         "monotone": monotone, "c_stable": stable, "c_growth_ok": growth_ok,
     }
     if raise_on_failure:
@@ -436,13 +560,23 @@ def sweep_epsilon(eps_list, config: sp.SolverConfig | None = None,
     return table
 
 
+def _recording_warnings(fn, *args, **kwargs):
+    """fn(...) and the messages of every warning it raised, none shown."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args, **kwargs)
+    return out, [str(w.message) for w in caught]
+
+
+_SWEEP_COLUMNS = ("eps", "e", "l1", "envelope", "c_fit")
+
+
 def _save_sweep_csv(path, table: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# maxcool-sweep v1\n")
-        fh.write("eps,e,l1,envelope,c_fit\n")
-        for r in table["rows"]:
-            fh.write(",".join(f"{r[k]:.17g}" for k in
-                              ("eps", "e", "l1", "envelope", "c_fit")) + "\n")
+        fh.write(",".join(_SWEEP_COLUMNS) + "\n")
+        for row in zip(*(table[k] for k in _SWEEP_COLUMNS)):
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -565,19 +699,16 @@ def _kinematics_exactness(e: float, n: int, seed: int) -> list[dict]:
     return checks
 
 
-def _suite_kinematics(fast: bool = False) -> tuple[list[dict], dict]:
-    n = 10_000 if fast else 1_000_000
-    mc_samples = 50_000 if fast else 1_000_000
-    kernel_seeds = (11,) if fast else (11, 23, 47)
+def _suite_kinematics(params: SuiteParams) -> tuple[list[dict], dict]:
     checks: list[dict] = []
     for e in _KIN_ES:
         try:
-            checks.extend(_kinematics_exactness(e, n, seed=2))
+            checks.extend(_kinematics_exactness(e, params.kin_triples, seed=2))
         except Exception as exc:  # propagate into the report, keep going
             checks.append(_error_check(f"exactness e={e:g}",
                                        "collision-law identities", exc))
     mc_log = []
-    for ks in kernel_seeds:
+    for ks in params.kernel_seeds:
         K = _gaussian_kernel(ks)
         for e in _MC_ES:
             for which in ("sigma-theorem", "n-theorem"):
@@ -586,7 +717,7 @@ def _suite_kinematics(fast: bool = False) -> tuple[list[dict], dict]:
                          "average invariant")
                 try:
                     lhs, rhs, sl, sr = kin.mc_change_of_variables(
-                        K, e, which=which, samples=mc_samples, seed=7)
+                        K, e, which=which, samples=params.mc_samples, seed=7)
                     sig = math.hypot(sl, sr)
                     z = abs(lhs - rhs) / sig
                     checks.append(_check(name, claim, z, 3.0, 3.0 - z, z <= 3.0,
@@ -598,49 +729,44 @@ def _suite_kinematics(fast: bool = False) -> tuple[list[dict], dict]:
     return checks, {"mc_identities": mc_log}
 
 
-def _ws_steady(ws: dict, fast: bool) -> sp.CharacteristicProfile:
+def _ws_steady(ws: dict, params: SuiteParams) -> sp.CharacteristicProfile:
     if "steady_e095" not in ws:
-        grid = sp.RadialGrid(256, 20.0) if fast else sp.RadialGrid(1024, 30.0)
-        cfg = sp.SolverConfig(dt=0.02 if fast else 0.01, t_max=120.0 if fast else 250.0,
-                              quad_order=32, frame="rescaled-g")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            ws["steady_e095"] = sp.steady_profile(
-                0.95, cfg, tol=1e-5 if fast else 1e-7, grid=grid,
-                burn_in=(0.1, 30.0) if fast else (0.05, 80.0))
+        ws["steady_e095"], ws["steady_e095_warnings"] = _recording_warnings(
+            sp.steady_profile, 0.95, params.solver(params.dt, params.steady_t_max),
+            tol=params.steady_tol, grid=sp.RadialGrid(*params.grid),
+            burn_in=params.steady_burn_in)
     return ws["steady_e095"]
 
 
-def _ws_run(ws: dict, fast: bool) -> sp.EvolutionTrace:
+def _ws_run(ws: dict, params: SuiteParams) -> sp.EvolutionTrace:
     # rescaled-frame tracked run used by the decay, regularity, and distance checks
     if "run_e095" not in ws:
-        steady = _ws_steady(ws, fast)
-        cfg = sp.SolverConfig(dt=0.02 if fast else 0.01, t_max=30.0 if fast else 40.0,
-                              quad_order=32, frame="rescaled-g")
+        steady = _ws_steady(ws, params)
         phi0 = sp.CharacteristicProfile.bimaxwellian(steady.grid, 0.5, 0.6, 1.4)
-        ws["run_e095"] = sp.evolve(phi0, 0.95, cfg, reference=steady)
+        ws["run_e095"] = sp.evolve(phi0, 0.95, params.solver(params.dt, params.run_t_max),
+                                   reference=steady)
     return ws["run_e095"]
 
 
-def _ws_corpus(ws: dict, fast: bool) -> list[dict]:
+def _ws_corpus(ws: dict, params: SuiteParams) -> list[dict]:
     if "corpus" not in ws:
-        ws["corpus"] = density_corpus(fast=fast)
+        ws["corpus"] = _density_corpus(params)
     return ws["corpus"]
 
 
-def _suite_fisher(ws: dict, fast: bool = False) -> tuple[list[dict], dict]:
+def _suite_fisher(ws: dict, params: SuiteParams) -> tuple[list[dict], dict]:
     checks: list[dict] = []
     raw: dict = {}
     claim_traj = ("Fisher information along the rescaled flow stays under "
                   "exp((growth - 2E) t) times its initial value")
     try:
-        grid = sp.RadialGrid(256, 20.0) if fast else sp.RadialGrid(1024, 30.0)
-        cfg = sp.SolverConfig(dt=0.02 if fast else 0.01, t_max=4.0 if fast else 20.0,
-                              quad_order=32, frame="rescaled-g")
-        phi0 = sp.CharacteristicProfile.bimaxwellian(grid, 0.5, 0.6, 1.4)
-        r_nodes = rs.default_r_nodes(8.0, 801) if fast else None
-        rep = rs.fisher_trajectory_check(phi0, 0.95, cfg, r_nodes=r_nodes,
-                                         n_checks=4 if fast else 9)
+        phi0 = sp.CharacteristicProfile.bimaxwellian(sp.RadialGrid(*params.grid),
+                                                     0.5, 0.6, 1.4)
+        r_nodes = (None if params.fisher_r_nodes is None
+                   else rs.default_r_nodes(*params.fisher_r_nodes))
+        rep = rs.fisher_trajectory_check(phi0, 0.95,
+                                         params.solver(params.dt, params.fisher_t_max),
+                                         r_nodes=r_nodes, n_checks=params.fisher_checks)
         margin = float(np.min(np.array(rep["bounds"]) - np.array(rep["fisher"])))
         checks.append(_check("fisher-trajectory e=0.95", claim_traj,
                              margin, 0.0, margin, rep["holds"]))
@@ -649,17 +775,15 @@ def _suite_fisher(ws: dict, fast: bool = False) -> tuple[list[dict], dict]:
         checks.append(_error_check("fisher-trajectory e=0.95", claim_traj, exc))
 
     claim_gain = "one application of the gain grows Fisher information by at most 1+growth"
-    corpus = _ws_corpus(ws, fast)
-    gain_es = (0.9,) if fast else (0.8, 0.9, 0.99)
-    entries = corpus[:2] if fast else corpus
-    for entry in entries:
-        names = [f"fisher-gain {entry['name']} e={e:g}" for e in gain_es]
+    corpus = _ws_corpus(ws, params)
+    for entry in corpus[:params.gain_entries]:
+        names = [f"fisher-gain {entry['name']} e={e:g}" for e in params.gain_es]
         try:
             f = rs.reconstruct(entry["phi"], entry["f"].r)  # shared by every e
         except Exception as exc:
             checks.extend(_error_check(name, claim_gain, exc) for name in names)
             continue
-        for e, name in zip(gain_es, names):
+        for e, name in zip(params.gain_es, names):
             try:
                 rep = rs.fisher_gain_check(entry["phi"], e, f=f)
                 slack = rep["bound_factor"] - rep["ratio"]
@@ -698,17 +822,15 @@ def _suite_fisher(ws: dict, fast: bool = False) -> tuple[list[dict], dict]:
     return checks, raw
 
 
-def _suite_weak_decay(ws: dict, fast: bool = False) -> tuple[list[dict], dict]:
+def _suite_weak_decay(ws: dict, params: SuiteParams) -> tuple[list[dict], dict]:
     checks: list[dict] = []
     raw: dict = {}
 
     claim_sp = "temperature decays at rate 2E = (1-e^2)/4 in the unscaled frame"
     try:
-        grid = sp.RadialGrid(256, 20.0) if fast else sp.RadialGrid(1024, 30.0)
-        cfg = sp.SolverConfig(dt=0.02 if fast else 0.01, t_max=10.0,
-                              quad_order=32, frame="unscaled-f")
-        phi0 = sp.CharacteristicProfile.maxwellian(grid, 1.0)
-        trace = sp.evolve(phi0, 0.5, cfg)
+        phi0 = sp.CharacteristicProfile.maxwellian(sp.RadialGrid(*params.grid), 1.0)
+        trace = sp.evolve(phi0, 0.5, params.solver(params.dt, params.decay_t_max,
+                                                   frame="unscaled-f"))
         fit = fit_exponential_rate((trace.times, trace.diagnostics["m2"]))
         target = 2.0 * sp.dissipation_rate(0.5)
         rel = abs(fit.rate - target) / target
@@ -721,9 +843,8 @@ def _suite_weak_decay(ws: dict, fast: bool = False) -> tuple[list[dict], dict]:
 
     claim_mc = "particle-system energy decays at rate 2E = 0.1875 at e = 0.5"
     try:
-        n_part = 20_000 if fast else 100_000
-        ens = dsmc.sample_initial("maxwellian", n_part, seed=1, e=0.5)
-        series = dsmc.run(ens, t_max=10.0, dt=0.01)
+        ens = dsmc.sample_initial("maxwellian", params.n_particles, seed=1, e=0.5)
+        series = dsmc.run(ens, t_max=params.decay_t_max, dt=params.dsmc_dt)
         fit = fit_exponential_rate((series["t"], series["m2"]))
         target = 2.0 * sp.dissipation_rate(0.5)
         rel = abs(fit.rate - target) / target
@@ -736,10 +857,9 @@ def _suite_weak_decay(ws: dict, fast: bool = False) -> tuple[list[dict], dict]:
 
     claim_d2 = "weak distance to the steady profile decays at least at rate 0.9*gamma"
     try:
-        trace = _ws_run(ws, fast)
-        hi = 30.0 if fast else 40.0
+        trace = _ws_run(ws, params)
         fit = fit_exponential_rate((trace.times, trace.diagnostics["d2_ref"]),
-                                   window=(10.0, hi))
+                                   window=(10.0, params.run_t_max))
         gamma = sp.gamma_constants(0.9, 0.95)[2]
         bound = 0.9 * gamma
         checks.append(_check("d2-decay-rate e=0.95", claim_d2, fit.rate, bound,
@@ -754,11 +874,11 @@ def _suite_weak_decay(ws: dict, fast: bool = False) -> tuple[list[dict], dict]:
 _REG_KEYS = ("sup_0.5", "hr_0.5", "hr_1", "hr_2")
 
 
-def _suite_regularity(ws: dict, fast: bool = False) -> tuple[list[dict], dict]:
+def _suite_regularity(ws: dict, params: SuiteParams) -> tuple[list[dict], dict]:
     checks: list[dict] = []
     raw: dict = {}
-    steady = _ws_steady(ws, fast)
-    trace = _ws_run(ws, fast)
+    steady = _ws_steady(ws, params)
+    trace = _ws_run(ws, params)
     steady_vals = {
         "sup_0.5": sp.sup_weighted(steady, 0.5),
         "hr_0.5": sp.sobolev_norm(steady, 0.5),
@@ -791,9 +911,9 @@ def _suite_regularity(ws: dict, fast: bool = False) -> tuple[list[dict], dict]:
     return checks, raw
 
 
-def _suite_inequalities(ws: dict, fast: bool = False) -> tuple[list[dict], dict]:
+def _suite_inequalities(ws: dict, params: SuiteParams) -> tuple[list[dict], dict]:
     checks: list[dict] = []
-    corpus = _ws_corpus(ws, fast)
+    corpus = _ws_corpus(ws, params)
     claim = "Nash, interpolation, and moment-to-mass inequalities hold with positive slack"
     for entry in corpus:
         name = f"inequalities {entry['name']}"
@@ -808,7 +928,7 @@ def _suite_inequalities(ws: dict, fast: bool = False) -> tuple[list[dict], dict]
     return checks, {}
 
 
-def _suite_frame_consistency(ws: dict, fast: bool = False) -> tuple[list[dict], dict]:
+def _suite_frame_consistency(ws: dict, params: SuiteParams) -> tuple[list[dict], dict]:
     checks: list[dict] = []
     raw: dict = {}
     e = 0.95
@@ -816,15 +936,11 @@ def _suite_frame_consistency(ws: dict, fast: bool = False) -> tuple[list[dict], 
 
     claim_fr = "unscaled and rescaled frames agree after undoing the dilation"
     try:
-        grid = sp.RadialGrid(256, 20.0) if fast else sp.RadialGrid(1024, 30.0)
-        dt = 0.02 if fast else 0.01
-        T = 2.0 if fast else 5.0
+        grid = sp.RadialGrid(*params.grid)
+        T = params.frame_t_max
         phi0 = sp.CharacteristicProfile.bimaxwellian(grid, 0.5, 0.6, 1.4)
-        tr_g = sp.evolve(phi0, e, sp.SolverConfig(dt=dt, t_max=T, quad_order=32,
-                                                  frame="rescaled-g"),
-                         diagnostics_schedule=[T])
-        tr_f = sp.evolve(phi0, e, sp.SolverConfig(dt=dt, t_max=T, quad_order=32,
-                                                  frame="unscaled-f"),
+        tr_g = sp.evolve(phi0, e, params.solver(params.dt, T), diagnostics_schedule=[T])
+        tr_f = sp.evolve(phi0, e, params.solver(params.dt, T, frame="unscaled-f"),
                          diagnostics_schedule=[T])
         fac = math.exp(E * T)
         x = grid.x[grid.x <= grid.x_max / fac * 0.98]
@@ -839,21 +955,18 @@ def _suite_frame_consistency(ws: dict, fast: bool = False) -> tuple[list[dict], 
     claim_ecf = ("particle-system characteristic function matches the deterministic "
                  "profile within 3/sqrt(N) after rescaling")
     try:
-        n_part = 20_000 if fast else 100_000
-        T = 4.0 if fast else 10.0
+        n_part = params.n_particles
+        T = params.ecf_t_max
         targets = np.linspace(0.0, 10.0, 21)
         fac = math.exp(E * T)
         ens = dsmc.sample_initial("maxwellian", n_part, seed=3, e=e)
         # record only the endpoints: the per-record ECF dominates the cost
-        series = dsmc.run(ens, t_max=T, dt=0.01, x_grid=targets * fac,
-                          record_every=int(round(T / 0.01)))
+        series = dsmc.run(ens, t_max=T, dt=params.dsmc_dt, x_grid=targets * fac,
+                          record_every=int(round(T / params.dsmc_dt)))
         resc = dsmc.rescaled_estimates(series, e)
         ecf_vals = resc["ecf"][-1]
-        grid = sp.RadialGrid(256, 20.0) if fast else sp.RadialGrid(1024, 30.0)
-        cfg = sp.SolverConfig(dt=0.02 if fast else 0.01, t_max=T, quad_order=32,
-                              frame="rescaled-g")
-        trace = sp.evolve(sp.CharacteristicProfile.maxwellian(grid, 1.0), e, cfg,
-                          diagnostics_schedule=[T])
+        phi_m = sp.CharacteristicProfile.maxwellian(sp.RadialGrid(*params.grid), 1.0)
+        trace = sp.evolve(phi_m, e, params.solver(params.dt, T), diagnostics_schedule=[T])
         ref = sp.evaluate(trace.final, targets)
         worst = float(np.max(np.abs(ecf_vals - ref)))
         band = 3.0 / math.sqrt(n_part)
@@ -867,23 +980,23 @@ def _suite_frame_consistency(ws: dict, fast: bool = False) -> tuple[list[dict], 
     return checks, raw
 
 
-def _suite_sweep(ws: dict, fast: bool = False) -> tuple[list[dict], dict]:
+def _suite_sweep(ws: dict, params: SuiteParams) -> tuple[list[dict], dict]:
     checks: list[dict] = []
     raw: dict = {}
-    eps = (0.1, 0.02) if fast else (0.1, 0.05, 0.02, 0.01)
-    grid = sp.RadialGrid(512, 24.0) if fast else None
-    r_nodes = rs.default_r_nodes(8.0, 1201) if fast else None
     claim_mono = "steady-state distance to the Maxwellian shrinks as e -> 1"
     claim_stab = ("fitted envelope constant stays within a factor 3 between "
                   "consecutive eps points")
     try:
-        table = sweep_epsilon(eps, grid=grid, r_nodes=r_nodes,
-                              tol=1e-5 if fast else 1e-6,
-                              burn_in=(0.1, 20.0) if fast else (0.05, 60.0),
+        table = sweep_epsilon(params.sweep_eps,
+                              config=params.solver(params.sweep_dt, params.sweep_t_max),
+                              grid=sp.RadialGrid(*params.sweep_grid),
+                              r_nodes=rs.default_r_nodes(*params.r_nodes),
+                              tol=params.sweep_tol, burn_in=params.sweep_burn_in,
                               raise_on_failure=False)
         raw["sweep_table"] = {k: table[k] for k in
                               ("eps", "e", "l1", "envelope", "c_fit", "c_ratios",
-                               "monotone", "c_stable", "c_growth_ok", "dropped")}
+                               "monotone", "c_stable", "c_growth_ok", "dropped",
+                               "warnings")}
         l1 = np.array(table["l1"])
         worst_step = float(np.max(np.diff(l1))) if len(l1) >= 2 else math.nan
         checks.append(_check("sweep-monotone", claim_mono, worst_step, 0.0,
@@ -900,7 +1013,7 @@ def _suite_sweep(ws: dict, fast: bool = False) -> tuple[list[dict], dict]:
 
 
 _SUITE_RUNNERS = {
-    "kinematics": lambda ws, fast: _suite_kinematics(fast),
+    "kinematics": lambda ws, params: _suite_kinematics(params),
     "fisher": _suite_fisher,
     "weak-decay": _suite_weak_decay,
     "regularity": _suite_regularity,
@@ -910,20 +1023,21 @@ _SUITE_RUNNERS = {
 }
 
 
-def verify(suite: str = "all", fast: bool = False, out_dir=None,
-           cfg: ExperimentConfig | None = None) -> dict:
+def verify(suite: str = "all", fast: bool = False, out_dir=None) -> dict:
     """Run one named verification suite (or all of them) and build a report.
 
     Sub-check failures and errors are recorded in the report and never abort
     the remaining checks. With `out_dir`, raw traces and tables are written
-    beside the report data. `fast` shrinks grids and sample counts for smoke
-    runs; the asserted laws are unchanged.
+    beside the report data. `fast` runs the `FAST` table instead of `FULL`
+    for smoke runs; the asserted laws are unchanged. The report's
+    `provenance` stamp holds everything that shaped its numbers, and
+    `config_sha256` is the hash of that stamp.
     """
     if suite != "all" and suite not in _SUITE_RUNNERS:
         raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITES}")
-    if cfg is None:
-        cfg = ExperimentConfig(suite=suite, fast=fast,
-                               out_dir=str(out_dir) if out_dir else "")
+    fast = bool(fast)
+    params = _params(fast)
+    stamp, sha = _provenance(suite, fast)
     names = list(SUITES) if suite == "all" else [suite]
     t0 = time.perf_counter()
     ws: dict = {}
@@ -933,7 +1047,7 @@ def verify(suite: str = "all", fast: bool = False, out_dir=None,
     for name in names:
         t1 = time.perf_counter()
         try:
-            rows, raw = _SUITE_RUNNERS[name](ws, fast)
+            rows, raw = _SUITE_RUNNERS[name](ws, params)
         except Exception as exc:  # a suite-level crash is one errored check
             rows, raw = [_error_check(name, "suite execution", exc)], {}
         for r in rows:
@@ -944,7 +1058,6 @@ def verify(suite: str = "all", fast: bool = False, out_dir=None,
         logger.info("suite %s: %d checks in %.1f s", name, len(rows),
                     suite_elapsed[name])
 
-    text, sha = config_fingerprint(cfg)
     n_pass = sum(1 for c in checks if c["status"] == "pass")
     n_fail = sum(1 for c in checks if c["status"] == "fail")
     n_error = sum(1 for c in checks if c["status"] == "error")
@@ -954,10 +1067,11 @@ def verify(suite: str = "all", fast: bool = False, out_dir=None,
         "passed": n_fail == 0 and n_error == 0,
         "elapsed_seconds": time.perf_counter() - t0,
         "suite_elapsed": suite_elapsed,
-        "config": {ln.split("=", 1)[0]: ln.split("=", 1)[1]
-                   for ln in text.strip().splitlines()},
+        "provenance": stamp,
         "config_sha256": sha,
     }
+    if "steady_e095" in ws:
+        report["steady_e095_warnings"] = ws["steady_e095_warnings"]
     if "sweep_table" in raw_all:
         report["sweep_table"] = raw_all["sweep_table"]
     if "hcs_envelope" in raw_all:
@@ -965,58 +1079,46 @@ def verify(suite: str = "all", fast: bool = False, out_dir=None,
 
     if out_dir is not None:
         try:
-            report["artifacts"] = _write_suite_artifacts(out_dir, cfg, ws, raw_all)
+            report["artifacts"] = _write_suite_artifacts(out_dir, stamp, sha, ws, raw_all)
         except Exception as exc:
             logger.exception("artifact writing failed")
             report["artifact_error"] = repr(exc)
     return report
 
 
-def _write_suite_artifacts(out_dir, cfg: ExperimentConfig, ws: dict,
+def _write_suite_artifacts(out_dir, stamp: dict, sha: str, ws: dict,
                            raw: dict) -> list[str]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[str] = []
+    comments = [f"provenance {_canonical(stamp)}", f"sha256 {sha}"]
+
+    def emit_csv(name: str, save, *args) -> None:
+        path = out / name
+        save(path, *args)
+        _insert_comments(path, comments)
+        written.append(str(path))
 
     def emit_json(name: str, payload) -> None:
-        text, sha = config_fingerprint(cfg)
         path = out / name
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"config": {ln.split("=", 1)[0]: ln.split("=", 1)[1]
-                                  for ln in text.strip().splitlines()},
-                       "config_sha256": sha, "data": payload}, fh, indent=2)
+            json.dump({"provenance": stamp, "config_sha256": sha, "data": payload},
+                      fh, indent=2)
         written.append(str(path))
 
     if "spectral_unscaled_trace" in raw:
-        path = out / "spectral-unscaled-e0.5.csv"
-        save_trace(path, raw["spectral_unscaled_trace"], 0.5, "unscaled-f")
-        embed_provenance(path, cfg)
-        written.append(str(path))
+        emit_csv("spectral-unscaled-e0.5.csv", save_trace,
+                 raw["spectral_unscaled_trace"], 0.5, "unscaled-f")
     if "dsmc_series" in raw:
-        path = out / "dsmc-e0.5.csv"
-        dsmc.save_series(path, raw["dsmc_series"])
-        embed_provenance(path, cfg)
-        written.append(str(path))
+        emit_csv("dsmc-e0.5.csv", dsmc.save_series, raw["dsmc_series"])
     if "run_e095" in ws:
-        path = out / "spectral-rescaled-e0.95.csv"
-        save_trace(path, ws["run_e095"], 0.95, "rescaled-g")
-        embed_provenance(path, cfg)
-        written.append(str(path))
+        emit_csv("spectral-rescaled-e0.95.csv", save_trace, ws["run_e095"],
+                 0.95, "rescaled-g")
     if "steady_e095" in ws:
-        path = out / "steady-e0.95.csv"
-        sp.save_profile(path, ws["steady_e095"], 0.95, "rescaled-g")
-        embed_provenance(path, cfg)
-        written.append(str(path))
+        emit_csv("steady-e0.95.csv", sp.save_profile, ws["steady_e095"],
+                 0.95, "rescaled-g")
     if "sweep_table" in raw:
-        path = out / "sweep-eps.csv"
-        _save_sweep_csv(path, {"rows": [
-            dict(zip(("eps", "e", "l1", "envelope", "c_fit"),
-                     (raw["sweep_table"]["eps"][i], raw["sweep_table"]["e"][i],
-                      raw["sweep_table"]["l1"][i], raw["sweep_table"]["envelope"][i],
-                      raw["sweep_table"]["c_fit"][i])))
-            for i in range(len(raw["sweep_table"]["eps"]))]})
-        embed_provenance(path, cfg)
-        written.append(str(path))
+        emit_csv("sweep-eps.csv", _save_sweep_csv, raw["sweep_table"])
     if "mc_identities" in raw:
         emit_json("mc-identities.json", raw["mc_identities"])
     if "fisher_trajectory" in raw:
@@ -1027,7 +1129,7 @@ def _write_suite_artifacts(out_dir, cfg: ExperimentConfig, ws: dict,
 
 
 def save_report(path, report: dict) -> None:
-    """Write a verification report as indented JSON (config already embedded)."""
+    """Write a verification report as indented JSON (provenance already embedded)."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")

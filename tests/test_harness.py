@@ -5,8 +5,11 @@ the acceptance tests. Numerical pins below were measured on converged runs
 and double-checked at higher resolution.
 """
 
+import dataclasses
+import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,6 +214,14 @@ def test_sweep_wide_step_fails_stability_only():
         harness.sweep_epsilon([0.1, 0.02], **_SWEEP_FAST)
 
 
+def test_sweep_records_warnings_of_a_dropped_solve():
+    short = dict(_SWEEP_FAST, config=sp.SolverConfig(dt=0.05, t_max=2.0, quad_order=32,
+                                                     frame="rescaled-g"))
+    table = harness.sweep_epsilon([0.1], raise_on_failure=False, **short)
+    assert table["rows"] == [] and len(table["dropped"]) == 1
+    assert any("did not reach tol" in w for w in table["dropped"][0]["warnings"])
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -237,12 +248,55 @@ def test_verify_kinematics_fast_report_shape(tmp_path):
 
 
 def test_verify_errors_propagate_without_aborting(monkeypatch):
-    def boom(ws, fast):
+    def boom(ws, params):
         raise RuntimeError("synthetic failure")
     monkeypatch.setitem(harness._SUITE_RUNNERS, "fisher", boom)
     report = harness.verify("fisher", fast=True)
     assert report["n_error"] == 1 and not report["passed"]
     assert "synthetic failure" in report["checks"][0]["detail"]["error"]
+
+
+def test_verify_hash_covers_exactly_the_stamp(tmp_path, monkeypatch):
+    # the suite's numbers play no part in the hash; skip the work
+    monkeypatch.setitem(harness._SUITE_RUNNERS, "kinematics", lambda ws, params: ([], {}))
+    runs = itertools.count()
+
+    def report(*flags, config_text=""):
+        k = next(runs)
+        cfg = tmp_path / f"run{k}.cfg"
+        cfg.write_text(config_text)
+        path = tmp_path / f"report{k}.json"
+        assert run_cli(["verify", "--suite", "kinematics", "--config", str(cfg),
+                        "--report", str(path), *flags]) == 0
+        return json.loads(path.read_text())
+
+    base = report("--fast")
+    unread = report("--fast", "--out-dir", str(tmp_path / "art"),
+                    config_text="dt=0.5\ngrid_n=512\ne=0.3\n")
+    assert unread["config_sha256"] == base["config_sha256"]
+    assert base["provenance"]["fast"] is base["fast"] is True
+    assert base["provenance"]["table"] == json.loads(json.dumps(
+        dataclasses.asdict(harness.FAST)))
+    assert report()["config_sha256"] != base["config_sha256"]
+    monkeypatch.setattr(harness, "FAST", dataclasses.replace(harness.FAST,
+                                                             mc_samples=40_000))
+    assert report("--fast")["config_sha256"] != base["config_sha256"]
+
+
+def test_verify_all_fast_smoke(tmp_path):
+    report = harness.verify("all", fast=True, out_dir=tmp_path)
+    assert report["n_error"] == 0
+    # the known-red criterion-8 check; every other check passes
+    assert [c["name"] for c in report["checks"] if c["status"] != "pass"] == [
+        "sweep-envelope-stability"]
+    assert report["provenance"]["table"] == dataclasses.asdict(harness.FAST)
+    assert report["steady_e095_warnings"] == []
+    assert "artifact_error" not in report and len(report["artifacts"]) == 8
+    for path in report["artifacts"]:
+        assert report["config_sha256"] in Path(path).read_text()
+    phi, _ = sp.load_profile(tmp_path / "steady-e0.95.csv")
+    assert phi.grid.n == harness.FAST.grid[0]
+    assert len(dsmc.load_series(tmp_path / "dsmc-e0.5.csv")["t"]) > 1
 
 
 def test_verify_inequalities_fast():
