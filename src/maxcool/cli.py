@@ -24,12 +24,16 @@ from .harness import ExperimentConfig
 
 logger = logging.getLogger(__name__)
 
+# steady and sweep-eps solve on the grid and step of the full sweep suite
+_SWEEP_DEFAULTS = {"grid_n": harness.FULL.sweep_grid[0],
+                   "x_max": harness.FULL.sweep_grid[1],
+                   "dt": harness.FULL.sweep_dt, "t_max": harness.FULL.sweep_t_max}
+
 _COMMAND_DEFAULTS = {
     "evolve": {},
     "dsmc": {"e": 0.5, "dt": 0.01},
-    "steady": {"grid_n": 1024, "x_max": 30.0, "dt": 0.01, "t_max": 250.0},
-    "sweep-eps": {"grid_n": 1024, "x_max": 30.0, "dt": 0.01, "t_max": 250.0,
-                  "tol": 1e-6},
+    "steady": _SWEEP_DEFAULTS,
+    "sweep-eps": {**_SWEEP_DEFAULTS, "tol": harness.FULL.sweep_tol},
     "verify": {},
     "kincheck": {},
 }
@@ -167,8 +171,7 @@ def _cmd_steady(cfg: ExperimentConfig) -> int:
     grid = sp.RadialGrid(cfg.grid_n, cfg.x_max)
     solver = sp.SolverConfig(dt=cfg.dt, t_max=cfg.t_max,
                              quad_order=harness.QUAD_ORDER, frame="rescaled-g")
-    phi = sp.steady_profile(cfg.e, solver, tol=cfg.tol, grid=grid,
-                            burn_in=(5 * cfg.dt, min(60.0, cfg.t_max / 3)))
+    phi = sp.steady_profile(cfg.e, solver, tol=cfg.tol, grid=grid)
     if cfg.out:
         sp.save_profile(cfg.out, phi, cfg.e, "rescaled-g")
         harness.embed_provenance(cfg.out, cfg)

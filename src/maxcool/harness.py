@@ -138,16 +138,106 @@ def fit_exponential_rate(series, window: tuple[float, float] | None = None) -> R
 
 
 # ---------------------------------------------------------------------------
+# suite parameters
+
+# Gain quadrature order of every steady solve, sweep and suite run; `evolve`
+# keeps the solver default.
+QUAD_ORDER = 32
+
+
+@dataclass(frozen=True)
+class SuiteParams:
+    """Every size, step, horizon, tolerance and sample count of the suites.
+
+    `FULL` sizes the reported battery and `FAST` the smoke runs; the asserted
+    laws and their bounds are the same in both. Grids are `(n, x_max)` for
+    `spectral.RadialGrid`, node sets `(r_max, n)` for
+    `realspace.default_r_nodes`. Fields with defaults hold in both tables.
+    The whole table is stamped into every verify report and its hash.
+    """
+
+    dt: float                           # spectral step of the suites and the corpus
+    grid: tuple[int, float]             # every suite run except the sweep
+    n_particles: int                    # DSMC ensembles: weak-decay and frame-consistency
+    run_t_max: float                    # tracked e=0.95 run; also ends the d2 fit window
+    steady_t_max: float                 # shared e=0.95 steady solve
+    steady_tol: float
+    kin_triples: int
+    mc_samples: int
+    kernel_seeds: tuple[int, ...]
+    fisher_t_max: float
+    fisher_r_nodes: tuple[float, int] | None  # None: the realspace default
+    fisher_checks: int
+    gain_es: tuple[float, ...]
+    gain_entries: int | None            # leading corpus entries; None: all
+    frame_t_max: float
+    ecf_t_max: float
+    corpus_grid: tuple[int, float]
+    r_nodes: tuple[float, int]          # reconstructions of the corpus and the sweep
+    corpus_t_max: float                 # evolved corpus entry
+    corpus_steady_t_max: float
+    corpus_tol_floor: float             # the corpus steady tol is max(tol, floor)
+    sweep_eps: tuple[float, ...]
+    sweep_grid: tuple[int, float]
+    sweep_tol: float
+    sweep_dt: float = 0.01
+    sweep_t_max: float = 250.0
+    decay_t_max: float = 10.0           # m2-rate runs, spectral and DSMC
+    dsmc_dt: float = 0.01
+    quad_order: int = QUAD_ORDER
+
+    def solver(self, dt: float, t_max: float,
+               frame: str = "rescaled-g") -> sp.SolverConfig:
+        return sp.SolverConfig(dt=dt, t_max=t_max, quad_order=self.quad_order,
+                               frame=frame)
+
+
+FULL = SuiteParams(
+    dt=0.01, grid=(1024, 30.0), n_particles=100_000, run_t_max=40.0,
+    steady_t_max=250.0, steady_tol=1e-7,
+    kin_triples=1_000_000, mc_samples=1_000_000, kernel_seeds=(11, 23, 47),
+    fisher_t_max=20.0, fisher_r_nodes=None, fisher_checks=9,
+    gain_es=(0.8, 0.9, 0.99), gain_entries=None,
+    frame_t_max=5.0, ecf_t_max=10.0,
+    corpus_grid=(2048, 40.0), r_nodes=(10.0, 2001), corpus_t_max=5.0,
+    corpus_steady_t_max=250.0, corpus_tol_floor=0.0,
+    sweep_eps=(0.1, 0.05, 0.02, 0.01), sweep_grid=(1024, 30.0), sweep_tol=1e-6,
+)
+
+FAST = SuiteParams(
+    dt=0.02, grid=(256, 20.0), n_particles=20_000, run_t_max=30.0,
+    steady_t_max=120.0, steady_tol=1e-5,
+    kin_triples=10_000, mc_samples=50_000, kernel_seeds=(11,),
+    fisher_t_max=4.0, fisher_r_nodes=(8.0, 801), fisher_checks=4,
+    gain_es=(0.9,), gain_entries=2,
+    frame_t_max=2.0, ecf_t_max=4.0,
+    corpus_grid=(512, 24.0), r_nodes=(8.0, 1201), corpus_t_max=2.0,
+    corpus_steady_t_max=80.0, corpus_tol_floor=1e-5,
+    sweep_eps=(0.1, 0.02), sweep_grid=(512, 24.0), sweep_tol=1e-5,
+)
+
+
+def _params(fast: bool) -> SuiteParams:
+    if fast:
+        return FAST
+    return FULL
+
+
+def _provenance(suite: str, fast: bool) -> tuple[dict, str]:
+    """The verify stamp and the SHA-256 of its canonical JSON text."""
+    stamp = {"suite": suite, "fast": fast,
+             "table": dataclasses.asdict(_params(fast)),
+             "versions": {"maxcool": __version__, "numpy": np.__version__,
+                          "scipy": scipy.__version__}}
+    return stamp, hashlib.sha256(_canonical(stamp).encode("utf-8")).hexdigest()
+
+
+def _canonical(stamp: dict) -> str:
+    return json.dumps(stamp, sort_keys=True, separators=(",", ":"))
+
+
+# ---------------------------------------------------------------------------
 # experiment configuration
-
-_CONFIG_CASTS = {
-    "e": float, "grid_n": int, "x_max": float,
-    "dt": float, "t_max": float, "init": str, "frame": str,
-    "n_particles": int, "seed": int, "tol": float, "eps": str,
-    "suite": str, "out": str, "report": str, "out_dir": str,
-    "record_every": int, "fast": bool,
-}
-
 
 def _cast_bool(text: str) -> bool:
     low = text.strip().lower()
@@ -177,7 +267,7 @@ class ExperimentConfig:
     n_particles: int = 100_000
     seed: int = 0
     tol: float = 1e-7
-    eps: str = "0.1,0.05,0.02,0.01"
+    eps: str = ",".join(map(str, FULL.sweep_eps))
     suite: str = "all"
     out: str = ""
     report: str = ""
@@ -277,6 +367,10 @@ class ExperimentConfig:
         return cls(**merged)
 
 
+# each field's parser is the type of its default
+_CONFIG_CASTS = {f.name: type(f.default) for f in dataclasses.fields(ExperimentConfig)}
+
+
 def config_fingerprint(cfg: ExperimentConfig) -> tuple[str, str]:
     """Resolved config text plus its SHA-256 hex digest."""
     text = cfg.to_text()
@@ -313,110 +407,6 @@ def save_trace(path, trace: sp.EvolutionTrace, e: float, frame: str) -> None:
         for i, t in enumerate(trace.times):
             row = [f"{t:.17g}"] + [f"{trace.diagnostics[k][i]:.17g}" for k in keys]
             fh.write(",".join(row) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# suite parameters
-
-# Gain quadrature order of every steady solve, sweep and suite run; `evolve`
-# keeps the solver default.
-QUAD_ORDER = 32
-
-
-@dataclass(frozen=True)
-class SuiteParams:
-    """Every size, step, horizon, tolerance and sample count of the suites.
-
-    `FULL` sizes the reported battery and `FAST` the smoke runs; the asserted
-    laws and their bounds are the same in both. Grids are `(n, x_max)` for
-    `spectral.RadialGrid`, node sets `(r_max, n)` for
-    `realspace.default_r_nodes`. Fields with defaults hold in both tables.
-    The whole table is stamped into every verify report and its hash.
-    """
-
-    dt: float                           # spectral step of the suites and the corpus
-    grid: tuple[int, float]             # every suite run except the sweep
-    n_particles: int                    # DSMC ensembles: weak-decay and frame-consistency
-    run_t_max: float                    # tracked e=0.95 run; also ends the d2 fit window
-    steady_t_max: float                 # shared e=0.95 steady solve
-    steady_tol: float
-    steady_burn_in: tuple[float, float]
-    kin_triples: int
-    mc_samples: int
-    kernel_seeds: tuple[int, ...]
-    fisher_t_max: float
-    fisher_r_nodes: tuple[float, int] | None  # None: the realspace default
-    fisher_checks: int
-    gain_es: tuple[float, ...]
-    gain_entries: int | None            # leading corpus entries; None: all
-    frame_t_max: float
-    ecf_t_max: float
-    corpus_grid: tuple[int, float]
-    r_nodes: tuple[float, int]          # reconstructions of the corpus and the sweep
-    corpus_t_max: float                 # evolved corpus entry
-    corpus_steady_t_max: float
-    corpus_tol_floor: float             # the corpus steady tol is max(tol, floor)
-    corpus_burn_in: tuple[float, float]
-    sweep_eps: tuple[float, ...]
-    sweep_grid: tuple[int, float]
-    sweep_tol: float
-    sweep_burn_in: tuple[float, float]
-    sweep_dt: float = 0.01
-    sweep_t_max: float = 250.0
-    decay_t_max: float = 10.0           # m2-rate runs, spectral and DSMC
-    dsmc_dt: float = 0.01
-    quad_order: int = QUAD_ORDER
-
-    def solver(self, dt: float, t_max: float,
-               frame: str = "rescaled-g") -> sp.SolverConfig:
-        return sp.SolverConfig(dt=dt, t_max=t_max, quad_order=self.quad_order,
-                               frame=frame)
-
-
-FULL = SuiteParams(
-    dt=0.01, grid=(1024, 30.0), n_particles=100_000, run_t_max=40.0,
-    steady_t_max=250.0, steady_tol=1e-7, steady_burn_in=(0.05, 80.0),
-    kin_triples=1_000_000, mc_samples=1_000_000, kernel_seeds=(11, 23, 47),
-    fisher_t_max=20.0, fisher_r_nodes=None, fisher_checks=9,
-    gain_es=(0.8, 0.9, 0.99), gain_entries=None,
-    frame_t_max=5.0, ecf_t_max=10.0,
-    corpus_grid=(2048, 40.0), r_nodes=(10.0, 2001), corpus_t_max=5.0,
-    corpus_steady_t_max=250.0, corpus_tol_floor=0.0, corpus_burn_in=(0.05, 80.0),
-    sweep_eps=(0.1, 0.05, 0.02, 0.01), sweep_grid=(1024, 30.0), sweep_tol=1e-6,
-    sweep_burn_in=(0.05, 60.0),
-)
-
-FAST = SuiteParams(
-    dt=0.02, grid=(256, 20.0), n_particles=20_000, run_t_max=30.0,
-    steady_t_max=120.0, steady_tol=1e-5, steady_burn_in=(0.1, 30.0),
-    kin_triples=10_000, mc_samples=50_000, kernel_seeds=(11,),
-    fisher_t_max=4.0, fisher_r_nodes=(8.0, 801), fisher_checks=4,
-    gain_es=(0.9,), gain_entries=2,
-    frame_t_max=2.0, ecf_t_max=4.0,
-    corpus_grid=(512, 24.0), r_nodes=(8.0, 1201), corpus_t_max=2.0,
-    corpus_steady_t_max=80.0, corpus_tol_floor=1e-5, corpus_burn_in=(0.1, 20.0),
-    sweep_eps=(0.1, 0.02), sweep_grid=(512, 24.0), sweep_tol=1e-5,
-    sweep_burn_in=(0.1, 20.0),
-)
-
-
-def _params(fast: bool) -> SuiteParams:
-    if fast:
-        return FAST
-    return FULL
-
-
-def _provenance(suite: str, fast: bool) -> tuple[dict, str]:
-    """The verify stamp and the SHA-256 of its canonical JSON text."""
-    stamp = {"suite": suite, "fast": fast,
-             "table": dataclasses.asdict(_params(fast)),
-             "versions": {"maxcool": __version__, "numpy": np.__version__,
-                          "scipy": scipy.__version__}}
-    return stamp, hashlib.sha256(_canonical(stamp).encode("utf-8")).hexdigest()
-
-
-def _canonical(stamp: dict) -> str:
-    return json.dumps(stamp, sort_keys=True, separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +448,7 @@ def _density_corpus(params: SuiteParams, e: float = 0.9,
     entries.append({"name": "evolved", "phi": evolved,
                     "f": rs.reconstruct(evolved, r_nodes)})
     steady = sp.steady_profile(e, params.solver(params.dt, params.corpus_steady_t_max),
-                               tol=max(tol, params.corpus_tol_floor), grid=grid,
-                               burn_in=params.corpus_burn_in)
+                               tol=max(tol, params.corpus_tol_floor), grid=grid)
     entries.append({"name": "steady", "phi": steady,
                     "f": rs.reconstruct(steady, r_nodes)})
     return entries
@@ -475,7 +464,6 @@ def _sweep_envelope(eps: np.ndarray) -> np.ndarray:
 def sweep_epsilon(eps_list, config: sp.SolverConfig | None = None,
                   grid: sp.RadialGrid | None = None, r_nodes=None,
                   tol: float = FULL.sweep_tol,
-                  burn_in: tuple[float, float] | None = FULL.sweep_burn_in,
                   raise_on_failure: bool = True) -> dict:
     """Steady-state distance to the Maxwellian across small inelasticities.
 
@@ -511,12 +499,12 @@ def sweep_epsilon(eps_list, config: sp.SolverConfig | None = None,
 
     rows: list[dict] = []
     dropped: list[dict] = []
-    for ev in eps:
+    for ev in eps.tolist():
         e = 1.0 - 2.0 * ev
         phi, caught = _recording_warnings(sp.steady_profile, e, config, tol=tol,
-                                          grid=grid, burn_in=burn_in)
+                                          grid=grid)
         if not phi.meta.get("converged", False):
-            dropped.append({"eps": float(ev), "e": e,
+            dropped.append({"eps": ev, "e": e,
                             "cauchy_d2": phi.meta.get("cauchy_d2"),
                             "warnings": caught})
             logger.warning("sweep: dropping eps=%g (steady state not converged)", ev)
@@ -525,7 +513,7 @@ def sweep_epsilon(eps_list, config: sp.SolverConfig | None = None,
         M = rs.RadialDensity.maxwellian(r_nodes, theta=f.m2 / 3.0)
         l1 = rs.l1_distance(f, M)
         env = float(_sweep_envelope(np.array([ev]))[0])
-        rows.append({"eps": float(ev), "e": e, "l1": l1, "envelope": env,
+        rows.append({"eps": ev, "e": e, "l1": l1, "envelope": env,
                      "c_fit": l1 / env,
                      "residual": phi.meta.get("fixed_point_residual"),
                      "warnings": caught})
@@ -733,8 +721,7 @@ def _ws_steady(ws: dict, params: SuiteParams) -> sp.CharacteristicProfile:
     if "steady_e095" not in ws:
         ws["steady_e095"], ws["steady_e095_warnings"] = _recording_warnings(
             sp.steady_profile, 0.95, params.solver(params.dt, params.steady_t_max),
-            tol=params.steady_tol, grid=sp.RadialGrid(*params.grid),
-            burn_in=params.steady_burn_in)
+            tol=params.steady_tol, grid=sp.RadialGrid(*params.grid))
     return ws["steady_e095"]
 
 
@@ -858,13 +845,19 @@ def _suite_weak_decay(ws: dict, params: SuiteParams) -> tuple[list[dict], dict]:
     claim_d2 = "weak distance to the steady profile decays at least at rate 0.9*gamma"
     try:
         trace = _ws_run(ws, params)
-        fit = fit_exponential_rate((trace.times, trace.diagnostics["d2_ref"]),
+        d2_ref = trace.diagnostics["d2_ref"]
+        fit = fit_exponential_rate((trace.times, d2_ref),
                                    window=(10.0, params.run_t_max))
         gamma = sp.gamma_constants(0.9, 0.95)[2]
         bound = 0.9 * gamma
+        # the fit reads the decay only while d2_ref stays well above the
+        # reference's own error: record both at the ends of the window
+        ends = np.searchsorted(trace.times, fit.window)
         checks.append(_check("d2-decay-rate e=0.95", claim_d2, fit.rate, bound,
                              fit.rate - bound, fit.rate >= bound,
-                             gamma=gamma, r_squared=fit.r_squared))
+                             gamma=gamma, r_squared=fit.r_squared,
+                             ref_cauchy_d2=_ws_steady(ws, params).meta["cauchy_d2"],
+                             d2_ref_ends=d2_ref[ends].tolist()))
         raw["d2_fit"] = dataclasses.asdict(fit)
     except Exception as exc:
         checks.append(_error_check("d2-decay-rate e=0.95", claim_d2, exc))
@@ -991,7 +984,7 @@ def _suite_sweep(ws: dict, params: SuiteParams) -> tuple[list[dict], dict]:
                               config=params.solver(params.sweep_dt, params.sweep_t_max),
                               grid=sp.RadialGrid(*params.sweep_grid),
                               r_nodes=rs.default_r_nodes(*params.r_nodes),
-                              tol=params.sweep_tol, burn_in=params.sweep_burn_in,
+                              tol=params.sweep_tol,
                               raise_on_failure=False)
         raw["sweep_table"] = {k: table[k] for k in
                               ("eps", "e", "l1", "envelope", "c_fit", "c_ratios",

@@ -23,6 +23,12 @@ of values, slopes and curvatures, then a block-sparse gather matrix built once
 per set of query positions (`_InterpPlan`). The table of phi = 1 is exactly
 zero and the gain is evaluated in deviation form, so the constant profile
 phi = 1 is a fixed point of the gain and of the drift resample bit for bit.
+
+The stationary rescaled profile (`steady_profile`) is found by marching the
+rescaled flow from a unit Maxwellian: first at five times the configured step
+until the d2 distance between profiles 5 time units apart falls below the
+tolerance, then at the configured step until it does so again. The tolerance
+alone sizes both phases; the fine step sets the fixed point.
 """
 
 from __future__ import annotations
@@ -199,17 +205,6 @@ class EvolutionTrace:
 
 # ---------------------------------------------------------------------------
 # interpolation kernels
-
-def _d5_slopes(v: np.ndarray, h: float) -> np.ndarray:
-    # fourth-order centered slopes; even extension across x = 0
-    d = np.empty_like(v)
-    d[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
-    d[0] = 0.0
-    d[1] = (v[1] - 8.0 * v[0] + 8.0 * v[2] - v[3]) / (12.0 * h)
-    d[-2] = (v[-1] - v[-3]) / (2.0 * h)
-    d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    return d
-
 
 def _quintic_derivs(v: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     # sixth-order 7-point slopes and fourth-order 5-point curvatures with
@@ -512,7 +507,7 @@ def steady_residual(phi: CharacteristicProfile, e, quad_order: int = 64) -> floa
     gain = _gain_plan(phi.grid, e, int(quad_order))
     E = dissipation_rate(e)
     R = gain.apply(phi.values) - phi.values \
-        + E * phi.grid.x * _d5_slopes(phi.values, phi.grid.dx)
+        + E * phi.grid.x * _quintic_derivs(phi.values, phi.grid.dx)[0]
     return float(np.max(np.abs(R)))
 
 
@@ -535,19 +530,43 @@ def envelope_report(phi: CharacteristicProfile) -> dict:
     }
 
 
+_STEADY_WINDOW = 5.0   # time units between the Cauchy checks of a steady solve
+_COARSE_RATIO = 5      # coarse-phase step as a multiple of the configured dt
+
+
+def _march_to_tol(phi: CharacteristicProfile, e: float, config: SolverConfig,
+                  tol: float) -> tuple[CharacteristicProfile, float, bool]:
+    # whole windows at config.dt until one window's Cauchy d2 drops below tol
+    # or config.t_max has passed; returns (best profile, its d2, converged)
+    steps_per_window = max(1, int(round(_STEADY_WINDOW / config.dt)))
+    start = phi.time
+    best = phi
+    achieved = math.inf
+    while phi.time - start < config.t_max:
+        prev = phi
+        for _ in range(steps_per_window):
+            phi = step(phi, e, config)
+        d2 = d2_distance(prev, phi, warn_temperature=False)
+        if d2 < achieved:
+            achieved = d2
+            best = phi
+        if d2 < tol:
+            return best, achieved, True
+    return best, achieved, False
+
+
 def steady_profile(e, config: SolverConfig | None = None, tol: float = 1e-7,
-                   grid: RadialGrid | None = None, window: float = 5.0,
-                   burn_in: tuple[float, float] | None = None) -> CharacteristicProfile:
+                   grid: RadialGrid | None = None) -> CharacteristicProfile:
     """March the rescaled flow from a unit Maxwellian to stationarity.
 
-    Convergence criterion: d2 between profiles `window` time units apart drops
-    below tol. On success the profile's meta carries the achieved residuals
-    and the qualitative envelope report; on non-convergence the best profile
-    is returned with meta["converged"] = False and a warning.
-
-    burn_in = (dt_coarse, t_coarse) optionally runs an initial coarse-step
-    phase before the tolerance-checked phase; the fixed point is set by the
-    fine dt, the burn-in only shortens the transient.
+    Two phases with the same stopping rule: d2 between profiles 5 time units
+    apart drops below tol, within a budget of config.t_max each. The coarse
+    phase steps at 5 config.dt and only shortens the transient; the fine
+    phase continues from the coarse phase's best profile at config.dt, which
+    sets the fixed point. The returned profile, "converged" and "cauchy_d2" come from the
+    fine phase. On success the profile's meta carries the achieved residuals
+    and the qualitative envelope report; on non-convergence the best fine
+    profile is returned with meta["converged"] = False and a warning.
     """
     e = _check_e(e)
     if grid is None:
@@ -559,30 +578,10 @@ def steady_profile(e, config: SolverConfig | None = None, tol: float = 1e-7,
     if not (tol > 0):
         raise ValueError("tol must be positive")
 
-    phi = CharacteristicProfile.maxwellian(grid, 1.0)
-    if burn_in is not None:
-        dt_c, t_c = burn_in
-        cfg_c = SolverConfig(dt=dt_c, t_max=config.t_max, quad_order=config.quad_order,
-                             frame="rescaled-g")
-        for _ in range(int(round(t_c / dt_c))):
-            phi = step(phi, e, cfg_c)
-
-    steps_per_window = max(1, int(round(window / config.dt)))
-    fine_start = phi.time
-    best = phi
-    achieved = math.inf
-    converged = False
-    while phi.time - fine_start < config.t_max:
-        prev = phi
-        for _ in range(steps_per_window):
-            phi = step(phi, e, config)
-        d2 = d2_distance(prev, phi, warn_temperature=False)
-        if d2 < achieved:
-            achieved = d2
-            best = phi
-        if d2 < tol:
-            converged = True
-            break
+    coarse = SolverConfig(dt=_COARSE_RATIO * config.dt, t_max=config.t_max,
+                          quad_order=config.quad_order, frame="rescaled-g")
+    phi = _march_to_tol(CharacteristicProfile.maxwellian(grid, 1.0), e, coarse, tol)[0]
+    best, achieved, converged = _march_to_tol(phi, e, config, tol)
     if not converged:
         warnings.warn(f"steady profile did not reach tol={tol:g}; achieved d2={achieved:.3g}")
     best.meta.update({

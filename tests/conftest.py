@@ -14,5 +14,4 @@ def steady_e09():
     cfg = sp.SolverConfig(dt=0.01, t_max=200.0, quad_order=32, frame="rescaled-g")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return sp.steady_profile(0.9, config=cfg, tol=1e-7, grid=grid,
-                                 burn_in=(0.05, 60.0))
+        return sp.steady_profile(0.9, config=cfg, tol=1e-7, grid=grid)

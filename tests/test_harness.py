@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maxcool import dsmc, harness, spectral as sp
+from maxcool import cli, dsmc, harness, realspace as rs, spectral as sp
 from maxcool.cli import run_cli
 from maxcool.harness import ExperimentConfig, RateFit
 
@@ -176,7 +176,7 @@ def test_density_corpus_fast():
 # epsilon sweep
 
 _SWEEP_FAST = dict(grid=sp.RadialGrid(256, 15.0),
-                   r_nodes=None, tol=1e-4, burn_in=(0.1, 10.0),
+                   r_nodes=None, tol=1e-4,
                    config=sp.SolverConfig(dt=0.05, t_max=60.0, quad_order=32,
                                           frame="rescaled-g"))
 
@@ -220,6 +220,8 @@ def test_sweep_records_warnings_of_a_dropped_solve():
     table = harness.sweep_epsilon([0.1], raise_on_failure=False, **short)
     assert table["rows"] == [] and len(table["dropped"]) == 1
     assert any("did not reach tol" in w for w in table["dropped"][0]["warnings"])
+    assert type(table["dropped"][0]["e"]) is float
+    assert type(table["dropped"][0]["eps"]) is float
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +365,38 @@ def test_cli_evolve_and_steady(tmp_path):
     assert code == 0
     phi, meta = sp.load_profile(prof)
     assert meta["e"] == 0.8 and phi.grid.n == 256
+
+
+def test_cli_steady_and_sweep_defaults_are_the_full_sweep_suites():
+    parser = cli._build_parser()
+    for command in ("steady", "sweep-eps"):
+        cfg = cli._resolve(parser.parse_args([command]))
+        assert (cfg.grid_n, cfg.x_max) == harness.FULL.sweep_grid
+        assert (cfg.dt, cfg.t_max) == (harness.FULL.sweep_dt, harness.FULL.sweep_t_max)
+    assert cfg.tol == harness.FULL.sweep_tol
+    assert cfg.eps_values() == harness.FULL.sweep_eps
+
+
+def test_cli_steady_solves_as_the_sweep_does(tmp_path):
+    # the CLI, a direct call and the sweep run one and the same steady solve
+    eps, tol, grid = 0.1, 1e-4, sp.RadialGrid(256, 15.0)
+    e = 1.0 - 2.0 * eps
+    config = sp.SolverConfig(dt=0.05, t_max=60.0, quad_order=harness.QUAD_ORDER,
+                             frame="rescaled-g")
+    prof = tmp_path / "steady.csv"
+    assert run_cli(["steady", "--e", repr(e), "--grid-n", "256", "--x-max", "15",
+                    "--dt", "0.05", "--t-max", "60", "--tol", repr(tol),
+                    "--out", str(prof)]) == 0
+    written, _ = sp.load_profile(prof)
+    direct = sp.steady_profile(e, config, tol=tol, grid=grid)
+    np.testing.assert_array_equal(written.values, direct.values)  # 17 digits round-trip
+
+    r_nodes = rs.default_r_nodes(*harness.FULL.r_nodes)
+    f = rs.reconstruct(direct, r_nodes)
+    l1 = rs.l1_distance(f, rs.RadialDensity.maxwellian(r_nodes, theta=f.m2 / 3.0))
+    table = harness.sweep_epsilon([eps], config=config, grid=grid, tol=tol,
+                                  raise_on_failure=False)
+    assert table["l1"] == [l1]
 
 
 def test_cli_steady_nonconvergence_is_numerical_failure(capsys):
