@@ -149,10 +149,17 @@ def _cmd_evolve(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _cmd_dsmc(cfg: ExperimentConfig, x_grid_text: str | None) -> int:
-    x_grid = None
-    if x_grid_text:
-        x_grid = np.array([float(s) for s in x_grid_text.split(",")])
+def _parse_x_grid(text: str | None) -> np.ndarray | None:
+    if not text:
+        return None
+    try:
+        x_grid = np.array([float(s) for s in text.split(",")])
+    except ValueError:
+        raise ValueError(f"--x-grid must be comma-separated numbers, got {text!r}") from None
+    return dsmc._check_x_grid(x_grid)
+
+
+def _cmd_dsmc(cfg: ExperimentConfig, x_grid: np.ndarray | None) -> int:
     ens = dsmc.sample_initial(cfg.init, cfg.n_particles, cfg.seed, e=cfg.e)
     series = dsmc.run(ens, t_max=cfg.t_max, dt=cfg.dt, x_grid=x_grid,
                       record_every=cfg.record_every or None)
@@ -259,6 +266,7 @@ def run_cli(argv=None) -> int:
             cfg = None
         else:
             cfg = _resolve(args)
+        x_grid = _parse_x_grid(args.x_grid) if args.command == "dsmc" else None
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -267,7 +275,7 @@ def run_cli(argv=None) -> int:
         if args.command == "evolve":
             return _cmd_evolve(cfg)
         if args.command == "dsmc":
-            return _cmd_dsmc(cfg, args.x_grid)
+            return _cmd_dsmc(cfg, x_grid)
         if args.command == "steady":
             return _cmd_steady(cfg)
         if args.command == "sweep-eps":

@@ -8,10 +8,10 @@ direction from the angular density B(k.sigma)/(4 pi) on the sphere, and applies
 the sigma-parameterized collision map shared with :mod:`maxcool.kinematics`.
 
 Estimators recorded along the way: mean velocity, m2, m4, and the radial
-empirical characteristic function (ECF) on a fixed x-grid, computed as an
-average of cos(x d.v) over 64 fixed quasi-random directions d. Fisher
-information is deliberately not estimated from particles; density-level
-functionals live in :mod:`maxcool.realspace`.
+empirical characteristic function (ECF) on a fixed x-grid. The ECF averages
+over particles the exact sphere average of cos(x d.v) over directions d,
+which is sin(x|v|)/(x|v|). Fisher information is deliberately not estimated
+from particles; density-level functionals live in :mod:`maxcool.realspace`.
 
 Determinism: every random draw comes from counter-based streams keyed by
 (seed, step index), with the initial sampling on stream 0. A (seed, config)
@@ -24,7 +24,6 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -38,7 +37,6 @@ __all__ = [
     "run",
     "rescaled_estimates",
     "ecf",
-    "fibonacci_directions",
     "save_series",
     "load_series",
 ]
@@ -179,31 +177,22 @@ def sample_initial(spec, N: int, seed: int, e: float = 1.0) -> Ensemble:
     return ens
 
 
-@lru_cache(maxsize=8)
-def fibonacci_directions(m: int = 64) -> np.ndarray:
-    """m fixed quasi-random unit vectors (Fibonacci sphere lattice)."""
-    if m < 1:
-        raise ValueError("need at least one direction")
-    i = np.arange(m, dtype=float)
-    z = 1.0 - (2.0 * i + 1.0) / m
-    golden = 0.5 * (1.0 + np.sqrt(5.0))
-    azimuth = 2.0 * np.pi * i / golden
-    rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    out = np.column_stack([rho * np.cos(azimuth), rho * np.sin(azimuth), z])
-    out.setflags(write=False)
-    return out
-
-
-def _ecf_arrays(vel: np.ndarray, x_grid: np.ndarray, dirs: np.ndarray):
-    # per-particle direction averages give an i.i.d. sample for the stderr
-    proj = vel @ dirs.T
+def _ecf_arrays(vel: np.ndarray, x_grid: np.ndarray):
+    # each particle's kernel sin(x|v|)/(x|v|) is its exact direction average,
+    # so the kernels are an i.i.d. sample for the stderr
+    speed = np.sqrt(np.einsum("ij,ij->i", vel, vel))
     n = vel.shape[0]
     est = np.empty(x_grid.size)
     err = np.empty(x_grid.size)
     for jx, x in enumerate(x_grid):
-        per_particle = np.cos(x * proj).mean(axis=1)
-        est[jx] = per_particle.mean()
-        err[jx] = per_particle.std(ddof=1) / np.sqrt(n)
+        arg = x * speed
+        per_particle = np.ones(n)
+        np.divide(np.sin(arg), arg, out=per_particle, where=arg != 0.0)
+        # shifted by one kernel value, so a constant sample is exact with
+        # zero error (x = 0, or every particle at one speed)
+        dev = per_particle - per_particle[0]
+        est[jx] = per_particle[0] + dev.mean()
+        err[jx] = dev.std(ddof=1) / np.sqrt(n)
     return est, err
 
 
@@ -219,13 +208,13 @@ def _check_x_grid(x_grid) -> np.ndarray:
 def ecf(ens: Ensemble, x_grid) -> tuple:
     """Radial empirical characteristic function on x_grid.
 
-    Returns (values, stderr): values[j] is the average over 64 fixed
-    quasi-random directions d of (1/N) sum_i cos(x_j d.v_i); stderr[j] is the
-    standard error of the per-particle direction averages. x = 0 gives
-    exactly 1 with zero error.
+    Returns (values, stderr): values[j] is (1/N) sum_i sin(x_j |v_i|)/(x_j |v_i|),
+    the sphere average over directions d of (1/N) sum_i cos(x_j d.v_i);
+    stderr[j] is the standard error of those i.i.d. per-particle kernels.
+    x = 0 gives exactly 1 with zero error.
     """
     x = _check_x_grid(x_grid)
-    return _ecf_arrays(ens.velocities, x, fibonacci_directions(64))
+    return _ecf_arrays(ens.velocities, x)
 
 
 def _conflict_free_run(idx: np.ndarray) -> int:
@@ -300,7 +289,8 @@ def run(ens: Ensemble, t_max: float, dt: float, pair: RatePair = None,
     a non-constant B is rejection-sampled and rejected as unsuitable if the
     expected acceptance 1/sup(B) falls below 1%. Estimators are recorded every
     record_every steps (default: about 200 rows), always including the initial
-    and final states; the ECF is recorded only when x_grid is given.
+    and final states; the radial ECF of `ecf` is recorded only when x_grid
+    is given.
 
     Returns {"t", "m1", "m2", "m4", "n_particles", "e"} plus
     {"x_grid", "ecf", "ecf_stderr"} when x_grid is given.
@@ -332,7 +322,6 @@ def run(ens: Ensemble, t_max: float, dt: float, pair: RatePair = None,
     if record_every < 1:
         raise ValueError("record_every must be a positive integer")
     x = _check_x_grid(x_grid) if x_grid is not None else None
-    dirs = fibonacci_directions(64) if x is not None else None
 
     vel = ens.velocities
     n = ens.n
@@ -343,7 +332,7 @@ def run(ens: Ensemble, t_max: float, dt: float, pair: RatePair = None,
         m1, m2, m4 = ens.moments()
         row = [t0 + step * dt, m1, m2, m4]
         if x is not None:
-            row.extend(_ecf_arrays(vel, x, dirs))
+            row.extend(_ecf_arrays(vel, x))
         rows.append(row)
 
     _record(0)

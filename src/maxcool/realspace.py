@@ -26,11 +26,10 @@ import re
 import warnings
 
 import numpy as np
-from scipy.integrate import simpson, trapezoid
 
 from . import spectral
 from .kinematics import Restitution, _check_e, fisher_growth_exponent
-from .spectral import CharacteristicProfile, RadialGrid
+from .spectral import CharacteristicProfile, RadialGrid, trapezoid
 
 logger = logging.getLogger(__name__)
 
@@ -42,6 +41,23 @@ _MASS_TOL = 1e-6
 # Fisher support cut: the log-derivative amplifies tail noise quadratically
 _SUPPORT_FLOOR = 1e-14
 _TAIL_TARGET = 1e-8  # required profile decay at x_max before inversion
+
+
+def simpson(y, x: np.ndarray) -> np.ndarray:
+    """Composite Simpson rule along axis 0 of y on the uniform grid x (n >= 3).
+
+    An even node count integrates the first n - 1 nodes by the plain rule and
+    the last interval by Cartwright's correction, weights 5h/12, 2h/3 and
+    -h/12 on the last three nodes, as scipy.integrate.simpson does.
+    """
+    y = np.asarray(y, dtype=float)
+    n = len(x)
+    h = (x[-1] - x[0]) / (n - 1)
+    m = n if n % 2 else n - 1
+    total = h / 3.0 * np.sum(y[0:m - 2:2] + 4.0 * y[1:m - 1:2] + y[2:m:2], axis=0)
+    if m < n:
+        total += h * (5.0 / 12.0 * y[-1] + 2.0 / 3.0 * y[-2] - 1.0 / 12.0 * y[-3])
+    return total
 
 
 def default_r_nodes(r_max: float = 8.0, n: int = 1601) -> np.ndarray:
@@ -81,21 +97,21 @@ class RadialDensity:
         if not np.all(np.isfinite(f)):
             raise ValueError("density values must be finite")
         neg = np.minimum(f, 0.0)
-        clipped = -FOUR_PI * float(simpson(r * r * neg, x=r))
+        clipped = -FOUR_PI * float(simpson(r * r * neg, r))
         if clipped > _CLIP_BUDGET:
             raise ValueError(
                 f"clipped negative mass {clipped:.3e} exceeds budget {_CLIP_BUDGET:g}")
         if clipped > 0.0:
             logger.info("RadialDensity: clipped negative mass %.3e", clipped)
         f = np.maximum(f, 0.0)
-        mass = FOUR_PI * float(simpson(r * r * f, x=r))
+        mass = FOUR_PI * float(simpson(r * r * f, r))
         if abs(mass - 1.0) > _MASS_TOL:
             raise ValueError(f"density mass {mass:.9f} deviates from 1 beyond {_MASS_TOL:g}")
         self.r = r
         self.values = f
         self.dr = float(r[1] - r[0])
         self.mass = mass
-        self.m2 = FOUR_PI * float(simpson(r ** 4 * f, x=r))
+        self.m2 = FOUR_PI * float(simpson(r ** 4 * f, r))
         self.clipped_mass = clipped
         self.meta = dict(meta) if meta else {}
 
@@ -125,7 +141,7 @@ class RadialDensity:
         """Radial velocity moment 4 pi int r^{2+order} f dr (order >= 0)."""
         if order < 0:
             raise ValueError("moment order must be nonnegative")
-        return FOUR_PI * float(simpson(self.r ** (2.0 + order) * self.values, x=self.r))
+        return FOUR_PI * float(simpson(self.r ** (2.0 + order) * self.values, self.r))
 
     def copy(self) -> "RadialDensity":
         return RadialDensity(self.r.copy(), self.values.copy(), meta=self.meta)
@@ -180,13 +196,13 @@ def reconstruct(phi: CharacteristicProfile, r_nodes) -> RadialDensity:
     vq = spectral.evaluate(phi, xq)
 
     f = np.empty_like(r)
-    f[0] = float(simpson(xq * xq * vq, x=xq)) / (2.0 * math.pi ** 2)
+    f[0] = float(simpson(xq * xq * vq, xq)) / (2.0 * math.pi ** 2)
     kernel = np.sin(np.outer(xq, r[1:]))
-    integrals = simpson((xq * vq)[:, None] * kernel, x=xq, axis=0)
+    integrals = simpson((xq * vq)[:, None] * kernel, xq)
     f[1:] = integrals / (2.0 * math.pi ** 2 * r[1:])
 
     neg = np.minimum(f, 0.0)
-    clipped = -FOUR_PI * float(simpson(r * r * neg, x=r))
+    clipped = -FOUR_PI * float(simpson(r * r * neg, r))
     if clipped > _CLIP_BUDGET:
         need = _required_xmax(phi.grid.x, absv, 1e-12)
         raise ValueError(
@@ -208,9 +224,9 @@ def characteristic_from_density(f: RadialDensity, grid: RadialGrid) -> Character
                       "forward transform may be inaccurate at large x")
     x = grid.x
     vals = np.empty(grid.n)
-    vals[0] = FOUR_PI * float(simpson(f.r * f.r * f.values, x=f.r))
+    vals[0] = FOUR_PI * float(simpson(f.r * f.r * f.values, f.r))
     kernel = np.sin(np.outer(f.r, x[1:]))
-    integrals = simpson((f.r * f.values)[:, None] * kernel, x=f.r, axis=0)
+    integrals = simpson((f.r * f.values)[:, None] * kernel, f.r)
     vals[1:] = FOUR_PI * integrals / x[1:]
     vals /= vals[0]
     return CharacteristicProfile(grid, vals, meta={"source": "forward-transform"})
@@ -237,7 +253,7 @@ def fisher_information(f: RadialDensity) -> float:
         raise ValueError("density support too small for the Fisher stencil")
     r = f.r[:n_sup]
     vs = v[:n_sup]
-    removed = f.mass - FOUR_PI * float(simpson(r * r * vs, x=r))
+    removed = f.mass - FOUR_PI * float(simpson(r * r * vs, r))
     if removed > 1e-6:
         warnings.warn(f"Fisher support truncation removed mass {removed:.2e}")
 
@@ -247,7 +263,7 @@ def fisher_information(f: RadialDensity) -> float:
     d[0] = 0.0  # even extension: f'(0) = 0 exactly for isotropic densities
     d[1:-1] = (ln[2:] - ln[:-2]) / (2.0 * h)
     d[-1] = (3.0 * ln[-1] - 4.0 * ln[-2] + ln[-3]) / (2.0 * h)
-    return FOUR_PI * float(simpson(r * r * vs * d * d, x=r))
+    return FOUR_PI * float(simpson(r * r * vs * d * d, r))
 
 
 def fisher_gain_check(phi: CharacteristicProfile, e, r_nodes=None,
@@ -347,12 +363,12 @@ def _check_common_grid(f1: RadialDensity, f2: RadialDensity) -> None:
 def l1_distance(f1: RadialDensity, f2: RadialDensity) -> float:
     """4 pi int r^2 |f1 - f2| dr."""
     _check_common_grid(f1, f2)
-    return FOUR_PI * float(simpson(f1.r ** 2 * np.abs(f1.values - f2.values), x=f1.r))
+    return FOUR_PI * float(simpson(f1.r ** 2 * np.abs(f1.values - f2.values), f1.r))
 
 
 def l2_norm(f: RadialDensity) -> float:
     """(4 pi int r^2 f^2 dr)^{1/2}; equals (2 pi)^{-3/2} sobolev_norm(phi, 0)."""
-    return math.sqrt(FOUR_PI * float(simpson(f.r ** 2 * f.values ** 2, x=f.r)))
+    return math.sqrt(FOUR_PI * float(simpson(f.r ** 2 * f.values ** 2, f.r)))
 
 
 def relative_entropy(f: RadialDensity, ref: RadialDensity) -> float:
@@ -363,7 +379,7 @@ def relative_entropy(f: RadialDensity, ref: RadialDensity) -> float:
         return math.inf
     integrand = np.where(fv > 0, fv * np.log(np.where(fv > 0, fv, 1.0)
                                              / np.where(rv > 0, rv, 1.0)), 0.0)
-    return FOUR_PI * float(simpson(f.r ** 2 * integrand, x=f.r))
+    return FOUR_PI * float(simpson(f.r ** 2 * integrand, f.r))
 
 
 def entropy_route_check(f: RadialDensity, theta: float) -> dict:
@@ -442,7 +458,7 @@ def l1_decay_rate(alpha: float, e, beta2: float = 0.5) -> dict:
 
 def _hdot(x: np.ndarray, vals: np.ndarray, r: float) -> float:
     # Fourier-side Hdot^r seminorm of the (possibly signed) radial transform
-    return math.sqrt(FOUR_PI * float(trapezoid(x ** (2.0 * r + 2.0) * vals ** 2, x)))
+    return math.sqrt(FOUR_PI * trapezoid(x ** (2.0 * r + 2.0) * vals ** 2, x))
 
 
 _DEFAULT_NASH = tuple((r, d) for r in (0.75, 1.0, 1.5) for d in (0.25, 0.5, 0.75))

@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import trapezoid
 from scipy.sparse import bsr_matrix
 
 from .kinematics import RatePair, _check_e, dissipation_constant
@@ -668,6 +667,11 @@ def moment(phi: CharacteristicProfile, order: int) -> float:
     raise AssertionError("unreachable")
 
 
+def trapezoid(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite trapezoid rule for samples y at nodes x (1-D)."""
+    return float(np.sum(np.diff(x) * (y[1:] + y[:-1]) / 2.0))
+
+
 def sobolev_norm(phi: CharacteristicProfile, r: float) -> float:
     """Homogeneous Sobolev seminorm (4 pi integral x^{2r+2} phi^2 dx)^{1/2}.
 
@@ -682,7 +686,7 @@ def sobolev_norm(phi: CharacteristicProfile, r: float) -> float:
     if peak > 0 and g[-1] > 1e-8 * peak:
         warnings.warn(f"sobolev_norm(r={r:g}): integrand tail {g[-1]:.2e} "
                       f"exceeds 1e-8 of peak; norm is truncated")
-    return math.sqrt(float(trapezoid(g, x)))
+    return math.sqrt(trapezoid(g, x))
 
 
 def sup_weighted(phi: CharacteristicProfile, delta: float) -> float:

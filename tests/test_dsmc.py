@@ -276,28 +276,24 @@ def test_ecf_basics():
 def test_ecf_anisotropic_matches_cosine_average():
     ens = anisotropic_ensemble()
     xs = np.array([0.0, 0.5, 1.0, 2.0, 3.0])
-    vals, _ = dsmc.ecf(ens, xs)
-    dirs = dsmc.fibonacci_directions(64)
-    # closed form: every particle contributes cos(x d_x), so the estimate
-    # must equal the direction-set average of cos(x d_x) exactly
-    closed = np.array([np.cos(x * dirs[:, 0]).mean() for x in xs])
-    assert np.abs(vals - closed).max() < 1e-14
-    # and the 64-direction average approximates the sphere average sinc(x)
+    vals, err = dsmc.ecf(ens, xs)
+    # every particle has |v| = 1, so each kernel is the sphere average of
+    # cos(x d_x) over directions d, sinc(x), and the sample is constant
     sinc = np.ones_like(xs)
     sinc[1:] = np.sin(xs[1:]) / xs[1:]
-    assert np.abs(vals - sinc).max() < 5e-3
+    assert np.abs(vals - sinc).max() < 1e-15
+    assert np.all(err == 0.0)
 
 
-def test_fibonacci_directions_geometry():
-    d = dsmc.fibonacci_directions(64)
-    assert np.abs(np.linalg.norm(d, axis=1) - 1.0).max() < 1e-12
-    gram = d @ d.T
-    np.fill_diagonal(gram, -1.0)
-    assert gram.max() < 1.0 - 0.38 ** 2 / 2.0  # min pairwise distance ~ 0.386
-    assert np.abs(d.mean(axis=0)).max() < 0.002
-    assert d.flags.writeable is False
-    with pytest.raises(ValueError):
-        dsmc.fibonacci_directions(0)
+def test_ecf_is_rotation_invariant():
+    ens = dsmc.sample_initial("maxwellian:1.0", 5000, seed=5)
+    q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((3, 3)))
+    rotated = dsmc.Ensemble(ens.velocities @ q.T, seed=5)
+    xs = np.linspace(0.0, 6.0, 13)
+    vals, err = dsmc.ecf(ens, xs)
+    vals_rot, err_rot = dsmc.ecf(rotated, xs)
+    assert np.abs(vals - vals_rot).max() < 1e-14
+    assert np.abs(err - err_rot).max() < 1e-14
 
 
 def test_run_with_ecf_records():

@@ -322,6 +322,16 @@ def test_cli_usage_errors():
     assert run_cli(["--help"]) == 0
 
 
+def test_cli_malformed_x_grid_is_usage_error(monkeypatch, capsys):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("ensemble sampled before --x-grid was validated")
+
+    monkeypatch.setattr(dsmc, "sample_initial", no_sampling)
+    assert run_cli(["dsmc", "--n", "100", "--x-grid", "0,abc"]) == 2
+    assert run_cli(["dsmc", "--n", "100", "--x-grid=0,-1"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_cli_kincheck(capsys):
     assert run_cli(["kincheck", "--e", "0.5", "--triples", "2000"]) == 0
     out = capsys.readouterr().out

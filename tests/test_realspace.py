@@ -1,6 +1,8 @@
 """Tests for density reconstruction and real-space functionals."""
 
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -42,6 +44,36 @@ def maxw(grid, r10):
 def bimax(grid, r10):
     phi = sp.CharacteristicProfile.bimaxwellian(grid)
     return phi, rs.reconstruct(phi, r10)
+
+
+# ---------------------------------------------------------------------------
+# quadrature
+
+@pytest.mark.parametrize("n", [9, 10, 401, 1600, 1601, 2001, 4097])
+def test_simpson_matches_scipy(n):
+    from scipy.integrate import simpson as scipy_simpson
+
+    x = np.linspace(0.0, 8.0, n)
+    for y in (x * x * np.exp(-x * x / 2.0), 1.0 + np.sin(3.0 * x) ** 2,
+              x ** 4 * np.exp(-x) + 1e-3):
+        ref = scipy_simpson(y, x=x)
+        assert abs(rs.simpson(y, x) - ref) <= 1e-15 * ref
+
+
+@pytest.mark.parametrize("n", [9, 10, 1601])
+def test_trapezoid_matches_scipy_bit_for_bit(n):
+    from scipy.integrate import trapezoid as scipy_trapezoid
+
+    x = np.linspace(0.0, 30.0, n)
+    y = x ** 4 * np.exp(-x * x / 3.0)
+    assert sp.trapezoid(y, x) == scipy_trapezoid(y, x)
+
+
+def test_import_does_not_load_scipy_integrate():
+    code = "import sys, maxcool; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
