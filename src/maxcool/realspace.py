@@ -2,10 +2,19 @@
 
 A radial characteristic profile phi(x) determines an isotropic density by
 Fourier inversion, f(r) = (1/(2 pi^2 r)) int_0^inf phi(x) x sin(xr) dx, with
-the r = 0 limit (1/(2 pi^2)) int x^2 phi dx. On top of reconstructed (or
-closed-form sampled) densities this module provides the Fisher information
-I(f) = int 4 pi r^2 f (d ln f / dr)^2 dr, L1/L2 distances, relative entropy,
-and a suite of functional inequalities with explicit constants:
+the r = 0 limit (1/(2 pi^2)) int x^2 phi dx. The Simpson sum over m abscissae
+is taken at all R output nodes r_j = j dr at once by angle addition
+(`_sine_transform`): writing j = pB + l with B = ceil(sqrt(R)) splits
+sin(x r_j) = sin(x pB dr) cos(x l dr) + cos(x pB dr) sin(x l dr), so the sum
+is two (sqrt(R) x m)(m x sqrt(R)) matrix products. That costs about
+4 m sqrt(R) sines and O(m sqrt(R)) memory instead of an m x R kernel, and
+requires the output nodes to equal j dr to a few ulp, as np.linspace gives.
+The forward transform uses the same helper.
+
+On top of reconstructed (or closed-form sampled) densities this module
+provides the Fisher information I(f) = int 4 pi r^2 f (d ln f / dr)^2 dr,
+L1/L2 distances, relative entropy, and a suite of functional inequalities
+with explicit constants:
 
   - Nash:        ||f||_{Hdot r} >= c_{r,d} ||f||_{Hdot (r-d/2)}^{(2r+3)/(2r+3-d)}
   - interpolation: ||f-g||_{Hdot s} <= C(b1,b2) d2(f,g)^{1-b2}
@@ -43,21 +52,28 @@ _SUPPORT_FLOOR = 1e-14
 _TAIL_TARGET = 1e-8  # required profile decay at x_max before inversion
 
 
-def simpson(y, x: np.ndarray) -> np.ndarray:
-    """Composite Simpson rule along axis 0 of y on the uniform grid x (n >= 3).
+def simpson_weights(x: np.ndarray) -> np.ndarray:
+    """Composite Simpson weights on the uniform grid x (n >= 3).
 
     An even node count integrates the first n - 1 nodes by the plain rule and
     the last interval by Cartwright's correction, weights 5h/12, 2h/3 and
     -h/12 on the last three nodes, as scipy.integrate.simpson does.
     """
-    y = np.asarray(y, dtype=float)
     n = len(x)
     h = (x[-1] - x[0]) / (n - 1)
     m = n if n % 2 else n - 1
-    total = h / 3.0 * np.sum(y[0:m - 2:2] + 4.0 * y[1:m - 1:2] + y[2:m:2], axis=0)
+    w = np.zeros(n)
+    w[0:m - 2:2] += h / 3.0
+    w[1:m - 1:2] += 4.0 * h / 3.0
+    w[2:m:2] += h / 3.0
     if m < n:
-        total += h * (5.0 / 12.0 * y[-1] + 2.0 / 3.0 * y[-2] - 1.0 / 12.0 * y[-3])
-    return total
+        w[-3:] += h * np.array([-1.0 / 12.0, 2.0 / 3.0, 5.0 / 12.0])
+    return w
+
+
+def simpson(y, x: np.ndarray) -> float:
+    """Composite Simpson rule for samples y on the uniform grid x (n >= 3)."""
+    return float(simpson_weights(x) @ np.asarray(y, dtype=float))
 
 
 def default_r_nodes(r_max: float = 8.0, n: int = 1601) -> np.ndarray:
@@ -167,15 +183,44 @@ def _required_xmax(x: np.ndarray, absv: np.ndarray, target: float) -> float:
     return float(x[-1] + math.log(tail / target) / rate)
 
 
+def _sine_transform(a: np.ndarray, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """sum_i a_i sin(x_i r_j) on output nodes r_j = j dr, without the m x R kernel.
+
+    With B = ceil(sqrt(R)), P = ceil(R / B) and j = p B + l, angle addition
+    sin(x (pB + l) dr) = sin(x pB dr) cos(x l dr) + cos(x pB dr) sin(x l dr)
+    turns the sum into two (P x m)(m x B) products. That takes about
+    4 m sqrt(R) sines and cosines instead of m R, and O(m sqrt(R)) memory.
+    The identity holds only on the lattice r_j = j dr, so r must equal it to
+    4 ulp of r_max (np.linspace nodes are within 1 ulp).
+    """
+    R = len(r)
+    dr = r[1]
+    if np.max(np.abs(r - dr * np.arange(R))) > 4.0 * np.spacing(r[-1]):
+        raise ValueError("output nodes must be j*dr to rounding (as np.linspace gives)")
+    B = math.isqrt(R - 1) + 1
+    P = -(-R // B)
+    coarse = np.multiply.outer(x, (B * dr) * np.arange(P))
+    fine = np.multiply.outer(x, dr * np.arange(B))
+    a = a[:, None]
+    out = (a * np.sin(coarse)).T @ np.cos(fine)
+    out += (a * np.cos(coarse)).T @ np.sin(fine)
+    return out.ravel()[:R]
+
+
 def reconstruct(phi: CharacteristicProfile, r_nodes) -> RadialDensity:
     """Invert a characteristic profile to an isotropic density.
 
     f(r) = (1/(2 pi^2 r)) int_0^xmax phi(x) x sin(xr) dx by composite Simpson
     on a grid with at least 20 points per sin period at the largest r; the
-    r = 0 node uses the limit (1/(2 pi^2)) int x^2 phi dx. Refuses profiles
-    that have not decayed at x_max (tail above 1e-8) and inversions whose
-    negative lobes exceed the clipped-mass budget, reporting the x_max that
-    the tail decay suggests would be needed.
+    r = 0 node uses the limit (1/(2 pi^2)) int x^2 phi dx. The m-node sum is
+    evaluated at all R nodes at once by angle addition (`_sine_transform`):
+    two (sqrt(R) x m)(m x sqrt(R)) products, about 4 m sqrt(R) sines and
+    O(m sqrt(R)) memory. That needs r_j = j dr to rounding, which is
+    stricter than `RadialDensity`'s uniformity check; np.linspace nodes
+    meet it. Refuses such off-lattice nodes, profiles that have not decayed
+    at x_max (tail above 1e-8) and inversions whose negative lobes exceed
+    the clipped-mass budget, reporting the x_max that the tail decay
+    suggests would be needed.
     """
     r = _check_r_nodes(r_nodes)
     x_max = phi.grid.x_max
@@ -193,13 +238,12 @@ def reconstruct(phi: CharacteristicProfile, r_nodes) -> RadialDensity:
     if m % 2 == 0:
         m += 1
     xq = np.linspace(0.0, x_max, m)
-    vq = spectral.evaluate(phi, xq)
+    wq = simpson_weights(xq) * spectral.evaluate(phi, xq)
 
     f = np.empty_like(r)
-    f[0] = float(simpson(xq * xq * vq, xq)) / (2.0 * math.pi ** 2)
-    kernel = np.sin(np.outer(xq, r[1:]))
-    integrals = simpson((xq * vq)[:, None] * kernel, xq)
-    f[1:] = integrals / (2.0 * math.pi ** 2 * r[1:])
+    f[0] = float(wq @ (xq * xq)) / (2.0 * math.pi ** 2)
+    integrals = _sine_transform(wq * xq, xq, r)
+    f[1:] = integrals[1:] / (2.0 * math.pi ** 2 * r[1:])
 
     neg = np.minimum(f, 0.0)
     clipped = -FOUR_PI * float(simpson(r * r * neg, r))
@@ -215,19 +259,22 @@ def reconstruct(phi: CharacteristicProfile, r_nodes) -> RadialDensity:
 def characteristic_from_density(f: RadialDensity, grid: RadialGrid) -> CharacteristicProfile:
     """Forward transform phi(x) = (4 pi / x) int_0^inf r f(r) sin(rx) dr.
 
-    Output is normalized so phi(0) = 1 exactly (the quadrature mass differs
-    from 1 at the density's own mass tolerance). Warns when the radial grid
-    underresolves sin(r x) at x_max.
+    Composite Simpson over f.r (Cartwright's last interval for an even node
+    count), summed at every grid node at once by angle addition
+    (`_sine_transform`, the same two small products as `reconstruct`, with
+    the uniform grid.x as output nodes). Output is normalized so phi(0) = 1
+    exactly (the quadrature mass differs from 1 at the density's own mass
+    tolerance). Warns when the radial grid underresolves sin(r x) at x_max.
     """
     if f.dr > 2.0 * math.pi / (20.0 * grid.x_max):
         warnings.warn("density grid underresolves sin(r x) at x_max; "
                       "forward transform may be inaccurate at large x")
     x = grid.x
+    wf = simpson_weights(f.r) * f.values
     vals = np.empty(grid.n)
-    vals[0] = FOUR_PI * float(simpson(f.r * f.r * f.values, f.r))
-    kernel = np.sin(np.outer(f.r, x[1:]))
-    integrals = simpson((f.r * f.values)[:, None] * kernel, f.r)
-    vals[1:] = FOUR_PI * integrals / x[1:]
+    vals[0] = FOUR_PI * float(wf @ (f.r * f.r))
+    integrals = _sine_transform(wf * f.r, f.r, x)
+    vals[1:] = FOUR_PI * integrals[1:] / x[1:]
     vals /= vals[0]
     return CharacteristicProfile(grid, vals, meta={"source": "forward-transform"})
 

@@ -20,9 +20,11 @@ interpolation with sixth-order 7-point slopes and fourth-order 5-point
 curvatures. That evaluation is linear in the profile and factors into two
 maps: a fixed stencil map from the deviation phi - 1 to a per-interval table
 of values, slopes and curvatures, then a block-sparse gather matrix built once
-per set of query positions (`_InterpPlan`). The table of phi = 1 is exactly
-zero and the gain is evaluated in deviation form, so the constant profile
-phi = 1 is a fixed point of the gain and of the drift resample bit for bit.
+per set of query positions (`_InterpPlan`). A one-off `evaluate` applies the
+same weights to the gathered node data without building a plan. The table of
+phi = 1 is exactly zero and the gain is evaluated in deviation form, so the
+constant profile phi = 1 is a fixed point of the gain and of the drift
+resample bit for bit.
 
 The stationary rescaled profile (`steady_profile`) is found by marching the
 rescaled flow from a unit Maxwellian: first at five times the configured step
@@ -230,6 +232,38 @@ def _quintic_derivs(v: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
 _PLAN_CHUNK = 8192
 
 
+def _intervals(p: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    # interval index and fraction of fractional grid positions, clamped to
+    # the last interval
+    pc = np.minimum(p, float(n - 1))
+    ic = np.minimum(pc.astype(np.int32), np.int32(n - 2))
+    return ic, pc - ic
+
+
+def _hermite_weights(t: np.ndarray, W: np.ndarray) -> None:
+    # quintic Hermite weights [1-H3, H3, H1, H4, H2, H5](t), one row of W per t
+    t2 = t * t
+    t3 = t2 * t
+    t4 = t3 * t
+    t5 = t4 * t
+    W[:, 1] = 10.0 * t3 - 15.0 * t4 + 6.0 * t5         # value right, H3
+    W[:, 0] = 1.0 - W[:, 1]                            # value left
+    W[:, 2] = t - 6.0 * t3 + 8.0 * t4 - 3.0 * t5       # slope left
+    W[:, 3] = -4.0 * t3 + 7.0 * t4 - 3.0 * t5          # slope right
+    W[:, 4] = 0.5 * (t2 - 3.0 * t3 + 3.0 * t4 - t5)    # curvature left
+    W[:, 5] = 0.5 * (t3 - 2.0 * t4 + t5)               # curvature right
+
+
+def _quintic_nodes(v: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # the deviation u = v - 1 with h times its slopes and h^2 times its
+    # curvatures: the node data of the Hermite form
+    u = v - 1.0
+    d, c = _quintic_derivs(u, h)
+    d *= h
+    c *= h * h
+    return u, d, c
+
+
 class _InterpPlan:
     """Quintic Hermite evaluation at fixed query positions as a linear operator.
 
@@ -262,38 +296,18 @@ class _InterpPlan:
         # built in cache-sized chunks: temporaries the size of the plan would
         # each cost a page fault per page
         for a in range(0, m, _PLAN_CHUNK):
-            pc = np.minimum(p[a:a + _PLAN_CHUNK], float(n - 1))
-            ic = np.minimum(pc.astype(np.int32), np.int32(n - 2))
+            ic, t = _intervals(p[a:a + _PLAN_CHUNK], n)
             idx[a:a + _PLAN_CHUNK] = ic
-            t = pc - ic
-            t2 = t * t
-            t3 = t2 * t
-            t4 = t3 * t
-            t5 = t4 * t
-            Wc = W[a:a + _PLAN_CHUNK, 0]
-            Wc[:, 1] = 10.0 * t3 - 15.0 * t4 + 6.0 * t5         # value right, H3
-            Wc[:, 0] = 1.0 - Wc[:, 1]                           # value left
-            Wc[:, 2] = t - 6.0 * t3 + 8.0 * t4 - 3.0 * t5       # slope left
-            Wc[:, 3] = -4.0 * t3 + 7.0 * t4 - 3.0 * t5          # slope right
-            Wc[:, 4] = 0.5 * (t2 - 3.0 * t3 + 3.0 * t4 - t5)    # curvature left
-            Wc[:, 5] = 0.5 * (t3 - 2.0 * t4 + t5)               # curvature right
+            _hermite_weights(t, W[a:a + _PLAN_CHUNK, 0])
         rows = np.arange(m + 1, dtype=np.int32)
         self.M = bsr_matrix((W, idx, rows), shape=(m, 6 * (n - 1)))
         self.h = h
 
     def eval(self, v: np.ndarray) -> np.ndarray:
-        h = self.h
-        u = v - 1.0
-        d, c = _quintic_derivs(u, h)
         T = np.empty((len(v) - 1, 6))
-        T[:, 0] = u[:-1]
-        T[:, 1] = u[1:]
-        d *= h
-        T[:, 2] = d[:-1]
-        T[:, 3] = d[1:]
-        c *= h * h
-        T[:, 4] = c[:-1]
-        T[:, 5] = c[1:]
+        for k, a in enumerate(_quintic_nodes(v, self.h)):
+            T[:, 2 * k] = a[:-1]
+            T[:, 2 * k + 1] = a[1:]
         out = self.M @ T.ravel()
         out += 1.0  # in place: a second array of the plan's size costs page faults
         return out.reshape(self.shape)
@@ -719,11 +733,22 @@ def gamma_constants(alpha: float, e) -> tuple[float, float, float, float]:
 
 
 def evaluate(phi: CharacteristicProfile, x) -> np.ndarray:
-    """Evaluate the profile at arbitrary abscissae (clamped to the grid)."""
-    xq = np.clip(np.asarray(x, dtype=float), 0.0, phi.grid.x_max)
-    plan = _InterpPlan(np.atleast_1d(xq) / phi.grid.dx, phi.grid.n, phi.grid.dx)
-    out = plan.eval(phi.values)
-    return out if np.ndim(x) else float(out[0])
+    """Evaluate the profile at arbitrary abscissae (clamped to the grid).
+
+    The quintic Hermite form of `_InterpPlan`, applied without building a
+    plan: each query gathers the node data at the two ends of its interval
+    and sums them against its six weights.
+    """
+    xq = np.clip(np.atleast_1d(np.asarray(x, dtype=float)), 0.0, phi.grid.x_max)
+    ic, t = _intervals(xq.ravel() / phi.grid.dx, phi.grid.n)
+    W = np.empty((6, len(t)))
+    _hermite_weights(t, W.T)
+    out = np.zeros(len(t))
+    for k, a in enumerate(_quintic_nodes(phi.values, phi.grid.dx)):
+        out += W[2 * k] * a[ic]
+        out += W[2 * k + 1] * a[ic + 1]
+    out += 1.0
+    return out.reshape(xq.shape) if np.ndim(x) else float(out[0])
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -159,6 +160,57 @@ def test_forward_round_trip(bimax, grid):
     mask = grid.x <= grid.x_max / 2
     assert np.max(np.abs(back.values[mask] - phi.values[mask])) < 1e-10
     assert back.values[0] == 1.0
+
+
+def _sine_sum_reference(a, x, r):
+    # the dense m x R kernel that the angle-addition form replaces
+    return np.sin(np.outer(x, r)).T @ a
+
+
+@pytest.mark.parametrize("R", [9, 10, 1601])  # B = 3 with P = 3; B = 4 with P = 3; B = 41
+@pytest.mark.parametrize("m", [256, 257])
+def test_sine_transform_matches_dense_kernel(R, m):
+    rng = np.random.default_rng(R * m)
+    x = np.linspace(0.0, 50.0, m)
+    a = rng.normal(size=m)
+    r = np.linspace(0.0, 8.0, R)
+    got = rs._sine_transform(a, x, r)
+    assert got.shape == (R,)
+    assert np.max(np.abs(got - _sine_sum_reference(a, x, r))) <= 1e-14 * np.sum(np.abs(a))
+
+
+def test_reconstruct_refuses_r_nodes_off_the_lattice(bimax, r10):
+    phi, _ = bimax
+    for r_max, n in ((8.0, 1601), (10.0, 2001), (8.0, 801), (10.0, 1201)):
+        r = rs.default_r_nodes(r_max, n)
+        assert np.array_equal(r, r[1] * np.arange(n))
+    jittered = r10 + 1e-10 * np.random.default_rng(5).uniform(-1.0, 1.0, len(r10))
+    jittered[0] = 0.0
+    rs.RadialDensity.maxwellian(jittered)  # uniform within the density's tolerance
+    with pytest.raises(ValueError, match="j\\*dr"):
+        rs.reconstruct(phi, jittered)
+
+
+def test_reconstruct_peak_memory():
+    # the dense m x R sine kernel and its products peaked at 131 MB
+    phi = sp.CharacteristicProfile.bimaxwellian(sp.RadialGrid(4096, 50.0))
+    r = rs.default_r_nodes()
+    tracemalloc.start()
+    try:
+        rs.reconstruct(phi, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
+
+
+def test_forward_transform_even_node_count(grid):
+    # an even count takes Simpson's last-interval (Cartwright) weights
+    f = rs.RadialDensity.mixture(rs.default_r_nodes(10.0, 2000))
+    back = rs.characteristic_from_density(f, grid)
+    mask = grid.x <= grid.x_max / 2
+    exact = sp.CharacteristicProfile.bimaxwellian(grid).values
+    assert np.max(np.abs(back.values[mask] - exact[mask])) < 1e-10
 
 
 def test_forward_transform_warns_when_underresolved():

@@ -115,6 +115,9 @@ def test_interp_plan_reproduces_ones_bit_exact():
     g = sp.RadialGrid(512, 20.0)
     plan = sp._gain_plan(g, 0.3, 64).plan
     assert np.array_equal(plan.eval(np.ones(g.n)), np.ones((128, g.n)))
+    one = sp.CharacteristicProfile(g, np.ones(g.n))
+    xq = np.linspace(0.0, g.x_max, 1001) * 0.999
+    assert np.array_equal(sp.evaluate(one, xq), np.ones(len(xq)))
 
 
 def test_drift_resample_of_ones_bit_exact():
@@ -219,6 +222,8 @@ def test_interp_operator_matches_hermite_reference():
                              g.x_max + rng.uniform(0.0, 2.0, 5)])
         ref = _hermite_reference(v, np.minimum(xq, g.x_max) / g.dx, g.dx)
         assert np.max(np.abs(sp.evaluate(phi, xq) - ref)) <= tol
+        plan = sp._InterpPlan(np.minimum(xq, g.x_max) / g.dx, g.n, g.dx)
+        assert np.max(np.abs(sp.evaluate(phi, xq) - plan.eval(v))) <= 1e-15
 
 
 def test_gain_plan_footprint():
