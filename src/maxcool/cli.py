@@ -84,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--x-max", type=float, default=None, dest="x_max")
     ps.add_argument("--dt", type=float, default=None)
     ps.add_argument("--t-max", type=float, default=None, dest="t_max",
-                    help="time budget for the stationarity march")
+                    help="step budget of the steady solve, as time: at most t_max/dt steps")
     ps.add_argument("--tol", type=float, default=None)
     ps.add_argument("--out", default=None, help="profile CSV path")
     _add_common(ps)
@@ -184,6 +184,7 @@ def _cmd_steady(cfg: ExperimentConfig) -> int:
         harness.embed_provenance(cfg.out, cfg)
         print(f"wrote {cfg.out}")
     print(f"steady e={cfg.e:g}: converged={phi.meta['converged']} "
+          f"steps={phi.meta['steps']} "
           f"residual={phi.meta['fixed_point_residual']:.3g} "
           f"m2={sp.moment(phi, 2):.8g}")
     if not phi.meta["converged"]:
@@ -201,9 +202,10 @@ def _cmd_sweep(cfg: ExperimentConfig) -> int:
                                   tol=cfg.tol, raise_on_failure=False)
     for row in table["rows"]:
         print(f"eps={row['eps']:g}: l1={row['l1']:.6g} envelope={row['envelope']:.6g} "
-              f"c={row['c_fit']:.6g}")
+              f"c={row['c_fit']:.6g} steps={row['steps']}")
     for d in table["dropped"]:
-        print(f"eps={d['eps']:g}: dropped (steady state not converged)")
+        print(f"eps={d['eps']:g}: dropped (steady state not converged "
+              f"in {d['steps']} steps)")
     if cfg.out:
         harness._save_sweep_csv(cfg.out, table)
         harness.embed_provenance(cfg.out, cfg)

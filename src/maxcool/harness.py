@@ -473,7 +473,8 @@ def sweep_epsilon(eps_list, config: sp.SolverConfig | None = None,
     decreases strictly with eps and that the fitted envelope constant
     C(eps) = L1 / (sqrt(eps) (1 + sqrt|log eps|)) is stable within a factor 3
     between consecutive points. Non-converged points are dropped and
-    reported; each row and dropped entry lists the warnings its solve raised.
+    reported; each row and dropped entry lists the warnings its solve raised
+    and its number of solver steps.
     With `raise_on_failure` the checks raise AssertionError; the returned
     table always carries the full data and verdicts. The defaults are the
     `FULL` sweep suite's.
@@ -506,6 +507,7 @@ def sweep_epsilon(eps_list, config: sp.SolverConfig | None = None,
         if not phi.meta.get("converged", False):
             dropped.append({"eps": ev, "e": e,
                             "cauchy_d2": phi.meta.get("cauchy_d2"),
+                            "steps": phi.meta["steps"],
                             "warnings": caught})
             logger.warning("sweep: dropping eps=%g (steady state not converged)", ev)
             continue
@@ -516,6 +518,7 @@ def sweep_epsilon(eps_list, config: sp.SolverConfig | None = None,
         rows.append({"eps": ev, "e": e, "l1": l1, "envelope": env,
                      "c_fit": l1 / env,
                      "residual": phi.meta.get("fixed_point_residual"),
+                     "steps": phi.meta["steps"],
                      "warnings": caught})
 
     c = np.array([r["c_fit"] for r in rows])
@@ -531,6 +534,7 @@ def sweep_epsilon(eps_list, config: sp.SolverConfig | None = None,
         "eps": [r["eps"] for r in rows], "e": [r["e"] for r in rows],
         "l1": [r["l1"] for r in rows], "envelope": [r["envelope"] for r in rows],
         "c_fit": c.tolist(), "c_ratios": ratios.tolist(),
+        "steps": [r["steps"] for r in rows],
         "warnings": [r["warnings"] for r in rows], "rows": rows, "dropped": dropped,
         "monotone": monotone, "c_stable": stable, "c_growth_ok": growth_ok,
     }
@@ -990,7 +994,7 @@ def _suite_sweep(ws: dict, params: SuiteParams) -> tuple[list[dict], dict]:
         raw["sweep_table"] = {k: table[k] for k in
                               ("eps", "e", "l1", "envelope", "c_fit", "c_ratios",
                                "monotone", "c_stable", "c_growth_ok", "dropped",
-                               "warnings")}
+                               "steps", "warnings")}
         l1 = np.array(table["l1"])
         worst_step = float(np.max(np.diff(l1))) if len(l1) >= 2 else math.nan
         checks.append(_check("sweep-monotone", claim_mono, worst_step, 0.0,

@@ -26,11 +26,13 @@ phi = 1 is exactly zero and the gain is evaluated in deviation form, so the
 constant profile phi = 1 is a fixed point of the gain and of the drift
 resample bit for bit.
 
-The stationary rescaled profile (`steady_profile`) is found by marching the
-rescaled flow from a unit Maxwellian: first at five times the configured step
-until the d2 distance between profiles 5 time units apart falls below the
-tolerance, then at the configured step until it does so again. The tolerance
-alone sizes both phases; the fine step sets the fixed point.
+The stationary rescaled profile (`steady_profile`) is the fixed point of one
+rescaled step followed by a gauge pin, the dilation that sets m2 = 3, found
+by Anderson mixing of the step's residual preconditioned by the inverse of the
+loss and drift, from a unit Maxwellian. The pin removes the neutral dilation
+mode of the rescaled flow, so m2 does not drift. The solve stops once the
+one-step d2 residual bounds the d2 of a 5-time-unit march below the
+tolerance, after a few dozen steps for e in [0.2, 1).
 """
 
 from __future__ import annotations
@@ -543,43 +545,63 @@ def envelope_report(phi: CharacteristicProfile) -> dict:
     }
 
 
-_STEADY_WINDOW = 5.0   # time units between the Cauchy checks of a steady solve
-_COARSE_RATIO = 5      # coarse-phase step as a multiple of the configured dt
+_STEADY_WINDOW = 5.0   # time units of the Cauchy d2 that a steady solve bounds
+_ANDERSON_DEPTH = 10   # differences kept by the Anderson mixing of a steady solve
 
 
-def _march_to_tol(phi: CharacteristicProfile, e: float, config: SolverConfig,
-                  tol: float) -> tuple[CharacteristicProfile, float, bool]:
-    # whole windows at config.dt until one window's Cauchy d2 drops below tol
-    # or config.t_max has passed; returns (best profile, its d2, converged)
-    steps_per_window = max(1, int(round(_STEADY_WINDOW / config.dt)))
-    start = phi.time
-    best = phi
-    achieved = math.inf
-    while phi.time - start < config.t_max:
-        prev = phi
-        for _ in range(steps_per_window):
-            phi = step(phi, e, config)
-        d2 = d2_distance(prev, phi, warn_temperature=False)
-        if d2 < achieved:
-            achieved = d2
-            best = phi
-        if d2 < tol:
-            return best, achieved, True
-    return best, achieved, False
+def _pin(phi: CharacteristicProfile) -> CharacteristicProfile:
+    # the dilation phi(x) -> phi(lam x) to moment(., 2) = 3, as m2 scales as
+    # lam^2; after one step (|m2 - 3| < 1e-8) it lands within 1e-12 of 3
+    lam = math.sqrt(3.0 / moment(phi, 2))
+    return CharacteristicProfile(phi.grid, evaluate(phi, lam * phi.grid.x), phi.time)
+
+
+def _loss_drift_solve(r: np.ndarray, E: float) -> np.ndarray:
+    # u - E x u' = r by implicit upwind differences, u_i - E i (u_{i+1} - u_i)
+    # = r_i, swept inward from x_max: the inverse of the loss-and-drift part
+    # of the rescaled generator. u_0 = r_0, and |u| <= max |r|.
+    c = E * np.arange(len(r), dtype=float)
+    a = (c / (1.0 + c)).tolist()
+    b = (r / (1.0 + c)).tolist()
+    u = [0.0] * len(b)
+    acc = 0.0
+    for i in range(len(b) - 1, -1, -1):
+        acc = b[i] + a[i] * acc
+        u[i] = acc
+    return np.array(u)
 
 
 def steady_profile(e, config: SolverConfig | None = None, tol: float = 1e-7,
                    grid: RadialGrid | None = None) -> CharacteristicProfile:
-    """March the rescaled flow from a unit Maxwellian to stationarity.
+    """Stationary rescaled profile at unit temperature, as a fixed point.
 
-    Two phases with the same stopping rule: d2 between profiles 5 time units
-    apart drops below tol, within a budget of config.t_max each. The coarse
-    phase steps at 5 config.dt and only shortens the transient; the fine
-    phase continues from the coarse phase's best profile at config.dt, which
-    sets the fixed point. The returned profile, "converged" and "cauchy_d2" come from the
-    fine phase. On success the profile's meta carries the achieved residuals
-    and the qualitative envelope report; on non-convergence the best fine
-    profile is returned with meta["converged"] = False and a warning.
+    The map is one rescaled step followed by the gauge pin,
+    G(phi) = pin(step(phi)), where the pin is the dilation phi(x) -> phi(lam x)
+    that sets moment(phi, 2) = 3. The rescaled equation is dilation
+    invariant, so the pin removes its one neutral mode and G contracts.
+    phi = G(phi) is solved from the unit Maxwellian by Anderson mixing (type
+    II, Walker & Ni 2011) of depth `_ANDERSON_DEPTH`, with its least squares
+    weighted by 1/x^2 like d2. The mixed residual is that of G preconditioned
+    by the loss and drift: H(phi) = phi + P^-1 (G(phi) - phi)/dt with
+    P = 1 - E x d/dx, which has the fixed points of G. Without P the tail,
+    which relaxes at rate ~1 and which the d2 weights do not see, is
+    extrapolated with the O(1/dt) mixing coefficients of a near-identity map.
+
+    A mixed iterate that is not a valid profile is replaced by the unmixed
+    image G(phi) and the history is cleared. When no new best residual
+    appears within one depth of applications, the history restarts from the
+    best image, once per best image (a second restart would repeat the same
+    iterates).
+
+    Each application of G is one `step` call, at most config.t_max/dt of
+    them. The solve stops when (5/dt) d2(G(phi), phi) < tol. G contracts d2,
+    so that bounds the d2 between the image G(phi) and its image after the
+    5 time units of pinned steps that a march would take; the bound is
+    reported as meta["cauchy_d2"]. The returned profile is the image G(phi)
+    with the smallest bound. Its meta carries "converged", "cauchy_d2",
+    "fixed_point_residual", the qualitative "envelope" report, "e", "steps"
+    (applications of G) and "history" (the bound after each application).
+    On non-convergence meta["converged"] is False and a warning is issued.
     """
     e = _check_e(e)
     if grid is None:
@@ -591,21 +613,67 @@ def steady_profile(e, config: SolverConfig | None = None, tol: float = 1e-7,
     if not (tol > 0):
         raise ValueError("tol must be positive")
 
-    coarse = SolverConfig(dt=_COARSE_RATIO * config.dt, t_max=config.t_max,
-                          quad_order=config.quad_order, frame="rescaled-g")
-    phi = _march_to_tol(CharacteristicProfile.maxwellian(grid, 1.0), e, coarse, tol)[0]
-    best, achieved, converged = _march_to_tol(phi, e, config, tol)
+    E = dissipation_rate(e)
+    window = _STEADY_WINDOW / config.dt
+    budget = max(1, int(round(config.t_max / config.dt)))
+    x = grid.x
+    keep = x >= 2.0 * grid.dx       # the rows d2 reads, weighted like d2
+    weight = 1.0 / x[keep] ** 2
+    phi = _pin(CharacteristicProfile.maxwellian(grid, 1.0))
+    dF: list[np.ndarray] = []
+    dH: list[np.ndarray] = []
+    prev = None                     # (f, h) of the last application
+    history: list[float] = []
+    achieved, best, best_k = math.inf, None, 0
+    restarted = None                # the best image the history last restarted from
+    for k in range(budget):
+        image = _pin(step(phi, e, config))
+        delta = image.values - phi.values
+        bound = window * float(np.max(np.abs(delta[keep]) * weight))
+        history.append(bound)
+        if bound < achieved:
+            achieved, best, best_k = bound, image, k
+        if bound < tol:
+            break
+        if k - best_k >= _ANDERSON_DEPTH and restarted is not best:
+            dF.clear()
+            dH.clear()
+            prev, restarted, phi = None, best, best
+            continue
+        u = _loss_drift_solve(delta / config.dt, E)
+        h = phi.values + u
+        f = u[keep] * weight
+        if prev is not None:
+            dF.append(f - prev[0])
+            dH.append(h - prev[1])
+            if len(dF) > _ANDERSON_DEPTH:
+                del dF[0], dH[0]
+        prev = (f, h)
+        if dF:
+            gamma = np.linalg.lstsq(np.column_stack(dF), f, rcond=None)[0]
+            h = h - np.column_stack(dH) @ gamma
+        try:
+            phi = CharacteristicProfile(grid, h, image.time)
+        except ValueError:
+            dF.clear()
+            dH.clear()
+            prev, phi = None, image
+
+    converged = achieved < tol
     if not converged:
-        warnings.warn(f"steady profile did not reach tol={tol:g}; achieved d2={achieved:.3g}")
+        warnings.warn(f"steady profile did not reach tol={tol:g}; "
+                      f"achieved bound={achieved:.3g} after {len(history)} steps")
     best.meta.update({
         "converged": converged,
         "cauchy_d2": achieved,
         "fixed_point_residual": steady_residual(best, e, config.quad_order),
         "envelope": envelope_report(best),
         "e": e,
+        "steps": len(history),
+        "history": history,
     })
-    logger.info("steady profile e=%g: converged=%s cauchy_d2=%.3g residual=%.3g",
-                e, converged, achieved, best.meta["fixed_point_residual"])
+    logger.info("steady profile e=%g: converged=%s cauchy_d2=%.3g residual=%.3g steps=%d",
+                e, converged, achieved, best.meta["fixed_point_residual"], len(history))
     return best
 
 

@@ -195,6 +195,7 @@ def test_sweep_adjacent_pair_passes_both_checks():
     table = harness.sweep_epsilon([0.1, 0.05], **_SWEEP_FAST)
     assert table["monotone"] and table["c_stable"] and table["c_growth_ok"]
     assert len(table["rows"]) == 2 and table["dropped"] == []
+    assert table["steps"] == [r["steps"] for r in table["rows"]] and min(table["steps"]) >= 1
     # distances are resolution-robust: these values match the fine-grid runs
     # (coarse dt and loose tol shift the transient cutoff by well under 2%)
     assert table["l1"][0] == pytest.approx(0.031116, rel=0.02)
@@ -215,11 +216,12 @@ def test_sweep_wide_step_fails_stability_only():
 
 
 def test_sweep_records_warnings_of_a_dropped_solve():
-    short = dict(_SWEEP_FAST, config=sp.SolverConfig(dt=0.05, t_max=2.0, quad_order=32,
+    short = dict(_SWEEP_FAST, config=sp.SolverConfig(dt=0.05, t_max=0.05, quad_order=32,
                                                      frame="rescaled-g"))
     table = harness.sweep_epsilon([0.1], raise_on_failure=False, **short)
     assert table["rows"] == [] and len(table["dropped"]) == 1
     assert any("did not reach tol" in w for w in table["dropped"][0]["warnings"])
+    assert table["dropped"][0]["steps"] == 1
     assert type(table["dropped"][0]["e"]) is float
     assert type(table["dropped"][0]["eps"]) is float
 
@@ -360,7 +362,7 @@ def test_cli_config_file_precedence(tmp_path, capsys):
     assert "collisions" in capsys.readouterr().out
 
 
-def test_cli_evolve_and_steady(tmp_path):
+def test_cli_evolve_and_steady(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     code = run_cli(["evolve", "--e", "0.9", "--grid-n", "256", "--x-max", "15",
                     "--dt", "0.02", "--t-max", "0.5",
@@ -373,6 +375,7 @@ def test_cli_evolve_and_steady(tmp_path):
                     "--dt", "0.05", "--t-max", "60", "--tol", "1e-4",
                     "--out", str(prof)])
     assert code == 0
+    assert "steps=" in capsys.readouterr().out
     phi, meta = sp.load_profile(prof)
     assert meta["e"] == 0.8 and phi.grid.n == 256
 
@@ -412,7 +415,7 @@ def test_cli_steady_solves_as_the_sweep_does(tmp_path):
 def test_cli_steady_nonconvergence_is_numerical_failure(capsys):
     with pytest.warns(UserWarning, match="did not reach"):
         code = run_cli(["steady", "--e", "0.8", "--grid-n", "256", "--x-max",
-                        "15", "--dt", "0.05", "--t-max", "2", "--tol", "1e-12"])
+                        "15", "--dt", "0.05", "--t-max", "0.05", "--tol", "1e-12"])
     assert code == 1
     assert "no convergence" in capsys.readouterr().err
 

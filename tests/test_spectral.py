@@ -471,6 +471,70 @@ def test_steady_profile_validation():
         sp.steady_profile(0.9, tol=0.0)
 
 
+def _steady_config(t_max: float = 250.0) -> sp.SolverConfig:
+    return sp.SolverConfig(dt=0.01, t_max=t_max, quad_order=32, frame="rescaled-g")
+
+
+@pytest.mark.parametrize("e", [0.8, 0.9, 0.95])
+def test_steady_profile_pins_unit_temperature(e):
+    phi = sp.steady_profile(e, _steady_config(), tol=1e-8, grid=sp.RadialGrid(1024, 30.0))
+    assert phi.meta["converged"]
+    assert abs(sp.moment(phi, 2) - 3.0) <= 1e-10
+
+
+def test_steady_profile_bound_certifies_a_march():
+    # the reported bound covers the d2 of a real 5-time-unit march, pinned
+    config, tol = _steady_config(), 1e-7
+    phi = sp.steady_profile(0.95, config, tol=tol, grid=sp.RadialGrid(1024, 30.0))
+    assert phi.meta["cauchy_d2"] <= tol
+    marched = phi
+    for _ in range(round(5.0 / config.dt)):
+        marched = sp.step(marched, 0.95, config)
+    lam = math.sqrt(3.0 / sp.moment(marched, 2))
+    pinned = sp.CharacteristicProfile(phi.grid, sp.evaluate(marched, lam * phi.grid.x))
+    assert sp.d2_distance(pinned, phi) <= phi.meta["cauchy_d2"]
+
+
+def test_steady_profile_counts_its_steps(monkeypatch):
+    calls = []
+    inner = sp.step
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "step", counted)
+    phi = sp.steady_profile(0.96, _steady_config(), tol=1e-6, grid=sp.RadialGrid(1024, 30.0))
+    meta = phi.meta
+    assert meta["converged"]
+    assert len(calls) == meta["steps"] == len(meta["history"]) <= 50
+    assert meta["history"][-1] == meta["cauchy_d2"] < 1e-6
+
+
+def test_steady_profile_short_budget_reports_nonconvergence():
+    with pytest.warns(UserWarning, match="did not reach tol"):
+        phi = sp.steady_profile(0.2, _steady_config(t_max=0.1), tol=1e-7,
+                                grid=sp.RadialGrid(1024, 30.0))
+    assert not phi.meta["converged"]
+    assert phi.meta["steps"] == 10
+    assert phi.meta["cauchy_d2"] == min(phi.meta["history"])
+
+
+def test_steady_profile_rejected_mixing_falls_back_to_the_image(monkeypatch):
+    # mixing coefficients that throw every mixed iterate out of |phi| <= 1:
+    # each is replaced by the unmixed image, and the solve still converges
+    rejected = []
+
+    def wild(A, b, rcond=None):
+        rejected.append(1)
+        return (np.full(A.shape[1], 1e6),)
+
+    monkeypatch.setattr(np.linalg, "lstsq", wild)
+    config = sp.SolverConfig(dt=0.05, t_max=60.0, quad_order=32, frame="rescaled-g")
+    phi = sp.steady_profile(0.8, config, tol=1e-4, grid=sp.RadialGrid(256, 15.0))
+    assert rejected and phi.meta["converged"]
+
+
 def test_steady_residual_discriminates(steady_e09):
     # a Maxwellian is far from stationary at e = 0.9
     M = sp.CharacteristicProfile.maxwellian(steady_e09.grid, 1.0)
