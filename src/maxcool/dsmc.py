@@ -4,8 +4,9 @@ A finite ensemble of N velocities evolves by a pair-collision jump process:
 every particle collides at unit rate, so pair events arrive at rate N/2. Time
 is discretized into steps of length dt and each step draws a Poisson(N dt/2)
 number of events; every event picks a uniform distinct (i, j), draws a sigma
-direction from the angular density B(k.sigma)/(4 pi) on the sphere, and applies
-the sigma-parameterized collision map shared with :mod:`maxcool.kinematics`.
+direction uniformly on the sphere (the collision rate is constant in the
+angle), and applies the sigma-parameterized collision map shared with
+:mod:`maxcool.kinematics`.
 
 Estimators recorded along the way: mean velocity, m2, m4, and the radial
 empirical characteristic function (ECF) on a fixed x-grid. The ECF averages
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kinematics
-from .kinematics import RatePair, Restitution, _block_rng, _check_e, _swap_forward, _uniform_sphere
+from .kinematics import Restitution, _block_rng, _check_e, _swap_forward, _uniform_sphere
 
 __all__ = [
     "Ensemble",
@@ -41,11 +42,6 @@ __all__ = [
     "load_series",
 ]
 
-# acceptance gate for the angular rejection sampler: expected acceptance is
-# 1/Bmax because the uniform proposal averages B to its normalized mean 1
-_MIN_ACCEPTANCE = 0.01
-# safety pad on the grid estimate of sup B; only costs acceptance, never bias
-_BMAX_PAD = 1.05
 _SERIES_HEADER = re.compile(r"#\s*maxcool-dsmc\s+v1\s+x_grid=(.*)$")
 
 
@@ -232,39 +228,13 @@ def _conflict_free_run(idx: np.ndarray) -> int:
     return max(first_slot // 2, 1)
 
 
-def _rel_directions(vi: np.ndarray, wj: np.ndarray) -> np.ndarray:
-    u = vi - wj
-    norm = np.linalg.norm(u, axis=1, keepdims=True)
-    k = np.divide(u, norm, out=np.zeros_like(u), where=norm > 0.0)
-    # grazing pairs (v == w) collide trivially; any placeholder axis works
-    k[norm[:, 0] == 0.0] = (0.0, 0.0, 1.0)
-    return k
-
-
-def _draw_sigma(rng: np.random.Generator, k: np.ndarray, pair: RatePair, bmax: float) -> np.ndarray:
-    """Rejection-sample sigma ~ B(k.sigma)/(4 pi) with a uniform proposal."""
-    m = k.shape[0]
-    sigma = np.empty((m, 3))
-    pending = np.arange(m)
-    for _ in range(100_000):
-        if pending.size == 0:
-            return sigma
-        cand = _uniform_sphere(rng, pending.size)
-        s = np.einsum("ij,ij->i", k[pending], cand)
-        accept = rng.random(pending.size) * bmax <= np.asarray(pair.B(s), dtype=float)
-        sigma[pending[accept]] = cand[accept]
-        pending = pending[~accept]
-    raise RuntimeError("rejection sampler failed to terminate")  # pragma: no cover
-
-
 def _apply_events(vel: np.ndarray, idx: np.ndarray, e: float,
-                  rng: np.random.Generator, pair: RatePair, bmax: float) -> None:
+                  rng: np.random.Generator) -> None:
     """Apply the events in order, vectorizing over conflict-free runs.
 
     Events within a conflict-free run touch pairwise-distinct particles, so
     the vectorized update is bit-identical to applying them one at a time.
-    sigma draws happen run by run because the angular density depends on the
-    current relative direction k, which earlier events may have changed.
+    Each run draws its sigma directions as one block from `rng`.
     """
     start = 0
     total = idx.shape[0]
@@ -273,24 +243,20 @@ def _apply_events(vel: np.ndarray, idx: np.ndarray, e: float,
         sel = idx[start:stop]
         vi = vel[sel[:, 0]]
         wj = vel[sel[:, 1]]
-        if pair.is_constant:
-            sigma = _uniform_sphere(rng, stop - start)
-        else:
-            sigma = _draw_sigma(rng, _rel_directions(vi, wj), pair, bmax)
+        sigma = _uniform_sphere(rng, stop - start)
         vp, wp, _, _ = _swap_forward(vi, wj, sigma, e)
         vel[sel[:, 0]] = vp
         vel[sel[:, 1]] = wp
         start = stop
 
 
-def run(ens: Ensemble, t_max: float, dt: float, pair: RatePair = None,
-        x_grid=None, record_every: int = None) -> dict:
+def run(ens: Ensemble, t_max: float, dt: float, x_grid=None,
+        record_every: int = None) -> dict:
     """Evolve the ensemble in place for a horizon t_max; return a time series.
 
     Each step of length dt draws Poisson(N dt/2) collision events (unit
-    per-particle collision rate). pair defaults to the constant Maxwell rate;
-    a non-constant B is rejection-sampled and rejected as unsuitable if the
-    expected acceptance 1/sup(B) falls below 1%. Estimators are recorded every
+    per-particle collision rate), each with a uniformly drawn sigma: the
+    collision rate is the constant Maxwell rate. Estimators are recorded every
     record_every steps (default: about 200 rows), always including the initial
     and final states; the radial ECF of `ecf` is recorded only when x_grid
     is given.
@@ -302,16 +268,6 @@ def run(ens: Ensemble, t_max: float, dt: float, pair: RatePair = None,
         raise ValueError(f"dt must lie in (0, 0.1], got {dt}")
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
-    pair = RatePair.maxwell_constant() if pair is None else pair
-    bmax = 1.0
-    if not pair.is_constant:
-        sgrid = np.linspace(-1.0, 1.0, 4001)
-        bmax = _BMAX_PAD * float(np.max(np.asarray(pair.B(sgrid), dtype=float)))
-        if 1.0 / bmax < _MIN_ACCEPTANCE:
-            raise ValueError(
-                f"rejection acceptance 1/sup(B) = {1.0 / bmax:.2e} is below "
-                f"{_MIN_ACCEPTANCE:.0%}: rate unsuitable for uniform-proposal sampling"
-            )
     n_steps = max(int(round(t_max / dt)), 1)
     if abs(n_steps * dt - t_max) > 1e-9 * max(t_max, 1.0):
         warnings.warn(
@@ -346,7 +302,7 @@ def run(ens: Ensemble, t_max: float, dt: float, pair: RatePair = None,
             i = rng.integers(0, n, n_events)
             j = (i + rng.integers(1, n, n_events)) % n
             idx = np.column_stack([i, j])
-            _apply_events(vel, idx, ens.e, rng, pair, bmax)
+            _apply_events(vel, idx, ens.e, rng)
             ens.collisions_applied += n_events
         if step % record_every == 0 or step == n_steps:
             _record(step)

@@ -82,14 +82,10 @@ class RateFit:
 
 
 def _as_series(series) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(series, (tuple, list)) and len(series) == 2:
-        t = np.asarray(series[0], dtype=float)
-        y = np.asarray(series[1], dtype=float)
-    else:
-        arr = np.asarray(series, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError("series must be (t, y) arrays or an (n, 2) array")
-        t, y = arr[:, 0], arr[:, 1]
+    if not (isinstance(series, (tuple, list)) and len(series) == 2):
+        raise ValueError("series must be a (t, y) pair of arrays")
+    t = np.asarray(series[0], dtype=float)
+    y = np.asarray(series[1], dtype=float)
     if t.ndim != 1 or t.shape != y.shape:
         raise ValueError("series t and y must be 1-D arrays of equal length")
     if len(t) and np.any(np.diff(t) <= 0):
@@ -100,7 +96,7 @@ def _as_series(series) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fit_exponential_rate(series, window: tuple[float, float] | None = None) -> RateFit:
-    """Fit ln y against t by least squares; rate = -slope.
+    """Fit ln y against t by least squares on a (t, y) pair; rate = -slope.
 
     `window = (lo, hi)` restricts the fit to lo <= t <= hi. The default skips
     the initial transient t < 5 whenever the series extends past t = 5
@@ -671,18 +667,18 @@ def _kinematics_exactness(e: float, n: int, seed: int) -> list[dict]:
         par, 1e-8 * max(1.0, scale), 1e-8 * max(1.0, scale) - par,
         par <= 1e-8 * max(1.0, scale)))
 
-    # Jacobian of the 6-dim reflection map has |det| = e (chunked direct dets)
+    # Jacobian of the 6-dim reflection map has |det| = e (chunked direct dets).
+    # At fixed n the coded map is linear in (v, w), so column j of J is the
+    # map applied to the j-th unit vector of R^6.
     worst = 0.0
-    eye = np.eye(3)
+    basis = np.eye(6)
     for lo in range(0, len(nvec), 50_000):
         nb = nvec[lo:lo + 50_000]
-        nnT = nb[:, :, None] * nb[:, None, :]
-        m = len(nb)
-        J = np.zeros((m, 6, 6))
-        J[:, :3, :3] = eye - coef_f * nnT
-        J[:, 3:, 3:] = eye - coef_f * nnT
-        J[:, :3, 3:] = coef_f * nnT
-        J[:, 3:, :3] = coef_f * nnT
+        J = np.empty((len(nb), 6, 6))
+        for j in range(6):
+            vj = np.broadcast_to(basis[j, :3], nb.shape)
+            wj = np.broadcast_to(basis[j, 3:], nb.shape)
+            J[:, :3, j], J[:, 3:, j] = kin._reflect(vj, wj, nb, coef_f)
         dets = np.abs(np.linalg.det(J))
         worst = max(worst, float(np.max(np.abs(dets - e))))
     checks.append(_check(

@@ -5,40 +5,35 @@ reflection map (impact direction n, any unit vector) and the swapping map
 (post-collisional direction sigma). Both conserve momentum; energy in the
 relative coordinate is contracted by the restitution coefficient e. The
 module provides the forward and pre-collisional (inverse) maps, the n <-> sigma
-conversions with their measure factors, angular rate conversions between the
-two pictures, the effective gain-term rates produced by the change of
-variables, and Monte Carlo verification of the change-of-variables identities.
+conversions with their measure factors, the effective gain-term rates produced
+by the change of variables, and Monte Carlo verification of the
+change-of-variables identities.
 
-All maps are exact algebraic formulas. The only quadrature in this module is
-the 1-D Gauss-Legendre rule used for rate normalization and, for
-user-supplied non-constant rates only, the dissipation constant; the constant
-(Maxwell) kernel gets E = (1 - e^2)/8 in closed form.
+The collision rate is the constant Maxwell rate: B(s) = 1 in the swapping
+picture (s = k.sigma) and Btilde(t) = 2|t| in the reflection picture
+(t = k.n). All maps are exact algebraic formulas, and the dissipation rate is
+E = (1 - e^2)/8 in closed form.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "REFLECTION",
     "SWAP",
     "UnitVector3",
     "CollisionTriple",
-    "RatePair",
     "Restitution",
     "collide",
     "precollide",
     "convert_param",
-    "rate_convert",
     "effective_gain_rates",
-    "dissipation_constant",
+    "dissipation_rate",
     "fisher_growth_exponent",
     "check_z_identity",
     "mc_change_of_variables",
@@ -46,16 +41,6 @@ __all__ = [
 
 REFLECTION = "reflection"
 SWAP = "swap"
-
-_QUAD_ORDER = 64
-
-
-@lru_cache(maxsize=8)
-def _gl01(order: int):
-    # Gauss-Legendre rule mapped to [0, 1]; even integrands on [-1, 1] are
-    # folded here so |s|-type kernels stay polynomial on the half interval.
-    x, w = leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w
 
 
 def _as_triple_of_floats(x) -> np.ndarray:
@@ -132,112 +117,14 @@ def _check_e(e, allow_zero: bool = False) -> float:
     return e
 
 
-class RatePair:
-    """Matched angular rates (B, Btilde) for the two parameterizations.
+def dissipation_rate(e) -> float:
+    """Energy dissipation rate E = (1 - e^2)/8 of the constant-rate model.
 
-    B(s) weights the swapping picture with s = k.sigma, Btilde(t) the
-    reflection picture with t = k.n; they describe the same collision rate,
-    tied together by Btilde(t) = 2|t| B(1 - 2 t^2). Both must be even and B
-    normalized so that (1/2) integral_{-1}^{1} B = 1.
-    """
-
-    def __init__(self, B: Callable, Btilde: Callable, is_constant: bool = False) -> None:
-        self.B = B
-        self.Btilde = Btilde
-        self.is_constant = bool(is_constant)
-        self._validate()
-
-    @classmethod
-    def maxwell_constant(cls) -> "RatePair":
-        return cls(lambda s: np.ones_like(np.asarray(s, dtype=float)),
-                   lambda t: 2.0 * np.abs(np.asarray(t, dtype=float)),
-                   is_constant=True)
-
-    def _validate(self) -> None:
-        s = np.linspace(-1.0, 1.0, 401)
-        Bs = np.asarray(self.B(s), dtype=float)
-        Bt = np.asarray(self.Btilde(s), dtype=float)
-        if not (np.all(np.isfinite(Bs)) and np.all(np.isfinite(Bt))):
-            raise ValueError("rates must be finite on [-1, 1]")
-        # evenness tolerance scales with amplitude: steep rates amplify the
-        # one-ulp asymmetry of the probe grid itself
-        tol_even = 1e-12 * max(1.0, float(np.max(np.abs(Bs))), float(np.max(np.abs(Bt))))
-        if np.max(np.abs(Bs - Bs[::-1])) > tol_even or np.max(np.abs(Bt - Bt[::-1])) > tol_even:
-            raise ValueError("rates must be even on [-1, 1]")
-        # consistency of the pair: Btilde(t) = 2|t| B(1 - 2 t^2)
-        link = 2.0 * np.abs(s) * np.asarray(self.B(1.0 - 2.0 * s * s), dtype=float)
-        if np.max(np.abs(Bt - link)) > 1e-12:
-            raise ValueError("Btilde(t) must equal 2|t| B(1 - 2 t^2) within 1e-12")
-        node, wt = _gl01(_QUAD_ORDER)
-        half_mass = float(wt @ np.asarray(self.B(node), dtype=float))
-        if abs(half_mass - 1.0) > 1e-10:
-            raise ValueError(f"B must satisfy (1/2) int B = 1, got {half_mass:.3e}")
-
-    def __repr__(self) -> str:
-        return f"RatePair(is_constant={self.is_constant})"
-
-
-def rate_convert(B: Callable) -> RatePair:
-    """Build the matched RatePair from a swapping-picture rate B.
-
-    Renormalizes (with a warning) if (1/2) integral B differs from 1, rejects
-    non-even rates, and verifies that converting back from the derived Btilde
-    reproduces B on a 1001-point grid (excluding the removable endpoint s=1)
-    to 1e-9.
-    """
-    node, wt = _gl01(_QUAD_ORDER)
-    probe = np.linspace(-1.0, 1.0, 1001)
-    Bp = np.asarray(B(probe), dtype=float)
-    if not np.all(np.isfinite(Bp)):
-        raise ValueError("B must be finite on [-1, 1]")
-    if np.max(np.abs(Bp - Bp[::-1])) > 1e-12:
-        raise ValueError("B must be even on [-1, 1]")
-    half_mass = float(wt @ np.asarray(B(node), dtype=float))
-    if half_mass <= 0.0:
-        raise ValueError("B must have positive mass")
-    scale = 1.0
-    if abs(half_mass - 1.0) > 1e-10:
-        warnings.warn(
-            f"renormalizing rate: (1/2) int B = {half_mass:.6g}", stacklevel=2)
-        scale = 1.0 / half_mass
-
-    def B_norm(s, _B=B, _c=scale):
-        return _c * np.asarray(_B(np.asarray(s, dtype=float)), dtype=float)
-
-    def Btilde(t, _B=B_norm):
-        t = np.asarray(t, dtype=float)
-        return 2.0 * np.abs(t) * _B(1.0 - 2.0 * t * t)
-
-    # round trip sigma -> n -> sigma; s = 1 maps to t = 0 where the inverse
-    # formula has a removable singularity, so it is excluded from the probe.
-    s = probe[:-1]
-    t = np.sqrt((1.0 - s) / 2.0)
-    back = Btilde(t) / (2.0 * t)
-    if np.max(np.abs(back - B_norm(s))) > 1e-9:
-        raise ValueError("rate round trip mismatch exceeds 1e-9")
-
-    vals = B_norm(probe)
-    is_const = float(np.max(vals) - np.min(vals)) < 1e-14
-    return RatePair(B_norm, Btilde, is_constant=is_const)
-
-
-def dissipation_constant(pair: RatePair, e) -> float:
-    """Energy dissipation constant E for restitution e under rate `pair`.
-
-    E = [ (1/2) integral_{-1}^{1} s^2 Btilde(s) ds ] * (1 - e^2) / 4, which
-    equals (1 - e^2)/8 for any even normalized B. This is the single source of
-    E: for the constant kernel (`pair.is_constant`) it returns (1 - e*e)/8 in
-    closed form, bit for bit; only a user-supplied non-constant pair goes
-    through the Gauss-Legendre quadrature, which keeps the formula honest for
-    it. The sticky limit e = 0 is allowed here (E = 1/8) although the
-    collision maps themselves require e > 0.
+    The one definition of E. The sticky limit e = 0 is allowed here (E = 1/8)
+    although the collision maps themselves require e > 0.
     """
     e = _check_e(e, allow_zero=True)
-    if pair.is_constant:
-        return (1.0 - e * e) / 8.0
-    node, wt = _gl01(_QUAD_ORDER)
-    moment = 2.0 * float(wt @ (node ** 2 * np.asarray(pair.Btilde(node), dtype=float)))
-    return 0.5 * moment * (1.0 - e * e) / 4.0
+    return (1.0 - e * e) / 8.0
 
 
 @dataclass(frozen=True)
@@ -255,14 +142,11 @@ class Restitution:
     growth: float = field(init=False)
     c1: float = field(init=False)
     omega: float = field(init=False)
-    pair: RatePair | None = None
 
     def __post_init__(self):
         e = _check_e(self.e)
         object.__setattr__(self, "e", e)
-        pair = self.pair if self.pair is not None else RatePair.maxwell_constant()
-        object.__setattr__(self, "pair", pair)
-        E = dissipation_constant(pair, e)
+        E = dissipation_rate(e)
         g = (1.0 - e) * (2.0 + e + 15.0 * e * e) / (8.0 * e ** 3)
         object.__setattr__(self, "E", E)
         object.__setattr__(self, "growth", g)
@@ -382,53 +266,27 @@ def convert_param(k, omega, direction: str) -> UnitVector3:
     raise ValueError(f"direction must be 'n_to_sigma' or 'sigma_to_n', got {direction!r}")
 
 
-def effective_gain_rates(pair: RatePair, e, phi: Callable | None = None,
-                         phitilde: Callable | None = None):
+def effective_gain_rates(e):
     """Effective rates appearing in the gain term after the pre-collisional
     change of variables.
 
-    Returns callables (B_e_plus, Btilde_e_plus, Phi_e_plus, Phitilde_e_plus).
-    The velocity factors default to the Maxwell case Phi = Phitilde = 1; pass
-    `phi`/`phitilde` to transform a nontrivial velocity dependence. At e = 1
-    all four reduce to the inputs.
+    Returns callables (B_e_plus, Btilde_e_plus): the constant rates B = 1 and
+    Btilde(t) = 2|t| seen through the inverse collision map. At e = 1 both
+    reduce to the bare rates.
     """
     e = _check_e(e)
     one = 1.0 + e * e
     mis = 1.0 - e * e
 
-    def B_e_plus(s, _B=pair.B, _e=e):
+    def B_e_plus(s, _e=e):
         s = np.asarray(s, dtype=float)
-        den = one - mis * s
-        return np.asarray(_B((one * s - mis) / den), dtype=float) * np.sqrt(2.0 / den) / _e
+        return np.sqrt(2.0 / (one - mis * s)) / _e
 
-    def Btilde_e_plus(t, _Bt=pair.Btilde, _e=e):
+    def Btilde_e_plus(t, _e=e):
         t = np.asarray(t, dtype=float)
-        return np.asarray(_Bt(t / np.sqrt(_e * _e + (1.0 - _e * _e) * t * t)),
-                          dtype=float) / _e
+        return 2.0 * np.abs(t / np.sqrt(_e * _e + (1.0 - _e * _e) * t * t)) / _e
 
-    if phi is None:
-        def Phi_e_plus(r, s):
-            r, s = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(s, dtype=float))
-            return np.ones_like(r)
-    else:
-        def Phi_e_plus(r, s, _phi=phi, _e=e):
-            r = np.asarray(r, dtype=float)
-            s = np.asarray(s, dtype=float)
-            return np.asarray(_phi(r / (math.sqrt(2.0) * _e) * np.sqrt(one - mis * s)),
-                              dtype=float)
-
-    if phitilde is None:
-        def Phitilde_e_plus(r, t):
-            r, t = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
-            return np.ones_like(r)
-    else:
-        def Phitilde_e_plus(r, t, _phit=phitilde, _e=e):
-            r = np.asarray(r, dtype=float)
-            t = np.asarray(t, dtype=float)
-            return np.asarray(_phit(r / _e * np.sqrt(_e * _e + (1.0 - _e * _e) * t * t)),
-                              dtype=float)
-
-    return B_e_plus, Btilde_e_plus, Phi_e_plus, Phitilde_e_plus
+    return B_e_plus, Btilde_e_plus
 
 
 def check_z_identity(eta, sigma, e) -> float:
@@ -500,19 +358,17 @@ def _mc_reduce(block_fn, samples: int, seed: int, tag0: int):
     return mean, math.sqrt(var / count)
 
 
-def mc_change_of_variables(K: Callable, e, pair: RatePair | None = None,
-                           which: str = "sigma-theorem", samples: int = 10 ** 6,
-                           seed: int = 0, u=None,
-                           phi: Callable | None = None,
-                           phitilde: Callable | None = None):
+def mc_change_of_variables(K: Callable, e, which: str = "sigma-theorem",
+                           samples: int = 10 ** 6, seed: int = 0, u=None):
     """Monte Carlo check of a change-of-variables identity.
 
     which = "sigma-theorem": LHS integrates K[pre-collisional triple, triple]
     against the effective gain rate in the swapping picture, RHS integrates
-    K[triple, post-collisional triple] against the bare rate; the identity
-    asserts equality. which = "n-theorem" is the reflection-picture analogue.
-    which = "sphere-identity" checks, for a fixed relative velocity u (default
-    (2,0,0)) and a scalar test function K on R^3,
+    K[triple, post-collisional triple] against the bare rate B = 1; the
+    identity asserts equality. which = "n-theorem" is the reflection-picture
+    analogue, with bare rate Btilde = 2|k.n|. which = "sphere-identity"
+    checks, for a fixed relative velocity u (default (2,0,0)) and a scalar
+    test function K on R^3,
 
       mean_sigma K((u - |u| sigma)/2) = mean_n (2|u.n|/|u|) K((u.n) n),
 
@@ -524,8 +380,6 @@ def mc_change_of_variables(K: Callable, e, pair: RatePair | None = None,
     be combined in quadrature. Returns (lhs, rhs, stderr_lhs, stderr_rhs).
     """
     e = _check_e(e)
-    if pair is None:
-        pair = RatePair.maxwell_constant()
     if samples < 1:
         raise ValueError("samples must be positive")
     seed = int(seed)
@@ -552,8 +406,7 @@ def mc_change_of_variables(K: Callable, e, pair: RatePair | None = None,
     if which not in ("sigma-theorem", "n-theorem"):
         raise ValueError(f"unknown identity {which!r}")
 
-    B_e_plus, Bt_e_plus, Phi_e_plus, Phit_e_plus = effective_gain_rates(
-        pair, e, phi=phi, phitilde=phitilde)
+    B_e_plus, Bt_e_plus = effective_gain_rates(e)
 
     def draw(rng, m):
         v = rng.standard_normal((m, 3))
@@ -566,47 +419,34 @@ def mc_change_of_variables(K: Callable, e, pair: RatePair | None = None,
     if which == "sigma-theorem":
         def lhs_block(rng, m):
             v, w, sigma, wt = draw(rng, m)
-            u_, unorm, k, safe = _unit_rel(v, w)
+            _, _, k, safe = _unit_rel(v, w)
             ks = np.sum(k * sigma, axis=1)
             vs, ws, ss, _ = _swap_inverse(v, w, sigma, e)
             val = np.asarray(K(vs, ws, ss, v, w, sigma), dtype=float)
-            r = unorm[:, 0]
-            return np.where(safe, val * Phi_e_plus(r, ks) * B_e_plus(ks) * wt, 0.0)
+            return np.where(safe, val * B_e_plus(ks) * wt, 0.0)
 
         def rhs_block(rng, m):
             v, w, sigma, wt = draw(rng, m)
-            u_, unorm, k, safe = _unit_rel(v, w)
-            ks = np.sum(k * sigma, axis=1)
+            _, _, _, safe = _unit_rel(v, w)
             vp, wp, sp, _ = _swap_forward(v, w, sigma, e)
             val = np.asarray(K(v, w, sigma, vp, wp, sp), dtype=float)
-            r = unorm[:, 0]
-            if phi is None:
-                base = np.ones_like(r)
-            else:
-                base = np.asarray(phi(r), dtype=float)
-            return np.where(safe, val * base * np.asarray(pair.B(ks), dtype=float) * wt, 0.0)
+            return np.where(safe, val * wt, 0.0)
     else:
         def lhs_block(rng, m):
             v, w, n, wt = draw(rng, m)
-            u_, unorm, k, safe = _unit_rel(v, w)
+            _, _, k, safe = _unit_rel(v, w)
             kn = np.sum(k * n, axis=1)
             vs, ws = _reflect(v, w, n, (1.0 + e) / (2.0 * e))
             val = np.asarray(K(vs, ws, n, v, w, n), dtype=float)
-            r = unorm[:, 0]
-            return np.where(safe, val * Phit_e_plus(r, kn) * Bt_e_plus(kn) * wt, 0.0)
+            return np.where(safe, val * Bt_e_plus(kn) * wt, 0.0)
 
         def rhs_block(rng, m):
             v, w, n, wt = draw(rng, m)
-            u_, unorm, k, safe = _unit_rel(v, w)
+            _, _, k, safe = _unit_rel(v, w)
             kn = np.sum(k * n, axis=1)
             vp, wp = _reflect(v, w, n, 0.5 * (1.0 + e))
             val = np.asarray(K(v, w, n, vp, wp, n), dtype=float)
-            r = unorm[:, 0]
-            if phitilde is None:
-                base = np.ones_like(r)
-            else:
-                base = np.asarray(phitilde(r), dtype=float)
-            return np.where(safe, val * base * np.asarray(pair.Btilde(kn), dtype=float) * wt, 0.0)
+            return np.where(safe, val * (2.0 * np.abs(kn)) * wt, 0.0)
 
     lhs, se_l = _mc_reduce(lhs_block, samples, seed, 0)
     rhs, se_r = _mc_reduce(rhs_block, samples, seed, 1 << 62)

@@ -47,7 +47,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.sparse import bsr_matrix
 
-from .kinematics import RatePair, _check_e, dissipation_constant
+from .kinematics import _check_e, dissipation_rate
 
 __all__ = [
     "RadialGrid",
@@ -75,14 +75,6 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_N = 4096
 DEFAULT_XMAX = 50.0
-
-
-_MAXWELL_PAIR = RatePair.maxwell_constant()
-
-
-def dissipation_rate(e: float) -> float:
-    # constant-kernel energy dissipation rate; the solver fixes B = 1
-    return dissipation_constant(_MAXWELL_PAIR, e)
 
 
 class RadialGrid:
@@ -357,27 +349,25 @@ _DRIFT_CACHE: dict[tuple, _InterpPlan] = {}
 _CACHE_CAP = 16
 
 
-def _gain_plan(grid: RadialGrid, e: float, quad_order: int) -> _GainPlan:
-    key = (grid.n, round(grid.x_max, 12), round(e, 15), quad_order)
-    plan = _GAIN_CACHE.get(key)
+def _cached(cache: dict, key: tuple, build):
+    # bounded FIFO: the oldest plan goes once _CACHE_CAP are held
+    plan = cache.get(key)
     if plan is None:
-        if len(_GAIN_CACHE) >= _CACHE_CAP:
-            _GAIN_CACHE.pop(next(iter(_GAIN_CACHE)))
-        plan = _GainPlan(grid, e, quad_order)
-        _GAIN_CACHE[key] = plan
+        if len(cache) >= _CACHE_CAP:
+            cache.pop(next(iter(cache)))
+        plan = cache[key] = build()
     return plan
+
+
+def _gain_plan(grid: RadialGrid, e: float, quad_order: int) -> _GainPlan:
+    return _cached(_GAIN_CACHE, (grid.n, round(grid.x_max, 12), round(e, 15), quad_order),
+                   lambda: _GainPlan(grid, e, quad_order))
 
 
 def _drift_plan(grid: RadialGrid, shift: float) -> _InterpPlan:
-    key = (grid.n, round(grid.x_max, 12), round(shift, 18))
-    plan = _DRIFT_CACHE.get(key)
-    if plan is None:
-        if len(_DRIFT_CACHE) >= _CACHE_CAP:
-            _DRIFT_CACHE.pop(next(iter(_DRIFT_CACHE)))
-        positions = math.exp(shift) * np.arange(grid.n, dtype=float)
-        plan = _InterpPlan(positions, grid.n, grid.dx)
-        _DRIFT_CACHE[key] = plan
-    return plan
+    return _cached(_DRIFT_CACHE, (grid.n, round(grid.x_max, 12), round(shift, 18)),
+                   lambda: _InterpPlan(math.exp(shift) * np.arange(grid.n, dtype=float),
+                                       grid.n, grid.dx))
 
 
 def gain_fourier(phi: CharacteristicProfile, e, quad_order: int = 64) -> CharacteristicProfile:
@@ -454,15 +444,14 @@ _SUP_DELTA = 0.5
 
 def evolve(phi0: CharacteristicProfile, e, config: SolverConfig,
            diagnostics_schedule=None, reference: CharacteristicProfile | None = None,
-           extra_diagnostics=None, keep_profiles: bool = False,
-           sobolev_orders=_SOBOLEV_ORDERS, sup_delta: float = _SUP_DELTA) -> EvolutionTrace:
+           keep_profiles: bool = False) -> EvolutionTrace:
     """Evolve a profile to config.t_max, recording diagnostics on a schedule.
 
     The schedule lists absolute times (snapped to step boundaries); default is
     about 200 evenly spaced records. Standard diagnostics: temperature (m2/3),
-    m2, m4, Sobolev seminorms hr_<r>, weighted sup sup_<delta>, and d2_ref
-    against `reference` when given. `extra_diagnostics(profile) -> dict`
-    entries are merged in. Deterministic: no randomness anywhere.
+    m2, m4, Sobolev seminorms hr_<r> for r in (0.5, 1, 2), weighted sup
+    sup_0.5, and d2_ref against `reference` when given. Deterministic: no
+    randomness anywhere.
     """
     e = _check_e(e)
     n_steps = int(round(config.t_max / config.dt))
@@ -489,13 +478,11 @@ def evolve(phi0: CharacteristicProfile, e, config: SolverConfig,
         row["m2"] = m2
         row["temperature"] = m2 / 3.0
         row["m4"] = moment(p, 4)
-        for r in sobolev_orders:
+        for r in _SOBOLEV_ORDERS:
             row[f"hr_{r:g}"] = sobolev_norm(p, r)
-        row[f"sup_{sup_delta:g}"] = sup_weighted(p, sup_delta)
+        row[f"sup_{_SUP_DELTA:g}"] = sup_weighted(p, _SUP_DELTA)
         if reference is not None:
             row["d2_ref"] = d2_distance(p, reference, warn_temperature=False)
-        if extra_diagnostics is not None:
-            row.update(extra_diagnostics(p))
         rows.append(row)
         times.append(p.time)
         if keep_profiles:

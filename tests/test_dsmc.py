@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from maxcool import dsmc, kinematics
-from maxcool.kinematics import RatePair, Restitution
+from maxcool.kinematics import Restitution
 
 N_BIG = 100_000
 
@@ -177,11 +177,9 @@ def test_chunked_apply_matches_sequential():
 
 def test_grazing_pairs_are_noops():
     vel = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [-2.0, 0.0, 0.0]])
-    k = dsmc._rel_directions(vel[:1], vel[1:2])
-    assert np.array_equal(k, [[0.0, 0.0, 1.0]])  # placeholder axis
     before = vel.copy()
     rng = kinematics._block_rng(0, 1)
-    dsmc._apply_events(vel, np.array([[0, 1]]), 0.5, rng, RatePair.maxwell_constant(), 1.0)
+    dsmc._apply_events(vel, np.array([[0, 1]]), 0.5, rng)
     assert np.array_equal(vel, before)
 
 
@@ -304,48 +302,6 @@ def test_run_with_ecf_records():
     assert np.all(series["ecf"][:, 0] == 1.0)
     assert np.all(series["ecf_stderr"][:, 0] == 0.0)
     assert np.all(series["ecf_stderr"][:, 1:] > 0.0)
-
-
-# --------------------------------------------------------- non-constant rates
-
-
-def quadratic_pair():
-    # B(s) = 3 s^2 has (1/2) integral 1; Btilde follows from the link identity
-    return RatePair(lambda s: 3.0 * np.asarray(s, dtype=float) ** 2,
-                    lambda t: 6.0 * np.abs(t) * (1.0 - 2.0 * np.asarray(t, dtype=float) ** 2) ** 2)
-
-
-def test_rejection_sampler_distribution():
-    pair = quadratic_pair()
-    rng = kinematics._block_rng(42, 9)
-    n = 200_000
-    k = np.tile([0.0, 0.0, 1.0], (n, 1))
-    sigma = dsmc._draw_sigma(rng, k, pair, 3.0 * dsmc._BMAX_PAD)
-    assert np.abs(np.linalg.norm(sigma, axis=1) - 1.0).max() < 1e-12
-    s = sigma[:, 2]
-    # under density (3/2) s^2 ds: E[s] = 0, E[s^2] = 3/5, Var(s^2) = 3/7 - 9/25
-    assert abs(s.mean()) < 4.0 * np.sqrt(0.6 / n)
-    assert abs((s * s).mean() - 0.6) < 4.0 * np.sqrt((3.0 / 7.0 - 0.36) / n)
-
-
-def test_nonconstant_rate_run():
-    ens = dsmc.sample_initial("maxwellian:1.0", 10_000, seed=3, e=0.5)
-    series = dsmc.run(ens, t_max=1.0, dt=0.05, pair=quadratic_pair())
-    assert np.abs(series["m1"]).max() < 1e-14
-    assert series["m2"][-1] < series["m2"][0]  # still cooling
-    assert ens.collisions_applied > 0
-
-
-def test_unsuitable_rate_rejected():
-    # sup B = 97 pushes the uniform-proposal acceptance below 1%
-    bad = RatePair(
-        lambda s: 97.0 * np.abs(np.asarray(s, dtype=float)) ** 96,
-        lambda t: 2.0 * np.abs(t) * 97.0
-        * np.abs(1.0 - 2.0 * np.asarray(t, dtype=float) ** 2) ** 96,
-    )
-    ens = dsmc.sample_initial("maxwellian:1.0", 100, seed=3, e=0.5)
-    with pytest.raises(ValueError, match="unsuitable"):
-        dsmc.run(ens, t_max=0.5, dt=0.05, pair=bad)
 
 
 # ------------------------------------------------------------------ rescaling

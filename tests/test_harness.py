@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from maxcool import cli, dsmc, harness, realspace as rs, spectral as sp
+from maxcool import cli, dsmc, harness, kinematics as kin, realspace as rs, spectral as sp
 from maxcool.cli import run_cli
 from maxcool.harness import ExperimentConfig, RateFit
 
@@ -38,7 +38,7 @@ def test_fit_explicit_window_and_array_form():
     y = 2.0 * np.exp(-1.1 * t)
     fit_all = harness.fit_exponential_rate((t, y))
     assert fit_all.n_points == 9 and abs(fit_all.rate - 1.1) < 1e-12
-    fit_win = harness.fit_exponential_rate(np.column_stack([t, y]), window=(1.0, 3.0))
+    fit_win = harness.fit_exponential_rate((t, y), window=(1.0, 3.0))
     assert fit_win.window == (1.0, 3.0)
     assert fit_win.n_points == 5
     assert abs(fit_win.rate - 1.1) < 1e-12
@@ -68,7 +68,7 @@ def test_fit_rejections():
         harness.fit_exponential_rate((t, y), window=(2.0, 1.0))
     with pytest.raises(ValueError, match="increasing"):
         harness.fit_exponential_rate((t[::-1], y))
-    with pytest.raises(ValueError, match="\\(n, 2\\)"):
+    with pytest.raises(ValueError, match="\\(t, y\\) pair"):
         harness.fit_exponential_rate(np.zeros((3, 4)))
 
 
@@ -249,6 +249,23 @@ def test_verify_kinematics_fast_report_shape(tmp_path):
     out = tmp_path / "report.json"
     harness.save_report(out, report)
     assert json.loads(out.read_text())["n_pass"] == report["n_pass"]
+
+
+def test_jacobian_check_tests_the_coded_reflection(monkeypatch):
+    # J is built from kinematics._reflect itself, so a wrong coefficient in
+    # the coded map must show up as a wrong volume contraction
+    def jacobian(e):
+        rows = harness._kinematics_exactness(e, 2000, seed=2)
+        return next(c for c in rows if c["name"] == f"jacobian e={e:g}")
+
+    for e in (0.5, 0.9):
+        assert jacobian(e)["status"] == "pass"
+    reflect = kin._reflect
+    monkeypatch.setattr(kin, "_reflect",
+                        lambda v, w, n, coef: reflect(v, w, n, coef * (1.0 + 1e-3)))
+    for e in (0.5, 0.9):
+        bad = jacobian(e)
+        assert bad["status"] == "fail" and bad["measured"] > 1e-4
 
 
 def test_verify_errors_propagate_without_aborting(monkeypatch):

@@ -43,27 +43,18 @@ def test_restitution_rejects(bad):
 
 
 def test_dissipation_vanishes_only_at_elastic():
-    pair = kin.RatePair.maxwell_constant()
     for e in (0.1, 0.5, 0.9, 0.999):
-        assert kin.dissipation_constant(pair, e) > 0.0
+        assert kin.dissipation_rate(e) > 0.0
         assert kin.Restitution(e).growth > 0.0
-    assert kin.dissipation_constant(pair, 1.0) == 0.0
+    assert kin.dissipation_rate(1.0) == 0.0
 
 
 def test_dissipation_values():
-    pair = kin.RatePair.maxwell_constant()
-    assert kin.dissipation_constant(pair, 0.5) == pytest.approx(0.09375, abs=1e-15)
+    assert kin.dissipation_rate(0.5) == pytest.approx(0.09375, abs=1e-15)
     # sticky limit is allowed for the constant only
-    assert kin.dissipation_constant(pair, 0.0) == pytest.approx(0.125, abs=1e-15)
+    assert kin.dissipation_rate(0.0) == pytest.approx(0.125, abs=1e-15)
     with pytest.raises(ValueError):
         kin.Restitution(0.0)
-
-
-def test_dissipation_is_kernel_independent():
-    # E = (1-e^2)/8 for every even normalized rate
-    pair = kin.rate_convert(lambda s: 3.0 * np.asarray(s) ** 2)
-    for e in (0.2, 0.6, 0.9):
-        assert kin.dissipation_constant(pair, e) == pytest.approx((1 - e * e) / 8, abs=1e-12)
 
 
 def test_unit_vector_renormalizes():
@@ -77,42 +68,6 @@ def test_unit_vector_renormalizes():
 def test_triple_validates_param():
     with pytest.raises(ValueError):
         kin.CollisionTriple(np.zeros(3), np.ones(3), kin.UnitVector3((1, 0, 0)), "bogus")
-
-
-def test_rate_pair_constant():
-    pair = kin.RatePair.maxwell_constant()
-    assert pair.is_constant
-    t = np.linspace(-1, 1, 33)
-    assert np.allclose(pair.Btilde(t), 2 * np.abs(t), atol=1e-15)
-
-
-def test_rate_pair_rejects_mismatched_link():
-    with pytest.raises(ValueError):
-        kin.RatePair(lambda s: np.ones_like(np.asarray(s, dtype=float)),
-                     lambda t: np.abs(np.asarray(t, dtype=float)))  # missing factor 2
-
-
-def test_rate_convert_constant_roundtrip():
-    pair = kin.rate_convert(lambda s: np.ones_like(np.asarray(s, dtype=float)))
-    assert pair.is_constant
-    t = np.linspace(-1, 1, 101)
-    assert np.allclose(pair.Btilde(t), 2 * np.abs(t), atol=1e-14)
-
-
-def test_rate_convert_renormalizes_and_warns():
-    with pytest.warns(UserWarning, match="renormalizing"):
-        pair = kin.rate_convert(lambda s: 1.5 * np.asarray(s) ** 2)
-    s = np.linspace(-1, 1, 41)
-    # stored pair is normalized: B = 3 s^2, Btilde = 6|t|(1-2t^2)^2
-    assert np.allclose(pair.B(s), 3.0 * s * s, atol=1e-13)
-    assert np.allclose(pair.Btilde(s), 6 * np.abs(s) * (1 - 2 * s * s) ** 2, atol=1e-13)
-    # formula-level conversion of the raw input carries the renorm factor 2
-    assert np.allclose(pair.Btilde(s), 2.0 * (3 * np.abs(s) * (1 - 2 * s * s) ** 2), atol=1e-13)
-
-
-def test_rate_convert_rejects_odd():
-    with pytest.raises(ValueError, match="even"):
-        kin.rate_convert(lambda s: 1.0 + 0.5 * np.asarray(s))
 
 
 # ------------------------------------------------- collision map identities
@@ -268,47 +223,33 @@ def test_matched_parameterizations_agree():
 # --------------------------------------------------------- gain-term rates
 
 def test_effective_rates_elastic_identity():
-    pair = kin.RatePair.maxwell_constant()
-    Bp, Btp, Pp, Ptp = kin.effective_gain_rates(pair, 1.0)
+    # at e = 1 the effective rates are the bare B = 1 and Btilde(t) = 2|t|
+    Bp, Btp = kin.effective_gain_rates(1.0)
     s = np.linspace(-1, 1, 201)
-    assert np.allclose(Bp(s), pair.B(s), atol=1e-14)
-    assert np.allclose(Btp(s), pair.Btilde(s), atol=1e-14)
-    assert np.allclose(Pp(2.0, s), 1.0) and np.allclose(Ptp(2.0, s), 1.0)
+    assert np.allclose(Bp(s), 1.0, atol=1e-14)
+    assert np.allclose(Btp(s), 2.0 * np.abs(s), atol=1e-14)
 
 
 def test_effective_rates_endpoint_values():
-    pair = kin.RatePair.maxwell_constant()
-    Bp, Btp, _, _ = kin.effective_gain_rates(pair, 0.5)
+    Bp, Btp = kin.effective_gain_rates(0.5)
     assert float(Bp(1.0)) == pytest.approx(4.0, abs=1e-13)   # 1/e^2
     assert float(Bp(-1.0)) == pytest.approx(2.0, abs=1e-13)  # 1/e
     assert float(Btp(1.0)) == pytest.approx(4.0, abs=1e-13)  # 2/e at t=1
-
-
-def test_effective_rates_nontrivial_phi():
-    pair = kin.RatePair.maxwell_constant()
-    e = 0.6
-    phi = lambda r: np.asarray(r) ** 2
-    _, _, Pp, Ptp = kin.effective_gain_rates(pair, e, phi=phi, phitilde=phi)
-    s = np.linspace(-1, 1, 11)
-    r = 1.7
-    assert np.allclose(Pp(r, s), (r / (math.sqrt(2) * e)) ** 2 * ((1 + e * e) - (1 - e * e) * s))
-    assert np.allclose(Ptp(r, s), (r / e) ** 2 * (e * e + (1 - e * e) * s * s))
 
 
 def test_effective_gain_mass():
     # (1/2) int B_e+ = 2/(e(1+e)) for the constant rate
     from numpy.polynomial.legendre import leggauss
     x, w = leggauss(200)
-    pair = kin.RatePair.maxwell_constant()
     for e in (0.5, 0.8, 1.0):
-        Bp, _, _, _ = kin.effective_gain_rates(pair, e)
+        Bp, _ = kin.effective_gain_rates(e)
         mass = 0.5 * float(w @ Bp(x))
         assert mass == pytest.approx(2.0 / (e * (1 + e)), rel=1e-10)
 
 
 def test_effective_rates_reject_e_zero():
     with pytest.raises(ValueError):
-        kin.effective_gain_rates(kin.RatePair.maxwell_constant(), 0.0)
+        kin.effective_gain_rates(0.0)
 
 
 # ------------------------------------------------------------- Z identity

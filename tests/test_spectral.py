@@ -137,13 +137,12 @@ def test_gain_fixed_point_constant_quad_orders(quad_order):
 
 
 def test_dissipation_rate_single_source():
-    from maxcool.kinematics import RatePair, dissipation_constant
-    pair = RatePair.maxwell_constant()
+    from maxcool.kinematics import dissipation_rate
     for e in (0.1, 0.5, 0.9, 0.95, 0.99, 1.0):
         exact = (1.0 - e * e) / 8.0
         assert Restitution(e).E == exact
         assert sp.dissipation_rate(e) == exact
-        assert dissipation_constant(pair, e) == exact
+        assert dissipation_rate(e) == exact
 
 
 def test_gain_fixed_point_gaussian_elastic():
@@ -427,12 +426,11 @@ def test_evolve_trace_contents():
     B = sp.CharacteristicProfile.bimaxwellian(g)
     M = sp.CharacteristicProfile.maxwellian(g, 1.0)
     cfg = sp.SolverConfig(dt=0.01, t_max=0.1, frame="rescaled-g")
-    tr = sp.evolve(B, 0.9, cfg, reference=M, keep_profiles=True,
-                   extra_diagnostics=lambda p: {"const": 1.0})
+    tr = sp.evolve(B, 0.9, cfg, reference=M, keep_profiles=True)
     assert len(tr.times) == 11
     assert np.all(np.diff(tr.times) > 0)
     for key in ("m2", "temperature", "m4", "hr_0.5", "hr_1", "hr_2",
-                "sup_0.5", "d2_ref", "const"):
+                "sup_0.5", "d2_ref"):
         assert key in tr.diagnostics, key
         assert len(tr.diagnostics[key]) == 11
     assert len(tr.profiles) == 11
