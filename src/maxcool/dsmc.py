@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kinematics
-from .kinematics import Restitution, _block_rng, _check_e, _swap_forward, _uniform_sphere
+from .kinematics import Restitution, _check_e, block_rng, swap_forward, uniform_sphere
 
 __all__ = [
     "Ensemble",
@@ -153,7 +152,7 @@ def sample_initial(spec, N: int, seed: int, e: float = 1.0) -> Ensemble:
     N = int(N)
     if N < 2:
         raise ValueError("N must be at least 2")
-    rng = _block_rng(int(seed), 0)
+    rng = block_rng(int(seed), 0)
     draws = rng.standard_normal((N, 3))
     if spec["kind"] == "maxwellian":
         vel = draws * np.sqrt(spec["theta"])
@@ -243,8 +242,8 @@ def _apply_events(vel: np.ndarray, idx: np.ndarray, e: float,
         sel = idx[start:stop]
         vi = vel[sel[:, 0]]
         wj = vel[sel[:, 1]]
-        sigma = _uniform_sphere(rng, stop - start)
-        vp, wp, _, _ = _swap_forward(vi, wj, sigma, e)
+        sigma = uniform_sphere(rng, stop - start)
+        vp, wp, _, _ = swap_forward(vi, wj, sigma, e)
         vel[sel[:, 0]] = vp
         vel[sel[:, 1]] = wp
         start = stop
@@ -296,7 +295,7 @@ def run(ens: Ensemble, t_max: float, dt: float, x_grid=None,
 
     _record(0)
     for step in range(1, n_steps + 1):
-        rng = _block_rng(ens.seed, 1 + ens.steps_taken + step)
+        rng = block_rng(ens.seed, 1 + ens.steps_taken + step)
         n_events = int(rng.poisson(0.5 * n * dt))
         if n_events:
             i = rng.integers(0, n, n_events)

@@ -611,13 +611,13 @@ def _gaussian_kernel(seed: int):
 
 def _kinematics_exactness(e: float, n: int, seed: int) -> list[dict]:
     """Vectorized collision-law identities on n random triples at one e."""
-    rng = kin._block_rng(seed, 900 + int(round(1000 * e)))
+    rng = kin.block_rng(seed, 900 + int(round(1000 * e)))
     v = rng.standard_normal((n, 3))
     w = rng.standard_normal((n, 3))
-    sigma = kin._uniform_sphere(rng, n)
+    sigma = kin.uniform_sphere(rng, n)
     scale = float(np.max(np.abs(np.concatenate([v, w]))))
 
-    vp, wp, sigmap, _ = kin._swap_forward(v, w, sigma, e)
+    vp, wp, sigmap, _ = kin.swap_forward(v, w, sigma, e)
     checks = []
 
     mom = np.max(np.abs((vp + wp) - (v + w)))
@@ -642,7 +642,7 @@ def _kinematics_exactness(e: float, n: int, seed: int) -> list[dict]:
         "kinetic energy drops by (1-e^2)/2 times the squared normal velocity",
         err_energy, 1e-8, 1e-8 - err_energy, err_energy <= 1e-8))
 
-    vb, wb, sigmab, _ = kin._swap_inverse(vp, wp, sigmap, e)
+    vb, wb, sigmab, _ = kin.swap_inverse(vp, wp, sigmap, e)
     rt = max(np.max(np.abs(vb - v)), np.max(np.abs(wb - w)),
              np.max(np.abs(sigmab - sigma)))
     checks.append(_check(
@@ -652,8 +652,8 @@ def _kinematics_exactness(e: float, n: int, seed: int) -> list[dict]:
     # reflection picture on the converted normals, forward then inverse
     coef_f = 0.5 * (1.0 + e)
     coef_i = (1.0 + e) / (2.0 * e)
-    vr, wr = kin._reflect(v[ok], w[ok], nvec, coef_f)
-    vrb, wrb = kin._reflect(vr, wr, nvec, coef_i)
+    vr, wr = kin.reflect(v[ok], w[ok], nvec, coef_f)
+    vrb, wrb = kin.reflect(vr, wr, nvec, coef_i)
     rt_r = max(np.max(np.abs(vrb - v[ok])), np.max(np.abs(wrb - w[ok])))
     checks.append(_check(
         f"reflect-roundtrip e={e:g}", "inverse reflection map restores the pair exactly",
@@ -678,12 +678,18 @@ def _kinematics_exactness(e: float, n: int, seed: int) -> list[dict]:
         for j in range(6):
             vj = np.broadcast_to(basis[j, :3], nb.shape)
             wj = np.broadcast_to(basis[j, 3:], nb.shape)
-            J[:, :3, j], J[:, 3:, j] = kin._reflect(vj, wj, nb, coef_f)
+            J[:, :3, j], J[:, 3:, j] = kin.reflect(vj, wj, nb, coef_f)
         dets = np.abs(np.linalg.det(J))
         worst = max(worst, float(np.max(np.abs(dets - e))))
     checks.append(_check(
         f"jacobian e={e:g}", "volume contraction of the collision map equals e",
         worst, 1e-6, 1e-6 - worst, worst <= 1e-6))
+
+    # the vector identity behind the Fisher gain bound, at eta = v - w
+    z = float(np.max(kin.z_identity_residual(u, sigma, e) / unorm))
+    checks.append(_check(
+        f"z-identity e={e:g}", "the Z combination of eta+ and eta- equals its closed form",
+        z, 1e-10, 1e-10 - z, z <= 1e-10))
     return checks
 
 

@@ -3,11 +3,13 @@
 Two parameterizations of the same binary collision are supported: the
 reflection map (impact direction n, any unit vector) and the swapping map
 (post-collisional direction sigma). Both conserve momentum; energy in the
-relative coordinate is contracted by the restitution coefficient e. The
-module provides the forward and pre-collisional (inverse) maps, the n <-> sigma
-conversions with their measure factors, the effective gain-term rates produced
-by the change of variables, and Monte Carlo verification of the
-change-of-variables identities.
+relative coordinate is contracted by the restitution coefficient e. The maps
+act on (m, 3) arrays, one collision per row, and the pictures meet at
+sigma = k - 2(k.n)n with k = (v - w)/|v - w|. The module provides the forward
+and pre-collisional (inverse) maps, the Philox streams and uniform directions
+that draw collision parameters, the effective gain-term rates produced by the
+change of variables, the residual of the "Z identity" behind the Fisher gain
+bound, and Monte Carlo verification of the change-of-variables identities.
 
 The collision rate is the constant Maxwell rate: B(s) = 1 in the swapping
 picture (s = k.sigma) and Btilde(t) = 2|t| in the reflection picture
@@ -18,94 +20,24 @@ E = (1 - e^2)/8 in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 __all__ = [
-    "REFLECTION",
-    "SWAP",
-    "UnitVector3",
-    "CollisionTriple",
     "Restitution",
-    "collide",
-    "precollide",
-    "convert_param",
+    "reflect",
+    "swap_forward",
+    "swap_inverse",
+    "uniform_sphere",
+    "block_rng",
     "effective_gain_rates",
     "dissipation_rate",
     "fisher_growth_exponent",
-    "check_z_identity",
+    "z_identity_residual",
     "mc_change_of_variables",
 ]
-
-REFLECTION = "reflection"
-SWAP = "swap"
-
-
-def _as_triple_of_floats(x) -> np.ndarray:
-    a = np.asarray(x, dtype=float)
-    if a.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("vector has non-finite entries")
-    return a
-
-
-class UnitVector3:
-    """Direction on S^2, renormalized on construction.
-
-    Construction rejects vectors with norm below 1e-12; anything else is
-    scaled to unit length so downstream formulas may assume |n| = 1 exactly
-    to rounding.
-    """
-
-    __slots__ = ("vec",)
-
-    def __init__(self, vec) -> None:
-        if isinstance(vec, UnitVector3):
-            self.vec = vec.vec.copy()
-            return
-        a = _as_triple_of_floats(vec)
-        norm = float(np.linalg.norm(a))
-        if norm < 1e-12:
-            raise ValueError("cannot normalize a (near-)zero vector")
-        self.vec = a / norm
-
-    def dot(self, other) -> float:
-        o = other.vec if isinstance(other, UnitVector3) else _as_triple_of_floats(other)
-        return float(self.vec @ o)
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.vec, dtype=dtype)
-
-    def __repr__(self) -> str:
-        return f"UnitVector3({self.vec.tolist()})"
-
-
-@dataclass(frozen=True)
-class CollisionTriple:
-    """A velocity pair plus collision parameter (v, w, omega).
-
-    `param` selects the parameterization the omega direction refers to:
-    REFLECTION for the impact-direction map, SWAP for the post-collisional
-    direction map. `grazing` marks a swap collision that was skipped because
-    v == w leaves the direction of the relative velocity undefined.
-    """
-
-    v: np.ndarray
-    w: np.ndarray
-    omega: UnitVector3
-    param: str
-    grazing: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "v", _as_triple_of_floats(self.v))
-        object.__setattr__(self, "w", _as_triple_of_floats(self.w))
-        if not isinstance(self.omega, UnitVector3):
-            object.__setattr__(self, "omega", UnitVector3(self.omega))
-        if self.param not in (REFLECTION, SWAP):
-            raise ValueError(f"param must be {REFLECTION!r} or {SWAP!r}, got {self.param!r}")
 
 
 def _check_e(e, allow_zero: bool = False) -> float:
@@ -131,45 +63,39 @@ def dissipation_rate(e) -> float:
 class Restitution:
     """Restitution coefficient with its derived rate constants.
 
-    E is the energy dissipation constant, `growth` the Fisher-information
-    growth rate (1-e)(2+e+15e^2)/(8e^3), c1 = growth/2 - E, and omega the
-    small-inelasticity entropy production rate (2+e+15e^2)/(4e^3) - (1+e)/2.
-    E and growth vanish together exactly at e = 1.
+    E is the energy dissipation constant and `growth` the Fisher-information
+    growth rate (1-e)(2+e+15e^2)/(8e^3). They vanish together exactly at
+    e = 1.
     """
 
     e: float
     E: float = field(init=False)
     growth: float = field(init=False)
-    c1: float = field(init=False)
-    omega: float = field(init=False)
 
     def __post_init__(self):
         e = _check_e(self.e)
         object.__setattr__(self, "e", e)
-        E = dissipation_rate(e)
-        g = (1.0 - e) * (2.0 + e + 15.0 * e * e) / (8.0 * e ** 3)
-        object.__setattr__(self, "E", E)
-        object.__setattr__(self, "growth", g)
-        object.__setattr__(self, "c1", g / 2.0 - E)
-        object.__setattr__(self, "omega",
-                           (2.0 + e + 15.0 * e * e) / (4.0 * e ** 3) - (1.0 + e) / 2.0)
+        object.__setattr__(self, "E", dissipation_rate(e))
+        object.__setattr__(self, "growth",
+                           (1.0 - e) * (2.0 + e + 15.0 * e * e) / (8.0 * e ** 3))
 
 
-def fisher_growth_exponent(e) -> tuple[float, float, float]:
-    """Growth rate of Fisher information along the flow, for the constant rate.
-
-    Returns (growth, c1, trajectory_exponent) where trajectory_exponent =
-    growth - 2E bounds the log-derivative of I(g(t)) in the rescaled frame.
-    """
-    r = Restitution(_check_e(e))
-    return r.growth, r.c1, r.growth - 2.0 * r.E
+def fisher_growth_exponent(e) -> float:
+    """Trajectory exponent growth - 2E: bounds d/dt log I(g(t)) in the rescaled frame."""
+    r = Restitution(e)
+    return r.growth - 2.0 * r.E
 
 
 # ---------------------------------------------------------------------------
-# vectorized collision maps; (m, 3) arrays in, (m, 3) arrays out
+# collision maps; (m, 3) arrays in, (m, 3) arrays out
 
 
-def _reflect(v: np.ndarray, w: np.ndarray, n: np.ndarray, coef: float):
+def reflect(v: np.ndarray, w: np.ndarray, n: np.ndarray, coef: float):
+    """Reflection map at impact directions n (unit rows): returns (v', w').
+
+    v' = v - coef (u.n) n, w' = w + coef (u.n) n with u = v - w. The forward
+    collision is coef = (1+e)/2; its inverse is the same map at (1+e)/(2e).
+    """
     un = np.sum((v - w) * n, axis=-1, keepdims=True)
     return v - coef * un * n, w + coef * un * n
 
@@ -185,7 +111,14 @@ def _unit_rel(v: np.ndarray, w: np.ndarray):
     return u, unorm, k, safe[..., 0]
 
 
-def _swap_forward(v, w, sigma, e: float):
+def swap_forward(v, w, sigma, e: float):
+    """Swap collision map at post-collisional directions sigma (unit rows).
+
+    Returns (v', w', sigma', safe); sigma' takes (v', w') back under
+    swap_inverse. safe is False where |v - w| is below 1e-13 of the pair's
+    scale; there sigma' = sigma, and for v == w the map returns v, w and
+    sigma unchanged. e is not validated.
+    """
     z = 0.5 * (v + w)
     u, unorm, k, safe = _unit_rel(v, w)
     half = 0.25 * (1.0 - e) * u + 0.25 * (1.0 + e) * unorm * sigma
@@ -198,7 +131,13 @@ def _swap_forward(v, w, sigma, e: float):
     return vp, wp, sigmap, safe
 
 
-def _swap_inverse(v, w, sigma, e: float):
+def swap_inverse(v, w, sigma, e: float):
+    """Pre-collisional swap map, the inverse of swap_forward at the same e.
+
+    It divides by e, so e outside (0, 1] raises ValueError. The outputs and
+    the unsafe case (v == w: v, w and sigma unchanged) are as in swap_forward.
+    """
+    e = _check_e(e)
     z = 0.5 * (v + w)
     u, unorm, k, safe = _unit_rel(v, w)
     half = -(1.0 - e) / (4.0 * e) * u + (1.0 + e) / (4.0 * e) * unorm * sigma
@@ -209,61 +148,6 @@ def _swap_inverse(v, w, sigma, e: float):
     sigmas = ((1.0 + e) * k - (1.0 - e) * sigma) / denom
     sigmas = np.where(safe[..., None], sigmas, sigma)
     return vs, ws, sigmas, safe
-
-
-def collide(triple: CollisionTriple, e) -> CollisionTriple:
-    """Apply the forward collision map in the triple's own parameterization.
-
-    A swap triple with v == w is returned unchanged with grazing=True: the
-    relative direction is undefined there and the collision is a no-op.
-    """
-    e = _check_e(e)
-    n = triple.omega.vec
-    if triple.param == REFLECTION:
-        vp, wp = _reflect(triple.v, triple.w, n, 0.5 * (1.0 + e))
-        return replace(triple, v=vp, w=wp)
-    vp, wp, sp, safe = _swap_forward(triple.v[None], triple.w[None], n[None], e)
-    if not bool(safe[0]):
-        return replace(triple, grazing=True)
-    return replace(triple, v=vp[0], w=wp[0], omega=UnitVector3(sp[0]))
-
-
-def precollide(triple: CollisionTriple, e) -> CollisionTriple:
-    """Apply the pre-collisional (inverse) map; rejects e = 0.
-
-    collide(precollide(T, e), e) recovers T. In the reflection picture the
-    inverse is the forward map run at effective restitution 1/e.
-    """
-    e = _check_e(e)
-    n = triple.omega.vec
-    if triple.param == REFLECTION:
-        vs, ws = _reflect(triple.v, triple.w, n, (1.0 + e) / (2.0 * e))
-        return replace(triple, v=vs, w=ws)
-    vs, ws, ss, safe = _swap_inverse(triple.v[None], triple.w[None], n[None], e)
-    if not bool(safe[0]):
-        return replace(triple, grazing=True)
-    return replace(triple, v=vs[0], w=ws[0], omega=UnitVector3(ss[0]))
-
-
-def convert_param(k, omega, direction: str) -> UnitVector3:
-    """Convert the collision parameter between pictures at relative direction k.
-
-    direction "n_to_sigma": sigma = k - 2 (k.n) n.
-    direction "sigma_to_n": n = (k - sigma)/|k - sigma|; sigma parallel to k
-    is the degenerate grazing ray and is rejected. The round trip returns n up
-    to sign, and |k.n| = sqrt((1 - k.sigma)/2) ties the two measures together.
-    """
-    kv = UnitVector3(k).vec
-    ov = UnitVector3(omega).vec
-    if direction == "n_to_sigma":
-        return UnitVector3(kv - 2.0 * float(kv @ ov) * ov)
-    if direction == "sigma_to_n":
-        d = kv - ov
-        norm = float(np.linalg.norm(d))
-        if norm < 1e-12:
-            raise ValueError("sigma coincides with k: impact direction undefined")
-        return UnitVector3(d / norm)
-    raise ValueError(f"direction must be 'n_to_sigma' or 'sigma_to_n', got {direction!r}")
 
 
 def effective_gain_rates(e):
@@ -289,36 +173,36 @@ def effective_gain_rates(e):
     return B_e_plus, Btilde_e_plus
 
 
-def check_z_identity(eta, sigma, e) -> float:
-    """Residual of the vector identity used in the Fisher gain bound.
+def z_identity_residual(eta, sigma, e) -> np.ndarray:
+    """Residuals of the vector identity used in the Fisher gain bound.
 
-    With eta- = ((1+e)/4)(eta - |eta| sigma), eta+ = eta - eta-, unit
-    direction m = eta/|eta| and P_{sigma,m}(x) = (sigma.x) m + (m.sigma) x
-    - (m.x) sigma, the combination
+    For each row, with eta- = ((1+e)/4)(eta - |eta| sigma), eta+ = eta -
+    eta-, unit direction m = eta/|eta| and P_{sigma,m}(x) = (sigma.x) m +
+    (m.sigma) x - (m.x) sigma, the combination
 
       ((3e-1)/(4e)) eta+ + ((1+e)/(4e)) P(eta+) + ((1+e)/(4e)) eta-
         - ((1+e)/(4e)) P(eta-)
 
-    equals eta + ((1-e^2)/(4e)) ((eta.sigma) m - |eta| sigma). Returns the
-    euclidean norm of the difference; exact algebra gives ~1e-16 |eta|.
+    equals eta + ((1-e^2)/(4e)) ((eta.sigma) m - |eta| sigma). Takes (m, 3)
+    arrays (sigma of unit rows) and returns the (m,) euclidean norms of the
+    differences: ~1e-16 |eta| by exact algebra, and 0 where eta = 0.
     """
     e = _check_e(e)
-    eta = _as_triple_of_floats(eta)
-    sig = UnitVector3(sigma).vec
-    r = float(np.linalg.norm(eta))
-    if r == 0.0:
-        return 0.0
-    m = eta / r
-    eta_m = 0.25 * (1.0 + e) * (eta - r * sig)
+    r = np.linalg.norm(eta, axis=-1, keepdims=True)
+    m = eta / np.where(r > 0.0, r, 1.0)
+    eta_m = 0.25 * (1.0 + e) * (eta - r * sigma)
     eta_p = eta - eta_m
 
+    def dot(a, b):
+        return np.einsum("ij,ij->i", a, b)[:, None]
+
     def P(x):
-        return (sig @ x) * m + (m @ sig) * x - (m @ x) * sig
+        return dot(sigma, x) * m + dot(m, sigma) * x - dot(m, x) * sigma
 
     c = (1.0 + e) / (4.0 * e)
     Z = (3.0 * e - 1.0) / (4.0 * e) * eta_p + c * P(eta_p) + c * eta_m - c * P(eta_m)
-    target = eta + (1.0 - e * e) / (4.0 * e) * ((eta @ sig) * m - r * sig)
-    return float(np.linalg.norm(Z - target))
+    target = eta + (1.0 - e * e) / (4.0 * e) * (dot(eta, sigma) * m - r * sigma)
+    return np.linalg.norm(Z - target, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +211,14 @@ def check_z_identity(eta, sigma, e) -> float:
 _LOG_Q_NORM = -1.5 * math.log(2.0 * math.pi)
 
 
-def _block_rng(seed: int, tag: int) -> np.random.Generator:
+def block_rng(seed: int, tag: int) -> np.random.Generator:
+    """Philox stream keyed by (seed, tag) mod 2^64, one independent stream per pair."""
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, tag & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _uniform_sphere(rng: np.random.Generator, m: int) -> np.ndarray:
+def uniform_sphere(rng: np.random.Generator, m: int) -> np.ndarray:
+    """m uniform directions on S^2 as (m, 3) unit rows: normalised Gaussian draws."""
     x = rng.standard_normal((m, 3))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
@@ -346,7 +232,7 @@ def _mc_reduce(block_fn, samples: int, seed: int, tag0: int):
     b = 0
     while count < samples:
         m = min(block, samples - count)
-        vals = block_fn(_block_rng(seed, tag0 + b), m)
+        vals = block_fn(block_rng(seed, tag0 + b), m)
         if not np.all(np.isfinite(vals)):
             raise ValueError("kernel produced non-finite Monte Carlo samples")
         total += float(np.sum(vals))
@@ -359,7 +245,7 @@ def _mc_reduce(block_fn, samples: int, seed: int, tag0: int):
 
 
 def mc_change_of_variables(K: Callable, e, which: str = "sigma-theorem",
-                           samples: int = 10 ** 6, seed: int = 0, u=None):
+                           samples: int = 10 ** 6, seed: int = 0):
     """Monte Carlo check of a change-of-variables identity.
 
     which = "sigma-theorem": LHS integrates K[pre-collisional triple, triple]
@@ -367,8 +253,8 @@ def mc_change_of_variables(K: Callable, e, which: str = "sigma-theorem",
     K[triple, post-collisional triple] against the bare rate B = 1; the
     identity asserts equality. which = "n-theorem" is the reflection-picture
     analogue, with bare rate Btilde = 2|k.n|. which = "sphere-identity"
-    checks, for a fixed relative velocity u (default (2,0,0)) and a scalar
-    test function K on R^3,
+    checks, for the fixed relative velocity u = (2, 0, 0) and a scalar test
+    function K on R^3,
 
       mean_sigma K((u - |u| sigma)/2) = mean_n (2|u.n|/|u|) K((u.n) n),
 
@@ -385,17 +271,15 @@ def mc_change_of_variables(K: Callable, e, which: str = "sigma-theorem",
     seed = int(seed)
 
     if which == "sphere-identity":
-        uvec = _as_triple_of_floats((2.0, 0.0, 0.0) if u is None else u)
-        unorm = float(np.linalg.norm(uvec))
-        if unorm == 0.0:
-            raise ValueError("sphere identity needs a nonzero relative velocity")
+        uvec = np.array([2.0, 0.0, 0.0])
+        unorm = 2.0
 
         def lhs_block(rng, m):
-            sigma = _uniform_sphere(rng, m)
+            sigma = uniform_sphere(rng, m)
             return np.asarray(K((uvec[None] - unorm * sigma) / 2.0), dtype=float)
 
         def rhs_block(rng, m):
-            n = _uniform_sphere(rng, m)
+            n = uniform_sphere(rng, m)
             un = n @ uvec
             return (2.0 * np.abs(un) / unorm) * np.asarray(K(un[:, None] * n), dtype=float)
 
@@ -411,7 +295,7 @@ def mc_change_of_variables(K: Callable, e, which: str = "sigma-theorem",
     def draw(rng, m):
         v = rng.standard_normal((m, 3))
         w = rng.standard_normal((m, 3))
-        omega = _uniform_sphere(rng, m)
+        omega = uniform_sphere(rng, m)
         # inverse importance weight exp(|v|^2/2 + |w|^2/2) / (2 pi)^-3
         logw = 0.5 * (np.sum(v * v, axis=1) + np.sum(w * w, axis=1)) - 2.0 * _LOG_Q_NORM
         return v, w, omega, np.exp(logw)
@@ -421,14 +305,14 @@ def mc_change_of_variables(K: Callable, e, which: str = "sigma-theorem",
             v, w, sigma, wt = draw(rng, m)
             _, _, k, safe = _unit_rel(v, w)
             ks = np.sum(k * sigma, axis=1)
-            vs, ws, ss, _ = _swap_inverse(v, w, sigma, e)
+            vs, ws, ss, _ = swap_inverse(v, w, sigma, e)
             val = np.asarray(K(vs, ws, ss, v, w, sigma), dtype=float)
             return np.where(safe, val * B_e_plus(ks) * wt, 0.0)
 
         def rhs_block(rng, m):
             v, w, sigma, wt = draw(rng, m)
             _, _, _, safe = _unit_rel(v, w)
-            vp, wp, sp, _ = _swap_forward(v, w, sigma, e)
+            vp, wp, sp, _ = swap_forward(v, w, sigma, e)
             val = np.asarray(K(v, w, sigma, vp, wp, sp), dtype=float)
             return np.where(safe, val * wt, 0.0)
     else:
@@ -436,7 +320,7 @@ def mc_change_of_variables(K: Callable, e, which: str = "sigma-theorem",
             v, w, n, wt = draw(rng, m)
             _, _, k, safe = _unit_rel(v, w)
             kn = np.sum(k * n, axis=1)
-            vs, ws = _reflect(v, w, n, (1.0 + e) / (2.0 * e))
+            vs, ws = reflect(v, w, n, (1.0 + e) / (2.0 * e))
             val = np.asarray(K(vs, ws, n, v, w, n), dtype=float)
             return np.where(safe, val * Bt_e_plus(kn) * wt, 0.0)
 
@@ -444,7 +328,7 @@ def mc_change_of_variables(K: Callable, e, which: str = "sigma-theorem",
             v, w, n, wt = draw(rng, m)
             _, _, k, safe = _unit_rel(v, w)
             kn = np.sum(k * n, axis=1)
-            vp, wp = _reflect(v, w, n, 0.5 * (1.0 + e))
+            vp, wp = reflect(v, w, n, 0.5 * (1.0 + e))
             val = np.asarray(K(v, w, n, vp, wp, n), dtype=float)
             return np.where(safe, val * (2.0 * np.abs(kn)) * wt, 0.0)
 

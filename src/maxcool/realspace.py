@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import logging
 import math
-import re
 import warnings
 
 import numpy as np
@@ -366,7 +365,7 @@ def fisher_trajectory_check(phi0: CharacteristicProfile, e, config,
                             keep_profiles=True)
     fisher = np.array([fisher_information(reconstruct(p, r_nodes))
                        for p in trace.profiles])
-    exponent = fisher_growth_exponent(e)[2]
+    exponent = fisher_growth_exponent(e)
     bounds = fisher[0] * np.exp(exponent * trace.times) * (1.0 + slack)
     holds = bool(np.all(fisher <= bounds))
     report = {
@@ -578,26 +577,3 @@ def inequality_suite(phi: CharacteristicProfile, f: RadialDensity,
         raise AssertionError(f"inequality suite failed {len(failing)} checks: {failing!r}")
     return {"checks": checks, "all_hold": True, "n_checks": len(checks)}
 
-
-# ---------------------------------------------------------------------------
-# CSV round trip
-
-_DENSITY_HEADER = re.compile(r"#\s*maxcool-density\s+v1\b")
-
-
-def save_density(path, f: RadialDensity) -> None:
-    """Write (r, f) rows under the `# maxcool-density v1` header."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# maxcool-density v1\n")
-        for ri, vi in zip(f.r, f.values):
-            fh.write(f"{ri:.17g},{vi:.17g}\n")
-
-
-def load_density(path) -> RadialDensity:
-    """Read a density CSV; all type invariants are re-validated."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not _DENSITY_HEADER.match(header):
-            raise ValueError(f"not a maxcool-density file: header {header!r}")
-        data = np.loadtxt(fh, delimiter=",")
-    return RadialDensity(data[:, 0], data[:, 1])

@@ -49,12 +49,12 @@ def _verdict(n: int, ok: bool, detail: str) -> None:
 def test_criterion_1_kinematics_exactness(report):
     rows = [c for c in _rows(report, "kinematics")
             if not c["name"].startswith("mc-")]
-    assert len(rows) == 36  # 6 identity families x 6 restitution values
+    assert len(rows) == 42  # 7 identity families x 6 restitution values
     ok = all(c["status"] == "pass" for c in rows)
     worst = max(c["measured"] / c["bound"] for c in rows)
     fast_enough = report["suite_elapsed"]["kinematics"] < 360.0
     _verdict(1, ok and fast_enough,
-             f"36 identity checks at 1e6 triples each; worst error at "
+             f"42 identity checks at 1e6 triples each; worst error at "
              f"{worst:.1e} of its tolerance; suite took "
              f"{report['suite_elapsed']['kinematics']:.0f}s")
     assert ok and fast_enough

@@ -252,7 +252,7 @@ def test_verify_kinematics_fast_report_shape(tmp_path):
 
 
 def test_jacobian_check_tests_the_coded_reflection(monkeypatch):
-    # J is built from kinematics._reflect itself, so a wrong coefficient in
+    # J is built from kinematics.reflect itself, so a wrong coefficient in
     # the coded map must show up as a wrong volume contraction
     def jacobian(e):
         rows = harness._kinematics_exactness(e, 2000, seed=2)
@@ -260,8 +260,8 @@ def test_jacobian_check_tests_the_coded_reflection(monkeypatch):
 
     for e in (0.5, 0.9):
         assert jacobian(e)["status"] == "pass"
-    reflect = kin._reflect
-    monkeypatch.setattr(kin, "_reflect",
+    reflect = kin.reflect
+    monkeypatch.setattr(kin, "reflect",
                         lambda v, w, n, coef: reflect(v, w, n, coef * (1.0 + 1e-3)))
     for e in (0.5, 0.9):
         bad = jacobian(e)
@@ -356,6 +356,7 @@ def test_cli_kincheck(capsys):
     out = capsys.readouterr().out
     assert "[ok] swap-momentum e=0.5" in out
     assert "jacobian" in out
+    assert "[ok] z-identity e=0.5" in out
 
 
 def test_cli_dsmc_writes_artifact(tmp_path, capsys):

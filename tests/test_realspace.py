@@ -431,31 +431,3 @@ def test_rate_bookkeeping():
     with pytest.raises(ValueError):
         rs.l1_lemma_constant(0.0)
 
-
-# ---------------------------------------------------------------------------
-# persistence
-
-def test_density_csv_roundtrip(bimax, tmp_path):
-    _, fB = bimax
-    path = tmp_path / "density.csv"
-    rs.save_density(path, fB)
-    assert path.read_text().startswith("# maxcool-density v1\n")
-    loaded = rs.load_density(path)
-    assert np.array_equal(loaded.values, fB.values)
-    assert np.array_equal(loaded.r, fB.r)
-    bad = tmp_path / "bad.csv"
-    bad.write_text("r,f\n0.0,1.0\n")
-    with pytest.raises(ValueError, match="header"):
-        rs.load_density(bad)
-
-
-def test_density_csv_revalidates(tmp_path, r10):
-    # a file whose mass is off must be rejected on load
-    path = tmp_path / "halved.csv"
-    M = rs.RadialDensity.maxwellian(r10, 1.0)
-    with open(path, "w") as fh:
-        fh.write("# maxcool-density v1\n")
-        for ri, vi in zip(M.r, 0.5 * M.values):
-            fh.write(f"{ri},{vi}\n")
-    with pytest.raises(ValueError, match="mass"):
-        rs.load_density(path)
