@@ -176,8 +176,7 @@ def _cmd_dsmc(cfg: ExperimentConfig, x_grid: np.ndarray | None) -> int:
 
 def _cmd_steady(cfg: ExperimentConfig) -> int:
     grid = sp.RadialGrid(cfg.grid_n, cfg.x_max)
-    solver = sp.SolverConfig(dt=cfg.dt, t_max=cfg.t_max,
-                             quad_order=harness.QUAD_ORDER, frame="rescaled-g")
+    solver = sp.SolverConfig(dt=cfg.dt, t_max=cfg.t_max, frame="rescaled-g")
     phi = sp.steady_profile(cfg.e, solver, tol=cfg.tol, grid=grid)
     if cfg.out:
         sp.save_profile(cfg.out, phi, cfg.e, "rescaled-g")
@@ -195,8 +194,7 @@ def _cmd_steady(cfg: ExperimentConfig) -> int:
 
 
 def _cmd_sweep(cfg: ExperimentConfig) -> int:
-    solver = sp.SolverConfig(dt=cfg.dt, t_max=cfg.t_max,
-                             quad_order=harness.QUAD_ORDER, frame="rescaled-g")
+    solver = sp.SolverConfig(dt=cfg.dt, t_max=cfg.t_max, frame="rescaled-g")
     table = harness.sweep_epsilon(cfg.eps_values(), config=solver,
                                   grid=sp.RadialGrid(cfg.grid_n, cfg.x_max),
                                   tol=cfg.tol, raise_on_failure=False)

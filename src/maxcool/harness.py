@@ -7,10 +7,10 @@ precedence), the named verification suites that aggregate module-level
 assertions into a pass/fail report, and the small-inelasticity steady-state
 sweep. The suites read their sizes, steps, horizons and tolerances from one
 declared table (`FULL`, or `FAST` for smoke runs). A verify report and each
-of its artifacts carry a provenance stamp (suite, fast, that table, and the
-package versions) plus the SHA-256 of its canonical text; the other CLI
-artifacts embed their resolved configuration the same way. All randomness
-is seeded; reports are deterministic given the stamp.
+of its artifacts carry a provenance stamp (suite, fast, that table, the gain
+quadrature order and the package versions) plus the SHA-256 of its canonical
+text; the other CLI artifacts embed their resolved configuration the same
+way. All randomness is seeded; reports are deterministic given the stamp.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "RateFit",
     "fit_exponential_rate",
     "ExperimentConfig",
-    "QUAD_ORDER",
     "SuiteParams",
     "FULL",
     "FAST",
@@ -136,11 +135,6 @@ def fit_exponential_rate(series, window: tuple[float, float] | None = None) -> R
 # ---------------------------------------------------------------------------
 # suite parameters
 
-# Gain quadrature order of every steady solve, sweep and suite run; `evolve`
-# keeps the solver default.
-QUAD_ORDER = 32
-
-
 @dataclass(frozen=True)
 class SuiteParams:
     """Every size, step, horizon, tolerance and sample count of the suites.
@@ -180,12 +174,10 @@ class SuiteParams:
     sweep_t_max: float = 250.0
     decay_t_max: float = 10.0           # m2-rate runs, spectral and DSMC
     dsmc_dt: float = 0.01
-    quad_order: int = QUAD_ORDER
 
     def solver(self, dt: float, t_max: float,
                frame: str = "rescaled-g") -> sp.SolverConfig:
-        return sp.SolverConfig(dt=dt, t_max=t_max, quad_order=self.quad_order,
-                               frame=frame)
+        return sp.SolverConfig(dt=dt, t_max=t_max, frame=frame)
 
 
 FULL = SuiteParams(
@@ -223,6 +215,7 @@ def _provenance(suite: str, fast: bool) -> tuple[dict, str]:
     """The verify stamp and the SHA-256 of its canonical JSON text."""
     stamp = {"suite": suite, "fast": fast,
              "table": dataclasses.asdict(_params(fast)),
+             "quad_order": sp.QUAD_ORDER,
              "versions": {"maxcool": __version__, "numpy": np.__version__,
                           "scipy": scipy.__version__}}
     return stamp, hashlib.sha256(_canonical(stamp).encode("utf-8")).hexdigest()

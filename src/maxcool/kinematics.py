@@ -41,7 +41,7 @@ __all__ = [
 
 
 def _check_e(e, allow_zero: bool = False) -> float:
-    e = float(getattr(e, "e", e))
+    e = float(e)
     lo_ok = (e >= 0.0) if allow_zero else (e > 0.0)
     if not (lo_ok and e <= 1.0):
         lo = "[0, 1]" if allow_zero else "(0, 1]"

@@ -313,7 +313,7 @@ def fisher_information(f: RadialDensity) -> float:
 
 
 def fisher_gain_check(phi: CharacteristicProfile, e, r_nodes=None,
-                      quad_order: int = 64, f: RadialDensity | None = None) -> dict:
+                      f: RadialDensity | None = None) -> dict:
     """Check I(Q+ f) <= (1 + growth(e)) I(f) for the density behind phi.
 
     growth(e) = (1-e)(2+e+15e^2)/(8e^3); the factor tends to 1 as e -> 1.
@@ -328,7 +328,7 @@ def fisher_gain_check(phi: CharacteristicProfile, e, r_nodes=None,
         f = reconstruct(phi, r_nodes)
     elif r_nodes is not None and not np.array_equal(np.asarray(r_nodes, dtype=float), f.r):
         raise ValueError("f must be reconstructed on r_nodes")
-    gained = reconstruct(spectral.gain_fourier(phi, e, quad_order=quad_order), f.r)
+    gained = reconstruct(spectral.gain_fourier(phi, e), f.r)
     I_f = fisher_information(f)
     I_gain = fisher_information(gained)
     factor = 1.0 + Restitution(e).growth

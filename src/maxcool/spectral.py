@@ -50,6 +50,7 @@ from scipy.sparse import bsr_matrix
 from .kinematics import _check_e, dissipation_rate
 
 __all__ = [
+    "QUAD_ORDER",
     "RadialGrid",
     "CharacteristicProfile",
     "SolverConfig",
@@ -72,6 +73,11 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+# Gauss-Legendre order of the gain's s-quadrature. The s-integrand is analytic
+# (a-^2 and a+^2 are linear in s), so 32 nodes sit at round-off: one apply to
+# the (4096, 50) bimaxwellian is within 5.1e-15 of 256 nodes for e in [0.2, 0.99].
+QUAD_ORDER = 32
 
 DEFAULT_N = 4096
 DEFAULT_XMAX = 50.0
@@ -157,11 +163,15 @@ _FRAMES = ("unscaled-f", "rescaled-g")
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Time-stepping configuration for the spectral solver."""
+    """Time-stepping configuration for the spectral solver.
+
+    `quad_order` remains only for the benchmark's explicit calls; every other
+    caller runs at the default `QUAD_ORDER`.
+    """
 
     dt: float = 0.005
     t_max: float = 10.0
-    quad_order: int = 64
+    quad_order: int = QUAD_ORDER
     frame: str = "rescaled-g"
 
     def __post_init__(self):
@@ -169,8 +179,8 @@ class SolverConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not (self.t_max > 0 and math.isfinite(self.t_max)):
             raise ValueError(f"t_max must be positive, got {self.t_max}")
-        if self.quad_order < 32:
-            raise ValueError(f"quad_order must be at least 32, got {self.quad_order}")
+        if self.quad_order < QUAD_ORDER:
+            raise ValueError(f"quad_order must be at least {QUAD_ORDER}, got {self.quad_order}")
         if self.frame not in _FRAMES:
             raise ValueError(f"frame must be one of {_FRAMES}, got {self.frame!r}")
 
@@ -307,7 +317,7 @@ class _InterpPlan:
         return out.reshape(self.shape)
 
 
-def gain_scales(e: float, quad_order: int = 64):
+def gain_scales(e: float, quad_order: int = QUAD_ORDER):
     """Quadrature nodes s, weights w and the scale arrays (a-, a+)."""
     e = _check_e(e)
     s, w = leggauss(int(quad_order))
@@ -370,7 +380,8 @@ def _drift_plan(grid: RadialGrid, shift: float) -> _InterpPlan:
                                        grid.n, grid.dx))
 
 
-def gain_fourier(phi: CharacteristicProfile, e, quad_order: int = 64) -> CharacteristicProfile:
+def gain_fourier(phi: CharacteristicProfile, e,
+                 quad_order: int = QUAD_ORDER) -> CharacteristicProfile:
     """Apply the Fourier gain operator to a profile.
 
     phi == 1 is a fixed point for every e, bit for bit and independent of the
@@ -380,6 +391,8 @@ def gain_fourier(phi: CharacteristicProfile, e, quad_order: int = 64) -> Charact
     gain is evaluated in deviation form 1 + (1/2) w.(prod - 1), which adds
     exact zeros. For e = 1 every Maxwellian is a fixed point since
     a-^2 + a+^2 = 1. Output mass is exact: (Q+ phi)(0) = 1.
+
+    `quad_order` remains only for the benchmark's explicit calls.
     """
     e = _check_e(e)
     plan = _gain_plan(phi.grid, e, int(quad_order))
@@ -503,7 +516,7 @@ def evolve(phi0: CharacteristicProfile, e, config: SolverConfig,
                           config=config, e=e)
 
 
-def steady_residual(phi: CharacteristicProfile, e, quad_order: int = 64) -> float:
+def steady_residual(phi: CharacteristicProfile, e, quad_order: int = QUAD_ORDER) -> float:
     """Sup-norm of (Q+ phi - phi + E x phi') over the grid."""
     e = _check_e(e)
     gain = _gain_plan(phi.grid, e, int(quad_order))

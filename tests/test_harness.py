@@ -145,7 +145,7 @@ def test_provenance_embedding_round_trip(tmp_path):
 
 def test_save_trace_body_is_plain_csv(tmp_path):
     grid = sp.RadialGrid(256, 15.0)
-    cfg = sp.SolverConfig(dt=0.02, t_max=0.2, quad_order=32, frame="rescaled-g")
+    cfg = sp.SolverConfig(dt=0.02, t_max=0.2, frame="rescaled-g")
     trace = sp.evolve(sp.CharacteristicProfile.maxwellian(grid, 1.0), 0.9, cfg)
     path = tmp_path / "trace.csv"
     harness.save_trace(path, trace, 0.9, "rescaled")
@@ -177,8 +177,7 @@ def test_density_corpus_fast():
 
 _SWEEP_FAST = dict(grid=sp.RadialGrid(256, 15.0),
                    r_nodes=None, tol=1e-4,
-                   config=sp.SolverConfig(dt=0.05, t_max=60.0, quad_order=32,
-                                          frame="rescaled-g"))
+                   config=sp.SolverConfig(dt=0.05, t_max=60.0, frame="rescaled-g"))
 
 
 def test_sweep_validation():
@@ -216,8 +215,7 @@ def test_sweep_wide_step_fails_stability_only():
 
 
 def test_sweep_records_warnings_of_a_dropped_solve():
-    short = dict(_SWEEP_FAST, config=sp.SolverConfig(dt=0.05, t_max=0.05, quad_order=32,
-                                                     frame="rescaled-g"))
+    short = dict(_SWEEP_FAST, config=sp.SolverConfig(dt=0.05, t_max=0.05, frame="rescaled-g"))
     table = harness.sweep_epsilon([0.1], raise_on_failure=False, **short)
     assert table["rows"] == [] and len(table["dropped"]) == 1
     assert any("did not reach tol" in w for w in table["dropped"][0]["warnings"])
@@ -298,10 +296,14 @@ def test_verify_hash_covers_exactly_the_stamp(tmp_path, monkeypatch):
     assert base["provenance"]["fast"] is base["fast"] is True
     assert base["provenance"]["table"] == json.loads(json.dumps(
         dataclasses.asdict(harness.FAST)))
+    assert base["provenance"]["quad_order"] == sp.QUAD_ORDER
     assert report()["config_sha256"] != base["config_sha256"]
     monkeypatch.setattr(harness, "FAST", dataclasses.replace(harness.FAST,
                                                              mc_samples=40_000))
-    assert report("--fast")["config_sha256"] != base["config_sha256"]
+    fewer = report("--fast")["config_sha256"]
+    assert fewer != base["config_sha256"]
+    monkeypatch.setattr(sp, "QUAD_ORDER", 2 * sp.QUAD_ORDER)
+    assert report("--fast")["config_sha256"] != fewer
 
 
 def test_verify_all_fast_smoke(tmp_path):
@@ -412,8 +414,7 @@ def test_cli_steady_solves_as_the_sweep_does(tmp_path):
     # the CLI, a direct call and the sweep run one and the same steady solve
     eps, tol, grid = 0.1, 1e-4, sp.RadialGrid(256, 15.0)
     e = 1.0 - 2.0 * eps
-    config = sp.SolverConfig(dt=0.05, t_max=60.0, quad_order=harness.QUAD_ORDER,
-                             frame="rescaled-g")
+    config = sp.SolverConfig(dt=0.05, t_max=60.0, frame="rescaled-g")
     prof = tmp_path / "steady.csv"
     assert run_cli(["steady", "--e", repr(e), "--grid-n", "256", "--x-max", "15",
                     "--dt", "0.05", "--t-max", "60", "--tol", repr(tol),

@@ -57,6 +57,14 @@ def test_restitution_rejects(bad):
         kin.Restitution(bad)
 
 
+def test_e_must_be_a_number():
+    # an object that carries an e, such as a Restitution, is not an e
+    with pytest.raises(TypeError):
+        kin.dissipation_rate(kin.Restitution(0.5))
+    with pytest.raises(TypeError):
+        kin.Restitution(kin.Restitution(0.5))
+
+
 def test_dissipation_vanishes_only_at_elastic():
     for e in (0.1, 0.5, 0.9, 0.999):
         assert kin.dissipation_rate(e) > 0.0

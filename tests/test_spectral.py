@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maxcool import spectral as sp
+from maxcool import harness, realspace as rs, spectral as sp
 from maxcool.kinematics import Restitution
 
 
@@ -134,6 +134,27 @@ def test_gain_fixed_point_constant_quad_orders(quad_order):
     for e in (0.3, 0.9, 0.95, 1.0):
         out = sp.gain_fourier(one, e, quad_order=quad_order)
         assert np.array_equal(out.values, np.ones(g.n))
+
+
+def test_default_quad_order_is_at_round_off(steady_e09, monkeypatch):
+    # the s-integrand is analytic, so QUAD_ORDER nodes agree with 128 to
+    # round-off; bound fixed before the run (measured: <= 5.1e-15 on the
+    # bimaxwellian, 3.7e-14 on the steady profile)
+    monkeypatch.setattr(sp, "_GAIN_CACHE", {})  # plans of up to 59 MB each
+    B = sp.CharacteristicProfile.bimaxwellian(sp.RadialGrid(4096, 50.0))
+    for phi, e in [(B, e) for e in (0.2, 0.5, 0.8, 0.95, 0.99)] + [(steady_e09, 0.9)]:
+        dev = np.max(np.abs(sp.gain_fourier(phi, e).values
+                            - sp.gain_fourier(phi, e, quad_order=128).values))
+        assert dev <= 1e-13, (e, dev)
+        sp._GAIN_CACHE.clear()
+
+
+def test_every_gain_runs_at_the_one_quad_order(monkeypatch):
+    assert sp.SolverConfig().quad_order == sp.QUAD_ORDER
+    assert harness.FULL.solver(0.01, 1.0).quad_order == sp.QUAD_ORDER
+    monkeypatch.setattr(sp, "_GAIN_CACHE", {})
+    rs.fisher_gain_check(sp.CharacteristicProfile.maxwellian(sp.RadialGrid(1024, 30.0)), 0.9)
+    assert [key[-1] for key in sp._GAIN_CACHE] == [sp.QUAD_ORDER]
 
 
 def test_dissipation_rate_single_source():
@@ -470,7 +491,7 @@ def test_steady_profile_validation():
 
 
 def _steady_config(t_max: float = 250.0) -> sp.SolverConfig:
-    return sp.SolverConfig(dt=0.01, t_max=t_max, quad_order=32, frame="rescaled-g")
+    return sp.SolverConfig(dt=0.01, t_max=t_max, frame="rescaled-g")
 
 
 @pytest.mark.parametrize("e", [0.8, 0.9, 0.95])
@@ -528,7 +549,7 @@ def test_steady_profile_rejected_mixing_falls_back_to_the_image(monkeypatch):
         return (np.full(A.shape[1], 1e6),)
 
     monkeypatch.setattr(np.linalg, "lstsq", wild)
-    config = sp.SolverConfig(dt=0.05, t_max=60.0, quad_order=32, frame="rescaled-g")
+    config = sp.SolverConfig(dt=0.05, t_max=60.0, frame="rescaled-g")
     phi = sp.steady_profile(0.8, config, tol=1e-4, grid=sp.RadialGrid(256, 15.0))
     assert rejected and phi.meta["converged"]
 
@@ -536,8 +557,8 @@ def test_steady_profile_rejected_mixing_falls_back_to_the_image(monkeypatch):
 def test_steady_residual_discriminates(steady_e09):
     # a Maxwellian is far from stationary at e = 0.9
     M = sp.CharacteristicProfile.maxwellian(steady_e09.grid, 1.0)
-    assert sp.steady_residual(M, 0.9, quad_order=32) > 1e-4
-    assert sp.steady_residual(steady_e09, 0.9, quad_order=32) < 1e-6
+    assert sp.steady_residual(M, 0.9) > 1e-4
+    assert sp.steady_residual(steady_e09, 0.9) < 1e-6
 
 
 # ---------------------------------------------------------------------------
