@@ -22,13 +22,12 @@ distinct seeds are independent.
 
 from __future__ import annotations
 
-import re
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kinematics import Restitution, _check_e, block_rng, swap_forward, uniform_sphere
+from .kinematics import _check_e, block_rng, dissipation_rate, swap_forward, uniform_sphere
 
 __all__ = [
     "Ensemble",
@@ -38,10 +37,7 @@ __all__ = [
     "rescaled_estimates",
     "ecf",
     "save_series",
-    "load_series",
 ]
-
-_SERIES_HEADER = re.compile(r"#\s*maxcool-dsmc\s+v1\s+x_grid=(.*)$")
 
 
 @dataclass
@@ -92,55 +88,42 @@ class Ensemble:
                         steps_taken=self.steps_taken)
 
 
-def parse_initial_spec(spec):
-    """Normalize an initial-data spec to a dict.
+def parse_initial_spec(spec: str) -> dict:
+    """Parse an initial-data spec string to a dict with a "kind" key.
 
-    Accepts dicts like {"kind": "maxwellian", "theta": 1.0} or
-    {"kind": "mixture", "p": .5, "theta1": .6, "theta2": 1.4}, or the string
-    forms "maxwellian[:theta]" and "mixture:p,theta1,theta2" ("bimax" is an
-    alias for "mixture"). Returns a dict with a "kind" key.
+    The forms are "maxwellian[:theta]" (theta defaults to 1) and
+    "mixture:p,theta1,theta2" ("bimax" is an alias for "mixture"), giving
+    {"kind": "maxwellian", "theta": theta} or
+    {"kind": "mixture", "p": p, "theta1": theta1, "theta2": theta2}.
     """
-    if isinstance(spec, str):
-        name, _, rest = spec.partition(":")
-        name = name.strip().lower()
-        vals = [float(tok) for tok in rest.split(",") if tok.strip()] if rest else []
-        if name == "maxwellian":
-            if len(vals) > 1:
-                raise ValueError("maxwellian spec takes one parameter: theta")
-            spec = {"kind": "maxwellian", "theta": vals[0] if vals else 1.0}
-        elif name in ("mixture", "bimax"):
-            if len(vals) != 3:
-                raise ValueError("mixture spec needs three parameters: p,theta1,theta2")
-            spec = {"kind": "mixture", "p": vals[0], "theta1": vals[1], "theta2": vals[2]}
-        else:
-            raise ValueError(f"unknown initial spec kind {name!r}")
-    try:
-        kind = spec["kind"]
-    except (TypeError, KeyError):
-        raise ValueError("initial spec must be a string or a dict with a 'kind' key")
-    if kind == "maxwellian":
-        theta = float(spec.get("theta", 1.0))
+    name, _, rest = spec.partition(":")
+    name = name.strip().lower()
+    vals = [float(tok) for tok in rest.split(",") if tok.strip()] if rest else []
+    if name == "maxwellian":
+        if len(vals) > 1:
+            raise ValueError("maxwellian spec takes one parameter: theta")
+        theta = vals[0] if vals else 1.0
         if theta <= 0.0:
             raise ValueError(f"theta must be positive, got {theta}")
         return {"kind": "maxwellian", "theta": theta}
-    if kind in ("mixture", "bimax"):
-        p = float(spec["p"])
-        theta1 = float(spec["theta1"])
-        theta2 = float(spec["theta2"])
+    if name in ("mixture", "bimax"):
+        if len(vals) != 3:
+            raise ValueError("mixture spec needs three parameters: p,theta1,theta2")
+        p, theta1, theta2 = vals
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"mixture weight p must lie in [0, 1], got {p}")
         if theta1 <= 0.0 or theta2 <= 0.0:
             raise ValueError("mixture temperatures must be positive")
         return {"kind": "mixture", "p": p, "theta1": theta1, "theta2": theta2}
-    raise ValueError(f"unknown initial spec kind {kind!r}")
+    raise ValueError(f"unknown initial spec kind {name!r}")
 
 
-def sample_initial(spec, N: int, seed: int, e: float = 1.0) -> Ensemble:
+def sample_initial(spec: str, N: int, seed: int, e: float = 1.0) -> Ensemble:
     """Draw N i.i.d. velocities from an initial spec, mean-center, return an Ensemble.
 
-    spec: {"kind": "maxwellian", "theta": th} for an isotropic Gaussian, or
-    {"kind": "mixture", "p": p, "theta1": a, "theta2": b} for a two-temperature
-    Gaussian mixture (string shorthands accepted, see parse_initial_spec).
+    spec: "maxwellian[:theta]" for an isotropic Gaussian, or
+    "mixture:p,theta1,theta2" for a two-temperature Gaussian mixture (see
+    parse_initial_spec).
     Identical (spec, N, seed) give bit-identical ensembles. The empirical m2
     is checked against its target with a 5/sqrt(N) band; a miss only warns,
     since it is a legitimate sampling fluctuation and not a rare one. For a
@@ -331,8 +314,7 @@ def rescaled_estimates(series: dict, e: float) -> dict:
     e^{Et} x, so the recorded ECF values are reused with per-row abscissae
     x_grid e^{-Et}, returned as "x_rescaled".
     """
-    e = _check_e(e)
-    big_e = Restitution(e).E
+    big_e = dissipation_rate(e)
     t = np.asarray(series["t"], dtype=float)
     fac = np.exp(big_e * t)
     out = {
@@ -376,25 +358,3 @@ def save_series(path, series: dict) -> None:
         for row in table:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
-
-def load_series(path) -> dict:
-    """Read a series written by save_series."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        match = _SERIES_HEADER.match(header)
-        if not match:
-            raise ValueError(f"unrecognized series header: {header!r}")
-        x_text = match.group(1).strip()
-        x = np.array([float(tok) for tok in x_text.split(",") if tok.strip()])
-        line = fh.readline()  # column names; extra comment lines may precede
-        while line.lstrip().startswith("#"):
-            line = fh.readline()
-        table = np.loadtxt(fh, delimiter=",", ndmin=2)
-    expected = 6 + x.size
-    if table.shape[1] != expected:
-        raise ValueError(f"series has {table.shape[1]} columns, header implies {expected}")
-    series = {"t": table[:, 0], "m1": table[:, 1:4], "m2": table[:, 4], "m4": table[:, 5]}
-    if x.size:
-        series["x_grid"] = x
-        series["ecf"] = table[:, 6:]
-    return series

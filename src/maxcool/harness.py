@@ -175,10 +175,6 @@ class SuiteParams:
     decay_t_max: float = 10.0           # m2-rate runs, spectral and DSMC
     dsmc_dt: float = 0.01
 
-    def solver(self, dt: float, t_max: float,
-               frame: str = "rescaled-g") -> sp.SolverConfig:
-        return sp.SolverConfig(dt=dt, t_max=t_max, frame=frame)
-
 
 FULL = SuiteParams(
     dt=0.01, grid=(1024, 30.0), n_particles=100_000, run_t_max=40.0,
@@ -227,6 +223,19 @@ def _canonical(stamp: dict) -> str:
 
 # ---------------------------------------------------------------------------
 # experiment configuration
+
+def _check_eps(eps) -> tuple[float, ...]:
+    """The sweep's eps list as floats: nonempty, in (0, 0.25], strictly descending."""
+    vals = tuple(float(v) for v in eps)
+    if not vals:
+        raise ValueError("eps list must be nonempty")
+    for v in vals:
+        if not (0.0 < v <= 0.25):
+            raise ValueError(f"eps values must lie in (0, 0.25], got {v}")
+    if any(a <= b for a, b in zip(vals, vals[1:])):
+        raise ValueError("eps values must be strictly descending")
+    return vals
+
 
 def _cast_bool(text: str) -> bool:
     low = text.strip().lower()
@@ -288,17 +297,10 @@ class ExperimentConfig:
 
     def eps_values(self) -> tuple[float, ...]:
         try:
-            vals = tuple(float(s) for s in self.eps.split(","))
+            vals = [float(s) for s in self.eps.split(",")]
         except ValueError:
             raise ValueError(f"eps must be comma-separated floats, got {self.eps!r}")
-        if not vals:
-            raise ValueError("eps list is empty")
-        for v in vals:
-            if not (0.0 < v <= 0.25):
-                raise ValueError(f"eps values must be in (0, 0.25], got {v}")
-        if np.any(np.diff(vals) >= 0):
-            raise ValueError("eps values must be strictly descending")
-        return vals
+        return _check_eps(vals)
 
     def solver_frame(self) -> str:
         return _FRAME_ALIASES[self.frame]
@@ -333,17 +335,6 @@ class ExperimentConfig:
         return kv
 
     @classmethod
-    def from_text(cls, text: str) -> "ExperimentConfig":
-        return cls(**cls.parse_kv(text))
-
-    def to_file(self, path) -> None:
-        Path(path).write_text(self.to_text(), encoding="utf-8")
-
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        return cls.from_text(Path(path).read_text(encoding="utf-8"))
-
-    @classmethod
     def from_sources(cls, file_path=None, base: dict | None = None,
                      **overrides) -> "ExperimentConfig":
         """Resolve defaults < base < config file < overrides (None skipped)."""
@@ -369,8 +360,8 @@ def config_fingerprint(cfg: ExperimentConfig) -> tuple[str, str]:
 def embed_provenance(path, cfg: ExperimentConfig) -> None:
     """Insert the resolved config and its hash as comments after line 1.
 
-    All CSV loaders in this package skip comment lines after the format
-    header, so provenance embedding never breaks a round trip.
+    The format header stays the first line, and a reader that skips "#"
+    lines sees the same body as before.
     """
     text, sha = config_fingerprint(cfg)
     _insert_comments(path, [f"cfg {ln}" for ln in text.strip().splitlines()]
@@ -401,24 +392,20 @@ def save_trace(path, trace: sp.EvolutionTrace, e: float, frame: str) -> None:
 # ---------------------------------------------------------------------------
 # density corpus
 
-def density_corpus(e: float = 0.9, grid: sp.RadialGrid | None = None,
-                   r_nodes=None, tol: float = 1e-6, fast: bool = False) -> list[dict]:
+_CORPUS_E = 0.9      # restitution of the corpus's evolved and steady entries
+_CORPUS_TOL = 1e-6   # its steady solve's tolerance, floored by corpus_tol_floor
+
+
+def density_corpus(params: SuiteParams) -> list[dict]:
     """Five representative isotropic states with matched profile/density pairs.
 
     Two closed-form Maxwellian mixtures plus a unit Maxwellian, one profile
-    evolved in the rescaled frame, and the steady profile at `e`. Densities
-    for the evolved/steady entries are reconstructed on `r_nodes`.
+    evolved in the rescaled frame, and the steady profile at e = 0.9, on the
+    table's corpus grid. Densities for the evolved/steady entries are
+    reconstructed on its `r_nodes`.
     """
-    return _density_corpus(_params(fast), e, grid, r_nodes, tol)
-
-
-def _density_corpus(params: SuiteParams, e: float = 0.9,
-                    grid: sp.RadialGrid | None = None, r_nodes=None,
-                    tol: float = 1e-6) -> list[dict]:
-    if grid is None:
-        grid = sp.RadialGrid(*params.corpus_grid)
-    if r_nodes is None:
-        r_nodes = rs.default_r_nodes(*params.r_nodes)
+    grid = sp.RadialGrid(*params.corpus_grid)
+    r_nodes = rs.default_r_nodes(*params.r_nodes)
     t_ev = params.corpus_t_max
 
     phi_max = sp.CharacteristicProfile.maxwellian(grid, 1.0)
@@ -432,12 +419,13 @@ def _density_corpus(params: SuiteParams, e: float = 0.9,
         {"name": "mixture-b", "phi": phi_b,
          "f": rs.RadialDensity.mixture(r_nodes, 0.25, 0.5, 1.5)},
     ]
-    evolved = sp.evolve(phi_a, e, params.solver(params.dt, t_ev),
+    evolved = sp.evolve(phi_a, _CORPUS_E, sp.SolverConfig(dt=params.dt, t_max=t_ev),
                         diagnostics_schedule=[t_ev]).final
     entries.append({"name": "evolved", "phi": evolved,
                     "f": rs.reconstruct(evolved, r_nodes)})
-    steady = sp.steady_profile(e, params.solver(params.dt, params.corpus_steady_t_max),
-                               tol=max(tol, params.corpus_tol_floor), grid=grid)
+    steady = sp.steady_profile(_CORPUS_E,
+                               sp.SolverConfig(dt=params.dt, t_max=params.corpus_steady_t_max),
+                               tol=max(_CORPUS_TOL, params.corpus_tol_floor), grid=grid)
     entries.append({"name": "steady", "phi": steady,
                     "f": rs.reconstruct(steady, r_nodes)})
     return entries
@@ -473,23 +461,17 @@ def sweep_epsilon(eps_list, config: sp.SolverConfig | None = None,
     fails for eps ratios much above 2; `c_growth_ok` reports the one-sided
     reading (C never grows by more than 3x as eps decreases) separately.
     """
-    eps = np.asarray(list(eps_list), dtype=float)
-    if eps.ndim != 1 or len(eps) == 0:
-        raise ValueError("eps_list must be a nonempty 1-D sequence")
-    if np.any(~np.isfinite(eps)) or np.any(eps <= 0) or np.any(eps > 0.25):
-        raise ValueError("eps values must lie in (0, 0.25]")
-    if np.any(np.diff(eps) >= 0):
-        raise ValueError("eps values must be strictly descending")
+    eps = _check_eps(eps_list)
     if grid is None:
         grid = sp.RadialGrid(*FULL.sweep_grid)
     if r_nodes is None:
         r_nodes = rs.default_r_nodes(*FULL.r_nodes)
     if config is None:
-        config = FULL.solver(FULL.sweep_dt, FULL.sweep_t_max)
+        config = sp.SolverConfig(dt=FULL.sweep_dt, t_max=FULL.sweep_t_max)
 
     rows: list[dict] = []
     dropped: list[dict] = []
-    for ev in eps.tolist():
+    for ev in eps:
         e = 1.0 - 2.0 * ev
         phi, caught = _recording_warnings(sp.steady_profile, e, config, tol=tol,
                                           grid=grid)
@@ -719,7 +701,7 @@ def _suite_kinematics(params: SuiteParams) -> tuple[list[dict], dict]:
 def _ws_steady(ws: dict, params: SuiteParams) -> sp.CharacteristicProfile:
     if "steady_e095" not in ws:
         ws["steady_e095"], ws["steady_e095_warnings"] = _recording_warnings(
-            sp.steady_profile, 0.95, params.solver(params.dt, params.steady_t_max),
+            sp.steady_profile, 0.95, sp.SolverConfig(dt=params.dt, t_max=params.steady_t_max),
             tol=params.steady_tol, grid=sp.RadialGrid(*params.grid))
     return ws["steady_e095"]
 
@@ -729,14 +711,15 @@ def _ws_run(ws: dict, params: SuiteParams) -> sp.EvolutionTrace:
     if "run_e095" not in ws:
         steady = _ws_steady(ws, params)
         phi0 = sp.CharacteristicProfile.bimaxwellian(steady.grid, 0.5, 0.6, 1.4)
-        ws["run_e095"] = sp.evolve(phi0, 0.95, params.solver(params.dt, params.run_t_max),
+        ws["run_e095"] = sp.evolve(phi0, 0.95,
+                                   sp.SolverConfig(dt=params.dt, t_max=params.run_t_max),
                                    reference=steady)
     return ws["run_e095"]
 
 
 def _ws_corpus(ws: dict, params: SuiteParams) -> list[dict]:
     if "corpus" not in ws:
-        ws["corpus"] = _density_corpus(params)
+        ws["corpus"] = density_corpus(params)
     return ws["corpus"]
 
 
@@ -750,9 +733,9 @@ def _suite_fisher(ws: dict, params: SuiteParams) -> tuple[list[dict], dict]:
                                                      0.5, 0.6, 1.4)
         r_nodes = (None if params.fisher_r_nodes is None
                    else rs.default_r_nodes(*params.fisher_r_nodes))
-        rep = rs.fisher_trajectory_check(phi0, 0.95,
-                                         params.solver(params.dt, params.fisher_t_max),
-                                         r_nodes=r_nodes, n_checks=params.fisher_checks)
+        config = sp.SolverConfig(dt=params.dt, t_max=params.fisher_t_max)
+        rep = rs.fisher_trajectory_check(phi0, 0.95, config, r_nodes=r_nodes,
+                                         n_checks=params.fisher_checks)
         margin = float(np.min(np.array(rep["bounds"]) - np.array(rep["fisher"])))
         checks.append(_check("fisher-trajectory e=0.95", claim_traj,
                              margin, 0.0, margin, rep["holds"]))
@@ -815,8 +798,8 @@ def _suite_weak_decay(ws: dict, params: SuiteParams) -> tuple[list[dict], dict]:
     claim_sp = "temperature decays at rate 2E = (1-e^2)/4 in the unscaled frame"
     try:
         phi0 = sp.CharacteristicProfile.maxwellian(sp.RadialGrid(*params.grid), 1.0)
-        trace = sp.evolve(phi0, 0.5, params.solver(params.dt, params.decay_t_max,
-                                                   frame="unscaled-f"))
+        trace = sp.evolve(phi0, 0.5, sp.SolverConfig(dt=params.dt, t_max=params.decay_t_max,
+                                                     frame="unscaled-f"))
         fit = fit_exponential_rate((trace.times, trace.diagnostics["m2"]))
         target = 2.0 * sp.dissipation_rate(0.5)
         rel = abs(fit.rate - target) / target
@@ -863,21 +846,15 @@ def _suite_weak_decay(ws: dict, params: SuiteParams) -> tuple[list[dict], dict]:
     return checks, raw
 
 
-_REG_KEYS = ("sup_0.5", "hr_0.5", "hr_1", "hr_2")
-
-
 def _suite_regularity(ws: dict, params: SuiteParams) -> tuple[list[dict], dict]:
     checks: list[dict] = []
     raw: dict = {}
     steady = _ws_steady(ws, params)
     trace = _ws_run(ws, params)
-    steady_vals = {
-        "sup_0.5": sp.sup_weighted(steady, 0.5),
-        "hr_0.5": sp.sobolev_norm(steady, 0.5),
-        "hr_1": sp.sobolev_norm(steady, 1.0),
-        "hr_2": sp.sobolev_norm(steady, 2.0),
-    }
-    for key in _REG_KEYS:
+    # the run's regularity diagnostics, as `evolve` records them
+    steady_vals = {f"sup_{sp._SUP_DELTA:g}": sp.sup_weighted(steady, sp._SUP_DELTA)}
+    steady_vals.update({f"hr_{r:g}": sp.sobolev_norm(steady, r) for r in sp._SOBOLEV_ORDERS})
+    for key in steady_vals:
         claim = f"{key} stays within 5% of max(initial, steady) along the run"
         try:
             series = trace.diagnostics[key]
@@ -931,8 +908,8 @@ def _suite_frame_consistency(ws: dict, params: SuiteParams) -> tuple[list[dict],
         grid = sp.RadialGrid(*params.grid)
         T = params.frame_t_max
         phi0 = sp.CharacteristicProfile.bimaxwellian(grid, 0.5, 0.6, 1.4)
-        tr_g = sp.evolve(phi0, e, params.solver(params.dt, T), diagnostics_schedule=[T])
-        tr_f = sp.evolve(phi0, e, params.solver(params.dt, T, frame="unscaled-f"),
+        tr_g = sp.evolve(phi0, e, sp.SolverConfig(dt=params.dt, t_max=T), diagnostics_schedule=[T])
+        tr_f = sp.evolve(phi0, e, sp.SolverConfig(dt=params.dt, t_max=T, frame="unscaled-f"),
                          diagnostics_schedule=[T])
         fac = math.exp(E * T)
         x = grid.x[grid.x <= grid.x_max / fac * 0.98]
@@ -959,7 +936,8 @@ def _suite_frame_consistency(ws: dict, params: SuiteParams) -> tuple[list[dict],
         resc = dsmc.rescaled_estimates(series, e)
         ecf_vals = resc["ecf"][-1]
         phi_m = sp.CharacteristicProfile.maxwellian(sp.RadialGrid(*params.grid), 1.0)
-        trace = sp.evolve(phi_m, e, params.solver(params.dt, T), diagnostics_schedule=[T])
+        trace = sp.evolve(phi_m, e, sp.SolverConfig(dt=params.dt, t_max=T),
+                          diagnostics_schedule=[T])
         ref = sp.evaluate(trace.final, targets)
         worst = float(np.max(np.abs(ecf_vals - ref)))
         band = 3.0 / math.sqrt(n_part)
@@ -981,7 +959,7 @@ def _suite_sweep(ws: dict, params: SuiteParams) -> tuple[list[dict], dict]:
                   "consecutive eps points")
     try:
         table = sweep_epsilon(params.sweep_eps,
-                              config=params.solver(params.sweep_dt, params.sweep_t_max),
+                              config=sp.SolverConfig(dt=params.sweep_dt, t_max=params.sweep_t_max),
                               grid=sp.RadialGrid(*params.sweep_grid),
                               r_nodes=rs.default_r_nodes(*params.r_nodes),
                               tol=params.sweep_tol,

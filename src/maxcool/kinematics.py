@@ -20,13 +20,11 @@ E = (1 - e^2)/8 in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 __all__ = [
-    "Restitution",
     "reflect",
     "swap_forward",
     "swap_inverse",
@@ -34,56 +32,39 @@ __all__ = [
     "block_rng",
     "effective_gain_rates",
     "dissipation_rate",
+    "growth_rate",
     "fisher_growth_exponent",
     "z_identity_residual",
     "mc_change_of_variables",
 ]
 
 
-def _check_e(e, allow_zero: bool = False) -> float:
+def _check_e(e) -> float:
     e = float(e)
-    lo_ok = (e >= 0.0) if allow_zero else (e > 0.0)
-    if not (lo_ok and e <= 1.0):
-        lo = "[0, 1]" if allow_zero else "(0, 1]"
-        raise ValueError(f"restitution coefficient must lie in {lo}, got {e}")
+    if not (0.0 < e <= 1.0):
+        raise ValueError(f"restitution coefficient must lie in (0, 1], got {e}")
     return e
 
 
 def dissipation_rate(e) -> float:
     """Energy dissipation rate E = (1 - e^2)/8 of the constant-rate model.
 
-    The one definition of E. The sticky limit e = 0 is allowed here (E = 1/8)
-    although the collision maps themselves require e > 0.
+    The one definition of E.
     """
-    e = _check_e(e, allow_zero=True)
+    e = _check_e(e)
     return (1.0 - e * e) / 8.0
 
 
-@dataclass(frozen=True)
-class Restitution:
-    """Restitution coefficient with its derived rate constants.
-
-    E is the energy dissipation constant and `growth` the Fisher-information
-    growth rate (1-e)(2+e+15e^2)/(8e^3). They vanish together exactly at
-    e = 1.
-    """
-
-    e: float
-    E: float = field(init=False)
-    growth: float = field(init=False)
-
-    def __post_init__(self):
-        e = _check_e(self.e)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "E", dissipation_rate(e))
-        object.__setattr__(self, "growth",
-                           (1.0 - e) * (2.0 + e + 15.0 * e * e) / (8.0 * e ** 3))
+def growth_rate(e) -> float:
+    """Fisher-information growth rate (1-e)(2+e+15e^2)/(8e^3) of one gain
+    application; it vanishes exactly at e = 1, together with E."""
+    e = _check_e(e)
+    return (1.0 - e) * (2.0 + e + 15.0 * e * e) / (8.0 * e ** 3)
 
 
 def fisher_growth_exponent(e) -> float:
     """Trajectory exponent growth - 2E: bounds d/dt log I(g(t)) in the rescaled frame."""
-    r = Restitution(e)
-    return r.growth - 2.0 * r.E
+    return growth_rate(e) - 2.0 * dissipation_rate(e)
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +233,7 @@ def mc_change_of_variables(K: Callable, e, which: str = "sigma-theorem",
     against the effective gain rate in the swapping picture, RHS integrates
     K[triple, post-collisional triple] against the bare rate B = 1; the
     identity asserts equality. which = "n-theorem" is the reflection-picture
-    analogue, with bare rate Btilde = 2|k.n|. which = "sphere-identity"
-    checks, for the fixed relative velocity u = (2, 0, 0) and a scalar test
-    function K on R^3,
-
-      mean_sigma K((u - |u| sigma)/2) = mean_n (2|u.n|/|u|) K((u.n) n),
-
-    both sides as expectations over a uniformly drawn direction.
+    analogue, with bare rate Btilde = 2|k.n|.
 
     Velocities are importance-sampled from a standard Gaussian; kernels must
     decay fast enough (Gaussian-bump test kernels with width <= 1 do). LHS
@@ -269,23 +244,6 @@ def mc_change_of_variables(K: Callable, e, which: str = "sigma-theorem",
     if samples < 1:
         raise ValueError("samples must be positive")
     seed = int(seed)
-
-    if which == "sphere-identity":
-        uvec = np.array([2.0, 0.0, 0.0])
-        unorm = 2.0
-
-        def lhs_block(rng, m):
-            sigma = uniform_sphere(rng, m)
-            return np.asarray(K((uvec[None] - unorm * sigma) / 2.0), dtype=float)
-
-        def rhs_block(rng, m):
-            n = uniform_sphere(rng, m)
-            un = n @ uvec
-            return (2.0 * np.abs(un) / unorm) * np.asarray(K(un[:, None] * n), dtype=float)
-
-        lhs, se_l = _mc_reduce(lhs_block, samples, seed, 0)
-        rhs, se_r = _mc_reduce(rhs_block, samples, seed, 1 << 62)
-        return lhs, rhs, se_l, se_r
 
     if which not in ("sigma-theorem", "n-theorem"):
         raise ValueError(f"unknown identity {which!r}")

@@ -36,8 +36,30 @@ import warnings
 import numpy as np
 
 from . import spectral
-from .kinematics import Restitution, _check_e, fisher_growth_exponent
+from .kinematics import _check_e, fisher_growth_exponent, growth_rate
 from .spectral import CharacteristicProfile, RadialGrid, trapezoid
+
+__all__ = [
+    "RadialDensity",
+    "simpson_weights",
+    "simpson",
+    "default_r_nodes",
+    "reconstruct",
+    "characteristic_from_density",
+    "fisher_information",
+    "fisher_gain_check",
+    "fisher_trajectory_check",
+    "fourier_sup_vs_fisher",
+    "l1_distance",
+    "l2_norm",
+    "relative_entropy",
+    "entropy_route_check",
+    "nash_constant",
+    "interpolation_constants",
+    "l1_lemma_constant",
+    "l1_decay_rate",
+    "inequality_suite",
+]
 
 logger = logging.getLogger(__name__)
 
@@ -49,6 +71,8 @@ _MASS_TOL = 1e-6
 # Fisher support cut: the log-derivative amplifies tail noise quadratically
 _SUPPORT_FLOOR = 1e-14
 _TAIL_TARGET = 1e-8  # required profile decay at x_max before inversion
+# multiplicative allowance of the Fisher trajectory bound for discretization
+_FISHER_SLACK = 0.02
 
 
 def simpson_weights(x: np.ndarray) -> np.ndarray:
@@ -102,9 +126,9 @@ class RadialDensity:
     4 pi int r^2 f dr must equal 1 within 1e-6. mass and m2 are cached.
     """
 
-    __slots__ = ("r", "values", "dr", "mass", "m2", "clipped_mass", "meta")
+    __slots__ = ("r", "values", "dr", "mass", "m2", "clipped_mass")
 
-    def __init__(self, r_nodes, f_values, meta: dict | None = None) -> None:
+    def __init__(self, r_nodes, f_values) -> None:
         r = _check_r_nodes(r_nodes)
         f = np.asarray(f_values, dtype=float)
         if f.shape != r.shape:
@@ -128,7 +152,6 @@ class RadialDensity:
         self.mass = mass
         self.m2 = FOUR_PI * float(simpson(r ** 4 * f, r))
         self.clipped_mass = clipped
-        self.meta = dict(meta) if meta else {}
 
     @classmethod
     def maxwellian(cls, r_nodes, theta: float = 1.0) -> "RadialDensity":
@@ -136,7 +159,7 @@ class RadialDensity:
         if not (theta > 0):
             raise ValueError("theta must be positive")
         vals = (2.0 * math.pi * theta) ** -1.5 * np.exp(-r * r / (2.0 * theta))
-        return cls(r, vals, meta={"kind": "maxwellian", "theta": theta})
+        return cls(r, vals)
 
     @classmethod
     def mixture(cls, r_nodes, p: float = 0.5, theta1: float = 0.6,
@@ -149,17 +172,13 @@ class RadialDensity:
         vals = (p * (2.0 * math.pi * theta1) ** -1.5 * np.exp(-r * r / (2.0 * theta1))
                 + (1.0 - p) * (2.0 * math.pi * theta2) ** -1.5
                 * np.exp(-r * r / (2.0 * theta2)))
-        return cls(r, vals, meta={"kind": "mixture", "p": p,
-                                  "theta1": theta1, "theta2": theta2})
+        return cls(r, vals)
 
     def moment(self, order: float) -> float:
         """Radial velocity moment 4 pi int r^{2+order} f dr (order >= 0)."""
         if order < 0:
             raise ValueError("moment order must be nonnegative")
         return FOUR_PI * float(simpson(self.r ** (2.0 + order) * self.values, self.r))
-
-    def copy(self) -> "RadialDensity":
-        return RadialDensity(self.r.copy(), self.values.copy(), meta=self.meta)
 
     def __repr__(self) -> str:
         return (f"RadialDensity(n={len(self.r)}, r_max={self.r[-1]:g}, "
@@ -251,8 +270,7 @@ def reconstruct(phi: CharacteristicProfile, r_nodes) -> RadialDensity:
         raise ValueError(
             f"inversion clipped mass {clipped:.3e} exceeds budget {_CLIP_BUDGET:g}; "
             f"estimated required x_max ~ {need:.3g}")
-    return RadialDensity(r, f, meta={"source": "reconstruct", "time": phi.time,
-                                     "x_max": x_max})
+    return RadialDensity(r, f)
 
 
 def characteristic_from_density(f: RadialDensity, grid: RadialGrid) -> CharacteristicProfile:
@@ -275,7 +293,7 @@ def characteristic_from_density(f: RadialDensity, grid: RadialGrid) -> Character
     integrals = _sine_transform(wf * f.r, f.r, x)
     vals[1:] = FOUR_PI * integrals[1:] / x[1:]
     vals /= vals[0]
-    return CharacteristicProfile(grid, vals, meta={"source": "forward-transform"})
+    return CharacteristicProfile(grid, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +349,7 @@ def fisher_gain_check(phi: CharacteristicProfile, e, r_nodes=None,
     gained = reconstruct(spectral.gain_fourier(phi, e), f.r)
     I_f = fisher_information(f)
     I_gain = fisher_information(gained)
-    factor = 1.0 + Restitution(e).growth
+    factor = 1.0 + growth_rate(e)
     report = {
         "e": e,
         "fisher_before": I_f,
@@ -346,13 +364,13 @@ def fisher_gain_check(phi: CharacteristicProfile, e, r_nodes=None,
 
 
 def fisher_trajectory_check(phi0: CharacteristicProfile, e, config,
-                            r_nodes=None, n_checks: int = 9,
-                            slack: float = 0.02) -> dict:
+                            r_nodes=None, n_checks: int = 9) -> dict:
     """Evolve in the rescaled frame and check the Fisher growth bound.
 
-    Asserts I(g(t)) <= exp((growth - 2E) t) I(g(0)) with multiplicative slack
-    for discretization. Also reports whether I is non-increasing after the
-    first sample (typically observed; stronger than the bound, not asserted).
+    Asserts I(g(t)) <= exp((growth - 2E) t) I(g(0)) (1 + slack), with the
+    fixed slack 0.02 for discretization, which the report carries. Also
+    reports whether I is non-increasing after the first sample (typically
+    observed; stronger than the bound, not asserted).
     On failure the report carries the full trace and an error is logged.
     """
     e = _check_e(e)
@@ -366,12 +384,12 @@ def fisher_trajectory_check(phi0: CharacteristicProfile, e, config,
     fisher = np.array([fisher_information(reconstruct(p, r_nodes))
                        for p in trace.profiles])
     exponent = fisher_growth_exponent(e)
-    bounds = fisher[0] * np.exp(exponent * trace.times) * (1.0 + slack)
+    bounds = fisher[0] * np.exp(exponent * trace.times) * (1.0 + _FISHER_SLACK)
     holds = bool(np.all(fisher <= bounds))
     report = {
         "e": e,
         "exponent": exponent,
-        "slack": slack,
+        "slack": _FISHER_SLACK,
         "times": trace.times.tolist(),
         "fisher": fisher.tolist(),
         "bounds": bounds.tolist(),
@@ -507,31 +525,25 @@ def _hdot(x: np.ndarray, vals: np.ndarray, r: float) -> float:
     return math.sqrt(FOUR_PI * trapezoid(x ** (2.0 * r + 2.0) * vals ** 2, x))
 
 
-_DEFAULT_NASH = tuple((r, d) for r in (0.75, 1.0, 1.5) for d in (0.25, 0.5, 0.75))
-_DEFAULT_INTERP = tuple((0.0, b1, b2) for b1 in (0.5, 1.0, 2.0) for b2 in (0.3, 0.5, 0.7))
-_DEFAULT_P = (0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0)
+_NASH = tuple((r, d) for r in (0.75, 1.0, 1.5) for d in (0.25, 0.5, 0.75))
+_INTERPOLATION = tuple((0.0, b1, b2) for b1 in (0.5, 1.0, 2.0) for b2 in (0.3, 0.5, 0.7))
+_L1_P = (0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0)
 
 
-def inequality_suite(phi: CharacteristicProfile, f: RadialDensity,
-                     params: dict | None = None) -> dict:
+def inequality_suite(phi: CharacteristicProfile, f: RadialDensity) -> dict:
     """Evaluate the Nash, interpolation, and L2+moment->L1 inequalities.
 
-    params keys (all optional): "nash" as (r, delta) pairs, "interpolation"
-    as (s, beta1, beta2) triples, "l1" as p values, "reference" as a matched
-    (phi_ref, f_ref) pair for the interpolation difference. The default
-    reference is the Maxwellian at 1.2x the profile's temperature, so the
-    difference is nonzero for every input including Maxwellians themselves.
-    Asserts every inequality; on failure raises with all terms dumped.
+    Nash at the (r, delta) pairs of `_NASH`, interpolation at the
+    (s, beta1, beta2) triples of `_INTERPOLATION`, L2+moment->L1 at the p
+    values of `_L1_P`. The interpolation difference is taken against the
+    Maxwellian at 1.2x the profile's temperature, so it is nonzero for every
+    input including Maxwellians themselves. Asserts every inequality; on
+    failure raises with all terms dumped.
     Returns {"checks": [...], "all_hold": True, "n_checks": ...}.
     """
-    params = dict(params) if params else {}
-    nash_grid = params.get("nash", _DEFAULT_NASH)
-    interp_grid = params.get("interpolation", _DEFAULT_INTERP)
-    p_grid = params.get("l1", _DEFAULT_P)
-
     checks = []
 
-    for r, d in nash_grid:
+    for r, d in _NASH:
         c = nash_constant(r, d)
         expo = (2.0 * r + 3.0) / (2.0 * r + 3.0 - d)
         lhs = spectral.sobolev_norm(phi, r)
@@ -540,18 +552,12 @@ def inequality_suite(phi: CharacteristicProfile, f: RadialDensity,
                        "constant": c, "lhs": lhs, "rhs": rhs,
                        "slack": lhs - rhs, "holds": bool(lhs >= rhs)})
 
-    reference = params.get("reference")
-    if reference is None:
-        theta_ref = 1.2 * spectral.moment(phi, 2) / 3.0
-        phi_ref = CharacteristicProfile.maxwellian(phi.grid, theta_ref)
-    else:
-        phi_ref = reference[0]
-        if not phi.grid.matches(phi_ref.grid):
-            raise ValueError("reference profile must share phi's grid")
+    theta_ref = 1.2 * spectral.moment(phi, 2) / 3.0
+    phi_ref = CharacteristicProfile.maxwellian(phi.grid, theta_ref)
     diff = phi.values - phi_ref.values
     x = phi.grid.x
     d2 = spectral.d2_distance(phi, phi_ref, warn_temperature=False)
-    for s, b1, b2 in interp_grid:
+    for s, b1, b2 in _INTERPOLATION:
         C, r1, r2 = interpolation_constants(s, b1, b2)
         lhs = _hdot(x, diff, s)
         rhs = C * d2 ** (1.0 - b2) * min(_hdot(x, diff, r1), _hdot(x, diff, r2)) ** b2
@@ -562,7 +568,7 @@ def inequality_suite(phi: CharacteristicProfile, f: RadialDensity,
                        "slack": rhs - lhs, "holds": bool(lhs <= rhs)})
 
     l2sq = l2_norm(f) ** 2
-    for p in p_grid:
+    for p in _L1_P:
         C = l1_lemma_constant(p)
         q = 3.0 + 4.0 * p
         rhs = C * l2sq ** (2.0 * p / q) * f.moment(2.0 * p) ** (3.0 / q)

@@ -39,9 +39,8 @@ from __future__ import annotations
 
 import logging
 import math
-import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -69,7 +68,6 @@ __all__ = [
     "gamma_constants",
     "evaluate",
     "save_profile",
-    "load_profile",
 ]
 
 logger = logging.getLogger(__name__)
@@ -111,13 +109,12 @@ class CharacteristicProfile:
     """Radial characteristic profile phi on a grid at a given time.
 
     phi(0) = 1 (unit mass) and |phi| <= 1 + 1e-9 are enforced; values must be
-    real and finite. `meta` is free-form storage for solver reports.
+    real and finite. `meta` holds the report of a steady solve (empty otherwise).
     """
 
     __slots__ = ("grid", "values", "time", "meta")
 
-    def __init__(self, grid: RadialGrid, values, time: float = 0.0,
-                 meta: dict | None = None) -> None:
+    def __init__(self, grid: RadialGrid, values, time: float = 0.0) -> None:
         vals = np.asarray(values, dtype=float)
         if vals.shape != (grid.n,):
             raise ValueError(f"values shape {vals.shape} does not match grid n={grid.n}")
@@ -131,28 +128,24 @@ class CharacteristicProfile:
         self.grid = grid
         self.values = vals
         self.time = float(time)
-        self.meta = {} if meta is None else meta
+        self.meta = {}
 
     @classmethod
-    def maxwellian(cls, grid: RadialGrid, theta: float = 1.0, time: float = 0.0):
+    def maxwellian(cls, grid: RadialGrid, theta: float = 1.0):
         if theta <= 0:
             raise ValueError("temperature must be positive")
-        return cls(grid, np.exp(-0.5 * theta * grid.x ** 2), time)
+        return cls(grid, np.exp(-0.5 * theta * grid.x ** 2))
 
     @classmethod
     def bimaxwellian(cls, grid: RadialGrid, p: float = 0.5, theta1: float = 0.6,
-                     theta2: float = 1.4, time: float = 0.0):
+                     theta2: float = 1.4):
         if not (0.0 <= p <= 1.0) or theta1 <= 0 or theta2 <= 0:
             raise ValueError("mixture needs p in [0,1] and positive temperatures")
         x2 = grid.x ** 2
-        return cls(grid, p * np.exp(-0.5 * theta1 * x2) + (1 - p) * np.exp(-0.5 * theta2 * x2),
-                   time)
+        return cls(grid, p * np.exp(-0.5 * theta1 * x2) + (1 - p) * np.exp(-0.5 * theta2 * x2))
 
-    def copy(self, values=None, time=None) -> "CharacteristicProfile":
-        return CharacteristicProfile(
-            self.grid,
-            self.values.copy() if values is None else values,
-            self.time if time is None else time)
+    def copy(self) -> "CharacteristicProfile":
+        return CharacteristicProfile(self.grid, self.values.copy(), self.time)
 
     def __repr__(self) -> str:
         return f"CharacteristicProfile(n={self.grid.n}, x_max={self.grid.x_max}, t={self.time})"
@@ -166,7 +159,8 @@ class SolverConfig:
     """Time-stepping configuration for the spectral solver.
 
     `quad_order` remains only for the benchmark's explicit calls; every other
-    caller runs at the default `QUAD_ORDER`.
+    caller runs at the default `QUAD_ORDER`. `gain_scales` rejects an order
+    below it.
     """
 
     dt: float = 0.005
@@ -179,8 +173,6 @@ class SolverConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if not (self.t_max > 0 and math.isfinite(self.t_max)):
             raise ValueError(f"t_max must be positive, got {self.t_max}")
-        if self.quad_order < QUAD_ORDER:
-            raise ValueError(f"quad_order must be at least {QUAD_ORDER}, got {self.quad_order}")
         if self.frame not in _FRAMES:
             raise ValueError(f"frame must be one of {_FRAMES}, got {self.frame!r}")
 
@@ -193,8 +185,6 @@ class EvolutionTrace:
     diagnostics: dict[str, np.ndarray]
     final: CharacteristicProfile
     profiles: list[CharacteristicProfile] | None = None
-    config: SolverConfig | None = None
-    e: float | None = None
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -318,8 +308,14 @@ class _InterpPlan:
 
 
 def gain_scales(e: float, quad_order: int = QUAD_ORDER):
-    """Quadrature nodes s, weights w and the scale arrays (a-, a+)."""
+    """Quadrature nodes s, weights w and the scale arrays (a-, a+).
+
+    Orders below `QUAD_ORDER` are rejected: they are not at round-off. Every
+    gain path (`step`, `gain_fourier`, `steady_residual`) builds its plan here.
+    """
     e = _check_e(e)
+    if quad_order < QUAD_ORDER:
+        raise ValueError(f"quad_order must be at least {QUAD_ORDER}, got {quad_order}")
     s, w = leggauss(int(quad_order))
     a_minus = 0.25 * (1.0 + e) * np.sqrt(2.0 * (1.0 - s))
     a_plus = np.sqrt(((3.0 - e) / 4.0) ** 2 + ((1.0 + e) / 4.0) ** 2
@@ -512,8 +508,7 @@ def evolve(phi0: CharacteristicProfile, e, config: SolverConfig,
     keys = rows[0].keys() if rows else []
     diags = {k: np.array([r[k] for r in rows]) for k in keys}
     return EvolutionTrace(np.array(times), diags, final=phi,
-                          profiles=profiles if keep_profiles else None,
-                          config=config, e=e)
+                          profiles=profiles if keep_profiles else None)
 
 
 def steady_residual(phi: CharacteristicProfile, e, quad_order: int = QUAD_ORDER) -> float:
@@ -681,8 +676,8 @@ def steady_profile(e, config: SolverConfig | None = None, tol: float = 1e-7,
 # functionals on profiles
 
 def d2_distance(phi1: CharacteristicProfile, phi2: CharacteristicProfile,
-                x_floor: float | None = None, warn_temperature: bool = True) -> float:
-    """sup over x >= x_floor of |phi1 - phi2| / x^2 (default floor 2 dx).
+                warn_temperature: bool = True) -> float:
+    """sup over x >= 2 dx of |phi1 - phi2| / x^2.
 
     Finite for any pair with equal mass; the metric contracts the flow when
     the first and second moments match. Temperatures differing by more than
@@ -696,11 +691,7 @@ def d2_distance(phi1: CharacteristicProfile, phi2: CharacteristicProfile,
         if abs(t1 - t2) > 1e-4 * max(abs(t1), abs(t2), 1e-300):
             warnings.warn(f"temperature mismatch in d2: {t1:.6g} vs {t2:.6g}")
     x = phi1.grid.x
-    if x_floor is None:
-        x_floor = 2.0 * phi1.grid.dx
-    mask = x >= x_floor
-    if not np.any(mask):
-        raise ValueError("x_floor excludes the entire grid")
+    mask = x >= 2.0 * phi1.grid.dx
     diff = np.abs(phi1.values[mask] - phi2.values[mask])
     return float(np.max(diff / x[mask] ** 2))
 
@@ -820,11 +811,7 @@ def evaluate(phi: CharacteristicProfile, x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# CSV round trip
-
-_PROFILE_HEADER = re.compile(
-    r"#\s*maxcool-profile\s+v1\s+e=(?P<e>\S+)\s+t=(?P<t>\S+)\s+frame=(?P<frame>\S+)")
-
+# CSV output
 
 def save_profile(path, phi: CharacteristicProfile, e, frame: str) -> None:
     """Write (x, phi) rows under the `# maxcool-profile v1 ...` header."""
@@ -836,19 +823,3 @@ def save_profile(path, phi: CharacteristicProfile, e, frame: str) -> None:
         for xi, vi in zip(phi.grid.x, phi.values):
             fh.write(f"{xi:.17g},{vi:.17g}\n")
 
-
-def load_profile(path) -> tuple[CharacteristicProfile, dict]:
-    """Read a profile CSV; returns (profile, meta) with meta e and frame."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        m = _PROFILE_HEADER.match(header)
-        if not m:
-            raise ValueError(f"not a maxcool-profile file: header {header!r}")
-        data = np.loadtxt(fh, delimiter=",")
-    x, v = data[:, 0], data[:, 1]
-    n = len(x)
-    grid = RadialGrid(n, float(x[-1]))
-    if np.max(np.abs(grid.x - x)) > 1e-9 * max(1.0, float(x[-1])):
-        raise ValueError("profile grid is not uniform from 0 to x_max")
-    phi = CharacteristicProfile(grid, v, time=float(m.group("t")))
-    return phi, {"e": float(m.group("e")), "frame": m.group("frame")}

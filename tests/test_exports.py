@@ -15,7 +15,7 @@ DECLARING = [n for n in _NAMES if hasattr(importlib.import_module(n), "__all__")
 def test_solver_modules_declare_all():
     # the check below is vacuous for a module that declares no __all__
     assert {"maxcool", "maxcool.kinematics", "maxcool.spectral", "maxcool.dsmc",
-            "maxcool.harness"} <= set(DECLARING)
+            "maxcool.realspace", "maxcool.harness"} <= set(DECLARING)
 
 
 @pytest.mark.parametrize("name", DECLARING)

@@ -140,7 +140,6 @@ def test_reconstruct_mixture(bimax, r10):
     phi, f = bimax
     exact = rs.RadialDensity.mixture(r10).values
     assert np.max(np.abs(f.values - exact)) < 1e-10
-    assert f.meta["source"] == "reconstruct"
 
 
 def test_reconstruct_moment_consistency(bimax):
@@ -387,34 +386,11 @@ def test_inequality_suite_mixture(bimax):
     assert l1c["rhs"] == pytest.approx(L1LEM_MIX_ORACLE, abs=1e-6)
 
 
-def test_inequality_suite_custom_params(maxw, grid, r10):
-    phi, fM = maxw
-    ref = (sp.CharacteristicProfile.maxwellian(grid, 1.2),)
-    rep = rs.inequality_suite(phi, fM, params={
-        "nash": [(1.0, 0.5)],
-        "interpolation": [(0.0, 1.0, 0.5)],
-        "l1": [2.0],
-        "reference": (ref[0], rs.RadialDensity.maxwellian(r10, 1.2)),
-    })
-    assert rep["n_checks"] == 3 and rep["all_hold"]
-    with pytest.raises(ValueError):
-        rs.inequality_suite(phi, fM, params={"nash": [(0.1, 0.5)]})  # r < delta/2
-    with pytest.raises(ValueError):
-        rs.inequality_suite(phi, fM, params={"interpolation": [(0.0, 1.0, 1.5)]})
-    with pytest.raises(ValueError):
-        rs.inequality_suite(phi, fM, params={"l1": [-1.0]})
-    bad_ref = sp.CharacteristicProfile.maxwellian(sp.RadialGrid(512, 40.0), 1.2)
-    with pytest.raises(ValueError, match="grid"):
-        rs.inequality_suite(phi, fM, params={
-            "reference": (bad_ref, rs.RadialDensity.maxwellian(r10, 1.2))})
-
-
 def test_inequality_suite_failure_dumps_terms(maxw, monkeypatch):
     phi, fM = maxw
     monkeypatch.setattr(rs, "nash_constant", lambda r, d: 1e6)
     with pytest.raises(AssertionError, match="nash"):
-        rs.inequality_suite(phi, fM, params={"nash": [(1.0, 0.5)],
-                                             "interpolation": [], "l1": []})
+        rs.inequality_suite(phi, fM)
 
 
 def test_rate_bookkeeping():
