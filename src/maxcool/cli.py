@@ -24,10 +24,10 @@ from .harness import ExperimentConfig
 
 logger = logging.getLogger(__name__)
 
-# steady and sweep-eps solve on the grid and step of the full sweep suite
+# steady and sweep-eps solve on the grid and budget of the full sweep suite
 _SWEEP_DEFAULTS = {"grid_n": harness.FULL.sweep_grid[0],
                    "x_max": harness.FULL.sweep_grid[1],
-                   "dt": harness.FULL.sweep_dt, "t_max": harness.FULL.sweep_t_max}
+                   "t_max": harness.FULL.steady_t_max}
 
 _COMMAND_DEFAULTS = {
     "evolve": {},

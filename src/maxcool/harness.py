@@ -5,12 +5,14 @@ exponential-rate fitter used by every decay check, the flat key=value
 experiment configuration (lossless text round trip, CLI > file > defaults
 precedence), the named verification suites that aggregate module-level
 assertions into a pass/fail report, and the small-inelasticity steady-state
-sweep. The suites read their sizes, steps, horizons and tolerances from one
-declared table (`FULL`, or `FAST` for smoke runs). A verify report and each
-of its artifacts carry a provenance stamp (suite, fast, that table, the gain
+sweep. The suites read their sizes, horizons, budgets and tolerances from
+one declared table (`FULL`, or `FAST` for smoke runs); every spectral solve
+steps at `spectral.DT`. A verify report and each of its artifacts carry a
+provenance stamp (suite, fast, that table, the time step, the gain
 quadrature order and the package versions) plus the SHA-256 of its canonical
-text; the other CLI artifacts embed their resolved configuration the same
-way. All randomness is seeded; reports are deterministic given the stamp.
+text. The other CLI artifacts embed their resolved configuration, step
+included, with the same order and versions block, and hash both. All
+randomness is seeded; reports are deterministic given the stamp.
 """
 
 from __future__ import annotations
@@ -137,26 +139,26 @@ def fit_exponential_rate(series, window: tuple[float, float] | None = None) -> R
 
 @dataclass(frozen=True)
 class SuiteParams:
-    """Every size, step, horizon, tolerance and sample count of the suites.
+    """Every size, horizon, budget, tolerance and sample count of the suites.
 
     `FULL` sizes the reported battery and `FAST` the smoke runs; the asserted
     laws and their bounds are the same in both. Grids are `(n, x_max)` for
     `spectral.RadialGrid`, node sets `(r_max, n)` for
     `realspace.default_r_nodes`. Fields with defaults hold in both tables.
-    The whole table is stamped into every verify report and its hash.
+    Every spectral solve steps at `spectral.DT`, so the table holds no step;
+    `dsmc_dt` is the size of a DSMC event batch. The whole table is stamped
+    into every verify report and its hash.
     """
 
-    dt: float                           # spectral step of the suites and the corpus
     grid: tuple[int, float]             # every suite run except the sweep
     n_particles: int                    # DSMC ensembles: weak-decay and frame-consistency
     run_t_max: float                    # tracked e=0.95 run; also ends the d2 fit window
-    steady_t_max: float                 # shared e=0.95 steady solve
-    steady_tol: float
+    steady_tol: float                   # shared e=0.95 steady solve
     kin_triples: int
     mc_samples: int
     kernel_seeds: tuple[int, ...]
     fisher_t_max: float
-    fisher_r_nodes: tuple[float, int] | None  # None: the realspace default
+    fisher_r_nodes: tuple[float, int]
     fisher_checks: int
     gain_es: tuple[float, ...]
     gain_entries: int | None            # leading corpus entries; None: all
@@ -165,38 +167,36 @@ class SuiteParams:
     corpus_grid: tuple[int, float]
     r_nodes: tuple[float, int]          # reconstructions of the corpus and the sweep
     corpus_t_max: float                 # evolved corpus entry
-    corpus_steady_t_max: float
-    corpus_tol_floor: float             # the corpus steady tol is max(tol, floor)
+    corpus_tol: float                   # the corpus steady solve at e=0.9
     sweep_eps: tuple[float, ...]
     sweep_grid: tuple[int, float]
     sweep_tol: float
-    sweep_dt: float = 0.01
-    sweep_t_max: float = 250.0
+    # step budget of every steady solve (shared, corpus, sweep) as time; at
+    # DT a solve takes 5 to 19 steps, so the budget never limits one
+    steady_t_max: float = 250.0
     decay_t_max: float = 10.0           # m2-rate runs, spectral and DSMC
     dsmc_dt: float = 0.01
 
 
 FULL = SuiteParams(
-    dt=0.01, grid=(1024, 30.0), n_particles=100_000, run_t_max=40.0,
-    steady_t_max=250.0, steady_tol=1e-7,
+    grid=(1024, 30.0), n_particles=100_000, run_t_max=40.0, steady_tol=1e-7,
     kin_triples=1_000_000, mc_samples=1_000_000, kernel_seeds=(11, 23, 47),
-    fisher_t_max=20.0, fisher_r_nodes=None, fisher_checks=9,
+    fisher_t_max=20.0, fisher_r_nodes=(8.0, 1601), fisher_checks=9,
     gain_es=(0.8, 0.9, 0.99), gain_entries=None,
     frame_t_max=5.0, ecf_t_max=10.0,
     corpus_grid=(2048, 40.0), r_nodes=(10.0, 2001), corpus_t_max=5.0,
-    corpus_steady_t_max=250.0, corpus_tol_floor=0.0,
+    corpus_tol=1e-6,
     sweep_eps=(0.1, 0.05, 0.02, 0.01), sweep_grid=(1024, 30.0), sweep_tol=1e-6,
 )
 
 FAST = SuiteParams(
-    dt=0.02, grid=(256, 20.0), n_particles=20_000, run_t_max=30.0,
-    steady_t_max=120.0, steady_tol=1e-5,
+    grid=(256, 20.0), n_particles=20_000, run_t_max=30.0, steady_tol=1e-5,
     kin_triples=10_000, mc_samples=50_000, kernel_seeds=(11,),
     fisher_t_max=4.0, fisher_r_nodes=(8.0, 801), fisher_checks=4,
     gain_es=(0.9,), gain_entries=2,
     frame_t_max=2.0, ecf_t_max=4.0,
     corpus_grid=(512, 24.0), r_nodes=(8.0, 1201), corpus_t_max=2.0,
-    corpus_steady_t_max=80.0, corpus_tol_floor=1e-5,
+    corpus_tol=1e-5,
     sweep_eps=(0.1, 0.02), sweep_grid=(512, 24.0), sweep_tol=1e-5,
 )
 
@@ -207,13 +207,17 @@ def _params(fast: bool) -> SuiteParams:
     return FULL
 
 
+def _code_stamp() -> dict:
+    """The gain quadrature order and the package versions, which no config holds."""
+    return {"quad_order": sp.QUAD_ORDER,
+            "versions": {"maxcool": __version__, "numpy": np.__version__,
+                         "scipy": scipy.__version__}}
+
+
 def _provenance(suite: str, fast: bool) -> tuple[dict, str]:
     """The verify stamp and the SHA-256 of its canonical JSON text."""
     stamp = {"suite": suite, "fast": fast,
-             "table": dataclasses.asdict(_params(fast)),
-             "quad_order": sp.QUAD_ORDER,
-             "versions": {"maxcool": __version__, "numpy": np.__version__,
-                          "scipy": scipy.__version__}}
+             "table": dataclasses.asdict(_params(fast)), "dt": sp.DT, **_code_stamp()}
     return stamp, hashlib.sha256(_canonical(stamp).encode("utf-8")).hexdigest()
 
 
@@ -258,7 +262,7 @@ class ExperimentConfig:
     e: float = 0.95
     grid_n: int = 4096
     x_max: float = 50.0
-    dt: float = 0.005
+    dt: float = sp.DT
     t_max: float = 10.0
     init: str = "maxwellian"
     frame: str = "rescaled"
@@ -352,20 +356,26 @@ _CONFIG_CASTS = {f.name: type(f.default) for f in dataclasses.fields(ExperimentC
 
 
 def config_fingerprint(cfg: ExperimentConfig) -> tuple[str, str]:
-    """Resolved config text plus its SHA-256 hex digest."""
-    text = cfg.to_text()
+    """Provenance text of a CLI artifact plus its SHA-256 hex digest.
+
+    The text is the resolved config, one `cfg key=value` line per field with
+    the step among them, and one `provenance` line with the gain quadrature
+    order and package versions that the verify stamp also holds.
+    """
+    lines = [f"cfg {ln}" for ln in cfg.to_text().splitlines()]
+    lines.append(f"provenance {_canonical(_code_stamp())}")
+    text = "\n".join(lines)
     return text, hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def embed_provenance(path, cfg: ExperimentConfig) -> None:
-    """Insert the resolved config and its hash as comments after line 1.
+    """Insert the provenance text and its hash as comments after line 1.
 
     The format header stays the first line, and a reader that skips "#"
     lines sees the same body as before.
     """
     text, sha = config_fingerprint(cfg)
-    _insert_comments(path, [f"cfg {ln}" for ln in text.strip().splitlines()]
-                     + [f"sha256 {sha}"])
+    _insert_comments(path, text.splitlines() + [f"sha256 {sha}"])
 
 
 def _insert_comments(path, comments: list[str]) -> None:
@@ -393,7 +403,6 @@ def save_trace(path, trace: sp.EvolutionTrace, e: float, frame: str) -> None:
 # density corpus
 
 _CORPUS_E = 0.9      # restitution of the corpus's evolved and steady entries
-_CORPUS_TOL = 1e-6   # its steady solve's tolerance, floored by corpus_tol_floor
 
 
 def density_corpus(params: SuiteParams) -> list[dict]:
@@ -419,13 +428,12 @@ def density_corpus(params: SuiteParams) -> list[dict]:
         {"name": "mixture-b", "phi": phi_b,
          "f": rs.RadialDensity.mixture(r_nodes, 0.25, 0.5, 1.5)},
     ]
-    evolved = sp.evolve(phi_a, _CORPUS_E, sp.SolverConfig(dt=params.dt, t_max=t_ev),
+    evolved = sp.evolve(phi_a, _CORPUS_E, sp.SolverConfig(t_max=t_ev),
                         diagnostics_schedule=[t_ev]).final
     entries.append({"name": "evolved", "phi": evolved,
                     "f": rs.reconstruct(evolved, r_nodes)})
-    steady = sp.steady_profile(_CORPUS_E,
-                               sp.SolverConfig(dt=params.dt, t_max=params.corpus_steady_t_max),
-                               tol=max(_CORPUS_TOL, params.corpus_tol_floor), grid=grid)
+    steady = sp.steady_profile(_CORPUS_E, sp.SolverConfig(t_max=params.steady_t_max),
+                               tol=params.corpus_tol, grid=grid)
     entries.append({"name": "steady", "phi": steady,
                     "f": rs.reconstruct(steady, r_nodes)})
     return entries
@@ -454,7 +462,8 @@ def sweep_epsilon(eps_list, config: sp.SolverConfig | None = None,
     and its number of solver steps.
     With `raise_on_failure` the checks raise AssertionError; the returned
     table always carries the full data and verdicts. The defaults are the
-    `FULL` sweep suite's.
+    `FULL` sweep suite's: its grid, nodes, tolerance and step budget, at the
+    one step `spectral.DT`.
 
     Note: the envelope is an upper bound, and the measured distances fall
     faster than it (roughly like eps^2), so the two-sided factor-3 stability
@@ -467,7 +476,7 @@ def sweep_epsilon(eps_list, config: sp.SolverConfig | None = None,
     if r_nodes is None:
         r_nodes = rs.default_r_nodes(*FULL.r_nodes)
     if config is None:
-        config = sp.SolverConfig(dt=FULL.sweep_dt, t_max=FULL.sweep_t_max)
+        config = sp.SolverConfig(t_max=FULL.steady_t_max)
 
     rows: list[dict] = []
     dropped: list[dict] = []
@@ -701,7 +710,7 @@ def _suite_kinematics(params: SuiteParams) -> tuple[list[dict], dict]:
 def _ws_steady(ws: dict, params: SuiteParams) -> sp.CharacteristicProfile:
     if "steady_e095" not in ws:
         ws["steady_e095"], ws["steady_e095_warnings"] = _recording_warnings(
-            sp.steady_profile, 0.95, sp.SolverConfig(dt=params.dt, t_max=params.steady_t_max),
+            sp.steady_profile, 0.95, sp.SolverConfig(t_max=params.steady_t_max),
             tol=params.steady_tol, grid=sp.RadialGrid(*params.grid))
     return ws["steady_e095"]
 
@@ -711,8 +720,7 @@ def _ws_run(ws: dict, params: SuiteParams) -> sp.EvolutionTrace:
     if "run_e095" not in ws:
         steady = _ws_steady(ws, params)
         phi0 = sp.CharacteristicProfile.bimaxwellian(steady.grid, 0.5, 0.6, 1.4)
-        ws["run_e095"] = sp.evolve(phi0, 0.95,
-                                   sp.SolverConfig(dt=params.dt, t_max=params.run_t_max),
+        ws["run_e095"] = sp.evolve(phi0, 0.95, sp.SolverConfig(t_max=params.run_t_max),
                                    reference=steady)
     return ws["run_e095"]
 
@@ -731,9 +739,8 @@ def _suite_fisher(ws: dict, params: SuiteParams) -> tuple[list[dict], dict]:
     try:
         phi0 = sp.CharacteristicProfile.bimaxwellian(sp.RadialGrid(*params.grid),
                                                      0.5, 0.6, 1.4)
-        r_nodes = (None if params.fisher_r_nodes is None
-                   else rs.default_r_nodes(*params.fisher_r_nodes))
-        config = sp.SolverConfig(dt=params.dt, t_max=params.fisher_t_max)
+        r_nodes = rs.default_r_nodes(*params.fisher_r_nodes)
+        config = sp.SolverConfig(t_max=params.fisher_t_max)
         rep = rs.fisher_trajectory_check(phi0, 0.95, config, r_nodes=r_nodes,
                                          n_checks=params.fisher_checks)
         margin = float(np.min(np.array(rep["bounds"]) - np.array(rep["fisher"])))
@@ -798,7 +805,7 @@ def _suite_weak_decay(ws: dict, params: SuiteParams) -> tuple[list[dict], dict]:
     claim_sp = "temperature decays at rate 2E = (1-e^2)/4 in the unscaled frame"
     try:
         phi0 = sp.CharacteristicProfile.maxwellian(sp.RadialGrid(*params.grid), 1.0)
-        trace = sp.evolve(phi0, 0.5, sp.SolverConfig(dt=params.dt, t_max=params.decay_t_max,
+        trace = sp.evolve(phi0, 0.5, sp.SolverConfig(t_max=params.decay_t_max,
                                                      frame="unscaled-f"))
         fit = fit_exponential_rate((trace.times, trace.diagnostics["m2"]))
         target = 2.0 * sp.dissipation_rate(0.5)
@@ -908,8 +915,8 @@ def _suite_frame_consistency(ws: dict, params: SuiteParams) -> tuple[list[dict],
         grid = sp.RadialGrid(*params.grid)
         T = params.frame_t_max
         phi0 = sp.CharacteristicProfile.bimaxwellian(grid, 0.5, 0.6, 1.4)
-        tr_g = sp.evolve(phi0, e, sp.SolverConfig(dt=params.dt, t_max=T), diagnostics_schedule=[T])
-        tr_f = sp.evolve(phi0, e, sp.SolverConfig(dt=params.dt, t_max=T, frame="unscaled-f"),
+        tr_g = sp.evolve(phi0, e, sp.SolverConfig(t_max=T), diagnostics_schedule=[T])
+        tr_f = sp.evolve(phi0, e, sp.SolverConfig(t_max=T, frame="unscaled-f"),
                          diagnostics_schedule=[T])
         fac = math.exp(E * T)
         x = grid.x[grid.x <= grid.x_max / fac * 0.98]
@@ -936,8 +943,7 @@ def _suite_frame_consistency(ws: dict, params: SuiteParams) -> tuple[list[dict],
         resc = dsmc.rescaled_estimates(series, e)
         ecf_vals = resc["ecf"][-1]
         phi_m = sp.CharacteristicProfile.maxwellian(sp.RadialGrid(*params.grid), 1.0)
-        trace = sp.evolve(phi_m, e, sp.SolverConfig(dt=params.dt, t_max=T),
-                          diagnostics_schedule=[T])
+        trace = sp.evolve(phi_m, e, sp.SolverConfig(t_max=T), diagnostics_schedule=[T])
         ref = sp.evaluate(trace.final, targets)
         worst = float(np.max(np.abs(ecf_vals - ref)))
         band = 3.0 / math.sqrt(n_part)
@@ -959,7 +965,7 @@ def _suite_sweep(ws: dict, params: SuiteParams) -> tuple[list[dict], dict]:
                   "consecutive eps points")
     try:
         table = sweep_epsilon(params.sweep_eps,
-                              config=sp.SolverConfig(dt=params.sweep_dt, t_max=params.sweep_t_max),
+                              config=sp.SolverConfig(t_max=params.steady_t_max),
                               grid=sp.RadialGrid(*params.sweep_grid),
                               r_nodes=rs.default_r_nodes(*params.r_nodes),
                               tol=params.sweep_tol,

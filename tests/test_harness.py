@@ -6,6 +6,7 @@ and double-checked at higher resolution.
 """
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -301,13 +302,37 @@ def test_verify_hash_covers_exactly_the_stamp(tmp_path, monkeypatch):
     assert base["provenance"]["table"] == json.loads(json.dumps(
         dataclasses.asdict(harness.FAST)))
     assert base["provenance"]["quad_order"] == sp.QUAD_ORDER
+    assert base["provenance"]["dt"] == sp.DT
     assert report()["config_sha256"] != base["config_sha256"]
     monkeypatch.setattr(harness, "FAST", dataclasses.replace(harness.FAST,
                                                              mc_samples=40_000))
     fewer = report("--fast")["config_sha256"]
     assert fewer != base["config_sha256"]
     monkeypatch.setattr(sp, "QUAD_ORDER", 2 * sp.QUAD_ORDER)
-    assert report("--fast")["config_sha256"] != fewer
+    doubled_q = report("--fast")["config_sha256"]
+    assert doubled_q != fewer
+    monkeypatch.setattr(sp, "DT", 2 * sp.DT)
+    assert report("--fast")["config_sha256"] != doubled_q
+
+
+def test_cli_artifact_hash_covers_the_code_stamp(tmp_path, monkeypatch):
+    # the config text alone does not fix a result: the gain quadrature
+    # order and the package versions shape it too
+    path = tmp_path / "trace.csv"  # the same path, so the same config
+
+    def sha():
+        assert run_cli(["evolve", "--grid-n", "256", "--x-max", "20", "--t-max",
+                        str(sp.DT), "--out", str(path)]) == 0
+        lines = path.read_text().splitlines()
+        text = "\n".join(ln[2:] for ln in lines if ln.startswith(("# cfg ", "# provenance ")))
+        digest = next(ln.split()[-1] for ln in lines if ln.startswith("# sha256 "))
+        assert digest == hashlib.sha256(text.encode("utf-8")).hexdigest()
+        return digest
+
+    base = sha()
+    assert sha() == base
+    monkeypatch.setattr(sp, "QUAD_ORDER", 2 * sp.QUAD_ORDER)
+    assert sha() != base
 
 
 def test_verify_all_fast_smoke(tmp_path, read_series):
@@ -409,9 +434,30 @@ def test_cli_steady_and_sweep_defaults_are_the_full_sweep_suites():
     for command in ("steady", "sweep-eps"):
         cfg = cli._resolve(parser.parse_args([command]))
         assert (cfg.grid_n, cfg.x_max) == harness.FULL.sweep_grid
-        assert (cfg.dt, cfg.t_max) == (harness.FULL.sweep_dt, harness.FULL.sweep_t_max)
+        assert (cfg.dt, cfg.t_max) == (sp.DT, harness.FULL.steady_t_max)
     assert cfg.tol == harness.FULL.sweep_tol
     assert cfg.eps_values() == harness.FULL.sweep_eps
+
+
+def test_every_spectral_solve_steps_at_the_one_dt(monkeypatch):
+    assert sp.SolverConfig().dt == sp.DT
+    assert ExperimentConfig().dt == sp.DT
+    parser = cli._build_parser()
+    for command in ("evolve", "steady", "sweep-eps"):
+        assert cli._resolve(parser.parse_args([command])).dt == sp.DT
+    for fast in (False, True):
+        assert harness._provenance("all", fast)[0]["dt"] == sp.DT
+    # the default config of steady_profile: record the step of its one
+    # application (any bound meets tol=1e30)
+    inner, seen = sp.step, []
+
+    def step(phi, e, config):
+        seen.append(config.dt)
+        return inner(phi, e, config)
+
+    monkeypatch.setattr(sp, "step", step)
+    sp.steady_profile(0.9, tol=1e30, grid=sp.RadialGrid(256, 20.0))
+    assert seen == [sp.DT]
 
 
 def test_cli_steady_solves_as_the_sweep_does(tmp_path):

@@ -427,6 +427,23 @@ def test_time_convergence_orders():
         assert lo < ratio < hi, f"{frame}: ratio {ratio}"
 
 
+def test_default_dt_is_below_the_extractor_bias():
+    # the reported numbers are decay rates and steady states, whose error is
+    # set by the m4 extractor's 8e-5 relative bias; the step's own error sits
+    # orders below it. Bounds fixed before the run (measured against
+    # dt = 0.005: max |dphi| 6.3e-11, m4 1.5e-9 relative)
+    B = sp.CharacteristicProfile.bimaxwellian(sp.RadialGrid(256, 20.0), 0.5, 0.6, 1.4)
+
+    def final(dt):
+        config = sp.SolverConfig(dt=dt, t_max=20.0)
+        return sp.evolve(B, 0.95, config, diagnostics_schedule=[20.0]).final
+
+    phi, ref = final(sp.DT), final(sp.DT / 5.0)
+    assert np.max(np.abs(phi.values - ref.values)) <= 1e-9
+    m4 = sp.moment(ref, 4)
+    assert abs(sp.moment(phi, 4) - m4) <= 1e-3 * 8e-5 * m4
+
+
 def test_step_abort_on_bound_violation():
     g = sp.RadialGrid(512, 25.0)
     B = sp.CharacteristicProfile.bimaxwellian(g)
