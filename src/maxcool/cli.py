@@ -38,6 +38,15 @@ _COMMAND_DEFAULTS = {
     "kincheck": {},
 }
 
+# the config fields that shape each command's artifact, which its hash covers;
+# the output path and the fields a command never reads stay out
+_COMMAND_FIELDS = {
+    "evolve": ("e", "grid_n", "x_max", "dt", "t_max", "init", "frame"),
+    "dsmc": ("e", "dt", "t_max", "init", "n_particles", "seed", "record_every"),
+    "steady": ("e", "grid_n", "x_max", "dt", "t_max", "tol"),
+    "sweep-eps": ("grid_n", "x_max", "dt", "t_max", "tol", "eps"),
+}
+
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, metavar="FILE",
@@ -127,6 +136,13 @@ def _resolve(args: argparse.Namespace) -> ExperimentConfig:
         args.config, base=_COMMAND_DEFAULTS[args.command], **overrides)
 
 
+def _embed_provenance(cfg: ExperimentConfig, command: str, **inputs) -> None:
+    # every artifact but the particle run's comes out of the gain operator
+    if command != "dsmc":
+        inputs["quad_order"] = sp.QUAD_ORDER
+    harness.embed_provenance(cfg.out, cfg, _COMMAND_FIELDS[command], inputs)
+
+
 def _initial_profile(init: str, grid: sp.RadialGrid) -> sp.CharacteristicProfile:
     spec = dsmc.parse_initial_spec(init)
     if spec["kind"] == "maxwellian":
@@ -141,7 +157,7 @@ def _cmd_evolve(cfg: ExperimentConfig) -> int:
     trace = sp.evolve(_initial_profile(cfg.init, grid), cfg.e, solver)
     if cfg.out:
         harness.save_trace(cfg.out, trace, cfg.e, cfg.solver_frame())
-        harness.embed_provenance(cfg.out, cfg)
+        _embed_provenance(cfg, "evolve")
         print(f"wrote {cfg.out}: {len(trace.times)} records to t={trace.times[-1]:g}")
     else:
         m2 = trace.diagnostics["m2"]
@@ -165,7 +181,7 @@ def _cmd_dsmc(cfg: ExperimentConfig, x_grid: np.ndarray | None) -> int:
                       record_every=cfg.record_every or None)
     if cfg.out:
         dsmc.save_series(cfg.out, series)
-        harness.embed_provenance(cfg.out, cfg)
+        _embed_provenance(cfg, "dsmc", x_grid=None if x_grid is None else x_grid.tolist())
         print(f"wrote {cfg.out}: {len(series['t'])} records, "
               f"{ens.collisions_applied} collisions")
     else:
@@ -180,7 +196,7 @@ def _cmd_steady(cfg: ExperimentConfig) -> int:
     phi = sp.steady_profile(cfg.e, solver, tol=cfg.tol, grid=grid)
     if cfg.out:
         sp.save_profile(cfg.out, phi, cfg.e, "rescaled-g")
-        harness.embed_provenance(cfg.out, cfg)
+        _embed_provenance(cfg, "steady")
         print(f"wrote {cfg.out}")
     print(f"steady e={cfg.e:g}: converged={phi.meta['converged']} "
           f"steps={phi.meta['steps']} "
@@ -206,7 +222,7 @@ def _cmd_sweep(cfg: ExperimentConfig) -> int:
               f"in {d['steps']} steps)")
     if cfg.out:
         harness._save_sweep_csv(cfg.out, table)
-        harness.embed_provenance(cfg.out, cfg)
+        _embed_provenance(cfg, "sweep-eps")
         print(f"wrote {cfg.out}")
     ok = table["monotone"] and table["c_stable"]
     if not ok:

@@ -79,8 +79,10 @@ class Ensemble:
 
     def moments(self):
         """Return (mean velocity, m2, m4) of the current ensemble."""
-        sq = np.einsum("ij,ij->i", self.velocities, self.velocities)
-        return self.velocities.mean(axis=0), float(sq.mean()), float((sq * sq).mean())
+        v = self.velocities
+        sq = np.einsum("ij,ij->i", v, v)
+        # the row-by-row sum of mean(axis=0), without its reduction machinery
+        return np.einsum("ij->j", v) / self.n, float(sq.mean()), float((sq * sq).mean())
 
     def copy(self) -> "Ensemble":
         return Ensemble(self.velocities.copy(), t=self.t, seed=self.seed, e=self.e,

@@ -208,16 +208,16 @@ def _params(fast: bool) -> SuiteParams:
 
 
 def _code_stamp() -> dict:
-    """The gain quadrature order and the package versions, which no config holds."""
-    return {"quad_order": sp.QUAD_ORDER,
-            "versions": {"maxcool": __version__, "numpy": np.__version__,
+    """The package versions, which no config holds."""
+    return {"versions": {"maxcool": __version__, "numpy": np.__version__,
                          "scipy": scipy.__version__}}
 
 
 def _provenance(suite: str, fast: bool) -> tuple[dict, str]:
     """The verify stamp and the SHA-256 of its canonical JSON text."""
     stamp = {"suite": suite, "fast": fast,
-             "table": dataclasses.asdict(_params(fast)), "dt": sp.DT, **_code_stamp()}
+             "table": dataclasses.asdict(_params(fast)), "dt": sp.DT,
+             "quad_order": sp.QUAD_ORDER, **_code_stamp()}
     return stamp, hashlib.sha256(_canonical(stamp).encode("utf-8")).hexdigest()
 
 
@@ -355,26 +355,32 @@ class ExperimentConfig:
 _CONFIG_CASTS = {f.name: type(f.default) for f in dataclasses.fields(ExperimentConfig)}
 
 
-def config_fingerprint(cfg: ExperimentConfig) -> tuple[str, str]:
+def config_fingerprint(cfg: ExperimentConfig, fields: tuple[str, ...],
+                       inputs: dict) -> tuple[str, str]:
     """Provenance text of a CLI artifact plus its SHA-256 hex digest.
 
-    The text is the resolved config, one `cfg key=value` line per field with
-    the step among them, and one `provenance` line with the gain quadrature
-    order and package versions that the verify stamp also holds.
+    The text has one `cfg key=value` line per config field in `fields`, the
+    ones that shaped the artifact, in the config's own order, and one
+    `provenance` line: the canonical JSON of `inputs`, the inputs that no
+    config field holds (the gain quadrature order, the ECF abscissae), and of
+    the package versions.
     """
-    lines = [f"cfg {ln}" for ln in cfg.to_text().splitlines()]
-    lines.append(f"provenance {_canonical(_code_stamp())}")
+    lines = [f"cfg {ln}" for ln in cfg.to_text().splitlines()
+             if ln.partition("=")[0] in fields]
+    lines.append(f"provenance {_canonical({**inputs, **_code_stamp()})}")
     text = "\n".join(lines)
     return text, hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def embed_provenance(path, cfg: ExperimentConfig) -> None:
-    """Insert the provenance text and its hash as comments after line 1.
+def embed_provenance(path, cfg: ExperimentConfig, fields: tuple[str, ...],
+                     inputs: dict) -> None:
+    """Insert the provenance text of config_fingerprint and its hash as
+    comments after line 1.
 
     The format header stays the first line, and a reader that skips "#"
     lines sees the same body as before.
     """
-    text, sha = config_fingerprint(cfg)
+    text, sha = config_fingerprint(cfg, fields, inputs)
     _insert_comments(path, text.splitlines() + [f"sha256 {sha}"])
 
 

@@ -4,12 +4,16 @@ Two parameterizations of the same binary collision are supported: the
 reflection map (impact direction n, any unit vector) and the swapping map
 (post-collisional direction sigma). Both conserve momentum; energy in the
 relative coordinate is contracted by the restitution coefficient e. The maps
-act on (m, 3) arrays, one collision per row, and the pictures meet at
+act on (m, 3) arrays, one collision per row, in any memory layout: C-ordered
+rows and component-major rows (the transpose of a (3, m) array) give
+bit-identical results, since each map reads the three components as separate
+columns and never reduces over the length-3 axis. The pictures meet at
 sigma = k - 2(k.n)n with k = (v - w)/|v - w|. The module provides the forward
 and pre-collisional (inverse) maps, the Philox streams and uniform directions
 that draw collision parameters, the effective gain-term rates produced by the
 change of variables, the residual of the "Z identity" behind the Fisher gain
-bound, and Monte Carlo verification of the change-of-variables identities.
+bound, and Monte Carlo verification of the change-of-variables identities,
+whose sample blocks are stored component-major.
 
 The collision rate is the constant Maxwell rate: B(s) = 1 in the swapping
 picture (s = k.sigma) and Btilde(t) = 2|t| in the reflection picture
@@ -71,13 +75,25 @@ def fisher_growth_exponent(e) -> float:
 # collision maps; (m, 3) arrays in, (m, 3) arrays out
 
 
+def _dot(a, b):
+    # row dot products in the order ((a0 b0 + a1 b1) + a2 b2) of a sum over
+    # the last axis, on one contiguous component row at a time when the rows
+    # are component-major
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def _unit_rows(x):
+    # x / |x| row by row, the same bits as dividing by np.linalg.norm(x, axis=-1)
+    return x / np.sqrt(_dot(x, x))[..., None]
+
+
 def reflect(v: np.ndarray, w: np.ndarray, n: np.ndarray, coef: float):
     """Reflection map at impact directions n (unit rows): returns (v', w').
 
     v' = v - coef (u.n) n, w' = w + coef (u.n) n with u = v - w. The forward
     collision is coef = (1+e)/2; its inverse is the same map at (1+e)/(2e).
     """
-    un = np.sum((v - w) * n, axis=-1, keepdims=True)
+    un = _dot(v - w, n)[..., None]
     return v - coef * un * n, w + coef * un * n
 
 
@@ -85,8 +101,8 @@ def _unit_rel(v: np.ndarray, w: np.ndarray):
     # Relative directions are flagged unsafe below ~1e-13 of the pair's
     # scale: there v - w is pure cancellation noise and k is meaningless.
     u = v - w
-    unorm = np.linalg.norm(u, axis=-1, keepdims=True)
-    scale = np.linalg.norm(v, axis=-1, keepdims=True) + np.linalg.norm(w, axis=-1, keepdims=True)
+    unorm = np.sqrt(_dot(u, u))[..., None]
+    scale = np.sqrt(_dot(v, v))[..., None] + np.sqrt(_dot(w, w))[..., None]
     safe = unorm > 1e-13 * (scale + 1.0)
     k = np.where(safe, u / np.where(safe, unorm, 1.0), 0.0)
     return u, unorm, k, safe[..., 0]
@@ -105,7 +121,7 @@ def swap_forward(v, w, sigma, e: float):
     half = 0.25 * (1.0 - e) * u + 0.25 * (1.0 + e) * unorm * sigma
     vp = z + half
     wp = z - half
-    ks = np.sum(k * sigma, axis=-1, keepdims=True)
+    ks = _dot(k, sigma)[..., None]
     denom = np.sqrt(2.0 * (1.0 + e * e) + 2.0 * (1.0 - e * e) * ks)
     sigmap = ((1.0 + e) * k + (1.0 - e) * sigma) / denom
     sigmap = np.where(safe[..., None], sigmap, sigma)
@@ -124,7 +140,7 @@ def swap_inverse(v, w, sigma, e: float):
     half = -(1.0 - e) / (4.0 * e) * u + (1.0 + e) / (4.0 * e) * unorm * sigma
     vs = z + half
     ws = z - half
-    ks = np.sum(k * sigma, axis=-1, keepdims=True)
+    ks = _dot(k, sigma)[..., None]
     denom = np.sqrt(2.0 * (1.0 + e * e) - 2.0 * (1.0 - e * e) * ks)
     sigmas = ((1.0 + e) * k - (1.0 - e) * sigma) / denom
     sigmas = np.where(safe[..., None], sigmas, sigma)
@@ -200,8 +216,7 @@ def block_rng(seed: int, tag: int) -> np.random.Generator:
 
 def uniform_sphere(rng: np.random.Generator, m: int) -> np.ndarray:
     """m uniform directions on S^2 as (m, 3) unit rows: normalised Gaussian draws."""
-    x = rng.standard_normal((m, 3))
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
+    return _unit_rows(rng.standard_normal((m, 3)))
 
 
 def _mc_reduce(block_fn, samples: int, seed: int, tag0: int):
@@ -239,6 +254,12 @@ def mc_change_of_variables(K: Callable, e, which: str = "sigma-theorem",
     decay fast enough (Gaussian-bump test kernels with width <= 1 do). LHS
     and RHS use independent Philox substreams, so the two standard errors may
     be combined in quadrature. Returns (lhs, rhs, stderr_lhs, stderr_rhs).
+
+    Sample order: each side runs blocks b = 0, 1, ... of 2^16 samples (the
+    last one partial) on block_rng(seed, tag0 + b), tag0 = 0 for LHS and
+    2^62 for RHS. Each block draws v, w and the Gaussian normals of the
+    directions as three C-ordered (m, 3) standard-normal arrays, in that
+    order; K receives (m, 3) arrays, stored component-major.
     """
     e = _check_e(e)
     if samples < 1:
@@ -251,33 +272,34 @@ def mc_change_of_variables(K: Callable, e, which: str = "sigma-theorem",
     B_e_plus, Bt_e_plus = effective_gain_rates(e)
 
     def draw(rng, m):
-        v = rng.standard_normal((m, 3))
-        w = rng.standard_normal((m, 3))
-        omega = uniform_sphere(rng, m)
+        # one (3, m, 3) draw is the stream of three (m, 3) draws: v, w and the
+        # direction normals. It is copied once to component-major storage and
+        # handed out as (m, 3) views, so the maps work on contiguous rows.
+        x = np.ascontiguousarray(rng.standard_normal((3, m, 3)).transpose(0, 2, 1))
+        v, w, omega = x[0].T, x[1].T, _unit_rows(x[2].T)
         # inverse importance weight exp(|v|^2/2 + |w|^2/2) / (2 pi)^-3
-        logw = 0.5 * (np.sum(v * v, axis=1) + np.sum(w * w, axis=1)) - 2.0 * _LOG_Q_NORM
+        logw = 0.5 * (_dot(v, v) + _dot(w, w)) - 2.0 * _LOG_Q_NORM
         return v, w, omega, np.exp(logw)
 
     if which == "sigma-theorem":
         def lhs_block(rng, m):
             v, w, sigma, wt = draw(rng, m)
             _, _, k, safe = _unit_rel(v, w)
-            ks = np.sum(k * sigma, axis=1)
+            ks = _dot(k, sigma)
             vs, ws, ss, _ = swap_inverse(v, w, sigma, e)
             val = np.asarray(K(vs, ws, ss, v, w, sigma), dtype=float)
             return np.where(safe, val * B_e_plus(ks) * wt, 0.0)
 
         def rhs_block(rng, m):
             v, w, sigma, wt = draw(rng, m)
-            _, _, _, safe = _unit_rel(v, w)
-            vp, wp, sp, _ = swap_forward(v, w, sigma, e)
+            vp, wp, sp, safe = swap_forward(v, w, sigma, e)
             val = np.asarray(K(v, w, sigma, vp, wp, sp), dtype=float)
             return np.where(safe, val * wt, 0.0)
     else:
         def lhs_block(rng, m):
             v, w, n, wt = draw(rng, m)
             _, _, k, safe = _unit_rel(v, w)
-            kn = np.sum(k * n, axis=1)
+            kn = _dot(k, n)
             vs, ws = reflect(v, w, n, (1.0 + e) / (2.0 * e))
             val = np.asarray(K(vs, ws, n, v, w, n), dtype=float)
             return np.where(safe, val * Bt_e_plus(kn) * wt, 0.0)
@@ -285,7 +307,7 @@ def mc_change_of_variables(K: Callable, e, which: str = "sigma-theorem",
         def rhs_block(rng, m):
             v, w, n, wt = draw(rng, m)
             _, _, k, safe = _unit_rel(v, w)
-            kn = np.sum(k * n, axis=1)
+            kn = _dot(k, n)
             vp, wp = reflect(v, w, n, 0.5 * (1.0 + e))
             val = np.asarray(K(v, w, n, vp, wp, n), dtype=float)
             return np.where(safe, val * (2.0 * np.abs(kn)) * wt, 0.0)

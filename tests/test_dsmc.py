@@ -390,3 +390,12 @@ def test_series_roundtrip_without_ecf(tmp_path, read_series):
     assert np.array_equal(body[:, 1:4], series["m1"])
     assert np.array_equal(body[:, 4], series["m2"])
     assert np.array_equal(body[:, 5], series["m4"])
+
+
+def test_moments_mean_velocity_is_the_axis_0_mean():
+    rng = np.random.default_rng(8)
+    for n in (2, 1500, 100_003):
+        # scaled rows with a mean that is not round-off
+        v = rng.standard_normal((n, 3)) * rng.uniform(0.1, 3.0, (n, 1)) + [0.1, -0.2, 0.3]
+        ens = dsmc.Ensemble(v)
+        assert np.array_equal(ens.moments()[0], v.mean(axis=0))

@@ -85,7 +85,9 @@ def test_config_text_round_trip_is_lossless(tmp_path):
     back = ExperimentConfig.from_sources(path)
     assert back == cfg
     # and the fingerprint is stable under the round trip
-    assert harness.config_fingerprint(back) == harness.config_fingerprint(cfg)
+    fields = cli._COMMAND_FIELDS["sweep-eps"]
+    assert (harness.config_fingerprint(back, fields, {})
+            == harness.config_fingerprint(cfg, fields, {}))
 
 
 def test_config_parse_kv_keeps_only_present_keys():
@@ -133,9 +135,10 @@ def test_provenance_embedding_round_trip(tmp_path, read_series):
     path = tmp_path / "series.csv"
     dsmc.save_series(path, series)
     cfg = ExperimentConfig(n_particles=500, t_max=0.2, dt=0.01)
-    harness.embed_provenance(path, cfg)
+    fields = cli._COMMAND_FIELDS["dsmc"]
+    harness.embed_provenance(path, cfg, fields, {"x_grid": [0.0, 1.0]})
     text = path.read_text()
-    _, sha = harness.config_fingerprint(cfg)
+    _, sha = harness.config_fingerprint(cfg, fields, {"x_grid": [0.0, 1.0]})
     assert f"# sha256 {sha}" in text
     assert "# cfg n_particles=500" in text
     assert text.startswith("# maxcool-dsmc v1 x_grid=0,1\n# cfg ")  # header stays first
@@ -145,7 +148,7 @@ def test_provenance_embedding_round_trip(tmp_path, read_series):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     with pytest.raises(ValueError, match="empty"):
-        harness.embed_provenance(empty, cfg)
+        harness.embed_provenance(empty, cfg, fields, {})
 
 
 def test_save_trace_body_is_plain_csv(tmp_path):
@@ -333,6 +336,34 @@ def test_cli_artifact_hash_covers_the_code_stamp(tmp_path, monkeypatch):
     assert sha() == base
     monkeypatch.setattr(sp, "QUAD_ORDER", 2 * sp.QUAD_ORDER)
     assert sha() != base
+
+
+def test_cli_dsmc_hash_covers_exactly_its_inputs(tmp_path, monkeypatch):
+    # a particle run reads no grid and runs no gain, but its ECF columns
+    # come from --x-grid, which no config field holds
+    def sha(*flags, name="dsmc.csv"):
+        path = tmp_path / name
+        assert run_cli(["dsmc", "--n", "200", "--t-max", "0.05", "--out", str(path),
+                        *flags]) == 0
+        lines = path.read_text().splitlines()
+        text = "\n".join(ln[2:] for ln in lines if ln.startswith(("# cfg ", "# provenance ")))
+        digest = next(ln.split()[-1] for ln in lines if ln.startswith("# sha256 "))
+        assert digest == hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert "grid_n" not in text and "quad_order" not in text
+        return digest
+
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert all(set(fields) <= names for fields in cli._COMMAND_FIELDS.values())
+    base = sha("--x-grid", "0,1.5")
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("grid_n=512\ntol=1e-3\n")
+    assert sha("--x-grid", "0,1.5", "--config", str(cfg)) == base
+    assert sha("--x-grid", "0.0,1.50", name="other.csv") == base  # same abscissae and run
+    monkeypatch.setattr(sp, "QUAD_ORDER", 2 * sp.QUAD_ORDER)
+    assert sha("--x-grid", "0,1.5") == base
+    assert sha("--x-grid", "0,2") != base
+    assert sha() != base
+    assert sha("--x-grid", "0,1.5", "--seed", "1") != base
 
 
 def test_verify_all_fast_smoke(tmp_path, read_series):

@@ -291,3 +291,77 @@ def test_mc_rejects_bad_kernel():
         kin.mc_change_of_variables(K, 0.5, samples=10_000, seed=1)
     with pytest.raises(ValueError):
         kin.mc_change_of_variables(K, 0.5, which="nonsense", samples=10, seed=1)
+
+
+def reference_mc(K, e, which, samples, seed):
+    # the documented sample order, rebuilt from the public maps: per block b,
+    # block_rng(seed, tag0 + b) draws v, w and the direction normals as
+    # C-ordered (m, 3) arrays
+    Bp, Btp = kin.effective_gain_rates(e)
+
+    def block(rng, m, side):
+        v = rng.standard_normal((m, 3))
+        w = rng.standard_normal((m, 3))
+        d = kin.uniform_sphere(rng, m)
+        wt = np.exp(0.5 * (np.sum(v * v, axis=1) + np.sum(w * w, axis=1))
+                    + 3.0 * math.log(2.0 * math.pi))
+        u = v - w
+        unorm = np.linalg.norm(u, axis=1, keepdims=True)
+        scale = np.linalg.norm(v, axis=1, keepdims=True) + np.linalg.norm(w, axis=1, keepdims=True)
+        safe = (unorm > 1e-13 * (scale + 1.0))[:, 0]
+        k = np.where(safe[:, None], u / np.where(safe[:, None], unorm, 1.0), 0.0)
+        kd = np.sum(k * d, axis=1)
+        if which == "sigma-theorem" and side == "lhs":
+            vs, ws, ss, _ = kin.swap_inverse(v, w, d, e)
+            val = K(vs, ws, ss, v, w, d) * Bp(kd)
+        elif which == "sigma-theorem":
+            vp, wp, sp, _ = kin.swap_forward(v, w, d, e)
+            val = K(v, w, d, vp, wp, sp)
+        elif side == "lhs":
+            vs, ws = kin.reflect(v, w, d, (1.0 + e) / (2.0 * e))
+            val = K(vs, ws, d, v, w, d) * Btp(kd)
+        else:
+            vp, wp = kin.reflect(v, w, d, 0.5 * (1.0 + e))
+            val = K(v, w, d, vp, wp, d) * (2.0 * np.abs(kd))
+        return np.where(safe, val * wt, 0.0)
+
+    out = []
+    for side, tag0 in (("lhs", 0), ("rhs", 1 << 62)):
+        total = total_sq = 0.0
+        count = b = 0
+        while count < samples:
+            m = min(1 << 16, samples - count)
+            vals = block(kin.block_rng(seed, tag0 + b), m, side)
+            total += float(np.sum(vals))
+            total_sq += float(np.sum(vals * vals))
+            count += m
+            b += 1
+        mean = total / count
+        var = max(total_sq - count * mean * mean, 0.0) / (count - 1)
+        out.append((mean, math.sqrt(var / count)))
+    (lhs, se_l), (rhs, se_r) = out
+    return lhs, rhs, se_l, se_r
+
+
+@pytest.mark.parametrize("which", ["sigma-theorem", "n-theorem"])
+def test_mc_sample_stream_is_pinned(which):
+    # two full blocks and a partial one, every sample as documented
+    K = gaussian_pair_kernel(23)
+    samples = 2 * 65536 + 5
+    got = kin.mc_change_of_variables(K, 0.6, which=which, samples=samples, seed=9)
+    assert got == reference_mc(K, 0.6, which, samples, 9)
+
+
+def test_maps_are_bit_identical_in_any_layout():
+    rows = [RNG.standard_normal((257, 3)) for _ in range(3)]
+    rows[2] = unit(rows[2])
+    rows[1][:5] = rows[0][:5]  # v == w: the unsafe branch too
+    cmaj = [np.ascontiguousarray(x.T).T for x in rows]
+    assert all(x.flags.f_contiguous and not x.flags.c_contiguous for x in cmaj)
+    for e in (0.3, 1.0):
+        for fn in (lambda v, w, d: kin.reflect(v, w, d, 0.5 * (1.0 + e)),
+                   lambda v, w, d: kin.reflect(v, w, d, (1.0 + e) / (2.0 * e)),
+                   lambda v, w, d: kin.swap_forward(v, w, d, e),
+                   lambda v, w, d: kin.swap_inverse(v, w, d, e)):
+            for a, b in zip(fn(*rows), fn(*cmaj)):
+                assert np.array_equal(a, b)
