@@ -13,10 +13,21 @@ quadrature order and the package versions) plus the SHA-256 of its canonical
 text. The other CLI artifacts embed their resolved configuration, step
 included, with the same order and versions block, and hash both. All
 randomness is seeded; reports are deterministic given the stamp.
+
+Report rows: each has a unique name, its claim, measured, bound, slack,
+status and suite, plus an optional detail dict. slack is the signed margin,
+bound - measured or, for a lower bound, measured - bound; status is "pass"
+when slack >= 0 and "fail" otherwise, unless the check supplies its own
+verdict. A report-only row has bound and slack None and passes. A check
+that raises becomes an "error" row under its own name and claim, with
+measured, bound and slack None and detail {"error": repr(exc)}; a suite
+that raises becomes one error row named after the suite, claim "suite
+execution".
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -54,9 +65,6 @@ __all__ = [
     "save_report",
     "SUITES",
 ]
-
-SUITES = ("kinematics", "fisher", "weak-decay", "regularity",
-          "inequalities", "frame-consistency", "sweep")
 
 _FRAME_ALIASES = {"rescaled": "rescaled-g", "unscaled": "unscaled-f",
                   "rescaled-g": "rescaled-g", "unscaled-f": "unscaled-f"}
@@ -201,12 +209,6 @@ FAST = SuiteParams(
 )
 
 
-def _params(fast: bool) -> SuiteParams:
-    if fast:
-        return FAST
-    return FULL
-
-
 def _code_stamp() -> dict:
     """The package versions, which no config holds."""
     return {"versions": {"maxcool": __version__, "numpy": np.__version__,
@@ -216,7 +218,7 @@ def _code_stamp() -> dict:
 def _provenance(suite: str, fast: bool) -> tuple[dict, str]:
     """The verify stamp and the SHA-256 of its canonical JSON text."""
     stamp = {"suite": suite, "fast": fast,
-             "table": dataclasses.asdict(_params(fast)), "dt": sp.DT,
+             "table": dataclasses.asdict(FAST if fast else FULL), "dt": sp.DT,
              "quad_order": sp.QUAD_ORDER, **_code_stamp()}
     return stamp, hashlib.sha256(_canonical(stamp).encode("utf-8")).hexdigest()
 
@@ -560,9 +562,15 @@ def _save_sweep_csv(path, table: dict) -> None:
 # ---------------------------------------------------------------------------
 # verification suites
 
-def _check(name: str, claim: str, measured, bound, slack, holds, **detail) -> dict:
-    row = {"name": name, "claim": claim,
-           "measured": None if measured is None else float(measured),
+def _row(name: str, claim: str, measured, bound, holds=None, lower=False,
+         **detail) -> dict:
+    """One report row (see the module docstring); `holds` overrides slack >= 0."""
+    slack = None
+    if bound is not None:
+        slack = measured - bound if lower else bound - measured
+    if holds is None:
+        holds = slack is None or slack >= 0
+    row = {"name": name, "claim": claim, "measured": float(measured),
            "bound": None if bound is None else float(bound),
            "slack": None if slack is None else float(slack),
            "status": "pass" if holds else "fail"}
@@ -573,10 +581,23 @@ def _check(name: str, claim: str, measured, bound, slack, holds, **detail) -> di
     return row
 
 
-def _error_check(name: str, claim: str, exc: Exception) -> dict:
-    logger.exception("check errored: %s", name)
-    return {"name": name, "claim": claim, "measured": None, "bound": None,
-            "slack": None, "status": "error", "detail": {"error": repr(exc)}}
+@contextlib.contextmanager
+def _guard(rows: list[dict], claim: str, *names: str):
+    """Turn an exception of the body into one error row per name in `rows`.
+
+    Yields add(measured, bound, ...), which appends the `_row` of the first
+    name and the guard's claim.
+    """
+    def add(measured, bound, **kw) -> None:
+        rows.append(_row(names[0], claim, measured, bound, **kw))
+
+    try:
+        yield add
+    except Exception as exc:  # propagate into the report, keep going
+        logger.exception("check errored: %s", ", ".join(names))
+        rows.extend({"name": name, "claim": claim, "measured": None, "bound": None,
+                     "slack": None, "status": "error", "detail": {"error": repr(exc)}}
+                    for name in names)
 
 
 _KIN_ES = (0.3, 0.5, 0.7, 0.9, 0.99, 1.0)
@@ -608,12 +629,11 @@ def _kinematics_exactness(e: float, n: int, seed: int) -> list[dict]:
     scale = float(np.max(np.abs(np.concatenate([v, w]))))
 
     vp, wp, sigmap, _ = kin.swap_forward(v, w, sigma, e)
-    checks = []
+    rows = []
 
     mom = np.max(np.abs((vp + wp) - (v + w)))
-    checks.append(_check(
-        f"swap-momentum e={e:g}", "pair momentum is unchanged by the collision map",
-        mom, 1e-10, 1e-10 - mom, mom <= 1e-10))
+    rows.append(_row(f"swap-momentum e={e:g}",
+                     "pair momentum is unchanged by the collision map", mom, 1e-10))
 
     # energy law in the reflection frame: n = (k - sigma)/|k - sigma|
     u = v - w
@@ -627,17 +647,16 @@ def _kinematics_exactness(e: float, n: int, seed: int) -> list[dict]:
     de = (np.einsum("ij,ij->i", vp, vp) + np.einsum("ij,ij->i", wp, wp)
           - np.einsum("ij,ij->i", v, v) - np.einsum("ij,ij->i", w, w))
     err_energy = np.max(np.abs(de[ok] + 0.5 * (1.0 - e * e) * un * un))
-    checks.append(_check(
+    rows.append(_row(
         f"swap-energy e={e:g}",
         "kinetic energy drops by (1-e^2)/2 times the squared normal velocity",
-        err_energy, 1e-8, 1e-8 - err_energy, err_energy <= 1e-8))
+        err_energy, 1e-8))
 
     vb, wb, sigmab, _ = kin.swap_inverse(vp, wp, sigmap, e)
     rt = max(np.max(np.abs(vb - v)), np.max(np.abs(wb - w)),
              np.max(np.abs(sigmab - sigma)))
-    checks.append(_check(
-        f"swap-roundtrip e={e:g}", "inverse collision map restores the pair exactly",
-        rt, 1e-8, 1e-8 - rt, rt <= 1e-8))
+    rows.append(_row(f"swap-roundtrip e={e:g}",
+                     "inverse collision map restores the pair exactly", rt, 1e-8))
 
     # reflection picture on the converted normals, forward then inverse
     coef_f = 0.5 * (1.0 + e)
@@ -645,17 +664,14 @@ def _kinematics_exactness(e: float, n: int, seed: int) -> list[dict]:
     vr, wr = kin.reflect(v[ok], w[ok], nvec, coef_f)
     vrb, wrb = kin.reflect(vr, wr, nvec, coef_i)
     rt_r = max(np.max(np.abs(vrb - v[ok])), np.max(np.abs(wrb - w[ok])))
-    checks.append(_check(
-        f"reflect-roundtrip e={e:g}", "inverse reflection map restores the pair exactly",
-        rt_r, 1e-8, 1e-8 - rt_r, rt_r <= 1e-8))
+    rows.append(_row(f"reflect-roundtrip e={e:g}",
+                     "inverse reflection map restores the pair exactly", rt_r, 1e-8))
 
     # the two parameterizations produce the same post-collisional pair
     par = max(np.max(np.abs(vr - vp[ok])), np.max(np.abs(wr - wp[ok])))
-    checks.append(_check(
-        f"param-consistency e={e:g}",
-        "direction-exchange and reflection parameterizations agree",
-        par, 1e-8 * max(1.0, scale), 1e-8 * max(1.0, scale) - par,
-        par <= 1e-8 * max(1.0, scale)))
+    rows.append(_row(f"param-consistency e={e:g}",
+                     "direction-exchange and reflection parameterizations agree",
+                     par, 1e-8 * max(1.0, scale)))
 
     # Jacobian of the 6-dim reflection map has |det| = e (chunked direct dets).
     # At fixed n the coded map is linear in (v, w), so column j of J is the
@@ -671,46 +687,38 @@ def _kinematics_exactness(e: float, n: int, seed: int) -> list[dict]:
             J[:, :3, j], J[:, 3:, j] = kin.reflect(vj, wj, nb, coef_f)
         dets = np.abs(np.linalg.det(J))
         worst = max(worst, float(np.max(np.abs(dets - e))))
-    checks.append(_check(
-        f"jacobian e={e:g}", "volume contraction of the collision map equals e",
-        worst, 1e-6, 1e-6 - worst, worst <= 1e-6))
+    rows.append(_row(f"jacobian e={e:g}",
+                     "volume contraction of the collision map equals e", worst, 1e-6))
 
     # the vector identity behind the Fisher gain bound, at eta = v - w
     z = float(np.max(kin.z_identity_residual(u, sigma, e) / unorm))
-    checks.append(_check(
-        f"z-identity e={e:g}", "the Z combination of eta+ and eta- equals its closed form",
-        z, 1e-10, 1e-10 - z, z <= 1e-10))
-    return checks
+    rows.append(_row(f"z-identity e={e:g}",
+                     "the Z combination of eta+ and eta- equals its closed form",
+                     z, 1e-10))
+    return rows
 
 
-def _suite_kinematics(params: SuiteParams) -> tuple[list[dict], dict]:
-    checks: list[dict] = []
+def _suite_kinematics(ws: dict, params: SuiteParams) -> tuple[list[dict], dict]:
+    rows: list[dict] = []
     for e in _KIN_ES:
-        try:
-            checks.extend(_kinematics_exactness(e, params.kin_triples, seed=2))
-        except Exception as exc:  # propagate into the report, keep going
-            checks.append(_error_check(f"exactness e={e:g}",
-                                       "collision-law identities", exc))
+        with _guard(rows, "collision-law identities", f"exactness e={e:g}"):
+            rows.extend(_kinematics_exactness(e, params.kin_triples, seed=2))
     mc_log = []
+    claim = "gain-side change of variables leaves the collision average invariant"
     for ks in params.kernel_seeds:
         K = _gaussian_kernel(ks)
         for e in _MC_ES:
             for which in ("sigma-theorem", "n-theorem"):
                 name = f"mc-{which} kernel={ks} e={e:g}"
-                claim = ("gain-side change of variables leaves the collision "
-                         "average invariant")
-                try:
+                with _guard(rows, claim, name) as add:
                     lhs, rhs, sl, sr = kin.mc_change_of_variables(
                         K, e, which=which, samples=params.mc_samples, seed=7)
                     sig = math.hypot(sl, sr)
                     z = abs(lhs - rhs) / sig
-                    checks.append(_check(name, claim, z, 3.0, 3.0 - z, z <= 3.0,
-                                         lhs=lhs, rhs=rhs, stderr=sig))
+                    add(z, 3.0, lhs=lhs, rhs=rhs, stderr=sig)
                     mc_log.append({"name": name, "lhs": lhs, "rhs": rhs,
                                    "stderr": sig, "z": z})
-                except Exception as exc:
-                    checks.append(_error_check(name, claim, exc))
-    return checks, {"mc_identities": mc_log}
+    return rows, {"mc_identities": mc_log}
 
 
 def _ws_steady(ws: dict, params: SuiteParams) -> sp.CharacteristicProfile:
@@ -738,46 +746,36 @@ def _ws_corpus(ws: dict, params: SuiteParams) -> list[dict]:
 
 
 def _suite_fisher(ws: dict, params: SuiteParams) -> tuple[list[dict], dict]:
-    checks: list[dict] = []
+    rows: list[dict] = []
     raw: dict = {}
-    claim_traj = ("Fisher information along the rescaled flow stays under "
-                  "exp((growth - 2E) t) times its initial value")
-    try:
+    with _guard(rows, "Fisher information along the rescaled flow stays under "
+                "exp((growth - 2E) t) times its initial value",
+                "fisher-trajectory e=0.95") as add:
         phi0 = sp.CharacteristicProfile.bimaxwellian(sp.RadialGrid(*params.grid),
                                                      0.5, 0.6, 1.4)
         r_nodes = rs.default_r_nodes(*params.fisher_r_nodes)
         config = sp.SolverConfig(t_max=params.fisher_t_max)
         rep = rs.fisher_trajectory_check(phi0, 0.95, config, r_nodes=r_nodes,
                                          n_checks=params.fisher_checks)
-        margin = float(np.min(np.array(rep["bounds"]) - np.array(rep["fisher"])))
-        checks.append(_check("fisher-trajectory e=0.95", claim_traj,
-                             margin, 0.0, margin, rep["holds"]))
+        add(float(np.min(np.array(rep["bounds"]) - np.array(rep["fisher"]))), 0.0,
+            lower=True)
         raw["fisher_trajectory"] = rep
-    except Exception as exc:
-        checks.append(_error_check("fisher-trajectory e=0.95", claim_traj, exc))
 
-    claim_gain = "one application of the gain grows Fisher information by at most 1+growth"
+    claim = "one application of the gain grows Fisher information by at most 1+growth"
     corpus = _ws_corpus(ws, params)
     for entry in corpus[:params.gain_entries]:
         names = [f"fisher-gain {entry['name']} e={e:g}" for e in params.gain_es]
-        try:
+        with _guard(rows, claim, *names):
             f = rs.reconstruct(entry["phi"], entry["f"].r)  # shared by every e
-        except Exception as exc:
-            checks.extend(_error_check(name, claim_gain, exc) for name in names)
-            continue
-        for e, name in zip(params.gain_es, names):
-            try:
-                rep = rs.fisher_gain_check(entry["phi"], e, f=f)
-                slack = rep["bound_factor"] - rep["ratio"]
-                checks.append(_check(name, claim_gain, rep["ratio"],
-                                     rep["bound_factor"], slack, rep["holds"]))
-            except Exception as exc:
-                checks.append(_error_check(name, claim_gain, exc))
+            for e, name in zip(params.gain_es, names):
+                with _guard(rows, claim, name) as add:
+                    rep = rs.fisher_gain_check(entry["phi"], e, f=f)
+                    add(rep["ratio"], rep["bound_factor"], holds=rep["holds"])
 
     # scale invariance of the frequency-sup / Fisher ratio (dilations move
     # numerator and denominator together; no sharp constant is asserted)
-    claim_scale = "sup_x x|phi| / sqrt(I(f)) is invariant under dilations"
-    try:
+    with _guard(rows, "sup_x x|phi| / sqrt(I(f)) is invariant under dilations",
+                "fourier-sup-fisher scale-invariance") as add:
         grid = corpus[0]["phi"].grid
         r_nodes = corpus[0]["f"].r
         lam2 = 2.0  # dilation by sqrt(2): halves the temperature
@@ -794,130 +792,95 @@ def _suite_fisher(ws: dict, params: SuiteParams) -> tuple[list[dict], dict]:
             sp.CharacteristicProfile.bimaxwellian(grid, 0.5, 0.6 / lam2, 1.4 / lam2),
             rs.RadialDensity.mixture(r_nodes, 0.5, 0.6 / lam2, 1.4 / lam2))
         rel = max(abs(dil / base - 1.0), abs(mix_d / mix - 1.0))
-        tol = 5e-3
-        checks.append(_check("fourier-sup-fisher scale-invariance", claim_scale,
-                             rel, tol, tol - rel, rel <= tol,
-                             ratios=[base, dil, mix, mix_d]))
-    except Exception as exc:
-        checks.append(_error_check("fourier-sup-fisher scale-invariance",
-                                   claim_scale, exc))
-    return checks, raw
+        add(rel, 5e-3, ratios=[base, dil, mix, mix_d])
+    return rows, raw
 
 
 def _suite_weak_decay(ws: dict, params: SuiteParams) -> tuple[list[dict], dict]:
-    checks: list[dict] = []
+    rows: list[dict] = []
     raw: dict = {}
+    target = 2.0 * sp.dissipation_rate(0.5)
 
-    claim_sp = "temperature decays at rate 2E = (1-e^2)/4 in the unscaled frame"
-    try:
+    with _guard(rows, "temperature decays at rate 2E = (1-e^2)/4 in the unscaled frame",
+                "spectral-m2-rate e=0.5") as add:
         phi0 = sp.CharacteristicProfile.maxwellian(sp.RadialGrid(*params.grid), 1.0)
         trace = sp.evolve(phi0, 0.5, sp.SolverConfig(t_max=params.decay_t_max,
                                                      frame="unscaled-f"))
         fit = fit_exponential_rate((trace.times, trace.diagnostics["m2"]))
-        target = 2.0 * sp.dissipation_rate(0.5)
-        rel = abs(fit.rate - target) / target
-        checks.append(_check("spectral-m2-rate e=0.5", claim_sp, rel, 5e-3,
-                             5e-3 - rel, rel <= 5e-3,
-                             rate=fit.rate, target=target, r_squared=fit.r_squared))
+        add(abs(fit.rate - target) / target, 5e-3,
+            rate=fit.rate, target=target, r_squared=fit.r_squared)
         raw["spectral_unscaled_trace"] = trace
-    except Exception as exc:
-        checks.append(_error_check("spectral-m2-rate e=0.5", claim_sp, exc))
 
-    claim_mc = "particle-system energy decays at rate 2E = 0.1875 at e = 0.5"
-    try:
+    with _guard(rows, "particle-system energy decays at rate 2E = 0.1875 at e = 0.5",
+                "dsmc-m2-rate e=0.5") as add:
         ens = dsmc.sample_initial("maxwellian", params.n_particles, seed=1, e=0.5)
         series = dsmc.run(ens, t_max=params.decay_t_max, dt=params.dsmc_dt)
         fit = fit_exponential_rate((series["t"], series["m2"]))
-        target = 2.0 * sp.dissipation_rate(0.5)
-        rel = abs(fit.rate - target) / target
-        checks.append(_check("dsmc-m2-rate e=0.5", claim_mc, rel, 0.02,
-                             0.02 - rel, rel <= 0.02,
-                             rate=fit.rate, target=target, r_squared=fit.r_squared))
+        add(abs(fit.rate - target) / target, 0.02,
+            rate=fit.rate, target=target, r_squared=fit.r_squared)
         raw["dsmc_series"] = series
-    except Exception as exc:
-        checks.append(_error_check("dsmc-m2-rate e=0.5", claim_mc, exc))
 
-    claim_d2 = "weak distance to the steady profile decays at least at rate 0.9*gamma"
-    try:
+    with _guard(rows, "weak distance to the steady profile decays at least at rate "
+                "0.9*gamma", "d2-decay-rate e=0.95") as add:
         trace = _ws_run(ws, params)
         d2_ref = trace.diagnostics["d2_ref"]
         fit = fit_exponential_rate((trace.times, d2_ref),
                                    window=(10.0, params.run_t_max))
         gamma = sp.gamma_constants(0.9, 0.95)[2]
-        bound = 0.9 * gamma
         # the fit reads the decay only while d2_ref stays well above the
         # reference's own error: record both at the ends of the window
         ends = np.searchsorted(trace.times, fit.window)
-        checks.append(_check("d2-decay-rate e=0.95", claim_d2, fit.rate, bound,
-                             fit.rate - bound, fit.rate >= bound,
-                             gamma=gamma, r_squared=fit.r_squared,
-                             ref_cauchy_d2=_ws_steady(ws, params).meta["cauchy_d2"],
-                             d2_ref_ends=d2_ref[ends].tolist()))
+        add(fit.rate, 0.9 * gamma, lower=True,
+            gamma=gamma, r_squared=fit.r_squared,
+            ref_cauchy_d2=_ws_steady(ws, params).meta["cauchy_d2"],
+            d2_ref_ends=d2_ref[ends].tolist())
         raw["d2_fit"] = dataclasses.asdict(fit)
-    except Exception as exc:
-        checks.append(_error_check("d2-decay-rate e=0.95", claim_d2, exc))
-    return checks, raw
+    return rows, raw
 
 
 def _suite_regularity(ws: dict, params: SuiteParams) -> tuple[list[dict], dict]:
-    checks: list[dict] = []
-    raw: dict = {}
+    rows: list[dict] = []
     steady = _ws_steady(ws, params)
     trace = _ws_run(ws, params)
     # the run's regularity diagnostics, as `evolve` records them
     steady_vals = {f"sup_{sp._SUP_DELTA:g}": sp.sup_weighted(steady, sp._SUP_DELTA)}
     steady_vals.update({f"hr_{r:g}": sp.sobolev_norm(steady, r) for r in sp._SOBOLEV_ORDERS})
-    for key in steady_vals:
-        claim = f"{key} stays within 5% of max(initial, steady) along the run"
-        try:
+    for key, at_steady in steady_vals.items():
+        with _guard(rows, f"{key} stays within 5% of max(initial, steady) along the run",
+                    f"regularity-{key} e=0.95") as add:
             series = trace.diagnostics[key]
-            bound = 1.05 * max(float(series[0]), steady_vals[key])
-            peak = float(np.max(series))
-            checks.append(_check(f"regularity-{key} e=0.95", claim, peak, bound,
-                                 bound - peak, peak <= bound,
-                                 initial=float(series[0]), steady=steady_vals[key]))
-        except Exception as exc:
-            checks.append(_error_check(f"regularity-{key} e=0.95", claim, exc))
+            add(float(np.max(series)), 1.05 * max(float(series[0]), at_steady),
+                initial=float(series[0]), steady=at_steady)
 
     # qualitative two-sided envelope of the steady profile: logged, not scored
-    claim_env = "steady profile sits between the Gaussian and exp(-x)(1+x) envelopes"
-    try:
-        rep = sp.envelope_report(steady)
-        raw["hcs_envelope"] = rep
-        checks.append(_check("hcs-envelope-report e=0.95", claim_env,
-                             max(rep["max_lower_violation"], rep["max_upper_violation"]),
-                             None, None, True, **rep))
-        logger.info("hcs envelope report: %r", rep)
-    except Exception as exc:
-        checks.append(_error_check("hcs-envelope-report e=0.95", claim_env, exc))
-    return checks, raw
+    rep = steady.meta["envelope"]
+    rows.append(_row("hcs-envelope-report e=0.95",
+                     "steady profile sits between the Gaussian and exp(-x)(1+x) envelopes",
+                     max(rep["max_lower_violation"], rep["max_upper_violation"]), None,
+                     **rep))
+    logger.info("hcs envelope report: %r", rep)
+    return rows, {"hcs_envelope": rep}
 
 
 def _suite_inequalities(ws: dict, params: SuiteParams) -> tuple[list[dict], dict]:
-    checks: list[dict] = []
-    corpus = _ws_corpus(ws, params)
-    claim = "Nash, interpolation, and moment-to-mass inequalities hold with positive slack"
-    for entry in corpus:
-        name = f"inequalities {entry['name']}"
-        try:
+    rows: list[dict] = []
+    for entry in _ws_corpus(ws, params):
+        with _guard(rows, "Nash, interpolation, and moment-to-mass inequalities hold "
+                    "with positive slack", f"inequalities {entry['name']}") as add:
             rep = rs.inequality_suite(entry["phi"], entry["f"])
-            slacks = [c["slack"] for c in rep["checks"]]
-            worst = float(np.min(slacks))
-            checks.append(_check(name, claim, worst, 0.0, worst, worst > 0.0,
-                                 n_checks=rep["n_checks"]))
-        except Exception as exc:
-            checks.append(_error_check(name, claim, exc))
-    return checks, {}
+            worst = float(np.min([c["slack"] for c in rep["checks"]]))
+            add(worst, 0.0, holds=worst > 0.0, lower=True, n_checks=rep["n_checks"])
+    return rows, {}
 
 
 def _suite_frame_consistency(ws: dict, params: SuiteParams) -> tuple[list[dict], dict]:
-    checks: list[dict] = []
+    rows: list[dict] = []
     raw: dict = {}
     e = 0.95
     E = sp.dissipation_rate(e)
 
-    claim_fr = "unscaled and rescaled frames agree after undoing the dilation"
-    try:
+    with _guard(rows, "unscaled and rescaled frames agree after undoing the dilation",
+                "frame-agreement e=0.95") as add:
         grid = sp.RadialGrid(*params.grid)
         T = params.frame_t_max
         phi0 = sp.CharacteristicProfile.bimaxwellian(grid, 0.5, 0.6, 1.4)
@@ -927,16 +890,11 @@ def _suite_frame_consistency(ws: dict, params: SuiteParams) -> tuple[list[dict],
         fac = math.exp(E * T)
         x = grid.x[grid.x <= grid.x_max / fac * 0.98]
         diff = sp.evaluate(tr_g.final, x) - sp.evaluate(tr_f.final, x * fac)
-        worst = float(np.max(np.abs(diff)))
-        tol = 1e-6
-        checks.append(_check("frame-agreement e=0.95", claim_fr, worst, tol,
-                             tol - worst, worst <= tol))
-    except Exception as exc:
-        checks.append(_error_check("frame-agreement e=0.95", claim_fr, exc))
+        add(float(np.max(np.abs(diff))), 1e-6)
 
-    claim_ecf = ("particle-system characteristic function matches the deterministic "
-                 "profile within 3/sqrt(N) after rescaling")
-    try:
+    with _guard(rows, "particle-system characteristic function matches the "
+                "deterministic profile within 3/sqrt(N) after rescaling",
+                "dsmc-vs-spectral-ecf e=0.95") as add:
         n_part = params.n_particles
         T = params.ecf_t_max
         targets = np.linspace(0.0, 10.0, 21)
@@ -951,25 +909,18 @@ def _suite_frame_consistency(ws: dict, params: SuiteParams) -> tuple[list[dict],
         phi_m = sp.CharacteristicProfile.maxwellian(sp.RadialGrid(*params.grid), 1.0)
         trace = sp.evolve(phi_m, e, sp.SolverConfig(t_max=T), diagnostics_schedule=[T])
         ref = sp.evaluate(trace.final, targets)
-        worst = float(np.max(np.abs(ecf_vals - ref)))
-        band = 3.0 / math.sqrt(n_part)
-        checks.append(_check("dsmc-vs-spectral-ecf e=0.95", claim_ecf, worst, band,
-                             band - worst, worst <= band,
-                             t=T, n_particles=n_part))
+        add(float(np.max(np.abs(ecf_vals - ref))), 3.0 / math.sqrt(n_part),
+            t=T, n_particles=n_part)
         raw["ecf_comparison"] = {"x": targets.tolist(), "dsmc": ecf_vals.tolist(),
                                  "spectral": ref.tolist()}
-    except Exception as exc:
-        checks.append(_error_check("dsmc-vs-spectral-ecf e=0.95", claim_ecf, exc))
-    return checks, raw
+    return rows, raw
 
 
 def _suite_sweep(ws: dict, params: SuiteParams) -> tuple[list[dict], dict]:
-    checks: list[dict] = []
+    rows: list[dict] = []
     raw: dict = {}
-    claim_mono = "steady-state distance to the Maxwellian shrinks as e -> 1"
-    claim_stab = ("fitted envelope constant stays within a factor 3 between "
-                  "consecutive eps points")
-    try:
+    claim = "steady-state distance to the Maxwellian shrinks as e -> 1"
+    with _guard(rows, claim, "sweep"):
         table = sweep_epsilon(params.sweep_eps,
                               config=sp.SolverConfig(t_max=params.steady_t_max),
                               grid=sp.RadialGrid(*params.sweep_grid),
@@ -982,21 +933,20 @@ def _suite_sweep(ws: dict, params: SuiteParams) -> tuple[list[dict], dict]:
                                "steps", "warnings")}
         l1 = np.array(table["l1"])
         worst_step = float(np.max(np.diff(l1))) if len(l1) >= 2 else math.nan
-        checks.append(_check("sweep-monotone", claim_mono, worst_step, 0.0,
-                             -worst_step, table["monotone"], l1=table["l1"]))
+        rows.append(_row("sweep-monotone", claim, worst_step, 0.0,
+                         holds=table["monotone"], l1=table["l1"]))
         ratios = np.array(table["c_ratios"])
         worst_ratio = float(np.max(np.maximum(ratios, 1.0 / ratios))) if len(ratios) else math.nan
-        checks.append(_check("sweep-envelope-stability", claim_stab, worst_ratio,
-                             3.0, 3.0 - worst_ratio, table["c_stable"],
-                             c_fit=table["c_fit"], c_ratios=table["c_ratios"],
-                             c_growth_ok=table["c_growth_ok"]))
-    except Exception as exc:
-        checks.append(_error_check("sweep", claim_mono, exc))
-    return checks, raw
+        rows.append(_row("sweep-envelope-stability",
+                         "fitted envelope constant stays within a factor 3 between "
+                         "consecutive eps points", worst_ratio, 3.0,
+                         holds=table["c_stable"], c_fit=table["c_fit"],
+                         c_ratios=table["c_ratios"], c_growth_ok=table["c_growth_ok"]))
+    return rows, raw
 
 
 _SUITE_RUNNERS = {
-    "kinematics": lambda ws, params: _suite_kinematics(params),
+    "kinematics": _suite_kinematics,
     "fisher": _suite_fisher,
     "weak-decay": _suite_weak_decay,
     "regularity": _suite_regularity,
@@ -1004,6 +954,7 @@ _SUITE_RUNNERS = {
     "frame-consistency": _suite_frame_consistency,
     "sweep": _suite_sweep,
 }
+SUITES = tuple(_SUITE_RUNNERS)
 
 
 def verify(suite: str = "all", fast: bool = False, out_dir=None) -> dict:
@@ -1019,7 +970,7 @@ def verify(suite: str = "all", fast: bool = False, out_dir=None) -> dict:
     if suite != "all" and suite not in _SUITE_RUNNERS:
         raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITES}")
     fast = bool(fast)
-    params = _params(fast)
+    params = FAST if fast else FULL
     stamp, sha = _provenance(suite, fast)
     names = list(SUITES) if suite == "all" else [suite]
     t0 = time.perf_counter()
@@ -1029,10 +980,9 @@ def verify(suite: str = "all", fast: bool = False, out_dir=None) -> dict:
     suite_elapsed: dict[str, float] = {}
     for name in names:
         t1 = time.perf_counter()
-        try:
+        rows, raw = [], {}
+        with _guard(rows, "suite execution", name):  # a crash is one error row
             rows, raw = _SUITE_RUNNERS[name](ws, params)
-        except Exception as exc:  # a suite-level crash is one errored check
-            rows, raw = [_error_check(name, "suite execution", exc)], {}
         for r in rows:
             r["suite"] = name
         checks.extend(rows)

@@ -134,9 +134,13 @@ def swap_inverse(v, w, sigma, e: float):
     It divides by e, so e outside (0, 1] raises ValueError. The outputs and
     the unsafe case (v == w: v, w and sigma unchanged) are as in swap_forward.
     """
-    e = _check_e(e)
+    return _swap_inverse(v, w, sigma, _check_e(e), _unit_rel(v, w))
+
+
+def _swap_inverse(v, w, sigma, e: float, rel):
+    # swap_inverse on the _unit_rel(v, w) its caller already holds
     z = 0.5 * (v + w)
-    u, unorm, k, safe = _unit_rel(v, w)
+    u, unorm, k, safe = rel
     half = -(1.0 - e) / (4.0 * e) * u + (1.0 + e) / (4.0 * e) * unorm * sigma
     vs = z + half
     ws = z - half
@@ -284,9 +288,10 @@ def mc_change_of_variables(K: Callable, e, which: str = "sigma-theorem",
     if which == "sigma-theorem":
         def lhs_block(rng, m):
             v, w, sigma, wt = draw(rng, m)
-            _, _, k, safe = _unit_rel(v, w)
+            rel = _unit_rel(v, w)
+            _, _, k, safe = rel
             ks = _dot(k, sigma)
-            vs, ws, ss, _ = swap_inverse(v, w, sigma, e)
+            vs, ws, ss, _ = _swap_inverse(v, w, sigma, e, rel)
             val = np.asarray(K(vs, ws, ss, v, w, sigma), dtype=float)
             return np.where(safe, val * B_e_plus(ks) * wt, 0.0)
 

@@ -718,15 +718,20 @@ _MOM_PINV = np.linalg.pinv(np.stack(
     [(np.arange(1, _MOM_NODES + 1) / _MOM_NODES) ** (2 * j) for j in range(4)], axis=1))
 
 
-def _even_fit(vals: np.ndarray, h: float, spacing: int) -> tuple[float, float, float]:
-    # returns (phi''(0)/2, phi''''(0)/24, roundoff scale of the fit)
+# m2 = -6 phi''(0)/2 and m4 = 120 phi''''(0)/24, where phi''(0)/2 and
+# phi''''(0)/24 are the fit coefficients of y^2 and y^4 over span^2, span^4
+_MOM_FACTOR = {2: -6.0, 4: 120.0}
+
+
+def _even_fit(vals: np.ndarray, h: float, spacing: int, order: int) -> tuple[float, float]:
+    # returns (the moment of this order, roundoff scale of the fit)
     k = np.arange(1, _MOM_NODES + 1) * spacing
     span = k[-1] * h
     coef = _MOM_PINV @ vals[k]
     eps_amp = np.finfo(float).eps * float(np.max(np.abs(vals[k]))) \
         * np.abs(_MOM_PINV).sum(axis=1)
-    return (coef[1] / span ** 2, coef[2] / span ** 4,
-            (eps_amp[1] / span ** 2, eps_amp[2] / span ** 4))
+    c, j = _MOM_FACTOR[order], order // 2
+    return c * (coef[j] / span ** order), abs(c) * (eps_amp[j] / span ** order)
 
 
 def moment(phi: CharacteristicProfile, order: int) -> float:
@@ -739,17 +744,11 @@ def moment(phi: CharacteristicProfile, order: int) -> float:
     """
     if order not in (2, 4):
         raise ValueError("only moments of order 2 and 4 are provided")
-    h = phi.grid.dx
-    vals = phi.values
-    for spacing in (1, 2):
-        b1, b2, (n1, n2) = _even_fit(vals, h, spacing)
-        value = -6.0 * b1 if order == 2 else 120.0 * b2
-        noise = 6.0 * n1 if order == 2 else 120.0 * n2
-        if noise <= 0.01 * abs(value) or spacing == 2:
-            if spacing == 2:
-                warnings.warn(f"moment({order}) stencil widened: roundoff near value scale")
-            return float(value)
-    raise AssertionError("unreachable")
+    value, noise = _even_fit(phi.values, phi.grid.dx, 1, order)
+    if not noise <= 0.01 * abs(value):  # a NaN estimate widens too
+        warnings.warn(f"moment({order}) stencil widened: roundoff near value scale")
+        value, _ = _even_fit(phi.values, phi.grid.dx, 2, order)
+    return float(value)
 
 
 def trapezoid(y: np.ndarray, x: np.ndarray) -> float:

@@ -280,7 +280,30 @@ def test_verify_errors_propagate_without_aborting(monkeypatch):
     monkeypatch.setitem(harness._SUITE_RUNNERS, "fisher", boom)
     report = harness.verify("fisher", fast=True)
     assert report["n_error"] == 1 and not report["passed"]
-    assert "synthetic failure" in report["checks"][0]["detail"]["error"]
+    row = report["checks"][0]
+    assert (row["name"], row["claim"], row["suite"]) == ("fisher", "suite execution", "fisher")
+    assert "synthetic failure" in row["detail"]["error"]
+
+
+def test_a_raising_check_is_an_error_row_under_its_own_name(monkeypatch):
+    def boom(*args, **kwargs):
+        raise FloatingPointError("synthetic gain failure")
+    monkeypatch.setattr(rs, "fisher_gain_check", boom)
+    report = harness.verify("fisher", fast=True)
+    rows = {c["name"]: c for c in report["checks"]}
+    gain = [name for name in rows if name.startswith("fisher-gain")]
+    assert gain == ["fisher-gain maxwellian e=0.9", "fisher-gain mixture-a e=0.9"]
+    for name in gain:
+        row = rows[name]
+        assert row["status"] == "error"
+        assert row["claim"] == ("one application of the gain grows Fisher "
+                                "information by at most 1+growth")
+        assert row["measured"] is row["bound"] is row["slack"] is None
+        assert "synthetic gain failure" in row["detail"]["error"]
+    # the checks around the raising one still run and pass
+    assert rows["fisher-trajectory e=0.95"]["status"] == "pass"
+    assert rows["fourier-sup-fisher scale-invariance"]["status"] == "pass"
+    assert report["n_error"] == 2 and report["n_pass"] == 2
 
 
 def test_verify_hash_covers_exactly_the_stamp(tmp_path, monkeypatch):
@@ -372,6 +395,20 @@ def test_verify_all_fast_smoke(tmp_path, read_series):
     # the known-red criterion-8 check; every other check passes
     assert [c["name"] for c in report["checks"] if c["status"] != "pass"] == [
         "sweep-envelope-stability"]
+    # the row contract: unique names, slack the signed margin to the bound,
+    # and on this report a row passes exactly when its slack is nonnegative
+    names = [c["name"] for c in report["checks"]]
+    assert len(set(names)) == len(names)
+    lower = ("fisher-trajectory", "d2-decay-rate", "inequalities ")
+    for c in report["checks"]:
+        if c["bound"] is None:
+            assert c["slack"] is None and c["status"] == "pass"
+            continue
+        if c["name"].startswith(lower):
+            assert c["slack"] == c["measured"] - c["bound"]
+        else:
+            assert c["slack"] == c["bound"] - c["measured"]
+        assert (c["status"] == "pass") == (c["slack"] >= 0.0)
     assert report["provenance"]["table"] == dataclasses.asdict(harness.FAST)
     assert report["steady_e095_warnings"] == []
     assert "artifact_error" not in report and len(report["artifacts"]) == 8
