@@ -5,7 +5,8 @@ Subcommands: evolve (deterministic solver run), dsmc (particle run), steady
 (named check suites), kincheck (fast collision-law exactness check). Flag
 precedence is CLI > config file (flat key=value via --config) > defaults.
 Exit codes: 0 success, 1 numerical failure, 2 usage error. Every run is
-deterministic given its flags; artifacts embed the resolved config.
+deterministic given its flags; artifacts carry the provenance stamp of the
+config fields their command reads, and its SHA-256.
 """
 
 from __future__ import annotations
@@ -136,11 +137,13 @@ def _resolve(args: argparse.Namespace) -> ExperimentConfig:
         args.config, base=_COMMAND_DEFAULTS[args.command], **overrides)
 
 
-def _embed_provenance(cfg: ExperimentConfig, command: str, **inputs) -> None:
+def _artifact_stamp(cfg: ExperimentConfig, command: str, **inputs) -> tuple[dict, str]:
+    """The stamp of the command, the config fields it reads and `inputs`, and its hash."""
     # every artifact but the particle run's comes out of the gain operator
     if command != "dsmc":
         inputs["quad_order"] = sp.QUAD_ORDER
-    harness.embed_provenance(cfg.out, cfg, _COMMAND_FIELDS[command], inputs)
+    config = {name: getattr(cfg, name) for name in _COMMAND_FIELDS[command]}
+    return harness._stamp({"command": command, "config": config, **inputs})
 
 
 def _initial_profile(init: str, grid: sp.RadialGrid) -> sp.CharacteristicProfile:
@@ -153,11 +156,11 @@ def _initial_profile(init: str, grid: sp.RadialGrid) -> sp.CharacteristicProfile
 
 def _cmd_evolve(cfg: ExperimentConfig) -> int:
     grid = sp.RadialGrid(cfg.grid_n, cfg.x_max)
-    solver = sp.SolverConfig(dt=cfg.dt, t_max=cfg.t_max, frame=cfg.solver_frame())
+    solver = sp.SolverConfig(dt=cfg.dt, t_max=cfg.t_max, frame=cfg.frame)
     trace = sp.evolve(_initial_profile(cfg.init, grid), cfg.e, solver)
     if cfg.out:
-        harness.save_trace(cfg.out, trace, cfg.e, cfg.solver_frame())
-        _embed_provenance(cfg, "evolve")
+        harness.save_trace(cfg.out, trace, cfg.e, cfg.frame)
+        harness.embed_provenance(cfg.out, *_artifact_stamp(cfg, "evolve"))
         print(f"wrote {cfg.out}: {len(trace.times)} records to t={trace.times[-1]:g}")
     else:
         m2 = trace.diagnostics["m2"]
@@ -181,7 +184,8 @@ def _cmd_dsmc(cfg: ExperimentConfig, x_grid: np.ndarray | None) -> int:
                       record_every=cfg.record_every or None)
     if cfg.out:
         dsmc.save_series(cfg.out, series)
-        _embed_provenance(cfg, "dsmc", x_grid=None if x_grid is None else x_grid.tolist())
+        harness.embed_provenance(cfg.out, *_artifact_stamp(
+            cfg, "dsmc", x_grid=None if x_grid is None else x_grid.tolist()))
         print(f"wrote {cfg.out}: {len(series['t'])} records, "
               f"{ens.collisions_applied} collisions")
     else:
@@ -196,7 +200,7 @@ def _cmd_steady(cfg: ExperimentConfig) -> int:
     phi = sp.steady_profile(cfg.e, solver, tol=cfg.tol, grid=grid)
     if cfg.out:
         sp.save_profile(cfg.out, phi, cfg.e, "rescaled-g")
-        _embed_provenance(cfg, "steady")
+        harness.embed_provenance(cfg.out, *_artifact_stamp(cfg, "steady"))
         print(f"wrote {cfg.out}")
     print(f"steady e={cfg.e:g}: converged={phi.meta['converged']} "
           f"steps={phi.meta['steps']} "
@@ -222,7 +226,7 @@ def _cmd_sweep(cfg: ExperimentConfig) -> int:
               f"in {d['steps']} steps)")
     if cfg.out:
         harness._save_sweep_csv(cfg.out, table)
-        _embed_provenance(cfg, "sweep-eps")
+        harness.embed_provenance(cfg.out, *_artifact_stamp(cfg, "sweep-eps"))
         print(f"wrote {cfg.out}")
     ok = table["monotone"] and table["c_stable"]
     if not ok:

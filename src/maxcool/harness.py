@@ -2,17 +2,21 @@
 
 This module turns the library checks into runnable experiments. It owns the
 exponential-rate fitter used by every decay check, the flat key=value
-experiment configuration (lossless text round trip, CLI > file > defaults
-precedence), the named verification suites that aggregate module-level
-assertions into a pass/fail report, and the small-inelasticity steady-state
-sweep. The suites read their sizes, horizons, budgets and tolerances from
-one declared table (`FULL`, or `FAST` for smoke runs); every spectral solve
-steps at `spectral.DT`. A verify report and each of its artifacts carry a
-provenance stamp (suite, fast, that table, the time step, the gain
-quadrature order and the package versions) plus the SHA-256 of its canonical
-text. The other CLI artifacts embed their resolved configuration, step
-included, with the same order and versions block, and hash both. All
-randomness is seeded; reports are deterministic given the stamp.
+experiment configuration (CLI > file > defaults precedence, one stored
+spelling per value), the named verification suites that aggregate
+module-level assertions into a pass/fail report, and the small-inelasticity
+steady-state sweep. The suites read their sizes, horizons, budgets and
+tolerances from one declared table (`FULL`, or `FAST` for smoke runs); every
+spectral solve steps at `spectral.DT`.
+
+Provenance: every artifact, of `verify` or of a CLI command, carries one
+stamp, a dict of the inputs that shaped it plus the package versions, and
+the SHA-256 of the stamp's canonical JSON text (sorted keys, no whitespace).
+A verify stamp holds suite, fast, the table, the time step and the gain
+quadrature order; a CLI stamp holds the command, the config fields it reads
+and the inputs no field holds. CSV artifacts carry both as `# provenance`
+and `# sha256` lines after the format header. All randomness is seeded;
+results are deterministic given the stamp.
 
 Report rows: each has a unique name, its claim, measured, bound, slack,
 status and suite, plus an optional detail dict. slack is the signed margin,
@@ -21,8 +25,8 @@ when slack >= 0 and "fail" otherwise, unless the check supplies its own
 verdict. A report-only row has bound and slack None and passes. A check
 that raises becomes an "error" row under its own name and claim, with
 measured, bound and slack None and detail {"error": repr(exc)}; a suite
-that raises becomes one error row named after the suite, claim "suite
-execution".
+that raises keeps the rows and raw data it made, followed by one error row
+named after the suite, claim "suite execution".
 """
 
 from __future__ import annotations
@@ -56,7 +60,6 @@ __all__ = [
     "SuiteParams",
     "FULL",
     "FAST",
-    "config_fingerprint",
     "embed_provenance",
     "save_trace",
     "density_corpus",
@@ -209,18 +212,18 @@ FAST = SuiteParams(
 )
 
 
-def _code_stamp() -> dict:
-    """The package versions, which no config holds."""
-    return {"versions": {"maxcool": __version__, "numpy": np.__version__,
-                         "scipy": scipy.__version__}}
+def _stamp(fields: dict) -> tuple[dict, str]:
+    """`fields` plus the package versions, and the SHA-256 of its canonical JSON text."""
+    stamp = {**fields, "versions": {"maxcool": __version__, "numpy": np.__version__,
+                                    "scipy": scipy.__version__}}
+    return stamp, hashlib.sha256(_canonical(stamp).encode("utf-8")).hexdigest()
 
 
 def _provenance(suite: str, fast: bool) -> tuple[dict, str]:
-    """The verify stamp and the SHA-256 of its canonical JSON text."""
-    stamp = {"suite": suite, "fast": fast,
-             "table": dataclasses.asdict(FAST if fast else FULL), "dt": sp.DT,
-             "quad_order": sp.QUAD_ORDER, **_code_stamp()}
-    return stamp, hashlib.sha256(_canonical(stamp).encode("utf-8")).hexdigest()
+    """The verify stamp and its hash."""
+    return _stamp({"suite": suite, "fast": fast,
+                   "table": dataclasses.asdict(FAST if fast else FULL), "dt": sp.DT,
+                   "quad_order": sp.QUAD_ORDER})
 
 
 def _canonical(stamp: dict) -> str:
@@ -256,18 +259,19 @@ def _cast_bool(text: str) -> bool:
 class ExperimentConfig:
     """Flat experiment parameters shared by all subcommands.
 
-    Unused fields are simply ignored by a given operation. Round-trips
-    losslessly through the flat key=value text form; precedence when
-    resolving is CLI flags > config file > these defaults.
+    Unused fields are simply ignored by a given operation. Precedence when
+    resolving is CLI flags > config file (flat key=value text) > these
+    defaults. A frame is stored under its solver name and eps as the reprs
+    of its floats, so two spellings of one run make one config.
     """
 
     e: float = 0.95
-    grid_n: int = 4096
-    x_max: float = 50.0
+    grid_n: int = sp.DEFAULT_N
+    x_max: float = sp.DEFAULT_XMAX
     dt: float = sp.DT
     t_max: float = 10.0
     init: str = "maxwellian"
-    frame: str = "rescaled"
+    frame: str = "rescaled-g"
     n_particles: int = 100_000
     seed: int = 0
     tol: float = 1e-7
@@ -296,10 +300,11 @@ class ExperimentConfig:
             raise ValueError(f"record_every must be nonnegative, got {self.record_every}")
         if self.frame not in _FRAME_ALIASES:
             raise ValueError(f"frame must be one of {sorted(set(_FRAME_ALIASES))}")
+        self.frame = _FRAME_ALIASES[self.frame]  # one spelling per solver frame
         if self.suite not in SUITES + ("all",):
             raise ValueError(f"suite must be one of {SUITES + ('all',)}, got {self.suite!r}")
         dsmc.parse_initial_spec(self.init)  # validate early; raises on bad specs
-        self.eps_values()
+        self.eps = ",".join(map(repr, self.eps_values()))  # one spelling per list
 
     def eps_values(self) -> tuple[float, ...]:
         try:
@@ -307,20 +312,6 @@ class ExperimentConfig:
         except ValueError:
             raise ValueError(f"eps must be comma-separated floats, got {self.eps!r}")
         return _check_eps(vals)
-
-    def solver_frame(self) -> str:
-        return _FRAME_ALIASES[self.frame]
-
-    def to_text(self) -> str:
-        lines = []
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, bool):
-                v = "true" if v else "false"
-            elif isinstance(v, float):
-                v = repr(v)  # shortest exact round trip
-            lines.append(f"{f.name}={v}")
-        return "\n".join(lines) + "\n"
 
     @staticmethod
     def parse_kv(text: str) -> dict:
@@ -357,41 +348,18 @@ class ExperimentConfig:
 _CONFIG_CASTS = {f.name: type(f.default) for f in dataclasses.fields(ExperimentConfig)}
 
 
-def config_fingerprint(cfg: ExperimentConfig, fields: tuple[str, ...],
-                       inputs: dict) -> tuple[str, str]:
-    """Provenance text of a CLI artifact plus its SHA-256 hex digest.
-
-    The text has one `cfg key=value` line per config field in `fields`, the
-    ones that shaped the artifact, in the config's own order, and one
-    `provenance` line: the canonical JSON of `inputs`, the inputs that no
-    config field holds (the gain quadrature order, the ECF abscissae), and of
-    the package versions.
-    """
-    lines = [f"cfg {ln}" for ln in cfg.to_text().splitlines()
-             if ln.partition("=")[0] in fields]
-    lines.append(f"provenance {_canonical({**inputs, **_code_stamp()})}")
-    text = "\n".join(lines)
-    return text, hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def embed_provenance(path, cfg: ExperimentConfig, fields: tuple[str, ...],
-                     inputs: dict) -> None:
-    """Insert the provenance text of config_fingerprint and its hash as
-    comments after line 1.
+def embed_provenance(path, stamp: dict, sha: str) -> None:
+    """Insert `# provenance <canonical JSON of stamp>` and `# sha256 <sha>`
+    after line 1.
 
     The format header stays the first line, and a reader that skips "#"
     lines sees the same body as before.
     """
-    text, sha = config_fingerprint(cfg, fields, inputs)
-    _insert_comments(path, text.splitlines() + [f"sha256 {sha}"])
-
-
-def _insert_comments(path, comments: list[str]) -> None:
     p = Path(path)
     lines = p.read_text(encoding="utf-8").splitlines(keepends=True)
     if not lines:
         raise ValueError(f"cannot embed provenance in empty file {path}")
-    block = "".join(f"# {c}\n" for c in comments)
+    block = f"# provenance {_canonical(stamp)}\n# sha256 {sha}\n"
     p.write_text(lines[0] + block + "".join(lines[1:]), encoding="utf-8")
 
 
@@ -698,12 +666,12 @@ def _kinematics_exactness(e: float, n: int, seed: int) -> list[dict]:
     return rows
 
 
-def _suite_kinematics(ws: dict, params: SuiteParams) -> tuple[list[dict], dict]:
-    rows: list[dict] = []
+def _suite_kinematics(ws: dict, params: SuiteParams, rows: list[dict],
+                      raw: dict) -> None:
     for e in _KIN_ES:
         with _guard(rows, "collision-law identities", f"exactness e={e:g}"):
             rows.extend(_kinematics_exactness(e, params.kin_triples, seed=2))
-    mc_log = []
+    mc_log = raw["mc_identities"] = []
     claim = "gain-side change of variables leaves the collision average invariant"
     for ks in params.kernel_seeds:
         K = _gaussian_kernel(ks)
@@ -718,7 +686,6 @@ def _suite_kinematics(ws: dict, params: SuiteParams) -> tuple[list[dict], dict]:
                     add(z, 3.0, lhs=lhs, rhs=rhs, stderr=sig)
                     mc_log.append({"name": name, "lhs": lhs, "rhs": rhs,
                                    "stderr": sig, "z": z})
-    return rows, {"mc_identities": mc_log}
 
 
 def _ws_steady(ws: dict, params: SuiteParams) -> sp.CharacteristicProfile:
@@ -745,9 +712,8 @@ def _ws_corpus(ws: dict, params: SuiteParams) -> list[dict]:
     return ws["corpus"]
 
 
-def _suite_fisher(ws: dict, params: SuiteParams) -> tuple[list[dict], dict]:
-    rows: list[dict] = []
-    raw: dict = {}
+def _suite_fisher(ws: dict, params: SuiteParams, rows: list[dict],
+                  raw: dict) -> None:
     with _guard(rows, "Fisher information along the rescaled flow stays under "
                 "exp((growth - 2E) t) times its initial value",
                 "fisher-trajectory e=0.95") as add:
@@ -793,12 +759,10 @@ def _suite_fisher(ws: dict, params: SuiteParams) -> tuple[list[dict], dict]:
             rs.RadialDensity.mixture(r_nodes, 0.5, 0.6 / lam2, 1.4 / lam2))
         rel = max(abs(dil / base - 1.0), abs(mix_d / mix - 1.0))
         add(rel, 5e-3, ratios=[base, dil, mix, mix_d])
-    return rows, raw
 
 
-def _suite_weak_decay(ws: dict, params: SuiteParams) -> tuple[list[dict], dict]:
-    rows: list[dict] = []
-    raw: dict = {}
+def _suite_weak_decay(ws: dict, params: SuiteParams, rows: list[dict],
+                      raw: dict) -> None:
     target = 2.0 * sp.dissipation_rate(0.5)
 
     with _guard(rows, "temperature decays at rate 2E = (1-e^2)/4 in the unscaled frame",
@@ -835,11 +799,10 @@ def _suite_weak_decay(ws: dict, params: SuiteParams) -> tuple[list[dict], dict]:
             ref_cauchy_d2=_ws_steady(ws, params).meta["cauchy_d2"],
             d2_ref_ends=d2_ref[ends].tolist())
         raw["d2_fit"] = dataclasses.asdict(fit)
-    return rows, raw
 
 
-def _suite_regularity(ws: dict, params: SuiteParams) -> tuple[list[dict], dict]:
-    rows: list[dict] = []
+def _suite_regularity(ws: dict, params: SuiteParams, rows: list[dict],
+                      raw: dict) -> None:
     steady = _ws_steady(ws, params)
     trace = _ws_run(ws, params)
     # the run's regularity diagnostics, as `evolve` records them
@@ -859,23 +822,21 @@ def _suite_regularity(ws: dict, params: SuiteParams) -> tuple[list[dict], dict]:
                      max(rep["max_lower_violation"], rep["max_upper_violation"]), None,
                      **rep))
     logger.info("hcs envelope report: %r", rep)
-    return rows, {"hcs_envelope": rep}
+    raw["hcs_envelope"] = rep
 
 
-def _suite_inequalities(ws: dict, params: SuiteParams) -> tuple[list[dict], dict]:
-    rows: list[dict] = []
+def _suite_inequalities(ws: dict, params: SuiteParams, rows: list[dict],
+                        raw: dict) -> None:
     for entry in _ws_corpus(ws, params):
         with _guard(rows, "Nash, interpolation, and moment-to-mass inequalities hold "
                     "with positive slack", f"inequalities {entry['name']}") as add:
             rep = rs.inequality_suite(entry["phi"], entry["f"])
             worst = float(np.min([c["slack"] for c in rep["checks"]]))
             add(worst, 0.0, holds=worst > 0.0, lower=True, n_checks=rep["n_checks"])
-    return rows, {}
 
 
-def _suite_frame_consistency(ws: dict, params: SuiteParams) -> tuple[list[dict], dict]:
-    rows: list[dict] = []
-    raw: dict = {}
+def _suite_frame_consistency(ws: dict, params: SuiteParams, rows: list[dict],
+                             raw: dict) -> None:
     e = 0.95
     E = sp.dissipation_rate(e)
 
@@ -913,12 +874,10 @@ def _suite_frame_consistency(ws: dict, params: SuiteParams) -> tuple[list[dict],
             t=T, n_particles=n_part)
         raw["ecf_comparison"] = {"x": targets.tolist(), "dsmc": ecf_vals.tolist(),
                                  "spectral": ref.tolist()}
-    return rows, raw
 
 
-def _suite_sweep(ws: dict, params: SuiteParams) -> tuple[list[dict], dict]:
-    rows: list[dict] = []
-    raw: dict = {}
+def _suite_sweep(ws: dict, params: SuiteParams, rows: list[dict],
+                 raw: dict) -> None:
     claim = "steady-state distance to the Maxwellian shrinks as e -> 1"
     with _guard(rows, claim, "sweep"):
         table = sweep_epsilon(params.sweep_eps,
@@ -942,7 +901,6 @@ def _suite_sweep(ws: dict, params: SuiteParams) -> tuple[list[dict], dict]:
                          "consecutive eps points", worst_ratio, 3.0,
                          holds=table["c_stable"], c_fit=table["c_fit"],
                          c_ratios=table["c_ratios"], c_growth_ok=table["c_growth_ok"]))
-    return rows, raw
 
 
 _SUITE_RUNNERS = {
@@ -976,17 +934,17 @@ def verify(suite: str = "all", fast: bool = False, out_dir=None) -> dict:
     t0 = time.perf_counter()
     ws: dict = {}
     checks: list[dict] = []
-    raw_all: dict = {}
+    raw: dict = {}
     suite_elapsed: dict[str, float] = {}
     for name in names:
         t1 = time.perf_counter()
-        rows, raw = [], {}
-        with _guard(rows, "suite execution", name):  # a crash is one error row
-            rows, raw = _SUITE_RUNNERS[name](ws, params)
+        rows: list[dict] = []
+        # a crash is one error row after the rows the suite already made
+        with _guard(rows, "suite execution", name):
+            _SUITE_RUNNERS[name](ws, params, rows, raw)
         for r in rows:
             r["suite"] = name
         checks.extend(rows)
-        raw_all.update(raw)
         suite_elapsed[name] = time.perf_counter() - t1
         logger.info("suite %s: %d checks in %.1f s", name, len(rows),
                     suite_elapsed[name])
@@ -1005,14 +963,14 @@ def verify(suite: str = "all", fast: bool = False, out_dir=None) -> dict:
     }
     if "steady_e095" in ws:
         report["steady_e095_warnings"] = ws["steady_e095_warnings"]
-    if "sweep_table" in raw_all:
-        report["sweep_table"] = raw_all["sweep_table"]
-    if "hcs_envelope" in raw_all:
-        report["hcs_envelope"] = raw_all["hcs_envelope"]
+    if "sweep_table" in raw:
+        report["sweep_table"] = raw["sweep_table"]
+    if "hcs_envelope" in raw:
+        report["hcs_envelope"] = raw["hcs_envelope"]
 
     if out_dir is not None:
         try:
-            report["artifacts"] = _write_suite_artifacts(out_dir, stamp, sha, ws, raw_all)
+            report["artifacts"] = _write_suite_artifacts(out_dir, stamp, sha, ws, raw)
         except Exception as exc:
             logger.exception("artifact writing failed")
             report["artifact_error"] = repr(exc)
@@ -1024,12 +982,11 @@ def _write_suite_artifacts(out_dir, stamp: dict, sha: str, ws: dict,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[str] = []
-    comments = [f"provenance {_canonical(stamp)}", f"sha256 {sha}"]
 
     def emit_csv(name: str, save, *args) -> None:
         path = out / name
         save(path, *args)
-        _insert_comments(path, comments)
+        embed_provenance(path, stamp, sha)
         written.append(str(path))
 
     def emit_json(name: str, payload) -> None:

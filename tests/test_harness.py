@@ -76,18 +76,58 @@ def test_fit_rejections():
 # ---------------------------------------------------------------------------
 # configuration
 
+def _read_stamp(path) -> tuple[dict, str]:
+    """The stamp and hash after an artifact's header, the hash checked against the stamp."""
+    _, prov, digest = Path(path).read_text().splitlines()[:3]
+    assert prov.startswith("# provenance ") and digest.startswith("# sha256 ")
+    text, digest = prov[len("# provenance "):], digest[len("# sha256 "):]
+    assert digest == hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return json.loads(text), digest
+
+
 def test_config_text_round_trip_is_lossless(tmp_path):
     cfg = ExperimentConfig(e=0.7, dt=0.012345678901234567, tol=3e-11,
                            eps="0.2,0.1", init="bimax:0.5,0.6,1.4",
                            out="x.csv", fast=True)
     path = tmp_path / "run.cfg"
-    path.write_text(cfg.to_text())
+    path.write_text("".join(f"{k}={v}\n" for k, v in dataclasses.asdict(cfg).items()))
     back = ExperimentConfig.from_sources(path)
     assert back == cfg
-    # and the fingerprint is stable under the round trip
-    fields = cli._COMMAND_FIELDS["sweep-eps"]
-    assert (harness.config_fingerprint(back, fields, {})
-            == harness.config_fingerprint(cfg, fields, {}))
+    # and the stamp is stable under the round trip
+    assert cli._artifact_stamp(back, "sweep-eps") == cli._artifact_stamp(cfg, "sweep-eps")
+
+
+def test_one_spelling_of_a_run_gets_one_stamp(tmp_path):
+    parser = cli._build_parser()
+
+    def stamp(command, *flags):
+        return cli._artifact_stamp(cli._resolve(parser.parse_args([command, *flags])),
+                                   command)
+
+    cfg = tmp_path / "frame.cfg"
+    cfg.write_text("frame=rescaled-g\n")
+    assert stamp("evolve", "--frame", "rescaled") == stamp("evolve", "--config", str(cfg))
+    assert stamp("evolve", "--frame", "rescaled")[0]["config"]["frame"] == "rescaled-g"
+    assert stamp("evolve", "--frame", "unscaled") != stamp("evolve")
+    assert stamp("sweep-eps", "--eps", "0.1,0.05") == stamp("sweep-eps", "--eps", "0.10,0.050")
+    assert stamp("sweep-eps", "--eps", "0.1,0.05") != stamp("sweep-eps", "--eps", "0.1,0.04")
+    # and so does the artifact a command writes
+    shas = []
+    for k, flags in enumerate((["--frame", "rescaled"], ["--config", str(cfg)])):
+        path = tmp_path / f"trace{k}.csv"
+        assert run_cli(["evolve", "--grid-n", "256", "--x-max", "20", "--t-max",
+                        str(sp.DT), "--out", str(path), *flags]) == 0
+        shas.append(_read_stamp(path)[1])
+    assert shas[0] == shas[1]
+
+
+def test_each_command_hashes_exactly_the_flags_it_declares():
+    # a flag outside the stamp could change a result and leave its hash alone
+    commands = cli._build_parser()._subparsers._group_actions[0].choices
+    for command, fields in cli._COMMAND_FIELDS.items():
+        dests = {a.dest for a in commands[command]._actions} - {
+            "help", "out", "config", "verbose", "x_grid"}
+        assert dests == set(fields), command
 
 
 def test_config_parse_kv_keeps_only_present_keys():
@@ -135,20 +175,19 @@ def test_provenance_embedding_round_trip(tmp_path, read_series):
     path = tmp_path / "series.csv"
     dsmc.save_series(path, series)
     cfg = ExperimentConfig(n_particles=500, t_max=0.2, dt=0.01)
-    fields = cli._COMMAND_FIELDS["dsmc"]
-    harness.embed_provenance(path, cfg, fields, {"x_grid": [0.0, 1.0]})
-    text = path.read_text()
-    _, sha = harness.config_fingerprint(cfg, fields, {"x_grid": [0.0, 1.0]})
-    assert f"# sha256 {sha}" in text
-    assert "# cfg n_particles=500" in text
-    assert text.startswith("# maxcool-dsmc v1 x_grid=0,1\n# cfg ")  # header stays first
+    stamp, sha = cli._artifact_stamp(cfg, "dsmc", x_grid=[0.0, 1.0])
+    harness.embed_provenance(path, stamp, sha)
+    assert _read_stamp(path) == (stamp, sha)
+    assert stamp["config"]["n_particles"] == 500
+    # header stays first
+    assert path.read_text().startswith("# maxcool-dsmc v1 x_grid=0,1\n# provenance ")
     columns, body = read_series(path)  # the body is untouched
     assert columns[4] == "m2"
     np.testing.assert_array_equal(body[:, 4], series["m2"])
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     with pytest.raises(ValueError, match="empty"):
-        harness.embed_provenance(empty, cfg, fields, {})
+        harness.embed_provenance(empty, stamp, sha)
 
 
 def test_save_trace_body_is_plain_csv(tmp_path):
@@ -275,7 +314,7 @@ def test_jacobian_check_tests_the_coded_reflection(monkeypatch):
 
 
 def test_verify_errors_propagate_without_aborting(monkeypatch):
-    def boom(ws, params):
+    def boom(ws, params, rows, raw):
         raise RuntimeError("synthetic failure")
     monkeypatch.setitem(harness._SUITE_RUNNERS, "fisher", boom)
     report = harness.verify("fisher", fast=True)
@@ -283,6 +322,17 @@ def test_verify_errors_propagate_without_aborting(monkeypatch):
     row = report["checks"][0]
     assert (row["name"], row["claim"], row["suite"]) == ("fisher", "suite execution", "fisher")
     assert "synthetic failure" in row["detail"]["error"]
+
+
+def test_a_suite_crash_keeps_the_rows_and_data_it_made(monkeypatch, tmp_path):
+    def boom(ws, params):
+        raise RuntimeError("synthetic corpus failure")
+    monkeypatch.setattr(harness, "_ws_corpus", boom)
+    report = harness.verify("fisher", fast=True, out_dir=tmp_path)
+    assert [(c["name"], c["status"]) for c in report["checks"]] == [
+        ("fisher-trajectory e=0.95", "pass"), ("fisher", "error")]
+    assert "synthetic corpus failure" in report["checks"][1]["detail"]["error"]
+    assert [Path(p).name for p in report["artifacts"]] == ["fisher-trajectory.json"]
 
 
 def test_a_raising_check_is_an_error_row_under_its_own_name(monkeypatch):
@@ -308,7 +358,7 @@ def test_a_raising_check_is_an_error_row_under_its_own_name(monkeypatch):
 
 def test_verify_hash_covers_exactly_the_stamp(tmp_path, monkeypatch):
     # the suite's numbers play no part in the hash; skip the work
-    monkeypatch.setitem(harness._SUITE_RUNNERS, "kinematics", lambda ws, params: ([], {}))
+    monkeypatch.setitem(harness._SUITE_RUNNERS, "kinematics", lambda ws, params, rows, raw: None)
     runs = itertools.count()
 
     def report(*flags, config_text=""):
@@ -349,10 +399,10 @@ def test_cli_artifact_hash_covers_the_code_stamp(tmp_path, monkeypatch):
     def sha():
         assert run_cli(["evolve", "--grid-n", "256", "--x-max", "20", "--t-max",
                         str(sp.DT), "--out", str(path)]) == 0
-        lines = path.read_text().splitlines()
-        text = "\n".join(ln[2:] for ln in lines if ln.startswith(("# cfg ", "# provenance ")))
-        digest = next(ln.split()[-1] for ln in lines if ln.startswith("# sha256 "))
-        assert digest == hashlib.sha256(text.encode("utf-8")).hexdigest()
+        stamp, digest = _read_stamp(path)
+        assert stamp["command"] == "evolve"
+        assert set(stamp["config"]) == set(cli._COMMAND_FIELDS["evolve"])
+        assert stamp["quad_order"] == sp.QUAD_ORDER
         return digest
 
     base = sha()
@@ -368,11 +418,9 @@ def test_cli_dsmc_hash_covers_exactly_its_inputs(tmp_path, monkeypatch):
         path = tmp_path / name
         assert run_cli(["dsmc", "--n", "200", "--t-max", "0.05", "--out", str(path),
                         *flags]) == 0
-        lines = path.read_text().splitlines()
-        text = "\n".join(ln[2:] for ln in lines if ln.startswith(("# cfg ", "# provenance ")))
-        digest = next(ln.split()[-1] for ln in lines if ln.startswith("# sha256 "))
-        assert digest == hashlib.sha256(text.encode("utf-8")).hexdigest()
-        assert "grid_n" not in text and "quad_order" not in text
+        stamp, digest = _read_stamp(path)
+        assert set(stamp["config"]) == set(cli._COMMAND_FIELDS["dsmc"])
+        assert "grid_n" not in stamp["config"] and "quad_order" not in stamp
         return digest
 
     names = {f.name for f in dataclasses.fields(ExperimentConfig)}
@@ -465,8 +513,7 @@ def test_cli_dsmc_writes_artifact(tmp_path, capsys, read_series):
     assert code == 0
     _, body = read_series(out)
     assert body[-1, 0] == pytest.approx(0.5)
-    text = out.read_text()
-    assert "# cfg e=0.5" in text and "# sha256 " in text
+    assert _read_stamp(out)[0]["config"]["e"] == 0.5
 
 
 def test_cli_config_file_precedence(tmp_path, capsys):
