@@ -78,9 +78,9 @@ def test_fit_rejections():
 
 def _read_stamp(path) -> tuple[dict, str]:
     """The stamp and hash after an artifact's header, the hash checked against the stamp."""
-    _, prov, digest = Path(path).read_text().splitlines()[:3]
-    assert prov.startswith("# provenance ") and digest.startswith("# sha256 ")
-    text, digest = prov[len("# provenance "):], digest[len("# sha256 "):]
+    _, prov_line, sha_line = Path(path).read_text().splitlines()[:3]
+    assert prov_line.startswith("# provenance ") and sha_line.startswith("# sha256 ")
+    text, digest = prov_line[len("# provenance "):], sha_line[len("# sha256 "):]
     assert digest == hashlib.sha256(text.encode("utf-8")).hexdigest()
     return json.loads(text), digest
 
