@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from . import dsmc
@@ -214,6 +213,8 @@ FAST = SuiteParams(
 
 def _stamp(fields: dict) -> tuple[dict, str]:
     """`fields` plus the package versions, and the SHA-256 of its canonical JSON text."""
+    import scipy  # noqa: PLC0415  (read only here, so `import maxcool` loads no scipy)
+
     stamp = {**fields, "versions": {"maxcool": __version__, "numpy": np.__version__,
                                     "scipy": scipy.__version__}}
     return stamp, hashlib.sha256(_canonical(stamp).encode("utf-8")).hexdigest()
@@ -697,12 +698,19 @@ def _ws_steady(ws: dict, params: SuiteParams) -> sp.CharacteristicProfile:
 
 
 def _ws_run(ws: dict, params: SuiteParams) -> sp.EvolutionTrace:
-    # rescaled-frame tracked run used by the decay, regularity, and distance checks
+    # rescaled-frame tracked run used by the decay, regularity, and distance
+    # checks; a failed run is kept and re-raised, never evolved a second time
+    if "run_e095_error" in ws:
+        raise ws["run_e095_error"]
     if "run_e095" not in ws:
         steady = _ws_steady(ws, params)
         phi0 = sp.CharacteristicProfile.bimaxwellian(steady.grid, 0.5, 0.6, 1.4)
-        ws["run_e095"] = sp.evolve(phi0, 0.95, sp.SolverConfig(t_max=params.run_t_max),
-                                   reference=steady)
+        try:
+            ws["run_e095"] = sp.evolve(phi0, 0.95, sp.SolverConfig(t_max=params.run_t_max),
+                                       reference=steady)
+        except Exception as exc:
+            ws["run_e095_error"] = exc
+            raise
     return ws["run_e095"]
 
 
@@ -804,14 +812,13 @@ def _suite_weak_decay(ws: dict, params: SuiteParams, rows: list[dict],
 def _suite_regularity(ws: dict, params: SuiteParams, rows: list[dict],
                       raw: dict) -> None:
     steady = _ws_steady(ws, params)
-    trace = _ws_run(ws, params)
     # the run's regularity diagnostics, as `evolve` records them
     steady_vals = {f"sup_{sp._SUP_DELTA:g}": sp.sup_weighted(steady, sp._SUP_DELTA)}
     steady_vals.update({f"hr_{r:g}": sp.sobolev_norm(steady, r) for r in sp._SOBOLEV_ORDERS})
     for key, at_steady in steady_vals.items():
         with _guard(rows, f"{key} stays within 5% of max(initial, steady) along the run",
                     f"regularity-{key} e=0.95") as add:
-            series = trace.diagnostics[key]
+            series = _ws_run(ws, params).diagnostics[key]
             add(float(np.max(series)), 1.05 * max(float(series[0]), at_steady),
                 initial=float(series[0]), steady=at_steady)
 

@@ -6,10 +6,13 @@ the r = 0 limit (1/(2 pi^2)) int x^2 phi dx. The Simpson sum over m abscissae
 is taken at all R output nodes r_j = j dr at once by angle addition
 (`_sine_transform`): writing j = pB + l with B = ceil(sqrt(R)) splits
 sin(x r_j) = sin(x pB dr) cos(x l dr) + cos(x pB dr) sin(x l dr), so the sum
-is two (sqrt(R) x m)(m x sqrt(R)) matrix products. That costs about
-4 m sqrt(R) sines and O(m sqrt(R)) memory instead of an m x R kernel, and
-requires the output nodes to equal j dr to a few ulp, as np.linspace gives.
-The forward transform uses the same helper.
+is two (sqrt(R) x m)(m x sqrt(R)) matrix products instead of an m x R
+kernel, and requires the output nodes to equal j dr to a few ulp, as
+np.linspace gives. The four m x sqrt(R) sine and cosine tables depend only on
+the lattice, the exact abscissae x with R and dr, so they are computed once
+per lattice (about 4 m sqrt(R) sines) and stay resident, 32 m sqrt(R) bytes
+per lattice, in a FIFO cache of at most `spectral._CACHE_CAP` lattices. The
+forward transform uses the same helper.
 
 On top of reconstructed (or closed-form sampled) densities this module
 provides the Fisher information I(f) = int 4 pi r^2 f (d ln f / dr)^2 dr,
@@ -201,27 +204,43 @@ def _required_xmax(x: np.ndarray, absv: np.ndarray, target: float) -> float:
     return float(x[-1] + math.log(tail / target) / rate)
 
 
+_TRANSFORM_CACHE: dict[tuple, tuple[np.ndarray, ...]] = {}
+
+
 def _sine_transform(a: np.ndarray, x: np.ndarray, r: np.ndarray) -> np.ndarray:
     """sum_i a_i sin(x_i r_j) on output nodes r_j = j dr, without the m x R kernel.
 
     With B = ceil(sqrt(R)), P = ceil(R / B) and j = p B + l, angle addition
     sin(x (pB + l) dr) = sin(x pB dr) cos(x l dr) + cos(x pB dr) sin(x l dr)
-    turns the sum into two (P x m)(m x B) products. That takes about
-    4 m sqrt(R) sines and cosines instead of m R, and O(m sqrt(R)) memory.
-    The identity holds only on the lattice r_j = j dr, so r must equal it to
-    4 ulp of r_max (np.linspace nodes are within 1 ulp).
+    turns the sum into two (P x m)(m x B) products. The tables sin/cos(x pB dr)
+    and sin/cos(x l dr), about 4 m sqrt(R) sines and cosines instead of m R,
+    are built on the first call for a lattice and kept: each lattice holds
+    32 m sqrt(R) bytes while it is among the last `spectral._CACHE_CAP` used.
+    The key is the exact bytes of x with R and dr, so abscissae that differ
+    in one ulp get their own tables. The identity holds only on the lattice
+    r_j = j dr, so r must equal it to 4 ulp of r_max (np.linspace nodes are
+    within 1 ulp).
     """
     R = len(r)
-    dr = r[1]
+    dr = float(r[1])
     if np.max(np.abs(r - dr * np.arange(R))) > 4.0 * np.spacing(r[-1]):
         raise ValueError("output nodes must be j*dr to rounding (as np.linspace gives)")
-    B = math.isqrt(R - 1) + 1
-    P = -(-R // B)
-    coarse = np.multiply.outer(x, (B * dr) * np.arange(P))
-    fine = np.multiply.outer(x, dr * np.arange(B))
+
+    def tables() -> tuple[np.ndarray, ...]:
+        B = math.isqrt(R - 1) + 1
+        P = -(-R // B)
+        coarse = np.multiply.outer(x, (B * dr) * np.arange(P))
+        fine = np.multiply.outer(x, dr * np.arange(B))
+        out = (np.sin(coarse), np.cos(coarse), np.cos(fine), np.sin(fine))
+        for t in out:
+            t.flags.writeable = False  # shared by every later call on this lattice
+        return out
+
+    sin_c, cos_c, cos_f, sin_f = spectral._cached(
+        _TRANSFORM_CACHE, (x.tobytes(), R, dr), tables)
     a = a[:, None]
-    out = (a * np.sin(coarse)).T @ np.cos(fine)
-    out += (a * np.cos(coarse)).T @ np.sin(fine)
+    out = (a * sin_c).T @ cos_f
+    out += (a * cos_c).T @ sin_f
     return out.ravel()[:R]
 
 
@@ -232,8 +251,8 @@ def reconstruct(phi: CharacteristicProfile, r_nodes) -> RadialDensity:
     on a grid with at least 20 points per sin period at the largest r; the
     r = 0 node uses the limit (1/(2 pi^2)) int x^2 phi dx. The m-node sum is
     evaluated at all R nodes at once by angle addition (`_sine_transform`):
-    two (sqrt(R) x m)(m x sqrt(R)) products, about 4 m sqrt(R) sines and
-    O(m sqrt(R)) memory. That needs r_j = j dr to rounding, which is
+    two (sqrt(R) x m)(m x sqrt(R)) products on sine tables computed once per
+    (x, r) lattice and kept. That needs r_j = j dr to rounding, which is
     stricter than `RadialDensity`'s uniformity check; np.linspace nodes
     meet it. Refuses such off-lattice nodes, profiles that have not decayed
     at x_max (tail above 1e-8) and inversions whose negative lobes exceed

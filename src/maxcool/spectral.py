@@ -20,11 +20,13 @@ interpolation with sixth-order 7-point slopes and fourth-order 5-point
 curvatures. That evaluation is linear in the profile and factors into two
 maps: a fixed stencil map from the deviation phi - 1 to a per-interval table
 of values, slopes and curvatures, then a block-sparse gather matrix built once
-per set of query positions (`_InterpPlan`). A one-off `evaluate` applies the
-same weights to the gathered node data without building a plan. The table of
-phi = 1 is exactly zero and the gain is evaluated in deviation form, so the
-constant profile phi = 1 is a fixed point of the gain and of the drift
-resample bit for bit.
+per set of query positions (`_InterpPlan`), a scipy.sparse BSR matrix.
+scipy.sparse is imported when the first plan is built, not with this module,
+so code that builds no plan (DSMC, the kinematics Monte Carlo, the stamp)
+never loads it. A one-off `evaluate` applies the same weights to the gathered
+node data without building a plan. The table of phi = 1 is exactly zero and
+the gain is evaluated in deviation form, so the constant profile phi = 1 is a
+fixed point of the gain and of the drift resample bit for bit.
 
 The stationary rescaled profile (`steady_profile`) is the fixed point of one
 rescaled step followed by a gauge pin, the dilation that sets m2 = 3, found
@@ -44,7 +46,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.sparse import bsr_matrix
 
 from .kinematics import _check_e, dissipation_rate
 
@@ -290,6 +291,9 @@ class _InterpPlan:
     __slots__ = ("shape", "h", "M", "clamped")
 
     def __init__(self, positions: np.ndarray, n: int, h: float) -> None:
+        # imported here: scipy.sparse costs 0.1-0.2 s, and only plans need it
+        from scipy.sparse import bsr_matrix  # noqa: PLC0415
+
         p = np.asarray(positions, dtype=float)
         self.shape = p.shape
         p = p.ravel()
@@ -366,7 +370,7 @@ _CACHE_CAP = 16
 
 
 def _cached(cache: dict, key: tuple, build):
-    # bounded FIFO: the oldest plan goes once _CACHE_CAP are held
+    # bounded FIFO: the oldest entry goes once _CACHE_CAP are held
     plan = cache.get(key)
     if plan is None:
         if len(cache) >= _CACHE_CAP:

@@ -335,6 +335,28 @@ def test_a_suite_crash_keeps_the_rows_and_data_it_made(monkeypatch, tmp_path):
     assert [Path(p).name for p in report["artifacts"]] == ["fisher-trajectory.json"]
 
 
+def test_a_failing_tracked_run_is_one_error_row_per_regularity_check(monkeypatch):
+    tracked = []
+    evolve = sp.evolve
+
+    def failing_tracked_run(*args, reference=None, **kwargs):
+        if reference is not None:
+            tracked.append(1)
+            raise FloatingPointError("synthetic tracked-run failure")
+        return evolve(*args, reference=reference, **kwargs)
+    monkeypatch.setattr(sp, "evolve", failing_tracked_run)
+    report = harness.verify("regularity", fast=True)
+    keys = [f"sup_{sp._SUP_DELTA:g}"] + [f"hr_{r:g}" for r in sp._SOBOLEV_ORDERS]
+    assert [(c["name"], c["status"]) for c in report["checks"]] == [
+        *((f"regularity-{k} e=0.95", "error") for k in keys),
+        ("hcs-envelope-report e=0.95", "pass")]
+    for key, row in zip(keys, report["checks"]):
+        assert row["claim"] == f"{key} stays within 5% of max(initial, steady) along the run"
+        assert "synthetic tracked-run failure" in row["detail"]["error"]
+    assert report["hcs_envelope"] == report["checks"][-1]["detail"]
+    assert len(tracked) == 1  # the failure is kept, not evolved again per check
+
+
 def test_a_raising_check_is_an_error_row_under_its_own_name(monkeypatch):
     def boom(*args, **kwargs):
         raise FloatingPointError("synthetic gain failure")

@@ -71,10 +71,25 @@ def test_trapezoid_matches_scipy_bit_for_bit(n):
 
 
 def test_import_does_not_load_scipy_integrate():
-    code = "import sys, maxcool; print('scipy.integrate' in sys.modules)"
+    # scipy.sparse costs 0.1-0.2 s to import; only the gain and drift plans use it
+    code = """
+import sys
+import maxcool
+from maxcool import dsmc, harness, kinematics as kin, spectral as sp
+loaded = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(loaded())
+ens = dsmc.sample_initial("maxwellian", 200, seed=1, e=0.5)
+dsmc.run(ens, t_max=0.1, dt=0.05)
+dsmc.ecf(ens, [0.0, 1.0, 2.0])
+kin.mc_change_of_variables(harness._gaussian_kernel(11), 0.5, samples=1000, seed=1)
+harness._stamp({})
+print("scipy.sparse" in loaded())
+sp.gain_fourier(sp.CharacteristicProfile.maxwellian(sp.RadialGrid(256, 20.0)), 0.5)
+print("scipy.sparse" in loaded())
+"""
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split("\n")[:3] == ["[]", "False", "True"]
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +183,68 @@ def _sine_sum_reference(a, x, r):
 
 @pytest.mark.parametrize("R", [9, 10, 1601])  # B = 3 with P = 3; B = 4 with P = 3; B = 41
 @pytest.mark.parametrize("m", [256, 257])
-def test_sine_transform_matches_dense_kernel(R, m):
+def test_sine_transform_matches_dense_kernel(R, m, monkeypatch):
+    monkeypatch.setattr(rs, "_TRANSFORM_CACHE", {})
     rng = np.random.default_rng(R * m)
     x = np.linspace(0.0, 50.0, m)
     a = rng.normal(size=m)
     r = np.linspace(0.0, 8.0, R)
-    got = rs._sine_transform(a, x, r)
+    got = rs._sine_transform(a, x, r)  # cold: builds the lattice's tables
     assert got.shape == (R,)
     assert np.max(np.abs(got - _sine_sum_reference(a, x, r))) <= 1e-14 * np.sum(np.abs(a))
+    assert np.array_equal(rs._sine_transform(a, x, r), got)  # warm
+
+
+def test_sine_tables_are_cached_per_lattice(monkeypatch):
+    def cold(fn, *args):
+        monkeypatch.setattr(rs, "_TRANSFORM_CACHE", {})
+        return fn(*args).values
+
+    cache = {}
+    monkeypatch.setattr(rs, "_TRANSFORM_CACHE", cache)
+    cases = []  # two (profile grid, r nodes) lattices, called interleaved
+    for n, x_max, r_max, R in ((4096, 50.0, 8.0, 1601), (1024, 30.0, 10.0, 2001)):
+        grid = sp.RadialGrid(n, x_max)
+        phi = sp.CharacteristicProfile.bimaxwellian(grid)
+        r = rs.default_r_nodes(r_max, R)
+        f = rs.reconstruct(phi, r)
+        cases.append((phi, r, grid, f.values, rs.characteristic_from_density(f, grid).values))
+    assert len(cache) == 4  # inverse and forward tables of each lattice
+    for _ in range(2):
+        for phi, r, grid, f_vals, back_vals in cases:
+            f = rs.reconstruct(phi, r)
+            assert np.array_equal(f.values, f_vals)
+            assert np.array_equal(rs.characteristic_from_density(f, grid).values, back_vals)
+    assert len(cache) == 4
+    for phi, r, grid, f_vals, back_vals in cases:
+        assert np.array_equal(cold(rs.reconstruct, phi, r), f_vals)
+        f = rs.RadialDensity(r, f_vals)
+        assert np.array_equal(cold(rs.characteristic_from_density, f, grid), back_vals)
+
+    # density nodes within the uniformity tolerance are another lattice
+    _, r, grid, _, _ = cases[1]
+    jittered = r + 1e-10 * np.random.default_rng(5).uniform(-1.0, 1.0, len(r))
+    jittered[0] = 0.0
+    exact, jit = rs.RadialDensity.maxwellian(r), rs.RadialDensity.maxwellian(jittered)
+    jit_cold = cold(rs.characteristic_from_density, jit, grid)
+    cache = {}
+    monkeypatch.setattr(rs, "_TRANSFORM_CACHE", cache)
+    rs.characteristic_from_density(exact, grid)
+    assert np.array_equal(rs.characteristic_from_density(jit, grid).values, jit_cold)
+    assert len(cache) == 2
+
+    # one step and abscissae with another node count: B = 3, then B = 4
+    x, a = np.linspace(0.0, 50.0, 257), np.ones(257)
+    for R in (9, 10):
+        r = 0.25 * np.arange(R)
+        got = rs._sine_transform(a, x, r)
+        assert np.max(np.abs(got - _sine_sum_reference(a, x, r))) <= 1e-14 * len(a)
+
+    # the cache holds at most _CACHE_CAP lattices
+    for k in range(sp._CACHE_CAP + 3):
+        rs._sine_transform(a, np.linspace(0.0, 10.0 + k, 257), np.linspace(0.0, 2.0, 9))
+        assert len(cache) <= sp._CACHE_CAP
+    assert len(cache) == sp._CACHE_CAP
 
 
 def test_reconstruct_refuses_r_nodes_off_the_lattice(bimax, r10):
