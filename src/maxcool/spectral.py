@@ -14,19 +14,19 @@ integrates d phi/dt = Q+ phi - phi with classical RK4; the rescaled frame
 adds the drift generator E x d phi/dx by Strang splitting, the drift
 half-steps applied as exact resampling phi(x) <- phi(x exp(E dt/2)).
 
-Profiles live on a uniform radial grid. Gain quadrature queries and drift
-resampling both evaluate the profile off the grid by quintic Hermite
-interpolation with sixth-order 7-point slopes and fourth-order 5-point
-curvatures. That evaluation is linear in the profile and factors into two
-maps: a fixed stencil map from the deviation phi - 1 to a per-interval table
-of values, slopes and curvatures, then a block-sparse gather matrix built once
-per set of query positions (`_InterpPlan`), a scipy.sparse BSR matrix.
-scipy.sparse is imported when the first plan is built, not with this module,
-so code that builds no plan (DSMC, the kinematics Monte Carlo, the stamp)
-never loads it. A one-off `evaluate` applies the same weights to the gathered
-node data without building a plan. The table of phi = 1 is exactly zero and
-the gain is evaluated in deviation form, so the constant profile phi = 1 is a
-fixed point of the gain and of the drift resample bit for bit.
+Profiles live on a uniform radial grid. Every evaluation off it (gain
+quadrature queries, drift resampling, the m2 pin and `evaluate`) is quintic
+Hermite interpolation with sixth-order 7-point slopes and fourth-order 5-point
+curvatures, by one operator, `_InterpPlan`. That evaluation is linear in the
+profile and factors into two maps: a fixed stencil map from the deviation
+phi - 1 to a per-interval table of values, slopes and curvatures, then a
+block-sparse gather matrix (scipy.sparse BSR) built once per set of query
+positions. Gain and drift plans are cached; `evaluate` builds an uncached one
+per call. scipy.sparse is imported with the first plan, not with this module,
+so code that evaluates no profile (DSMC, the kinematics Monte Carlo, the
+stamp) never loads it. The table of phi = 1 is exactly zero and the gain is
+evaluated in deviation form, so the constant profile phi = 1 is a fixed point
+of the gain and of the drift resample bit for bit.
 
 The stationary rescaled profile (`steady_profile`) is the fixed point of one
 rescaled step followed by a gauge pin, the dilation that sets m2 = 3, found
@@ -237,14 +237,6 @@ def _quintic_derivs(v: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
 _PLAN_CHUNK = 8192
 
 
-def _intervals(p: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    # interval index and fraction of fractional grid positions, clamped to
-    # the last interval
-    pc = np.minimum(p, float(n - 1))
-    ic = np.minimum(pc.astype(np.int32), np.int32(n - 2))
-    return ic, pc - ic
-
-
 def _hermite_weights(t: np.ndarray, W: np.ndarray) -> None:
     # quintic Hermite weights [1-H3, H3, H1, H4, H2, H5](t), one row of W per t
     t2 = t * t
@@ -259,22 +251,14 @@ def _hermite_weights(t: np.ndarray, W: np.ndarray) -> None:
     W[:, 5] = 0.5 * (t3 - 2.0 * t4 + t5)               # curvature right
 
 
-def _quintic_nodes(v: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # the deviation u = v - 1 with h times its slopes and h^2 times its
-    # curvatures: the node data of the Hermite form
-    u = v - 1.0
-    d, c = _quintic_derivs(u, h)
-    d *= h
-    c *= h * h
-    return u, d, c
-
-
 class _InterpPlan:
     """Quintic Hermite evaluation at fixed query positions as a linear operator.
 
-    For scale a the queries against profile values v are a * x_i; on the
-    uniform grid the fractional position is simply a * i. Queries beyond
-    x_max are clamped to the boundary node and counted in `clamped`.
+    Every off-grid evaluation of a profile runs through one. Positions are
+    fractional grid indices, a * i for the queries a * x_i. They must be
+    finite and nonnegative (ValueError otherwise): bsr_matrix does not
+    range-check block indices. Positions past n - 1 are clamped to the last
+    node and counted in `clamped`.
 
     The evaluation is the product of two linear maps. The first is the fixed
     stencil map from a profile to its per-interval table T: with u = v - 1 and
@@ -304,16 +288,24 @@ class _InterpPlan:
         # built in cache-sized chunks: temporaries the size of the plan would
         # each cost a page fault per page
         for a in range(0, m, _PLAN_CHUNK):
-            ic, t = _intervals(p[a:a + _PLAN_CHUNK], n)
+            pc = p[a:a + _PLAN_CHUNK]
+            if not np.all((pc >= 0.0) & (pc < math.inf)):  # before the int32 cast
+                raise ValueError("interpolation positions must be finite and nonnegative")
+            pc = np.minimum(pc, float(n - 1))  # clamped to the last interval
+            ic = np.minimum(pc.astype(np.int32), np.int32(n - 2))
             idx[a:a + _PLAN_CHUNK] = ic
-            _hermite_weights(t, W[a:a + _PLAN_CHUNK, 0])
+            _hermite_weights(pc - ic, W[a:a + _PLAN_CHUNK, 0])
         rows = np.arange(m + 1, dtype=np.int32)
         self.M = bsr_matrix((W, idx, rows), shape=(m, 6 * (n - 1)))
         self.h = h
 
     def eval(self, v: np.ndarray) -> np.ndarray:
+        u = v - 1.0
+        d, c = _quintic_derivs(u, self.h)
+        d *= self.h
+        c *= self.h * self.h
         T = np.empty((len(v) - 1, 6))
-        for k, a in enumerate(_quintic_nodes(v, self.h)):
+        for k, a in enumerate((u, d, c)):
             T[:, 2 * k] = a[:-1]
             T[:, 2 * k + 1] = a[1:]
         out = self.M @ T.ravel()
@@ -807,22 +799,15 @@ def gamma_constants(alpha: float, e) -> tuple[float, float, float, float]:
 
 
 def evaluate(phi: CharacteristicProfile, x) -> np.ndarray:
-    """Evaluate the profile at arbitrary abscissae (clamped to the grid).
+    """Evaluate the profile at arbitrary abscissae, clamped to [0, x_max].
 
-    The quintic Hermite form of `_InterpPlan`, applied without building a
-    plan: each query gathers the node data at the two ends of its interval
-    and sums them against its six weights.
+    Builds an uncached `_InterpPlan`: the m2 pin queries a new dilation each
+    step, and caching those plans would evict the gain and drift plans. A NaN
+    abscissa raises ValueError.
     """
     xq = np.clip(np.atleast_1d(np.asarray(x, dtype=float)), 0.0, phi.grid.x_max)
-    ic, t = _intervals(xq.ravel() / phi.grid.dx, phi.grid.n)
-    W = np.empty((6, len(t)))
-    _hermite_weights(t, W.T)
-    out = np.zeros(len(t))
-    for k, a in enumerate(_quintic_nodes(phi.values, phi.grid.dx)):
-        out += W[2 * k] * a[ic]
-        out += W[2 * k + 1] * a[ic + 1]
-    out += 1.0
-    return out.reshape(xq.shape) if np.ndim(x) else float(out[0])
+    out = _InterpPlan(xq / phi.grid.dx, phi.grid.n, phi.grid.dx).eval(phi.values)
+    return out if np.ndim(x) else float(out[0])
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ def test_trapezoid_matches_scipy_bit_for_bit(n):
 
 
 def test_import_does_not_load_scipy_integrate():
-    # scipy.sparse costs 0.1-0.2 s to import; only the gain and drift plans use it
+    # scipy.sparse costs 0.1-0.2 s to import; only interpolation plans use it
     code = """
 import sys
 import maxcool

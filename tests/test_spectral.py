@@ -256,7 +256,7 @@ def test_interp_operator_matches_hermite_reference():
         ref = _hermite_reference(v, np.minimum(xq, g.x_max) / g.dx, g.dx)
         assert np.max(np.abs(sp.evaluate(phi, xq) - ref)) <= tol
         plan = sp._InterpPlan(np.minimum(xq, g.x_max) / g.dx, g.n, g.dx)
-        assert np.max(np.abs(sp.evaluate(phi, xq) - plan.eval(v))) <= 1e-15
+        assert np.array_equal(sp.evaluate(phi, xq), plan.eval(v))
 
 
 def test_gain_plan_footprint():
@@ -601,6 +601,37 @@ def test_evaluate_accuracy_and_clamp():
     assert np.max(np.abs(sp.evaluate(M, xq) - np.exp(-0.5 * xq ** 2))) < 1e-10
     assert sp.evaluate(M, 35.0) == pytest.approx(M.values[-1], abs=1e-12)
     assert sp.evaluate(M, 1.0) == pytest.approx(math.exp(-0.5), abs=1e-12)
+
+
+def test_evaluate_rejects_positions_a_plan_cannot_index():
+    # a NaN or negative block index would read out of bounds in the BSR
+    # product, so the plan rejects it before the int32 cast
+    g = sp.RadialGrid(256, 20.0)
+    M = sp.CharacteristicProfile.maxwellian(g, 1.0)
+    for x in (math.nan, [1.0, math.nan]):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            sp.evaluate(M, x)
+    for p in ([math.nan], [3.0, -0.5]):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            sp._InterpPlan(np.array(p), g.n, g.dx)
+    # infinities still clamp to the ends of the grid
+    assert sp.evaluate(M, math.inf) == pytest.approx(M.values[-1], abs=1e-12)
+    assert sp.evaluate(M, -math.inf) == 1.0
+
+
+def test_evaluate_leaves_the_plan_caches_alone(monkeypatch):
+    # each call builds its own plan: the pin's dilation changes every step,
+    # and caching those plans would evict the gain and drift plans
+    monkeypatch.setattr(sp, "_GAIN_CACHE", {})
+    monkeypatch.setattr(sp, "_DRIFT_CACHE", {})
+    g = sp.RadialGrid(512, 20.0)
+    phi = sp.step(sp.CharacteristicProfile.maxwellian(g, 1.0), 0.9, sp.SolverConfig())
+    gain, drift = dict(sp._GAIN_CACHE), dict(sp._DRIFT_CACHE)
+    assert gain and drift
+    for lam in (0.97, 1.0, 1.03):
+        sp.evaluate(phi, lam * g.x)
+    sp._pin(phi)
+    assert sp._GAIN_CACHE == gain and sp._DRIFT_CACHE == drift
 
 
 def test_profile_csv_roundtrip(tmp_path):
