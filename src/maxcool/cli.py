@@ -187,10 +187,10 @@ def _cmd_dsmc(cfg: ExperimentConfig, x_grid: np.ndarray | None) -> int:
         harness.embed_provenance(cfg.out, *_artifact_stamp(
             cfg, "dsmc", x_grid=None if x_grid is None else x_grid.tolist()))
         print(f"wrote {cfg.out}: {len(series['t'])} records, "
-              f"{ens.collisions_applied} collisions")
+              f"{ens.collisions_applied} collisions in {series['batches']} batches")
     else:
         print(f"t={series['t'][-1]:g}: m2={series['m2'][-1]:.6g} "
-              f"({ens.collisions_applied} collisions)")
+              f"({ens.collisions_applied} collisions in {series['batches']} batches)")
     return 0
 
 

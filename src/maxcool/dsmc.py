@@ -18,6 +18,15 @@ Determinism: every random draw comes from counter-based streams keyed by
 (seed, step index), with the initial sampling on stream 0. A (seed, config)
 pair therefore fixes the whole trajectory bit-exactly, and replicas with
 distinct seeds are independent.
+
+Schedule: the drawn events are queued until the next record, or until the
+queue holds N/2 events, and then applied by dependency level: an event's
+level is one more than that of the latest earlier event sharing a particle
+with it, else 0. Each level is one vectorized collision update over distinct
+particles, after every event it depends on, so the trajectory is
+bit-identical to applying the events one at a time, whatever the record
+schedule. `run` keeps each particle's |v|^2 and refreshes only the rows a
+batch touched, so a record costs no full pass over the squared speeds.
 """
 
 from __future__ import annotations
@@ -79,15 +88,23 @@ class Ensemble:
 
     def moments(self):
         """Return (mean velocity, m2, m4) of the current ensemble."""
-        v = self.velocities
-        sq = np.einsum("ij,ij->i", v, v)
-        # the row-by-row sum of mean(axis=0), without its reduction machinery
-        return np.einsum("ij->j", v) / self.n, float(sq.mean()), float((sq * sq).mean())
+        return _moments(self.velocities, _squares(self.velocities))
 
     def copy(self) -> "Ensemble":
         return Ensemble(self.velocities.copy(), t=self.t, seed=self.seed, e=self.e,
                         collisions_applied=self.collisions_applied,
                         steps_taken=self.steps_taken)
+
+
+def _squares(v: np.ndarray) -> np.ndarray:
+    # |v|^2 row by row; a subset of rows gets the same bits as the whole
+    return np.einsum("ij,ij->i", v, v)
+
+
+def _moments(v: np.ndarray, sq: np.ndarray):
+    # sq is _squares(v); the row-by-row sum of mean(axis=0), without its
+    # reduction machinery
+    return np.einsum("ij->j", v) / v.shape[0], float(sq.mean()), float((sq * sq).mean())
 
 
 def parse_initial_spec(spec: str) -> dict:
@@ -160,11 +177,11 @@ def sample_initial(spec: str, N: int, seed: int, e: float = 1.0) -> Ensemble:
     return ens
 
 
-def _ecf_arrays(vel: np.ndarray, x_grid: np.ndarray):
-    # each particle's kernel sin(x|v|)/(x|v|) is its exact direction average,
-    # so the kernels are an i.i.d. sample for the stderr
-    speed = np.sqrt(np.einsum("ij,ij->i", vel, vel))
-    n = vel.shape[0]
+def _ecf_arrays(sq: np.ndarray, x_grid: np.ndarray):
+    # sq holds each particle's |v|^2; its kernel sin(x|v|)/(x|v|) is its exact
+    # direction average, so the kernels are an i.i.d. sample for the stderr
+    speed = np.sqrt(sq)
+    n = sq.shape[0]
     est = np.empty(x_grid.size)
     err = np.empty(x_grid.size)
     for jx, x in enumerate(x_grid):
@@ -197,41 +214,64 @@ def ecf(ens: Ensemble, x_grid) -> tuple:
     x = 0 gives exactly 1 with zero error.
     """
     x = _check_x_grid(x_grid)
-    return _ecf_arrays(ens.velocities, x)
+    return _ecf_arrays(_squares(ens.velocities), x)
 
 
-def _conflict_free_run(idx: np.ndarray) -> int:
-    """Length of the maximal event prefix whose particle indices are distinct."""
-    flat = idx.ravel()
-    order = np.argsort(flat, kind="stable")
-    sv = flat[order]
-    repeats = np.nonzero(sv[1:] == sv[:-1])[0]
-    if repeats.size == 0:
-        return idx.shape[0]
-    first_slot = int(np.min(order[repeats + 1]))
-    return max(first_slot // 2, 1)
+def _levels(idx: np.ndarray) -> np.ndarray:
+    """Dependency level of each event of an (m, 2) index array, in order.
 
-
-def _apply_events(vel: np.ndarray, idx: np.ndarray, e: float,
-                  rng: np.random.Generator) -> None:
-    """Apply the events in order, vectorizing over conflict-free runs.
-
-    Events within a conflict-free run touch pairwise-distinct particles, so
-    the vectorized update is bit-identical to applying them one at a time.
-    Each run draws its sigma directions as one block from `rng`.
+    An event sharing no particle with an earlier one is at level 0; any other
+    is one above the latest earlier event it shares a particle with. One
+    argsort of the particle slots links each slot to the previous event on
+    its particle; the levels of the events that have one then settle by
+    vectorized relaxation, one pass per level and one that changes nothing.
     """
+    m = idx.shape[0]
+    flat = idx.ravel()
+    # particle-major, slot order within a particle: unique keys, so any sort
+    # gives the stable order
+    order = np.argsort(flat * (2 * m) + np.arange(2 * m))
+    sv = flat[order]
+    follows = sv[1:] == sv[:-1]
+    # the previous event on each slot's particle; m stands for none, level -1
+    prev = np.full(2 * m, m)
+    prev[order[1:][follows]] = order[:-1][follows] // 2
+    waiting = np.flatnonzero(np.minimum(prev[0::2], prev[1::2]) < m)
+    prev_i, prev_j = prev[2 * waiting], prev[2 * waiting + 1]
+    level = np.zeros(m + 1, dtype=np.intp)
+    level[m] = -1
+    while waiting.size:
+        new = np.maximum(level[prev_i], level[prev_j]) + 1
+        if np.array_equal(new, level[waiting]):
+            break
+        level[waiting] = new
+    return level[:m]
+
+
+def _apply_events(vel: np.ndarray, idx: np.ndarray, sigma: np.ndarray,
+                  e: float) -> int:
+    """Apply the events in order, one vectorized update per dependency level.
+
+    Event k collides particles idx[k] at post-collisional direction sigma[k].
+    The events of one level (see `_levels`) touch pairwise-distinct particles,
+    and each follows every earlier event it shares a particle with, so the
+    level-by-level update is bit-identical to applying the events one at a
+    time. Returns the number of levels.
+    """
+    level = _levels(idx)
+    order = np.argsort(level, kind="stable")
+    idx = idx.take(order, axis=0)
+    sigma = sigma.take(order, axis=0)
+    bounds = np.cumsum(np.bincount(level))
     start = 0
-    total = idx.shape[0]
-    while start < total:
-        stop = start + _conflict_free_run(idx[start:])
-        sel = idx[start:stop]
-        vi = vel[sel[:, 0]]
-        wj = vel[sel[:, 1]]
-        sigma = uniform_sphere(rng, stop - start)
-        vp, wp, _, _ = swap_forward(vi, wj, sigma, e)
-        vel[sel[:, 0]] = vp
-        vel[sel[:, 1]] = wp
+    for stop in bounds:
+        i, j = idx[start:stop, 0], idx[start:stop, 1]
+        vp, wp, _, _ = swap_forward(vel.take(i, axis=0), vel.take(j, axis=0),
+                                    sigma[start:stop], e)
+        vel[i] = vp
+        vel[j] = wp
         start = stop
+    return bounds.size
 
 
 def run(ens: Ensemble, t_max: float, dt: float, x_grid=None,
@@ -245,8 +285,20 @@ def run(ens: Ensemble, t_max: float, dt: float, x_grid=None,
     and final states; the radial ECF of `ecf` is recorded only when x_grid
     is given.
 
-    Returns {"t", "m1", "m2", "m4", "n_particles", "e"} plus
-    {"x_grid", "ecf", "ecf_stderr"} when x_grid is given.
+    The draws of step s (counted from 1 over the ensemble's life, so across
+    calls) come from `block_rng(seed, 1 + s)` in this order: the event count
+    k ~ Poisson(N dt/2), then i = integers(0, N, k), then
+    j = (i + integers(1, N, k)) % N, then sigma = uniform_sphere(rng, k). The
+    events are applied in step order, and within a step in draw order. They
+    are queued until the next record step, or until the queue holds N/2
+    events, and then applied by `_apply_events`, one vectorized update per
+    dependency level. The result is bit-identical to applying the events one
+    at a time, so it does not depend on record_every or on how a horizon is
+    split into calls.
+
+    Returns {"t", "m1", "m2", "m4", "n_particles", "e", "batches"} plus
+    {"x_grid", "ecf", "ecf_stderr"} when x_grid is given; "batches" counts
+    the vectorized updates.
     """
     if dt <= 0.0 or dt > 0.1:
         raise ValueError(f"dt must lie in (0, 0.1], got {dt}")
@@ -269,13 +321,16 @@ def run(ens: Ensemble, t_max: float, dt: float, x_grid=None,
     vel = ens.velocities
     n = ens.n
     t0 = ens.t
+    sq = _squares(vel)  # kept current for the rows each batch touches
     rows = []
+    queue = []
+    queued = 0
+    batches = 0
 
     def _record(step: int) -> None:
-        m1, m2, m4 = ens.moments()
-        row = [t0 + step * dt, m1, m2, m4]
+        row = [t0 + step * dt, *_moments(vel, sq)]
         if x is not None:
-            row.extend(_ecf_arrays(vel, x))
+            row.extend(_ecf_arrays(sq, x))
         rows.append(row)
 
     _record(0)
@@ -285,10 +340,19 @@ def run(ens: Ensemble, t_max: float, dt: float, x_grid=None,
         if n_events:
             i = rng.integers(0, n, n_events)
             j = (i + rng.integers(1, n, n_events)) % n
-            idx = np.column_stack([i, j])
-            _apply_events(vel, idx, ens.e, rng)
+            queue.append((np.column_stack([i, j]), uniform_sphere(rng, n_events)))
+            queued += n_events
             ens.collisions_applied += n_events
-        if step % record_every == 0 or step == n_steps:
+        record = step % record_every == 0 or step == n_steps
+        if queue and (record or 2 * queued >= n):
+            idx = np.concatenate([q[0] for q in queue])
+            sigma = np.concatenate([q[1] for q in queue])
+            batches += _apply_events(vel, idx, sigma, ens.e)
+            touched = idx.ravel()
+            sq[touched] = _squares(vel.take(touched, axis=0))
+            queue = []
+            queued = 0
+        if record:
             _record(step)
 
     ens.steps_taken += n_steps
@@ -300,6 +364,7 @@ def run(ens: Ensemble, t_max: float, dt: float, x_grid=None,
         "m4": np.array([r[3] for r in rows]),
         "n_particles": n,
         "e": ens.e,
+        "batches": batches,
     }
     if x is not None:
         series["x_grid"] = x.copy()

@@ -156,7 +156,7 @@ class SuiteParams:
     `spectral.RadialGrid`, node sets `(r_max, n)` for
     `realspace.default_r_nodes`. Fields with defaults hold in both tables.
     Every spectral solve steps at `spectral.DT`, so the table holds no step;
-    `dsmc_dt` is the size of a DSMC event batch. The whole table is stamped
+    `dsmc_dt` is the step of the DSMC event stream. The whole table is stamped
     into every verify report and its hash.
     """
 

@@ -132,50 +132,46 @@ def test_sampling_small_n():
 # ----------------------------------------------------------- event semantics
 
 
-def test_conflict_free_run_lengths():
-    cfr = dsmc._conflict_free_run
-    assert cfr(np.array([[0, 1], [2, 3], [4, 5]])) == 3
-    assert cfr(np.array([[0, 1], [2, 3], [0, 2]])) == 2
-    assert cfr(np.array([[0, 1], [1, 2]])) == 1
-    assert cfr(np.array([[0, 1], [0, 1], [0, 1]])) == 1
-    assert cfr(np.array([[5, 9]])) == 1
+def test_levels():
+    levels = dsmc._levels
+    assert levels(np.array([[0, 1], [2, 3], [4, 5]])).tolist() == [0, 0, 0]
+    assert levels(np.array([[0, 1], [1, 2], [2, 3]])).tolist() == [0, 1, 2]
+    assert levels(np.array([[0, 1], [2, 3], [0, 2]])).tolist() == [0, 0, 1]
+    assert levels(np.array([[0, 1], [0, 1], [0, 1]])).tolist() == [0, 1, 2]
+    assert levels(np.array([[1, 0], [2, 3], [3, 4], [5, 0]])).tolist() == [0, 0, 1, 1]
+    assert levels(np.array([[5, 9]])).tolist() == [0]
+
+
+def _apply_one_by_one(vel, idx, sigma, e):
+    for (i, j), s in zip(idx, sigma):
+        vp, wp, _, _ = kinematics.swap_forward(vel[i][None], vel[j][None], s[None], e)
+        vel[i] = vp[0]
+        vel[j] = wp[0]
 
 
 def test_chunked_apply_matches_sequential():
     rng = np.random.default_rng(3)
-    n, k, e = 12, 60, 0.7
+    n, k, e = 12, 600, 0.7
     vel = rng.normal(size=(n, 3))
     i = rng.integers(0, n, k)
     j = (i + rng.integers(1, n, k)) % n
     idx = np.column_stack([i, j])
     sigma = kinematics.uniform_sphere(rng, k)
+    level = dsmc._levels(idx)
+    assert level.max() > 100  # hundreds of levels, most of them a few events wide
 
-    chunked = vel.copy()
-    start = 0
-    while start < k:
-        stop = start + dsmc._conflict_free_run(idx[start:])
-        sel = idx[start:stop]
-        vp, wp, _, _ = kinematics.swap_forward(
-            chunked[sel[:, 0]], chunked[sel[:, 1]], sigma[start:stop], e)
-        chunked[sel[:, 0]] = vp
-        chunked[sel[:, 1]] = wp
-        start = stop
-
+    batched = vel.copy()
+    assert dsmc._apply_events(batched, idx, sigma, e) == level.max() + 1
     seq = vel.copy()
-    for m in range(k):
-        vp, wp, _, _ = kinematics.swap_forward(
-            seq[idx[m, 0]][None], seq[idx[m, 1]][None], sigma[m][None], e)
-        seq[idx[m, 0]] = vp[0]
-        seq[idx[m, 1]] = wp[0]
-
-    assert np.array_equal(chunked, seq)  # bit-exact, not just close
+    _apply_one_by_one(seq, idx, sigma, e)
+    assert np.array_equal(batched, seq)  # bit-exact, not just close
 
 
 def test_grazing_pairs_are_noops():
     vel = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [-2.0, 0.0, 0.0]])
     before = vel.copy()
-    rng = kinematics.block_rng(0, 1)
-    dsmc._apply_events(vel, np.array([[0, 1]]), 0.5, rng)
+    sigma = kinematics.uniform_sphere(kinematics.block_rng(0, 1), 1)
+    assert dsmc._apply_events(vel, np.array([[0, 1]]), sigma, 0.5) == 1
     assert np.array_equal(vel, before)
 
 
@@ -238,6 +234,82 @@ def test_run_determinism_and_continuation():
     dsmc.run(c, t_max=1.0, dt=0.05)
     assert np.array_equal(a.velocities, c.velocities)
     assert c.t == pytest.approx(2.0, abs=1e-12)
+
+
+def _replay(ens, dt, n_steps, record_steps, x):
+    """Rebuild a run from the draw order `dsmc.run` documents, one event at
+    a time: the final velocities, every step's moments and ECF, the number
+    of events, and the numbers of batches (ending at record_steps or at N/2
+    queued events) and of levels over them."""
+    vel = ens.velocities.copy()
+    n = ens.n
+    rows = [(dsmc.Ensemble(vel).moments(), dsmc.ecf(dsmc.Ensemble(vel), x))]
+    last = np.full(n, -1)  # level of each particle's latest event in the open batch
+    queued = events = batches = levels = 0
+    for step in range(1, n_steps + 1):
+        rng = kinematics.block_rng(ens.seed, 1 + step)
+        k = int(rng.poisson(0.5 * n * dt))
+        if k:
+            i = rng.integers(0, n, k)
+            j = (i + rng.integers(1, n, k)) % n
+            sigma = kinematics.uniform_sphere(rng, k)
+            _apply_one_by_one(vel, np.column_stack([i, j]), sigma, ens.e)
+            for a, b in zip(i, j):
+                last[a] = last[b] = max(last[a], last[b]) + 1
+        queued += k
+        events += k
+        if queued and (step in record_steps or 2 * queued >= n):
+            batches += 1
+            levels += last.max() + 1
+            last[:] = -1
+            queued = 0
+        rows.append((dsmc.Ensemble(vel).moments(), dsmc.ecf(dsmc.Ensemble(vel), x)))
+    return vel, rows, events, batches, levels
+
+
+def test_run_follows_the_pinned_stream_event_by_event():
+    n, dt, n_steps, e = 40, 0.05, 80, 0.6
+    x = np.linspace(0.0, 4.0, 5)
+
+    def fresh():
+        return dsmc.sample_initial("maxwellian", n, seed=11, e=e)
+
+    def check(ens, series, steps, record_steps):
+        vel, rows, events, batches, levels = _replay(fresh(), dt, n_steps, record_steps, x)
+        assert np.array_equal(ens.velocities, vel)
+        assert ens.collisions_applied == events
+        assert series["batches"] == levels
+        for r, step in enumerate(steps):
+            (m1, m2, m4), (ecf, ecf_se) = rows[step]
+            assert np.array_equal(series["m1"][r], m1)
+            assert series["m2"][r] == m2 and series["m4"][r] == m4
+            assert np.array_equal(series["ecf"][r], ecf)
+            assert np.array_equal(series["ecf_stderr"][r], ecf_se)
+        return batches
+
+    # records at 30, 60 and 80; 20 queued events close batches in between,
+    # and some batches take more than one level
+    one = fresh()
+    series = dsmc.run(one, t_max=n_steps * dt, dt=dt, x_grid=x, record_every=30)
+    batches = check(one, series, [0, 30, 60, 80], {30, 60, 80})
+    assert 3 < batches < series["batches"]
+
+    every = fresh()
+    series = dsmc.run(every, t_max=n_steps * dt, dt=dt, x_grid=x, record_every=1)
+    check(every, series, range(n_steps + 1), set(range(1, n_steps + 1)))
+
+    ends = fresh()
+    series = dsmc.run(ends, t_max=n_steps * dt, dt=dt, x_grid=x, record_every=n_steps)
+    check(ends, series, [0, n_steps], {n_steps})
+
+    two = fresh()
+    first = dsmc.run(two, t_max=40 * dt, dt=dt, x_grid=x, record_every=30)
+    second = dsmc.run(two, t_max=40 * dt, dt=dt, x_grid=x, record_every=30)
+    merged = {"batches": first["batches"] + second["batches"]}
+    for key in ("m1", "m2", "m4", "ecf", "ecf_stderr"):
+        merged[key] = np.concatenate([first[key], second[key][1:]])
+    check(two, merged, [0, 30, 40, 70, 80], {30, 40, 70, 80})
+    assert np.array_equal(two.velocities, one.velocities)
 
 
 def test_snapping_warning():

@@ -536,6 +536,11 @@ def test_cli_dsmc_writes_artifact(tmp_path, capsys, read_series):
     _, body = read_series(out)
     assert body[-1, 0] == pytest.approx(0.5)
     assert _read_stamp(out)[0]["config"]["e"] == 0.5
+    # the summary names the events and the vectorized updates that applied them
+    ens = dsmc.sample_initial("maxwellian", 2000, seed=1, e=0.5)
+    series = dsmc.run(ens, t_max=0.5, dt=0.01)
+    assert capsys.readouterr().out.endswith(
+        f" {ens.collisions_applied} collisions in {series['batches']} batches\n")
 
 
 def test_cli_config_file_precedence(tmp_path, capsys):
