@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kinematics import _check_e, block_rng, dissipation_rate, swap_forward, uniform_sphere
+from .kinematics import _check_e, _swap_velocities, block_rng, dissipation_rate, uniform_sphere
 
 __all__ = [
     "Ensemble",
@@ -266,8 +266,8 @@ def _apply_events(vel: np.ndarray, idx: np.ndarray, sigma: np.ndarray,
     start = 0
     for stop in bounds:
         i, j = idx[start:stop, 0], idx[start:stop, 1]
-        vp, wp, _, _ = swap_forward(vel.take(i, axis=0), vel.take(j, axis=0),
-                                    sigma[start:stop], e)
+        vp, wp = _swap_velocities(vel.take(i, axis=0), vel.take(j, axis=0),
+                                  sigma[start:stop], e)
         vel[i] = vp
         vel[j] = wp
         start = stop

@@ -97,11 +97,16 @@ def reflect(v: np.ndarray, w: np.ndarray, n: np.ndarray, coef: float):
     return v - coef * un * n, w + coef * un * n
 
 
+def _rel(v: np.ndarray, w: np.ndarray):
+    # the relative velocity u = v - w and |u| as an (m, 1) column
+    u = v - w
+    return u, np.sqrt(_dot(u, u))[..., None]
+
+
 def _unit_rel(v: np.ndarray, w: np.ndarray):
     # Relative directions are flagged unsafe below ~1e-13 of the pair's
     # scale: there v - w is pure cancellation noise and k is meaningless.
-    u = v - w
-    unorm = np.sqrt(_dot(u, u))[..., None]
+    u, unorm = _rel(v, w)
     scale = np.sqrt(_dot(v, v))[..., None] + np.sqrt(_dot(w, w))[..., None]
     safe = unorm > 1e-13 * (scale + 1.0)
     k = np.where(safe, u / np.where(safe, unorm, 1.0), 0.0)
@@ -116,16 +121,23 @@ def swap_forward(v, w, sigma, e: float):
     scale; there sigma' = sigma, and for v == w the map returns v, w and
     sigma unchanged. e is not validated.
     """
-    z = 0.5 * (v + w)
-    u, unorm, k, safe = _unit_rel(v, w)
-    half = 0.25 * (1.0 - e) * u + 0.25 * (1.0 + e) * unorm * sigma
-    vp = z + half
-    wp = z - half
+    rel = _unit_rel(v, w)
+    vp, wp = _swap_velocities(v, w, sigma, e, rel)
+    _, _, k, safe = rel
     ks = _dot(k, sigma)[..., None]
     denom = np.sqrt(2.0 * (1.0 + e * e) + 2.0 * (1.0 - e * e) * ks)
     sigmap = ((1.0 + e) * k + (1.0 - e) * sigma) / denom
     sigmap = np.where(safe[..., None], sigmap, sigma)
     return vp, wp, sigmap, safe
+
+
+def _swap_velocities(v, w, sigma, e: float, rel=None):
+    # (v', w') of swap_forward alone, for callers that need no sigma'; rel
+    # is the (u, |u|, ...) of v and w when the caller already holds it
+    u, unorm = (rel or _rel(v, w))[:2]
+    z = 0.5 * (v + w)
+    half = 0.25 * (1.0 - e) * u + 0.25 * (1.0 + e) * unorm * sigma
+    return z + half, z - half
 
 
 def swap_inverse(v, w, sigma, e: float):

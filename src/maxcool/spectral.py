@@ -28,6 +28,17 @@ stamp) never loads it. The table of phi = 1 is exactly zero and the gain is
 evaluated in deviation form, so the constant profile phi = 1 is a fixed point
 of the gain and of the drift resample bit for bit.
 
+The gain plan holds its (s-node k, grid node i) pairs sorted stably by the
+interval of their outer query max(a-, a+) x_i, each pair's a- and a+ queries
+in adjacent rows. An apply evaluates only the pairs below the saturated tail:
+the trailing run of table rows equal to (-1, -1, 0, 0, 0, 0), where
+phi - 1 == -1 in floating point (past x ~ 11 for a Gaussian tail on the
+(4096, 50) grid). A query there evaluates to exactly +0, because the Hermite
+value weights satisfy fl(fl(1 - W1) + W1) = 1 (checked for every query when a
+plan is built), so a pair whose outer query lies in the tail has product - 1
+exactly -1 whatever its finite inner value. The apply is bit for bit the full
+evaluation; see `_GainPlan`.
+
 The stationary rescaled profile (`steady_profile`) is the fixed point of one
 rescaled step followed by a gauge pin, the dilation that sets m2 = 3, found
 by Anderson mixing of the step's residual preconditioned by the inverse of the
@@ -237,6 +248,13 @@ def _quintic_derivs(v: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
 _PLAN_CHUNK = 8192
 
 
+def _cells(p: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    # positions clamped to the last node, and the interval each lands in (the
+    # last node in the last interval); p must be finite and nonnegative
+    p = np.minimum(p, float(n - 1))
+    return p, np.minimum(p.astype(np.int32), np.int32(n - 2))
+
+
 def _hermite_weights(t: np.ndarray, W: np.ndarray) -> None:
     # quintic Hermite weights [1-H3, H3, H1, H4, H2, H5](t), one row of W per t
     t2 = t * t
@@ -270,6 +288,15 @@ class _InterpPlan:
     constant profile phi = 1 is exactly zero, so phi = 1 is reproduced bit for
     bit whatever the summation order. M stores 56 bytes per query: six
     weights, a block index and a row pointer.
+
+    The value weights W0 = fl(1 - W1) and W1 = H3(t) satisfy W0 + W1 == 1 in
+    floating point, and the build raises ValueError for any query where they
+    do not. So a query in a saturated row (-1, -1, 0, 0, 0, 0), where
+    u = -1 and the scaled slopes and curvatures are 0, gets the block dot
+    fl(-W0 - W1) = -1 and evaluates to exactly +0. `table` is the first map
+    alone, and `head(m)` the gather matrix of the first m queries over views
+    of M's arrays; the gain plan orders its queries so that the ones it needs
+    come first.
     """
 
     __slots__ = ("shape", "h", "M", "clamped")
@@ -291,15 +318,18 @@ class _InterpPlan:
             pc = p[a:a + _PLAN_CHUNK]
             if not np.all((pc >= 0.0) & (pc < math.inf)):  # before the int32 cast
                 raise ValueError("interpolation positions must be finite and nonnegative")
-            pc = np.minimum(pc, float(n - 1))  # clamped to the last interval
-            ic = np.minimum(pc.astype(np.int32), np.int32(n - 2))
+            pc, ic = _cells(pc, n)
             idx[a:a + _PLAN_CHUNK] = ic
-            _hermite_weights(pc - ic, W[a:a + _PLAN_CHUNK, 0])
+            Wc = W[a:a + _PLAN_CHUNK, 0]
+            _hermite_weights(pc - ic, Wc)
+            if not np.all(Wc[:, 0] + Wc[:, 1] == 1.0):
+                raise ValueError("Hermite value weights must sum to exactly 1")
         rows = np.arange(m + 1, dtype=np.int32)
         self.M = bsr_matrix((W, idx, rows), shape=(m, 6 * (n - 1)))
         self.h = h
 
-    def eval(self, v: np.ndarray) -> np.ndarray:
+    def table(self, v: np.ndarray) -> np.ndarray:
+        """The (n-1, 6) interval table T of the profile v."""
         u = v - 1.0
         d, c = _quintic_derivs(u, self.h)
         d *= self.h
@@ -308,7 +338,18 @@ class _InterpPlan:
         for k, a in enumerate((u, d, c)):
             T[:, 2 * k] = a[:-1]
             T[:, 2 * k + 1] = a[1:]
-        out = self.M @ T.ravel()
+        return T
+
+    def head(self, m: int):
+        """The gather matrix of the first m queries, over views of M's arrays."""
+        from scipy.sparse import bsr_matrix  # noqa: PLC0415
+
+        M = self.M
+        return bsr_matrix((M.data[:m], M.indices[:m], M.indptr[:m + 1]),
+                          shape=(m, M.shape[1]))
+
+    def eval(self, v: np.ndarray) -> np.ndarray:
+        out = self.M @ self.table(v).ravel()
         out += 1.0  # in place: a second array of the plan's size costs page faults
         return out.reshape(self.shape)
 
@@ -329,24 +370,80 @@ def gain_scales(e: float, quad_order: int = QUAD_ORDER):
     return s, w, a_minus, a_plus
 
 
+_SATURATED = np.array([-1.0, -1.0, 0.0, 0.0, 0.0, 0.0])  # the table row of u = -1
+
+
+def _tail_start(T: np.ndarray) -> int:
+    # first interval of the trailing run of saturated table rows, len(T)
+    # when the last row is not saturated
+    live = np.flatnonzero(T != _SATURATED)
+    return int(live[-1]) // 6 + 1 if live.size else 0
+
+
+def _sorted_pairs(a_minus: np.ndarray, a_plus: np.ndarray, n: int):
+    # (order, below, positions) of the pairs sorted by their outer interval;
+    # a function, so that its temporaries are freed before the plan is built
+    ramp = np.arange(n, dtype=float)
+    # max(a- i, a+ i) = max(a-, a+) i: rounding is monotone
+    outer = _cells(np.multiply.outer(np.maximum(a_minus, a_plus), ramp), n)[1].ravel()
+    order = np.argsort(outer, kind="stable").astype(np.int32)
+    below = np.concatenate(([0], np.cumsum(np.bincount(outer, minlength=n - 1))))
+    k, i = np.divmod(order, np.int32(n))
+    x = ramp[i]
+    positions = np.empty((len(order), 2))
+    positions[:, 0] = a_minus[k] * x
+    positions[:, 1] = a_plus[k] * x
+    return order, below, positions
+
+
 class _GainPlan:
-    __slots__ = ("plan", "w", "q")
+    """The gain quadrature over the (s-node k, grid node i) pairs.
+
+    Pair (k, i) queries phi at a-_k x_i and a+_k x_i. The pairs are sorted
+    stably by the interval of their outer query max(a-_k, a+_k) i, and pair p
+    is the adjacent rows 2p (a-) and 2p + 1 (a+) of one `_InterpPlan`;
+    `order[p]` is its flat index k n + i, and `below[j]` counts the pairs
+    whose outer query lies below interval j. The int32 `order` adds 2 bytes
+    per query to the plan's 56.
+
+    `apply` evaluates only the pairs below the saturated tail, the trailing
+    run of table rows equal to (-1, -1, 0, 0, 0, 0) from interval J on, and
+    sets every other product - 1 to exactly -1. That is bit for bit the full
+    evaluation for a finite profile: a query in a saturated row gets the
+    block dot fl(-W0 - W1) = -1, since W0 = fl(1 - W1) and
+    fl(fl(1 - W1) + W1) = 1 for W1 in [0, 1] (exact by Sterbenz for
+    W1 >= 1/2, a half-ulp tie rounding to 1 below that; `_InterpPlan` checks
+    it for every query), so `eval` returns +0 there, the pair's product is
+    +-0 whatever its finite inner value, and the product - 1 is -1. Without
+    a tail (phi = 1, say) every pair is evaluated. `heads` keeps the gather
+    matrix of each number of pairs seen, views of the plan of under 600 B
+    each.
+    """
+
+    __slots__ = ("plan", "w", "q", "order", "below", "heads")
 
     def __init__(self, grid: RadialGrid, e: float, quad_order: int) -> None:
         s, w, a_minus, a_plus = gain_scales(e, quad_order)
         if float(max(np.max(a_minus), np.max(a_plus))) > 1.0 + 1e-12:
             # cannot happen for e in (0, 1]; guard against regressions
             warnings.warn("gain quadrature queries beyond x_max were clamped")
-        scales = np.concatenate([a_minus, a_plus])
-        positions = np.multiply.outer(scales, np.arange(grid.n, dtype=float))
+        self.order, self.below, positions = _sorted_pairs(a_minus, a_plus, grid.n)
         self.plan = _InterpPlan(positions, grid.n, grid.dx)
+        self.heads = {}  # number of pairs -> gather matrix of their queries
         self.w = w
         self.q = int(quad_order)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        vals = self.plan.eval(v)
-        prod = vals[: self.q] * vals[self.q:]
-        prod -= 1.0
+        T = self.plan.table(v)
+        P = int(self.below[_tail_start(T)])
+        head = self.heads.get(P)
+        if head is None:
+            head = self.heads[P] = self.plan.head(2 * P)
+        vals = head @ T.ravel()
+        vals += 1.0
+        prod = np.full((self.q, len(v)), -1.0)
+        # an intp index scatters twice as fast as the stored int32
+        prod.ravel()[self.order[:P].astype(np.intp)] = vals[0::2] * vals[1::2] - 1.0
         # deviation form 1 + (1/2) w.(prod - 1): (1/2) sum(w) = 1 holds only
         # to rounding, and its rounding depends on the BLAS summation order
         out = self.w @ prod

@@ -151,6 +151,18 @@ def test_grazing_swap_is_flagged_noop():
         assert np.array_equal(sp, sigma)
 
 
+def test_velocity_only_swap_is_swap_forward_bit_for_bit():
+    # DSMC applies its events with the velocity half of swap_forward alone
+    rng = np.random.default_rng(17)
+    v, w, sigma = random_rows(rng, 2000)
+    w[:5] = v[:5]                     # v == w
+    w[5:10] = v[5:10] * (1.0 + 1e-15)  # below the safe threshold
+    for e in (0.2, 0.5, 0.95, 1.0):
+        vp, wp = kin._swap_velocities(v, w, sigma, e)
+        ref = kin.swap_forward(v, w, sigma, e)
+        assert np.array_equal(vp, ref[0]) and np.array_equal(wp, ref[1])
+
+
 def test_swap_inverse_rejects_e_zero():
     v, w, sigma = random_rows(RNG, 1)
     with pytest.raises(ValueError):

@@ -111,7 +111,7 @@ def test_interp_plan_reproduces_ones_bit_exact():
     # exactly
     g = sp.RadialGrid(512, 20.0)
     plan = sp._gain_plan(g, 0.3, 64).plan
-    assert np.array_equal(plan.eval(np.ones(g.n)), np.ones((128, g.n)))
+    assert np.array_equal(plan.eval(np.ones(g.n)), np.ones((64 * g.n, 2)))
     one = sp.CharacteristicProfile(g, np.ones(g.n))
     xq = np.linspace(0.0, g.x_max, 1001) * 0.999
     assert np.array_equal(sp.evaluate(one, xq), np.ones(len(xq)))
@@ -236,8 +236,10 @@ def test_interp_operator_matches_hermite_reference():
             idx = gain.plan.M.indices
             assert idx.min() <= 2 and idx.max() >= g.n - 5
             _, w, am, ap = sp.gain_scales(e, q)
-            ref = _hermite_reference(v, np.multiply.outer(np.concatenate([am, ap]), ramp), g.dx)
+            k, i = np.divmod(gain.order, g.n)
+            ref = _hermite_reference(v, np.stack([am[k] * i, ap[k] * i], axis=1), g.dx)
             assert np.max(np.abs(gain.plan.eval(v) - ref)) <= tol
+            ref = _hermite_reference(v, np.multiply.outer(np.concatenate([am, ap]), ramp), g.dx)
             ref_gain = 1.0 + 0.5 * (w @ (ref[:q] * ref[q:] - 1.0))
             ref_gain[0] = 1.0
             assert np.max(np.abs(gain.apply(v) - ref_gain)) <= tol
@@ -267,6 +269,152 @@ def test_gain_plan_footprint():
     assert M.shape[0] == queries
     stored = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
     assert stored <= 56 * queries + M.indptr.itemsize  # the closing row pointer
+
+
+class _FullGain:
+    # every (s-node, grid node) pair evaluated: one unsorted plan over
+    # outer(concat(a-, a+), arange(n)), then the product and the gemv of apply
+    def __init__(self, grid, e, q):
+        _, self.w, am, ap = sp.gain_scales(e, q)
+        ramp = np.arange(grid.n, dtype=float)
+        self.plan = sp._InterpPlan(np.multiply.outer(np.concatenate([am, ap]), ramp),
+                                   grid.n, grid.dx)
+        self.q = q
+
+    def apply(self, v):
+        vals = self.plan.eval(v)
+        prod = vals[: self.q] * vals[self.q:]
+        prod -= 1.0
+        out = self.w @ prod
+        out *= 0.5
+        out += 1.0
+        out[0] = 1.0
+        return out
+
+
+def _tail_profiles():
+    rng = np.random.default_rng(5)
+    g1, g4 = sp.RadialGrid(1024, 30.0), sp.RadialGrid(4096, 50.0)
+    noisy = rng.uniform(-1.0, 1.0, g1.n)
+    noisy[0] = 1.0
+    # exact u = -1 over interior nodes, below a Gaussian tail and with none
+    gap = sp.CharacteristicProfile.maxwellian(g1).values
+    gap[100:140] = 0.0
+    hole = noisy.copy()
+    hole[300:340] = 1e-300
+    early = np.zeros(g1.n)
+    early[:3] = (1.0, 0.9, 0.7)  # saturated from x = 3 dx
+    return {
+        "bimaxwellian-4096": (g4, sp.CharacteristicProfile.bimaxwellian(g4).values),
+        "maxwellian-1024": (g1, sp.CharacteristicProfile.maxwellian(g1).values),
+        "ones": (g1, np.ones(g1.n)),
+        "random": (g1, noisy),
+        "interior-hole-no-tail": (g1, hole),
+        "interior-gap-and-tail": (g1, gap),
+        "saturated-from-3dx": (g1, early),
+    }
+
+
+@pytest.mark.parametrize("e", [0.2, 0.5, 0.95, 1.0])
+def test_gain_tail_skip_is_the_full_evaluation_bit_for_bit(e):
+    q = sp.QUAD_ORDER
+    for name, (g, v) in _tail_profiles().items():
+        gain = sp._GainPlan(g, e, q)
+        T = gain.plan.table(v)
+        J = sp._tail_start(T)
+        P = int(gain.below[J])
+        assert np.array_equal(gain.apply(v), _FullGain(g, e, q).apply(v)), name
+        # only the trailing run counts, and what the run skips is exact
+        if name in ("ones", "random", "interior-hole-no-tail"):
+            assert J == g.n - 1 and P == q * g.n, name
+        else:
+            assert np.array_equal(T[J:], np.tile(sp._SATURATED, (g.n - 1 - J, 1))), name
+            assert not np.array_equal(T[J - 1], sp._SATURATED), name
+            assert P < q * g.n, name
+        if name.startswith("interior"):
+            assert np.any(np.all(T[:J] == sp._SATURATED, axis=1)), name
+        if name == "saturated-from-3dx":
+            assert J <= 8
+
+
+def test_evolve_and_steady_solve_match_the_full_gain_bit_for_bit(monkeypatch):
+    def run():
+        g = sp.RadialGrid(1024, 30.0)
+        B = sp.CharacteristicProfile.bimaxwellian(g)
+        trace = sp.evolve(B, 0.95, sp.SolverConfig(t_max=80 * sp.DT, frame="rescaled-g"),
+                          keep_profiles=True)
+        steady = sp.steady_profile(0.95, grid=g)
+        return trace, steady
+
+    monkeypatch.setattr(sp, "_GAIN_CACHE", {})
+    fast_trace, fast_steady = run()
+    plans: dict = {}
+    monkeypatch.setattr(sp, "_gain_plan", lambda grid, e, q: plans.setdefault(
+        (grid.n, e, q), _FullGain(grid, e, q)))
+    full_trace, full_steady = run()
+    assert plans and len(fast_trace.times) == len(full_trace.times)
+    for a, b in zip(fast_trace.profiles, full_trace.profiles):
+        assert np.array_equal(a.values, b.values)
+    for k, d in fast_trace.diagnostics.items():
+        assert np.array_equal(d, full_trace.diagnostics[k]), k
+    assert np.array_equal(fast_steady.values, full_steady.values)
+    assert fast_steady.meta["history"] == full_steady.meta["history"]
+    assert fast_steady.meta["fixed_point_residual"] == full_steady.meta["fixed_point_residual"]
+
+
+def test_gain_plan_pairs_are_sorted_by_their_outer_interval():
+    g = sp.RadialGrid(1024, 30.0)
+    for e, q in ((0.3, 32), (0.95, 64)):
+        gain = sp._GainPlan(g, e, q)
+        _, _, am, ap = sp.gain_scales(e, q)
+        M = gain.plan.M
+        assert gain.order.dtype == np.int32  # 2 B per query beside M's 56
+        assert np.array_equal(np.sort(gain.order), np.arange(q * g.n))
+        k, i = np.divmod(gain.order, g.n)
+        assert gain.plan.shape == (q * g.n, 2)
+        outer = M.indices.reshape(-1, 2).max(axis=1)
+        assert np.all(np.diff(outer) >= 0)
+        assert np.array_equal(outer, np.minimum(
+            np.maximum(am[k], ap[k]) * i, g.n - 1).astype(int).clip(max=g.n - 2))
+        assert np.array_equal(gain.below, np.searchsorted(outer, np.arange(g.n)))
+        # the pair order is stable: k n + i increases within one interval
+        same = np.diff(outer) == 0
+        assert np.all(np.diff(gain.order)[same] > 0)
+
+
+def test_gain_heads_are_views_of_the_plan():
+    g = sp.RadialGrid(1024, 30.0)
+    gain = sp._GainPlan(g, 0.9, 32)
+    for v in (sp.CharacteristicProfile.maxwellian(g).values,
+              sp.CharacteristicProfile.bimaxwellian(g).values, np.ones(g.n)):
+        gain.apply(v)
+    M = gain.plan.M
+    assert len(gain.heads) == 3 and 32 * g.n in gain.heads
+    for P, head in gain.heads.items():
+        assert head.shape == (2 * P, M.shape[1])
+        for a, b in ((head.data, M.data), (head.indices, M.indices),
+                     (head.indptr, M.indptr)):
+            assert np.shares_memory(a, b)
+
+
+def test_every_plan_has_value_weights_summing_to_one(monkeypatch):
+    # the saturated tail is exact because W0 + W1 == 1 in floating point
+    g = sp.RadialGrid(1024, 30.0)
+    plans = [sp._GainPlan(g, e, q).plan for e in (0.2, 0.5, 0.95, 1.0) for q in (32, 64)]
+    plans += [sp._drift_plan(g, shift) for shift in (1e-4, 0.02)]
+    plans.append(sp._InterpPlan(np.linspace(0.0, g.n - 1, 100003), g.n, g.dx))
+    for plan in plans:
+        W = plan.M.data[:, 0]
+        assert np.all(W[:, 0] + W[:, 1] == 1.0)
+    inner = sp._hermite_weights
+
+    def off(t, W):
+        inner(t, W)
+        W[:, 0] += 1e-9
+
+    monkeypatch.setattr(sp, "_hermite_weights", off)
+    with pytest.raises(ValueError, match="sum to exactly 1"):
+        sp._InterpPlan(np.linspace(0.0, 10.0, 7), g.n, g.dx)
 
 
 @settings(max_examples=15, deadline=None)
