@@ -20,13 +20,13 @@ Hermite interpolation with sixth-order 7-point slopes and fourth-order 5-point
 curvatures, by one operator, `_InterpPlan`. That evaluation is linear in the
 profile and factors into two maps: a fixed stencil map from the deviation
 phi - 1 to a per-interval table of values, slopes and curvatures, then a
-block-sparse gather matrix (scipy.sparse BSR) built once per set of query
-positions. Gain and drift plans are cached; `evaluate` builds an uncached one
-per call. scipy.sparse is imported with the first plan, not with this module,
-so code that evaluates no profile (DSMC, the kinematics Monte Carlo, the
-stamp) never loads it. The table of phi = 1 is exactly zero and the gain is
-evaluated in deviation form, so the constant profile phi = 1 is a fixed point
-of the gain and of the drift resample bit for bit.
+block-sparse gather matrix (scipy.sparse BSR) whose rows are computed once per
+query. Gain and drift plans are cached; `evaluate` builds an uncached one per
+call. scipy.sparse is imported with the first gather matrix, not with this
+module, so code that evaluates no profile (DSMC, the kinematics Monte Carlo,
+the stamp) never loads it. The table of phi = 1 is exactly zero and the gain
+is evaluated in deviation form, so the constant profile phi = 1 is a fixed
+point of the gain and of the drift resample bit for bit.
 
 The gain plan holds its (s-node k, grid node i) pairs sorted stably by the
 interval of their outer query max(a-, a+) x_i, each pair's a- and a+ queries
@@ -34,10 +34,14 @@ in adjacent rows. An apply evaluates only the pairs below the saturated tail:
 the trailing run of table rows equal to (-1, -1, 0, 0, 0, 0), where
 phi - 1 == -1 in floating point (past x ~ 11 for a Gaussian tail on the
 (4096, 50) grid). A query there evaluates to exactly +0, because the Hermite
-value weights satisfy fl(fl(1 - W1) + W1) = 1 (checked for every query when a
-plan is built), so a pair whose outer query lies in the tail has product - 1
-exactly -1 whatever its finite inner value. The apply is bit for bit the full
-evaluation; see `_GainPlan`.
+value weights satisfy fl(fl(1 - W1) + W1) = 1 (checked for every query when
+its weights are computed), so a pair whose outer query lies in the tail has
+product - 1 exactly -1 whatever its finite inner value. The apply is bit for
+bit the full evaluation; see `_GainPlan`. The gain plan computes the weights
+of its queries on demand, in pair order, only as far as an apply has needed:
+at most once per query, and about a quarter of them on the (4096, 50) grid
+for a Gaussian-tailed profile. The drift plans and `evaluate` use every query
+and are filled when built.
 
 The stationary rescaled profile (`steady_profile`) is the fixed point of one
 rescaled step followed by a gauge pin, the dilation that sets m2 = 3, found
@@ -282,51 +286,70 @@ class _InterpPlan:
     stencil map from a profile to its per-interval table T: with u = v - 1 and
     (d, c) the slopes and curvatures of u, row i of the (n-1, 6) table is
     [u_i, u_{i+1}, h d_i, h d_{i+1}, h^2 c_i, h^2 c_{i+1}]. The second is the
-    plan's block-sparse gather matrix M, built once: query r has one 1x6 block
-    at block column idx_r holding the Hermite weights
-    [1-H3, H3, H1, H4, H2, H5](t_r), so eval(v) = 1 + M @ T. The table of the
-    constant profile phi = 1 is exactly zero, so phi = 1 is reproduced bit for
-    bit whatever the summation order. M stores 56 bytes per query: six
-    weights, a block index and a row pointer.
+    plan's block-sparse gather matrix M: query r has one 1x6 block at block
+    column idx_r holding the Hermite weights [1-H3, H3, H1, H4, H2, H5](t_r),
+    so eval(v) = 1 + M @ T. The table of the constant profile phi = 1 is
+    exactly zero, so phi = 1 is reproduced bit for bit whatever the summation
+    order. M's arrays `data`, `indices` and `indptr` take 56 bytes per query:
+    six weights, a block index and a row pointer.
 
     The value weights W0 = fl(1 - W1) and W1 = H3(t) satisfy W0 + W1 == 1 in
-    floating point, and the build raises ValueError for any query where they
-    do not. So a query in a saturated row (-1, -1, 0, 0, 0, 0), where
-    u = -1 and the scaled slopes and curvatures are 0, gets the block dot
+    floating point, and `fill` raises ValueError for any query where they do
+    not. So a query in a saturated row (-1, -1, 0, 0, 0, 0), where u = -1
+    and the scaled slopes and curvatures are 0, gets the block dot
     fl(-W0 - W1) = -1 and evaluates to exactly +0. `table` is the first map
     alone, and `head(m)` the gather matrix of the first m queries over views
-    of M's arrays; the gain plan orders its queries so that the ones it needs
-    come first.
+    of the arrays.
+
+    A plan built from its positions is filled at once and holds M. A
+    `reserved` plan (the gain's) holds the arrays unfilled and no M: `fill`
+    appends the weights of the next queries, and the reserve is np.empty, so
+    its pages cost no resident memory until they are filled.
     """
 
-    __slots__ = ("shape", "h", "M", "clamped")
+    __slots__ = ("shape", "n", "h", "data", "indices", "indptr", "filled", "clamped", "M")
 
     def __init__(self, positions: np.ndarray, n: int, h: float) -> None:
-        # imported here: scipy.sparse costs 0.1-0.2 s, and only plans need it
-        from scipy.sparse import bsr_matrix  # noqa: PLC0415
-
         p = np.asarray(positions, dtype=float)
-        self.shape = p.shape
-        p = p.ravel()
-        self.clamped = int(np.count_nonzero(p > (n - 1) + 1e-9))
-        m = len(p)
-        idx = np.empty(m, dtype=np.int32)
-        W = np.empty((m, 1, 6))
-        # built in cache-sized chunks: temporaries the size of the plan would
+        self._reserve(p.shape, n, h)
+        self.fill(p.ravel())
+        self.M = self.head(p.size)
+
+    @classmethod
+    def reserved(cls, shape: tuple, n: int, h: float) -> "_InterpPlan":
+        """A plan of `shape` queries with none filled yet."""
+        plan = cls.__new__(cls)
+        plan._reserve(shape, n, h)
+        return plan
+
+    def _reserve(self, shape: tuple, n: int, h: float) -> None:
+        m = math.prod(shape)
+        self.shape, self.n, self.h = shape, n, h
+        self.data = np.empty((m, 1, 6))
+        self.indices = np.empty(m, dtype=np.int32)
+        self.indptr = np.empty(m + 1, dtype=np.int32)
+        self.indptr[0] = 0
+        self.filled = self.clamped = 0
+        self.M = None
+
+    def fill(self, p: np.ndarray) -> None:
+        """Fill the next len(p) queries at the flat positions p."""
+        n, a0 = self.n, self.filled
+        # filled in cache-sized chunks: temporaries the size of the plan would
         # each cost a page fault per page
-        for a in range(0, m, _PLAN_CHUNK):
-            pc = p[a:a + _PLAN_CHUNK]
+        for a in range(a0, a0 + len(p), _PLAN_CHUNK):
+            pc = p[a - a0:a - a0 + _PLAN_CHUNK]
             if not np.all((pc >= 0.0) & (pc < math.inf)):  # before the int32 cast
                 raise ValueError("interpolation positions must be finite and nonnegative")
+            self.clamped += int(np.count_nonzero(pc > (n - 1) + 1e-9))
             pc, ic = _cells(pc, n)
-            idx[a:a + _PLAN_CHUNK] = ic
-            Wc = W[a:a + _PLAN_CHUNK, 0]
+            self.indices[a:a + len(pc)] = ic
+            Wc = self.data[a:a + len(pc), 0]
             _hermite_weights(pc - ic, Wc)
             if not np.all(Wc[:, 0] + Wc[:, 1] == 1.0):
                 raise ValueError("Hermite value weights must sum to exactly 1")
-        rows = np.arange(m + 1, dtype=np.int32)
-        self.M = bsr_matrix((W, idx, rows), shape=(m, 6 * (n - 1)))
-        self.h = h
+        self.filled = a0 + len(p)
+        self.indptr[a0 + 1:self.filled + 1] = np.arange(a0 + 1, self.filled + 1, dtype=np.int32)
 
     def table(self, v: np.ndarray) -> np.ndarray:
         """The (n-1, 6) interval table T of the profile v."""
@@ -341,12 +364,14 @@ class _InterpPlan:
         return T
 
     def head(self, m: int):
-        """The gather matrix of the first m queries, over views of M's arrays."""
+        """The gather matrix of the first m queries, over views of the arrays."""
+        # imported here: scipy.sparse costs 0.1-0.2 s, and only plans need it
         from scipy.sparse import bsr_matrix  # noqa: PLC0415
 
-        M = self.M
-        return bsr_matrix((M.data[:m], M.indices[:m], M.indptr[:m + 1]),
-                          shape=(m, M.shape[1]))
+        if m > self.filled:
+            raise ValueError(f"{m} queries asked of a plan with {self.filled} filled")
+        return bsr_matrix((self.data[:m], self.indices[:m], self.indptr[:m + 1]),
+                          shape=(m, 6 * (self.n - 1)))
 
     def eval(self, v: np.ndarray) -> np.ndarray:
         out = self.M @ self.table(v).ravel()
@@ -381,19 +406,14 @@ def _tail_start(T: np.ndarray) -> int:
 
 
 def _sorted_pairs(a_minus: np.ndarray, a_plus: np.ndarray, n: int):
-    # (order, below, positions) of the pairs sorted by their outer interval;
-    # a function, so that its temporaries are freed before the plan is built
-    ramp = np.arange(n, dtype=float)
+    # (order, below) of the pairs sorted by their outer interval; a function,
+    # so that its temporaries are freed before the plan is filled
     # max(a- i, a+ i) = max(a-, a+) i: rounding is monotone
-    outer = _cells(np.multiply.outer(np.maximum(a_minus, a_plus), ramp), n)[1].ravel()
+    outer = _cells(np.multiply.outer(np.maximum(a_minus, a_plus),
+                                     np.arange(n, dtype=float)), n)[1].ravel()
     order = np.argsort(outer, kind="stable").astype(np.int32)
     below = np.concatenate(([0], np.cumsum(np.bincount(outer, minlength=n - 1))))
-    k, i = np.divmod(order, np.int32(n))
-    x = ramp[i]
-    positions = np.empty((len(order), 2))
-    positions[:, 0] = a_minus[k] * x
-    positions[:, 1] = a_plus[k] * x
-    return order, below, positions
+    return order, below
 
 
 class _GainPlan:
@@ -401,10 +421,9 @@ class _GainPlan:
 
     Pair (k, i) queries phi at a-_k x_i and a+_k x_i. The pairs are sorted
     stably by the interval of their outer query max(a-_k, a+_k) i, and pair p
-    is the adjacent rows 2p (a-) and 2p + 1 (a+) of one `_InterpPlan`;
-    `order[p]` is its flat index k n + i, and `below[j]` counts the pairs
-    whose outer query lies below interval j. The int32 `order` adds 2 bytes
-    per query to the plan's 56.
+    is the adjacent rows 2p (a-) and 2p + 1 (a+) of one reserved
+    `_InterpPlan`; `order[p]` is its flat index k n + i, and `below[j]`
+    counts the pairs whose outer query lies below interval j.
 
     `apply` evaluates only the pairs below the saturated tail, the trailing
     run of table rows equal to (-1, -1, 0, 0, 0, 0) from interval J on, and
@@ -413,31 +432,51 @@ class _GainPlan:
     block dot fl(-W0 - W1) = -1, since W0 = fl(1 - W1) and
     fl(fl(1 - W1) + W1) = 1 for W1 in [0, 1] (exact by Sterbenz for
     W1 >= 1/2, a half-ulp tie rounding to 1 below that; `_InterpPlan` checks
-    it for every query), so `eval` returns +0 there, the pair's product is
-    +-0 whatever its finite inner value, and the product - 1 is -1. Without
-    a tail (phi = 1, say) every pair is evaluated. `heads` keeps the gather
-    matrix of each number of pairs seen, views of the plan of under 600 B
-    each.
+    it for every query), so the query evaluates to +0, the pair's product
+    is +-0 whatever its finite inner value, and the product - 1 is -1.
+    Without a tail (phi = 1, say) every pair is evaluated.
+
+    The plan's rows are filled on demand, in pair order: an apply that needs
+    the first P pairs fills the ones not yet filled, in whole `_PLAN_CHUNK`
+    chunks of queries, so no row is computed twice and a plan never fills
+    more than an eager build would. The plan holds 2 bytes per query for the
+    int32 `order` and 56 per filled query; on the (4096, 50) grid an apply to
+    a Gaussian-tailed profile fills about a quarter of them. `heads` keeps
+    the gather matrix of each number of pairs seen, views of the plan's
+    arrays of under 600 B each, which later fills do not move.
     """
 
-    __slots__ = ("plan", "w", "q", "order", "below", "heads")
+    __slots__ = ("plan", "w", "q", "a_minus", "a_plus", "order", "below", "heads")
 
     def __init__(self, grid: RadialGrid, e: float, quad_order: int) -> None:
-        s, w, a_minus, a_plus = gain_scales(e, quad_order)
-        if float(max(np.max(a_minus), np.max(a_plus))) > 1.0 + 1e-12:
+        _, w, self.a_minus, self.a_plus = gain_scales(e, quad_order)
+        if float(max(np.max(self.a_minus), np.max(self.a_plus))) > 1.0 + 1e-12:
             # cannot happen for e in (0, 1]; guard against regressions
             warnings.warn("gain quadrature queries beyond x_max were clamped")
-        self.order, self.below, positions = _sorted_pairs(a_minus, a_plus, grid.n)
-        self.plan = _InterpPlan(positions, grid.n, grid.dx)
+        self.order, self.below = _sorted_pairs(self.a_minus, self.a_plus, grid.n)
+        self.plan = _InterpPlan.reserved((len(self.order), 2), grid.n, grid.dx)
         self.heads = {}  # number of pairs -> gather matrix of their queries
         self.w = w
         self.q = int(quad_order)
+
+    def _fill(self, P: int) -> None:
+        # fill whole chunks of pairs until the first P are filled
+        plan = self.plan
+        while plan.filled < 2 * P:
+            a = plan.filled // 2
+            k, i = np.divmod(self.order[a:a + _PLAN_CHUNK // 2], np.int32(plan.n))
+            x = i.astype(float)
+            positions = np.empty((len(k), 2))
+            positions[:, 0] = self.a_minus[k] * x
+            positions[:, 1] = self.a_plus[k] * x
+            plan.fill(positions.ravel())
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         T = self.plan.table(v)
         P = int(self.below[_tail_start(T)])
         head = self.heads.get(P)
         if head is None:
+            self._fill(P)
             head = self.heads[P] = self.plan.head(2 * P)
         vals = head @ T.ravel()
         vals += 1.0
@@ -523,11 +562,16 @@ def step(phi: CharacteristicProfile, e, config: SolverConfig) -> CharacteristicP
     exact rate 2E). Rescaled frame: Strang splitting drift(dt/2) - RK4(dt) -
     drift(dt/2), which holds the second moment fixed. If the step pushes
     |phi| above 1 + 1e-6 it is retried once as two half steps, then aborted.
+    A rescaled step so large that the drift's query positions
+    x_i exp(E dt/2) / dx overflow raises ValueError before any plan is built.
     """
     e = _check_e(e)
-    gain = _gain_plan(phi.grid, e, config.quad_order)
     E = dissipation_rate(e)
     rescaled = config.frame == "rescaled-g"
+    if rescaled and E * config.dt / 2.0 >= math.log(np.finfo(float).max / phi.grid.n):
+        raise ValueError(f"dt={config.dt!r} is too large for the rescaled frame: the drift "
+                         "dilation exp(E dt/2) overflows the query positions")
+    gain = _gain_plan(phi.grid, e, config.quad_order)
 
     def advance(v, dt):
         if rescaled and E > 0.0:

@@ -1,6 +1,7 @@
 """Tests for the Fourier-space spectral solver and profile functionals."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -110,8 +111,8 @@ def test_interp_plan_reproduces_ones_bit_exact():
     # only to rounding, so the operator must act on phi - 1 to carry phi = 1
     # exactly
     g = sp.RadialGrid(512, 20.0)
-    plan = sp._gain_plan(g, 0.3, 64).plan
-    assert np.array_equal(plan.eval(np.ones(g.n)), np.ones((64 * g.n, 2)))
+    gain = sp._gain_plan(g, 0.3, 64)
+    assert np.array_equal(_eval_all(gain, np.ones(g.n)), np.ones((64 * g.n, 2)))
     one = sp.CharacteristicProfile(g, np.ones(g.n))
     xq = np.linspace(0.0, g.x_max, 1001) * 0.999
     assert np.array_equal(sp.evaluate(one, xq), np.ones(len(xq)))
@@ -201,7 +202,22 @@ def test_gain_never_clamps():
     # both scale families lie in [0, 1]: queries stay on the grid
     g = sp.RadialGrid(512, 20.0)
     plan = sp._gain_plan(g, 0.4, 64)
+    _full_head(plan, g.n)
     assert plan.plan.clamped == 0
+
+
+def _full_head(gain, n):
+    # phi = 1 has no saturated tail: one apply fills every pair of a gain
+    # plan, and its head over all of them is the plan's whole gather matrix
+    gain.apply(np.ones(n))
+    return gain.heads[gain.q * n]
+
+
+def _eval_all(gain, v):
+    # the gain plan's queries at every pair, as _InterpPlan.eval would give
+    out = _full_head(gain, len(v)) @ gain.plan.table(v).ravel()
+    out += 1.0
+    return out.reshape(gain.plan.shape)
 
 
 def _hermite_reference(v, positions, h):
@@ -233,12 +249,12 @@ def test_interp_operator_matches_hermite_reference():
         # gain: both scale families, and the quadrature over their products
         for e, q in ((0.3, 32), (0.95, 64)):
             gain = sp._gain_plan(g, e, q)
-            idx = gain.plan.M.indices
+            idx = _full_head(gain, g.n).indices
             assert idx.min() <= 2 and idx.max() >= g.n - 5
             _, w, am, ap = sp.gain_scales(e, q)
             k, i = np.divmod(gain.order, g.n)
             ref = _hermite_reference(v, np.stack([am[k] * i, ap[k] * i], axis=1), g.dx)
-            assert np.max(np.abs(gain.plan.eval(v) - ref)) <= tol
+            assert np.max(np.abs(_eval_all(gain, v) - ref)) <= tol
             ref = _hermite_reference(v, np.multiply.outer(np.concatenate([am, ap]), ramp), g.dx)
             ref_gain = 1.0 + 0.5 * (w @ (ref[:q] * ref[q:] - 1.0))
             ref_gain[0] = 1.0
@@ -264,7 +280,7 @@ def test_interp_operator_matches_hermite_reference():
 def test_gain_plan_footprint():
     # 48 B of weights, a 4 B block index and a 4 B row pointer per query
     g = sp.RadialGrid(4096, 50.0)
-    M = sp._GainPlan(g, 0.95, 64).plan.M
+    M = _full_head(sp._GainPlan(g, 0.95, 64), g.n)
     queries = 2 * 64 * g.n
     assert M.shape[0] == queries
     stored = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
@@ -367,7 +383,7 @@ def test_gain_plan_pairs_are_sorted_by_their_outer_interval():
     for e, q in ((0.3, 32), (0.95, 64)):
         gain = sp._GainPlan(g, e, q)
         _, _, am, ap = sp.gain_scales(e, q)
-        M = gain.plan.M
+        M = _full_head(gain, g.n)
         assert gain.order.dtype == np.int32  # 2 B per query beside M's 56
         assert np.array_equal(np.sort(gain.order), np.arange(q * g.n))
         k, i = np.divmod(gain.order, g.n)
@@ -388,23 +404,24 @@ def test_gain_heads_are_views_of_the_plan():
     for v in (sp.CharacteristicProfile.maxwellian(g).values,
               sp.CharacteristicProfile.bimaxwellian(g).values, np.ones(g.n)):
         gain.apply(v)
-    M = gain.plan.M
+    plan = gain.plan
     assert len(gain.heads) == 3 and 32 * g.n in gain.heads
     for P, head in gain.heads.items():
-        assert head.shape == (2 * P, M.shape[1])
-        for a, b in ((head.data, M.data), (head.indices, M.indices),
-                     (head.indptr, M.indptr)):
+        assert head.shape == (2 * P, 6 * (g.n - 1))
+        for a, b in ((head.data, plan.data), (head.indices, plan.indices),
+                     (head.indptr, plan.indptr)):
             assert np.shares_memory(a, b)
 
 
 def test_every_plan_has_value_weights_summing_to_one(monkeypatch):
     # the saturated tail is exact because W0 + W1 == 1 in floating point
     g = sp.RadialGrid(1024, 30.0)
-    plans = [sp._GainPlan(g, e, q).plan for e in (0.2, 0.5, 0.95, 1.0) for q in (32, 64)]
-    plans += [sp._drift_plan(g, shift) for shift in (1e-4, 0.02)]
-    plans.append(sp._InterpPlan(np.linspace(0.0, g.n - 1, 100003), g.n, g.dx))
-    for plan in plans:
-        W = plan.M.data[:, 0]
+    mats = [_full_head(sp._GainPlan(g, e, q), g.n) for e in (0.2, 0.5, 0.95, 1.0)
+            for q in (32, 64)]
+    mats += [sp._drift_plan(g, shift).M for shift in (1e-4, 0.02)]
+    mats.append(sp._InterpPlan(np.linspace(0.0, g.n - 1, 100003), g.n, g.dx).M)
+    for M in mats:
+        W = M.data[:, 0]
         assert np.all(W[:, 0] + W[:, 1] == 1.0)
     inner = sp._hermite_weights
 
@@ -415,6 +432,75 @@ def test_every_plan_has_value_weights_summing_to_one(monkeypatch):
     monkeypatch.setattr(sp, "_hermite_weights", off)
     with pytest.raises(ValueError, match="sum to exactly 1"):
         sp._InterpPlan(np.linspace(0.0, 10.0, 7), g.n, g.dx)
+
+
+def test_an_apply_fills_only_the_pairs_below_the_tail():
+    # a gain plan starts unfilled; one apply fills its first 2 below[J]
+    # queries in whole chunks and leaves the rest of the reserve untouched
+    g = sp.RadialGrid(4096, 50.0)
+    v = sp.CharacteristicProfile.bimaxwellian(g).values
+    chunk = sp._PLAN_CHUNK
+    for e in (0.2, 0.5, 0.95, 1.0):
+        gain = sp._GainPlan(g, e, 32)
+        assert gain.plan.filled == 0 and gain.plan.M is None
+        P = int(gain.below[sp._tail_start(gain.plan.table(v))])
+        gain.apply(v)
+        assert 2 * P <= gain.plan.filled <= -(-2 * P // chunk) * chunk, e
+        assert gain.plan.filled < 2 * 32 * g.n and gain.plan.M is None
+
+
+def test_a_widening_run_fills_each_query_once_and_matches_the_full_gain(monkeypatch):
+    # an unscaled run cools, so its tail moves out and the plan grows; every
+    # apply is the full evaluation, and no query's weights are computed twice
+    g = sp.RadialGrid(1024, 30.0)
+    e, q = 0.5, sp.QUAD_ORDER
+    full = _FullGain(g, e, q)  # built before the rows are counted
+    monkeypatch.setattr(sp, "_GAIN_CACHE", {})
+    rows = []
+    inner = sp._hermite_weights
+
+    def counted(t, W):
+        rows.append(len(t))
+        inner(t, W)
+
+    filled = []
+    apply = sp._GainPlan.apply
+
+    def checked(self, v):
+        out = apply(self, v)
+        assert np.array_equal(out, full.apply(v))
+        filled.append(self.plan.filled)
+        return out
+
+    monkeypatch.setattr(sp, "_hermite_weights", counted)
+    monkeypatch.setattr(sp._GainPlan, "apply", checked)
+    sp.evolve(sp.CharacteristicProfile.maxwellian(g), e,
+              sp.SolverConfig(t_max=2.5, frame="unscaled-f"))
+    (gain,) = sp._GAIN_CACHE.values()
+    assert len(filled) == 4 * 50
+    assert len(set(filled)) >= 3 and filled[-1] < 2 * q * g.n  # widened, never full
+    assert sum(rows) == gain.plan.filled
+
+
+def test_cached_heads_stay_views_after_later_fills():
+    g = sp.RadialGrid(1024, 30.0)
+    gain = sp._GainPlan(g, 0.9, 32)
+    narrow = sp.CharacteristicProfile.maxwellian(g, 4.0).values
+    wide = sp.CharacteristicProfile.maxwellian(g, 0.25).values
+    gain.apply(narrow)
+    ((P, head),) = gain.heads.items()
+    before = gain.plan.filled
+    T = gain.plan.table(wide).ravel()
+    expected = head @ T
+    gain.apply(wide)
+    assert gain.plan.filled > before and len(gain.heads) == 2
+    plan = gain.plan
+    for a, b in ((head.data, plan.data), (head.indices, plan.indices),
+                 (head.indptr, plan.indptr)):
+        assert a.__array_interface__["data"][0] == b.__array_interface__["data"][0]
+    assert np.array_equal(head @ T, expected)
+    wider = max(gain.heads)
+    assert wider > P and np.array_equal((gain.heads[wider] @ T)[:2 * P], expected)
 
 
 @settings(max_examples=15, deadline=None)
@@ -599,6 +685,21 @@ def test_step_abort_on_bound_violation():
     with pytest.warns(UserWarning, match="halved"):
         with pytest.raises(RuntimeError):
             sp.step(B, 0.5, cfg)
+
+
+def test_a_step_too_large_for_the_drift_raises_before_any_plan(monkeypatch):
+    # exp(E dt/2) overflows: the step names dt and builds no plan
+    monkeypatch.setattr(sp, "_GAIN_CACHE", {})
+    monkeypatch.setattr(sp, "_DRIFT_CACHE", {})
+    B = sp.CharacteristicProfile.bimaxwellian(sp.RadialGrid(512, 20.0))
+    for dt in (1e150, 1e300):
+        with pytest.raises(ValueError, match=re.escape(f"dt={dt!r}")):
+            sp.step(B, 0.9, sp.SolverConfig(dt=dt))
+    assert not sp._GAIN_CACHE and not sp._DRIFT_CACHE
+    # a large step that the drift can still take keeps the halving path
+    with pytest.warns(UserWarning, match="halved"):
+        with pytest.raises(RuntimeError, match="dt halving"):
+            sp.step(B, 0.9, sp.SolverConfig(dt=50.0))
 
 
 def test_frame_consistency():
