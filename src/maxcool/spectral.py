@@ -19,29 +19,32 @@ quadrature queries, drift resampling, the m2 pin and `evaluate`) is quintic
 Hermite interpolation with sixth-order 7-point slopes and fourth-order 5-point
 curvatures, by one operator, `_InterpPlan`. That evaluation is linear in the
 profile and factors into two maps: a fixed stencil map from the deviation
-phi - 1 to a per-interval table of values, slopes and curvatures, then a
-block-sparse gather matrix (scipy.sparse BSR) whose rows are computed once per
-query. Gain and drift plans are cached; `evaluate` builds an uncached one per
-call. scipy.sparse is imported with the first gather matrix, not with this
-module, so code that evaluates no profile (DSMC, the kinematics Monte Carlo,
-the stamp) never loads it. The table of phi = 1 is exactly zero and the gain
-is evaluated in deviation form, so the constant profile phi = 1 is a fixed
-point of the gain and of the drift resample bit for bit.
+phi - 1 to a node table of values, slopes and curvatures, then a sparse
+gather matrix (scipy.sparse CSR, six weights per query) whose rows are
+computed once per query. Gain and drift plans are cached; `evaluate` builds
+an uncached one per call. scipy.sparse is imported with the first gather
+matrix, not with this module, so code that evaluates no profile (DSMC, the
+kinematics Monte Carlo, the stamp) never loads it. The table of phi = 1 is
+exactly zero and the gain is evaluated in deviation form, so the constant
+profile phi = 1 is a fixed point of the gain and of the drift resample bit
+for bit.
 
-The gain plan holds its (s-node k, grid node i) pairs sorted stably by the
-interval of their outer query max(a-, a+) x_i, each pair's a- and a+ queries
-in adjacent rows. An apply evaluates only the pairs below the saturated tail:
-the trailing run of table rows equal to (-1, -1, 0, 0, 0, 0), where
-phi - 1 == -1 in floating point (past x ~ 11 for a Gaussian tail on the
-(4096, 50) grid). A query there evaluates to exactly +0, because the Hermite
-value weights satisfy fl(fl(1 - W1) + W1) = 1 (checked for every query when
-its weights are computed), so a pair whose outer query lies in the tail has
-product - 1 exactly -1 whatever its finite inner value. The apply is bit for
-bit the full evaluation; see `_GainPlan`. The gain plan computes the weights
-of its queries on demand, in pair order, only as far as an apply has needed:
-at most once per query, and about a quarter of them on the (4096, 50) grid
-for a Gaussian-tailed profile. The drift plans and `evaluate` use every query
-and are filled when built.
+The node table is computed only up to the saturated tail: the trailing run
+of nodes where phi - 1 == -1 in floating point and the slopes and curvatures
+are exactly 0 (past x ~ 11 for a Gaussian tail on the (4096, 50) grid). A
+query there evaluates to exactly +0, because the Hermite value weights
+satisfy fl(fl(1 - W1) + W1) = 1 (checked for every query when its weights
+are computed). So the drift, whose queries x_i exp(E dt/2) are sorted,
+evaluates only the queries below the tail. The gain plan holds its (s-node
+k, grid node i) pairs sorted stably by the interval of their outer query
+max(a-, a+) x_i, each pair's a- and a+ queries in adjacent rows, and an
+apply evaluates only the pairs below the tail: a pair whose outer query lies
+there has product - 1 exactly -1 whatever its finite inner value. Both are
+bit for bit the full evaluation; see `_GainPlan`. The gain plan computes the
+weights of its queries on demand, in pair order, only as far as an apply has
+needed: at most once per query, and about a quarter of them on the
+(4096, 50) grid for a Gaussian-tailed profile. The drift plans and
+`evaluate` are filled when built.
 
 The stationary rescaled profile (`steady_profile`) is the fixed point of one
 rescaled step followed by a gauge pin, the dilation that sets m2 = 3, found
@@ -251,6 +254,55 @@ def _quintic_derivs(v: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
 
 _PLAN_CHUNK = 8192
 
+# the node-table column of each Hermite weight [1-H3, H3, H1, H4, H2, H5]
+# of a query in interval i, less 3 i: node i holds (u_i, h d_i, h^2 c_i)
+_COLUMNS = np.array([0, 3, 1, 4, 2, 5], dtype=np.int32)
+_SATURATED = np.array([-1.0, 0.0, 0.0])  # the node row of u = -1
+
+
+def _node_table(v: np.ndarray, h: float) -> tuple[np.ndarray, int]:
+    """(X, J): the (n, 3) node table of the profile v and its tail start.
+
+    With u = v - 1 and (d, c) the slopes and curvatures of u, row i of X is
+    [u_i, h d_i, h^2 c_i]. J is the first interval of the trailing run of
+    saturated intervals, those whose two nodes are both (-1, 0, 0); J = n - 1
+    when the last interval is not saturated. With L the last node where
+    u != -1, every node from L + 4 on is exactly (-1, 0, 0): the slope and
+    curvature stencils reach 3 and 2 nodes, and their integer weights sum
+    -1s to exactly +0, at the top-edge closures too. So only the rows up to
+    L + 3 are computed, by the interior stencils over u up to node L + 6;
+    the closures enter only when L + 7 >= n. J follows from those rows.
+    """
+    n = len(v)
+    u = v - 1.0
+    live = np.flatnonzero(u != -1.0)
+    L = int(live[-1]) if live.size else -1
+    m = min(L + 4, n)
+    d, c = _quintic_derivs(u[:min(L + 7, n)], h)
+    X = np.zeros((n, 3))
+    X[:m, 0] = u[:m]
+    X[m:, 0] = -1.0
+    np.multiply(d[:m], h, out=X[:m, 1])
+    np.multiply(c[:m], h * h, out=X[:m, 2])
+    # the last unsaturated node is node L or one of the 3 after it
+    off = np.flatnonzero(np.any(X[L + 1:m] != _SATURATED, axis=1))
+    K = L + 1 + int(off[-1]) if off.size else L
+    return X, min(K + 1, n - 1)
+
+
+_ROW_POINTER = np.zeros(1, dtype=np.int32)
+
+
+def _row_pointer(m: int, reserve: int) -> np.ndarray:
+    # the row pointer 6 r, r = 0..m, of a gather matrix of m queries: a view of
+    # one read-only array shared by every plan, regrown to `reserve` rows when
+    # too short (heads made before keep the old one)
+    global _ROW_POINTER
+    if len(_ROW_POINTER) <= m:
+        _ROW_POINTER = np.arange(0, 6 * (max(m, reserve) + 1), 6, dtype=np.int32)
+        _ROW_POINTER.flags.writeable = False
+    return _ROW_POINTER[:m + 1]
+
 
 def _cells(p: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     # positions clamped to the last node, and the interval each lands in (the
@@ -278,42 +330,42 @@ class _InterpPlan:
 
     Every off-grid evaluation of a profile runs through one. Positions are
     fractional grid indices, a * i for the queries a * x_i. They must be
-    finite and nonnegative (ValueError otherwise): bsr_matrix does not
-    range-check block indices. Positions past n - 1 are clamped to the last
+    finite and nonnegative (ValueError otherwise): csr_matvec does not
+    range-check column indices. Positions past n - 1 are clamped to the last
     node and counted in `clamped`.
 
     The evaluation is the product of two linear maps. The first is the fixed
-    stencil map from a profile to its per-interval table T: with u = v - 1 and
-    (d, c) the slopes and curvatures of u, row i of the (n-1, 6) table is
-    [u_i, u_{i+1}, h d_i, h d_{i+1}, h^2 c_i, h^2 c_{i+1}]. The second is the
-    plan's block-sparse gather matrix M: query r has one 1x6 block at block
-    column idx_r holding the Hermite weights [1-H3, H3, H1, H4, H2, H5](t_r),
-    so eval(v) = 1 + M @ T. The table of the constant profile phi = 1 is
-    exactly zero, so phi = 1 is reproduced bit for bit whatever the summation
-    order. M's arrays `data`, `indices` and `indptr` take 56 bytes per query:
-    six weights, a block index and a row pointer.
+    stencil map from a profile to its (n, 3) node table X (`_node_table`).
+    The second is the plan's CSR gather matrix M over X flattened: query r in
+    interval i holds the six Hermite weights [1-H3, H3, H1, H4, H2, H5](t_r)
+    at the columns 3 i + (0, 3, 1, 4, 2, 5), that is at u_i, u_{i+1},
+    h d_i, h d_{i+1}, h^2 c_i and h^2 c_{i+1}, so eval(v) = 1 + M @ X. The
+    table of the constant profile phi = 1 is exactly zero, so phi = 1 is
+    reproduced bit for bit whatever the summation order. The plan's arrays
+    `data` and `indices` take 72 bytes per query: six weights and six int32
+    column indices. The row pointer is 6 r for every plan, one int32 array
+    that all plans share (`_row_pointer`).
 
     The value weights W0 = fl(1 - W1) and W1 = H3(t) satisfy W0 + W1 == 1 in
     floating point, and `fill` raises ValueError for any query where they do
-    not. So a query in a saturated row (-1, -1, 0, 0, 0, 0), where u = -1
-    and the scaled slopes and curvatures are 0, gets the block dot
-    fl(-W0 - W1) = -1 and evaluates to exactly +0. `table` is the first map
-    alone, and `head(m)` the gather matrix of the first m queries over views
-    of the arrays.
+    not. So a query in a saturated interval, whose two nodes are (-1, 0, 0)
+    (u = -1, the scaled slopes and curvatures 0), gets the dot product
+    fl(-W0 - W1) = -1 and evaluates to exactly +0. `head(m)` is the gather
+    matrix of the first m queries, over views of the arrays, cached in `heads`
+    per m.
 
-    A plan built from its positions is filled at once and holds M. A
-    `reserved` plan (the gain's) holds the arrays unfilled and no M: `fill`
-    appends the weights of the next queries, and the reserve is np.empty, so
-    its pages cost no resident memory until they are filled.
+    A plan built from its positions is filled at once. A `reserved` plan (the
+    gain's) holds the arrays unfilled: `fill` appends the weights of the next
+    queries, and the reserve is np.empty, so its pages cost no resident
+    memory until they are filled.
     """
 
-    __slots__ = ("shape", "n", "h", "data", "indices", "indptr", "filled", "clamped", "M")
+    __slots__ = ("shape", "n", "h", "data", "indices", "filled", "clamped", "heads")
 
     def __init__(self, positions: np.ndarray, n: int, h: float) -> None:
         p = np.asarray(positions, dtype=float)
         self._reserve(p.shape, n, h)
         self.fill(p.ravel())
-        self.M = self.head(p.size)
 
     @classmethod
     def reserved(cls, shape: tuple, n: int, h: float) -> "_InterpPlan":
@@ -325,12 +377,10 @@ class _InterpPlan:
     def _reserve(self, shape: tuple, n: int, h: float) -> None:
         m = math.prod(shape)
         self.shape, self.n, self.h = shape, n, h
-        self.data = np.empty((m, 1, 6))
-        self.indices = np.empty(m, dtype=np.int32)
-        self.indptr = np.empty(m + 1, dtype=np.int32)
-        self.indptr[0] = 0
+        self.data = np.empty((m, 6))
+        self.indices = np.empty((m, 6), dtype=np.int32)
         self.filled = self.clamped = 0
-        self.M = None
+        self.heads = {}  # number of queries -> gather matrix of the first ones
 
     def fill(self, p: np.ndarray) -> None:
         """Fill the next len(p) queries at the flat positions p."""
@@ -343,39 +393,48 @@ class _InterpPlan:
                 raise ValueError("interpolation positions must be finite and nonnegative")
             self.clamped += int(np.count_nonzero(pc > (n - 1) + 1e-9))
             pc, ic = _cells(pc, n)
-            self.indices[a:a + len(pc)] = ic
-            Wc = self.data[a:a + len(pc), 0]
+            np.add.outer(3 * ic, _COLUMNS, out=self.indices[a:a + len(pc)])
+            Wc = self.data[a:a + len(pc)]
             _hermite_weights(pc - ic, Wc)
             if not np.all(Wc[:, 0] + Wc[:, 1] == 1.0):
                 raise ValueError("Hermite value weights must sum to exactly 1")
         self.filled = a0 + len(p)
-        self.indptr[a0 + 1:self.filled + 1] = np.arange(a0 + 1, self.filled + 1, dtype=np.int32)
-
-    def table(self, v: np.ndarray) -> np.ndarray:
-        """The (n-1, 6) interval table T of the profile v."""
-        u = v - 1.0
-        d, c = _quintic_derivs(u, self.h)
-        d *= self.h
-        c *= self.h * self.h
-        T = np.empty((len(v) - 1, 6))
-        for k, a in enumerate((u, d, c)):
-            T[:, 2 * k] = a[:-1]
-            T[:, 2 * k + 1] = a[1:]
-        return T
 
     def head(self, m: int):
         """The gather matrix of the first m queries, over views of the arrays."""
-        # imported here: scipy.sparse costs 0.1-0.2 s, and only plans need it
-        from scipy.sparse import bsr_matrix  # noqa: PLC0415
+        M = self.heads.get(m)
+        if M is None:
+            if m > self.filled:
+                raise ValueError(f"{m} queries asked of a plan with {self.filled} filled")
+            # imported here: scipy.sparse costs 0.1-0.2 s, and only plans need it
+            from scipy.sparse import csr_matrix  # noqa: PLC0415
 
-        if m > self.filled:
-            raise ValueError(f"{m} queries asked of a plan with {self.filled} filled")
-        return bsr_matrix((self.data[:m], self.indices[:m], self.indptr[:m + 1]),
-                          shape=(m, 6 * (self.n - 1)))
+            M = csr_matrix((m, 3 * self.n))
+            # assigned, not passed to the constructor: its format check copies
+            # any data or indices view of under half its base
+            M.data = self.data[:m].reshape(-1)
+            M.indices = self.indices[:m].reshape(-1)
+            M.indptr = _row_pointer(m, len(self.data))
+            self.heads[m] = M
+        return M
 
     def eval(self, v: np.ndarray) -> np.ndarray:
-        out = self.M @ self.table(v).ravel()
+        """The profile v at every query."""
+        out = self.head(self.filled) @ _node_table(v, self.h)[0].ravel()
         out += 1.0  # in place: a second array of the plan's size costs page faults
+        return out.reshape(self.shape)
+
+    def eval_sorted(self, v: np.ndarray) -> np.ndarray:
+        """eval(v) for a filled plan whose queries are sorted by position.
+
+        Only the queries below the saturated tail are evaluated; every other
+        one is exactly +0, as the full evaluation gives it.
+        """
+        X, J = _node_table(v, self.h)
+        m = int(np.searchsorted(self.indices[:self.filled, 0], 3 * J))
+        out = np.zeros(self.filled)
+        out[:m] = self.head(m) @ X.ravel()
+        out[:m] += 1.0
         return out.reshape(self.shape)
 
 
@@ -393,16 +452,6 @@ def gain_scales(e: float, quad_order: int = QUAD_ORDER):
     a_plus = np.sqrt(((3.0 - e) / 4.0) ** 2 + ((1.0 + e) / 4.0) ** 2
                      + s * (3.0 - e) * (1.0 + e) / 8.0)
     return s, w, a_minus, a_plus
-
-
-_SATURATED = np.array([-1.0, -1.0, 0.0, 0.0, 0.0, 0.0])  # the table row of u = -1
-
-
-def _tail_start(T: np.ndarray) -> int:
-    # first interval of the trailing run of saturated table rows, len(T)
-    # when the last row is not saturated
-    live = np.flatnonzero(T != _SATURATED)
-    return int(live[-1]) // 6 + 1 if live.size else 0
 
 
 def _sorted_pairs(a_minus: np.ndarray, a_plus: np.ndarray, n: int):
@@ -426,10 +475,10 @@ class _GainPlan:
     counts the pairs whose outer query lies below interval j.
 
     `apply` evaluates only the pairs below the saturated tail, the trailing
-    run of table rows equal to (-1, -1, 0, 0, 0, 0) from interval J on, and
-    sets every other product - 1 to exactly -1. That is bit for bit the full
-    evaluation for a finite profile: a query in a saturated row gets the
-    block dot fl(-W0 - W1) = -1, since W0 = fl(1 - W1) and
+    run of saturated intervals from J on (`_node_table`), and sets every
+    other product - 1 to exactly -1. That is bit for bit the full evaluation
+    for a finite profile: a query in a saturated interval gets the dot
+    product fl(-W0 - W1) = -1, since W0 = fl(1 - W1) and
     fl(fl(1 - W1) + W1) = 1 for W1 in [0, 1] (exact by Sterbenz for
     W1 >= 1/2, a half-ulp tie rounding to 1 below that; `_InterpPlan` checks
     it for every query), so the query evaluates to +0, the pair's product
@@ -440,13 +489,13 @@ class _GainPlan:
     the first P pairs fills the ones not yet filled, in whole `_PLAN_CHUNK`
     chunks of queries, so no row is computed twice and a plan never fills
     more than an eager build would. The plan holds 2 bytes per query for the
-    int32 `order` and 56 per filled query; on the (4096, 50) grid an apply to
-    a Gaussian-tailed profile fills about a quarter of them. `heads` keeps
-    the gather matrix of each number of pairs seen, views of the plan's
-    arrays of under 600 B each, which later fills do not move.
+    int32 `order` and 72 per filled query, beside the shared row pointer; on
+    the (4096, 50) grid an apply to a Gaussian-tailed profile fills about a
+    quarter of them. The plan's `heads` keep the gather matrix of each
+    number of pairs seen, views of its arrays, which later fills do not move.
     """
 
-    __slots__ = ("plan", "w", "q", "a_minus", "a_plus", "order", "below", "heads")
+    __slots__ = ("plan", "w", "q", "a_minus", "a_plus", "order", "below")
 
     def __init__(self, grid: RadialGrid, e: float, quad_order: int) -> None:
         _, w, self.a_minus, self.a_plus = gain_scales(e, quad_order)
@@ -455,7 +504,6 @@ class _GainPlan:
             warnings.warn("gain quadrature queries beyond x_max were clamped")
         self.order, self.below = _sorted_pairs(self.a_minus, self.a_plus, grid.n)
         self.plan = _InterpPlan.reserved((len(self.order), 2), grid.n, grid.dx)
-        self.heads = {}  # number of pairs -> gather matrix of their queries
         self.w = w
         self.q = int(quad_order)
 
@@ -472,13 +520,10 @@ class _GainPlan:
             plan.fill(positions.ravel())
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        T = self.plan.table(v)
-        P = int(self.below[_tail_start(T)])
-        head = self.heads.get(P)
-        if head is None:
-            self._fill(P)
-            head = self.heads[P] = self.plan.head(2 * P)
-        vals = head @ T.ravel()
+        X, J = _node_table(v, self.plan.h)
+        P = int(self.below[J])
+        self._fill(P)
+        vals = self.plan.head(2 * P) @ X.ravel()
         vals += 1.0
         prod = np.full((self.q, len(v)), -1.0)
         # an intp index scatters twice as fast as the stored int32
@@ -538,8 +583,8 @@ def gain_fourier(phi: CharacteristicProfile, e,
 
 
 def _drift_vals(v: np.ndarray, grid: RadialGrid, shift: float) -> np.ndarray:
-    # exact rescaling phi(x) -> phi(x e^{shift})
-    out = _drift_plan(grid, shift).eval(v)
+    # exact rescaling phi(x) -> phi(x e^{shift}), at the sorted e^{shift} i
+    out = _drift_plan(grid, shift).eval_sorted(v)
     out[0] = 1.0
     return out
 
@@ -561,7 +606,8 @@ def step(phi: CharacteristicProfile, e, config: SolverConfig) -> CharacteristicP
     Unscaled frame: RK4 on dphi/dt = Q+ phi - phi (temperature decays at the
     exact rate 2E). Rescaled frame: Strang splitting drift(dt/2) - RK4(dt) -
     drift(dt/2), which holds the second moment fixed. If the step pushes
-    |phi| above 1 + 1e-6 it is retried once as two half steps, then aborted.
+    |phi| above 1 + 1e-6, or to NaN, it is retried once as two half steps,
+    then aborted with RuntimeError.
     A rescaled step so large that the drift's query positions
     x_i exp(E dt/2) / dx overflow raises ValueError before any plan is built.
     """
@@ -583,11 +629,11 @@ def step(phi: CharacteristicProfile, e, config: SolverConfig) -> CharacteristicP
         return v
 
     new = advance(phi.values, config.dt)
-    if float(np.max(np.abs(new))) > 1.0 + 1e-6:
+    if not float(np.max(np.abs(new))) <= 1.0 + 1e-6:  # a NaN profile fails too
         warnings.warn(f"profile bound violated at t={phi.time + config.dt:.4g}; "
                       "retrying with halved dt")
         new = advance(advance(phi.values, config.dt / 2.0), config.dt / 2.0)
-        if float(np.max(np.abs(new))) > 1.0 + 1e-6:
+        if not float(np.max(np.abs(new))) <= 1.0 + 1e-6:
             raise RuntimeError(
                 f"profile bound still violated after dt halving at t={phi.time:.4g}; "
                 "the step size is too large for this profile")

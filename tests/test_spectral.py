@@ -210,12 +210,12 @@ def _full_head(gain, n):
     # phi = 1 has no saturated tail: one apply fills every pair of a gain
     # plan, and its head over all of them is the plan's whole gather matrix
     gain.apply(np.ones(n))
-    return gain.heads[gain.q * n]
+    return gain.plan.heads[2 * gain.q * n]
 
 
 def _eval_all(gain, v):
     # the gain plan's queries at every pair, as _InterpPlan.eval would give
-    out = _full_head(gain, len(v)) @ gain.plan.table(v).ravel()
+    out = _full_head(gain, len(v)) @ sp._node_table(v, gain.plan.h)[0].ravel()
     out += 1.0
     return out.reshape(gain.plan.shape)
 
@@ -249,7 +249,7 @@ def test_interp_operator_matches_hermite_reference():
         # gain: both scale families, and the quadrature over their products
         for e, q in ((0.3, 32), (0.95, 64)):
             gain = sp._gain_plan(g, e, q)
-            idx = _full_head(gain, g.n).indices
+            idx = _full_head(gain, g.n).indices[::6] // 3  # the interval of each query
             assert idx.min() <= 2 and idx.max() >= g.n - 5
             _, w, am, ap = sp.gain_scales(e, q)
             k, i = np.divmod(gain.order, g.n)
@@ -278,13 +278,14 @@ def test_interp_operator_matches_hermite_reference():
 
 
 def test_gain_plan_footprint():
-    # 48 B of weights, a 4 B block index and a 4 B row pointer per query
+    # 48 B of weights and 24 B of column indices per query, and a view of the
+    # int32 row pointer that all plans share
     g = sp.RadialGrid(4096, 50.0)
     M = _full_head(sp._GainPlan(g, 0.95, 64), g.n)
     queries = 2 * 64 * g.n
     assert M.shape[0] == queries
-    stored = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
-    assert stored <= 56 * queries + M.indptr.itemsize  # the closing row pointer
+    assert M.data.nbytes == 48 * queries and M.indices.nbytes == 24 * queries
+    assert M.indptr.nbytes == 4 * (queries + 1) and np.shares_memory(M.indptr, sp._ROW_POINTER)
 
 
 class _FullGain:
@@ -336,19 +337,18 @@ def test_gain_tail_skip_is_the_full_evaluation_bit_for_bit(e):
     q = sp.QUAD_ORDER
     for name, (g, v) in _tail_profiles().items():
         gain = sp._GainPlan(g, e, q)
-        T = gain.plan.table(v)
-        J = sp._tail_start(T)
+        X, J = sp._node_table(v, g.dx)
         P = int(gain.below[J])
         assert np.array_equal(gain.apply(v), _FullGain(g, e, q).apply(v)), name
         # only the trailing run counts, and what the run skips is exact
         if name in ("ones", "random", "interior-hole-no-tail"):
             assert J == g.n - 1 and P == q * g.n, name
         else:
-            assert np.array_equal(T[J:], np.tile(sp._SATURATED, (g.n - 1 - J, 1))), name
-            assert not np.array_equal(T[J - 1], sp._SATURATED), name
+            assert np.array_equal(X[J:], np.tile(sp._SATURATED, (g.n - J, 1))), name
+            assert not np.array_equal(X[J - 1], sp._SATURATED), name
             assert P < q * g.n, name
         if name.startswith("interior"):
-            assert np.any(np.all(T[:J] == sp._SATURATED, axis=1)), name
+            assert np.any(np.all(X[:J] == sp._SATURATED, axis=1)), name
         if name == "saturated-from-3dx":
             assert J <= 8
 
@@ -384,11 +384,11 @@ def test_gain_plan_pairs_are_sorted_by_their_outer_interval():
         gain = sp._GainPlan(g, e, q)
         _, _, am, ap = sp.gain_scales(e, q)
         M = _full_head(gain, g.n)
-        assert gain.order.dtype == np.int32  # 2 B per query beside M's 56
+        assert gain.order.dtype == np.int32  # 2 B per query beside M's 72
         assert np.array_equal(np.sort(gain.order), np.arange(q * g.n))
         k, i = np.divmod(gain.order, g.n)
         assert gain.plan.shape == (q * g.n, 2)
-        outer = M.indices.reshape(-1, 2).max(axis=1)
+        outer = (M.indices.reshape(-1, 6)[:, 0] // 3).reshape(-1, 2).max(axis=1)
         assert np.all(np.diff(outer) >= 0)
         assert np.array_equal(outer, np.minimum(
             np.maximum(am[k], ap[k]) * i, g.n - 1).astype(int).clip(max=g.n - 2))
@@ -405,11 +405,11 @@ def test_gain_heads_are_views_of_the_plan():
               sp.CharacteristicProfile.bimaxwellian(g).values, np.ones(g.n)):
         gain.apply(v)
     plan = gain.plan
-    assert len(gain.heads) == 3 and 32 * g.n in gain.heads
-    for P, head in gain.heads.items():
-        assert head.shape == (2 * P, 6 * (g.n - 1))
+    assert len(plan.heads) == 3 and 2 * 32 * g.n in plan.heads
+    for m, head in plan.heads.items():
+        assert head.shape == (m, 3 * g.n)
         for a, b in ((head.data, plan.data), (head.indices, plan.indices),
-                     (head.indptr, plan.indptr)):
+                     (head.indptr, sp._ROW_POINTER)):
             assert np.shares_memory(a, b)
 
 
@@ -418,10 +418,11 @@ def test_every_plan_has_value_weights_summing_to_one(monkeypatch):
     g = sp.RadialGrid(1024, 30.0)
     mats = [_full_head(sp._GainPlan(g, e, q), g.n) for e in (0.2, 0.5, 0.95, 1.0)
             for q in (32, 64)]
-    mats += [sp._drift_plan(g, shift).M for shift in (1e-4, 0.02)]
-    mats.append(sp._InterpPlan(np.linspace(0.0, g.n - 1, 100003), g.n, g.dx).M)
+    plans = [sp._drift_plan(g, shift) for shift in (1e-4, 0.02)]
+    plans.append(sp._InterpPlan(np.linspace(0.0, g.n - 1, 100003), g.n, g.dx))
+    mats += [plan.head(plan.filled) for plan in plans]
     for M in mats:
-        W = M.data[:, 0]
+        W = M.data.reshape(-1, 6)
         assert np.all(W[:, 0] + W[:, 1] == 1.0)
     inner = sp._hermite_weights
 
@@ -442,11 +443,11 @@ def test_an_apply_fills_only_the_pairs_below_the_tail():
     chunk = sp._PLAN_CHUNK
     for e in (0.2, 0.5, 0.95, 1.0):
         gain = sp._GainPlan(g, e, 32)
-        assert gain.plan.filled == 0 and gain.plan.M is None
-        P = int(gain.below[sp._tail_start(gain.plan.table(v))])
+        assert gain.plan.filled == 0 and not gain.plan.heads
+        P = int(gain.below[sp._node_table(v, g.dx)[1]])
         gain.apply(v)
         assert 2 * P <= gain.plan.filled <= -(-2 * P // chunk) * chunk, e
-        assert gain.plan.filled < 2 * 32 * g.n and gain.plan.M is None
+        assert gain.plan.filled < 2 * 32 * g.n and list(gain.plan.heads) == [2 * P]
 
 
 def test_a_widening_run_fills_each_query_once_and_matches_the_full_gain(monkeypatch):
@@ -488,19 +489,94 @@ def test_cached_heads_stay_views_after_later_fills():
     narrow = sp.CharacteristicProfile.maxwellian(g, 4.0).values
     wide = sp.CharacteristicProfile.maxwellian(g, 0.25).values
     gain.apply(narrow)
-    ((P, head),) = gain.heads.items()
-    before = gain.plan.filled
-    T = gain.plan.table(wide).ravel()
-    expected = head @ T
-    gain.apply(wide)
-    assert gain.plan.filled > before and len(gain.heads) == 2
     plan = gain.plan
+    ((m, head),) = plan.heads.items()
+    before = plan.filled
+    X = sp._node_table(wide, g.dx)[0].ravel()
+    expected = head @ X
+    gain.apply(wide)
+    assert plan.filled > before and len(plan.heads) == 2
+    wider = max(plan.heads)
     for a, b in ((head.data, plan.data), (head.indices, plan.indices),
-                 (head.indptr, plan.indptr)):
+                 (head.indptr, plan.heads[wider].indptr)):
         assert a.__array_interface__["data"][0] == b.__array_interface__["data"][0]
-    assert np.array_equal(head @ T, expected)
-    wider = max(gain.heads)
-    assert wider > P and np.array_equal((gain.heads[wider] @ T)[:2 * P], expected)
+    assert np.array_equal(head @ X, expected)
+    assert wider > m and np.array_equal((plan.heads[wider] @ X)[:m], expected)
+
+
+def _interval_tail_start(v, h):
+    # the tail start as the (n - 1, 6) interval table defines it: the first
+    # interval of the trailing run of rows [u_i, u_{i+1}, h d_i, h d_{i+1},
+    # h^2 c_i, h^2 c_{i+1}] equal to (-1, -1, 0, 0, 0, 0)
+    u = v - 1.0
+    d, c = sp._quintic_derivs(u, h)
+    T = np.empty((len(v) - 1, 6))
+    for k, a in enumerate((u, d * h, c * (h * h))):
+        T[:, 2 * k] = a[:-1]
+        T[:, 2 * k + 1] = a[1:]
+    live = np.flatnonzero(T != np.array([-1.0, -1.0, 0.0, 0.0, 0.0, 0.0]))
+    return int(live[-1]) // 6 + 1 if live.size else 0
+
+
+def _edge_profiles():
+    # the last node where phi - 1 != -1 at 0 to 8 nodes below x_max, where the
+    # stencils of the nodes before the tail reach the top-edge closures
+    g = sp.RadialGrid(1024, 30.0)
+    out = {}
+    for k in range(9):
+        v = sp.CharacteristicProfile.maxwellian(g, 0.01).values  # 0.011 at x_max
+        v[g.n - k:] = 0.0
+        out[f"live-to-n-{k + 1}"] = (g, v)
+    return out
+
+
+def test_node_table_is_the_full_stencil_table_and_finds_the_interval_tail():
+    for name, (g, v) in {**_tail_profiles(), **_edge_profiles()}.items():
+        X, J = sp._node_table(v, g.dx)
+        u = v - 1.0
+        d, c = sp._quintic_derivs(u, g.dx)
+        full = np.stack([u, d * g.dx, c * (g.dx * g.dx)], axis=1)
+        assert X.tobytes() == full.tobytes(), name  # every row, zero signs included
+        assert J == _interval_tail_start(v, g.dx), name
+
+
+@pytest.mark.parametrize("shift", [1e-4, 0.02])
+def test_a_drift_that_stops_at_the_tail_is_the_full_drift_bit_for_bit(shift, monkeypatch):
+    monkeypatch.setattr(sp, "_DRIFT_CACHE", {})
+    for name, (g, v) in _tail_profiles().items():
+        sp._DRIFT_CACHE.clear()
+        out = sp._drift_vals(v, g, shift)
+        plan = sp._drift_plan(g, shift)
+        assert plan.clamped > 0, name
+        ((m, _),) = plan.heads.items()
+        full = plan.eval(v)
+        full[0] = 1.0
+        assert out.tobytes() == full.tobytes(), name
+        # the tailed profiles skip their top queries, the clamped ones among them
+        if name in ("ones", "random", "interior-hole-no-tail"):
+            assert m == g.n, name
+        else:
+            assert m < g.n - plan.clamped, name
+
+
+def test_every_cached_head_is_a_view_of_its_plan(monkeypatch):
+    # a CSR matrix built from (data, indices, indptr) copies any view of under
+    # half its base; a head of the first m queries must not
+    monkeypatch.setattr(sp, "_GAIN_CACHE", {})
+    monkeypatch.setattr(sp, "_DRIFT_CACHE", {})
+    g = sp.RadialGrid(1024, 30.0)
+    B = sp.CharacteristicProfile.bimaxwellian(g)
+    for frame in ("rescaled-g", "unscaled-f"):
+        sp.evolve(B, 0.9, sp.SolverConfig(t_max=10 * sp.DT, frame=frame))
+    plans = [gain.plan for gain in sp._GAIN_CACHE.values()] + list(sp._DRIFT_CACHE.values())
+    assert len(plans) == 2 and all(plan.heads for plan in plans)
+    for plan in plans:
+        assert min(plan.heads) < len(plan.data) // 2
+        for m, head in plan.heads.items():
+            assert np.shares_memory(head.data, plan.data)
+            assert np.shares_memory(head.indices, plan.indices)
+            assert head.indptr.base is not None
+            assert np.array_equal(head.indptr, 6 * np.arange(m + 1))
 
 
 @settings(max_examples=15, deadline=None)
@@ -687,6 +763,18 @@ def test_step_abort_on_bound_violation():
             sp.step(B, 0.5, cfg)
 
 
+def test_a_step_to_nan_takes_the_halving_path_and_names_t():
+    # a NaN profile fails the bound check: the step halves dt, then raises
+    # the RuntimeError that names t, not the profile's finiteness ValueError
+    # (the huge steps overflow on purpose; numpy's overflow notes are muted)
+    B = sp.CharacteristicProfile.bimaxwellian(sp.RadialGrid(512, 20.0))
+    for dt in (1e150, 1e300, 50.0):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.warns(UserWarning, match="halved"):
+                with pytest.raises(RuntimeError, match="after dt halving at t=0;"):
+                    sp.step(B, 0.9, sp.SolverConfig(dt=dt, frame="unscaled-f"))
+
+
 def test_a_step_too_large_for_the_drift_raises_before_any_plan(monkeypatch):
     # exp(E dt/2) overflows: the step names dt and builds no plan
     monkeypatch.setattr(sp, "_GAIN_CACHE", {})
@@ -853,7 +941,7 @@ def test_evaluate_accuracy_and_clamp():
 
 
 def test_evaluate_rejects_positions_a_plan_cannot_index():
-    # a NaN or negative block index would read out of bounds in the BSR
+    # a NaN or negative column index would read out of bounds in the CSR
     # product, so the plan rejects it before the int32 cast
     g = sp.RadialGrid(256, 20.0)
     M = sp.CharacteristicProfile.maxwellian(g, 1.0)
