@@ -272,6 +272,132 @@ def test_reconstruct_peak_memory():
     assert peak <= 16e6
 
 
+def _dense_inversion(phi, r):
+    # reconstruct's Simpson sum over all m abscissae, tail included, by the
+    # dense m x R sine kernel in blocks of 256 output nodes: the abscissae,
+    # the sine-sum coefficients a, and f before clipping
+    x_max = phi.grid.x_max
+    m = max(phi.grid.n, int(math.ceil(20.0 * x_max * r[-1] / (2.0 * math.pi))) + 1)
+    m += 1 - m % 2
+    xq = np.linspace(0.0, x_max, m)
+    wq = rs.simpson_weights(xq) * sp.evaluate(phi, xq)
+    a = wq * xq
+    sums = np.concatenate([_sine_sum_reference(a, xq, r[k:k + 256])
+                           for k in range(0, len(r), 256)])
+    f = np.empty_like(r)
+    f[0] = float(wq @ (xq * xq)) / (2.0 * math.pi ** 2)
+    f[1:] = sums[1:] / (2.0 * math.pi ** 2 * r[1:])
+    return xq, a, f
+
+
+def _reconstruct_counted(phi, r, monkeypatch):
+    # reconstruct(phi, r), or the error it raises, and the abscissae it
+    # evaluated
+    seen = []
+    evaluate = sp.evaluate
+    monkeypatch.setattr(sp, "evaluate", lambda p, x: seen.append(x) or evaluate(p, x))
+    try:
+        return rs.reconstruct(phi, r), seen
+    except ValueError as exc:
+        return exc, seen
+    finally:
+        monkeypatch.setattr(sp, "evaluate", evaluate)
+
+
+@pytest.mark.parametrize("case", ["bimaxwellian-4096", "maxwellian-2048", "narrow-1024"])
+def test_reconstruct_of_a_tailed_profile_is_the_dense_simpson_sum(case, monkeypatch):
+    # bound stated before measuring: each sine sum r_j f_j 2 pi^2 within
+    # 1e-14 sum|a| of the dense kernel's (the rounding scale of the sum, as
+    # in test_sine_transform_matches_dense_kernel), f(0) within 1e-14 relative
+    grid, theta, r = {
+        "bimaxwellian-4096": (sp.RadialGrid(4096, 50.0), None, rs.default_r_nodes()),
+        "maxwellian-2048": (sp.RadialGrid(2048, 40.0), 1.0, rs.default_r_nodes(10.0, 2001)),
+        "narrow-1024": (sp.RadialGrid(1024, 30.0), 0.25, rs.default_r_nodes(5.0, 1001)),
+    }[case]
+    phi = (sp.CharacteristicProfile.bimaxwellian(grid) if theta is None
+           else sp.CharacteristicProfile.maxwellian(grid, theta))
+    xq, a, dense = _dense_inversion(phi, r)
+    f, (evaluated,) = _reconstruct_counted(phi, r, monkeypatch)
+    M = len(evaluated)
+    assert M < len(xq) and np.array_equal(evaluated, xq[:M])  # stops before x_max
+    assert np.all(sp.evaluate(phi, xq[M:]) == 0.0)
+    dense = np.maximum(dense, 0.0)  # clipped as the density clips
+    assert abs(f.values[0] - dense[0]) <= 1e-14 * dense[0]
+    scale = 1e-14 * np.sum(np.abs(a)) / (2.0 * math.pi ** 2)
+    assert np.max(np.abs(r[1:] * (f.values[1:] - dense[1:]))) <= scale
+
+
+def test_reconstruct_of_a_profile_saturated_from_3dx_sums_a_few_abscissae(monkeypatch):
+    # phi is exactly 0 from node 3 on; its density spreads far beyond
+    # r = 10, so reconstruct reaches the mass check and fails it exactly as
+    # the dense sum does, after summing a handful of abscissae
+    grid = sp.RadialGrid(1024, 30.0)
+    v = np.zeros(grid.n)
+    v[:3] = (1.0, 0.9, 0.7)
+    phi = sp.CharacteristicProfile(grid, v)
+    r = rs.default_r_nodes(10.0, 2001)
+    xq, a, dense = _dense_inversion(phi, r)
+    error, (evaluated,) = _reconstruct_counted(phi, r, monkeypatch)
+    M = len(evaluated)
+    assert 1 <= M <= 8 and np.all(sp.evaluate(phi, xq[M:]) == 0.0)
+    got = rs._sine_transform(a[:M], xq, r)
+    assert np.max(np.abs(got - dense * 2.0 * math.pi ** 2 * r)) <= 1e-14 * np.sum(np.abs(a))
+    with pytest.raises(ValueError) as dense_error:
+        rs.RadialDensity(r, dense)
+    assert "mass" in str(error) and str(error) == str(dense_error.value)
+
+
+def test_reconstruct_of_a_tailless_profile_is_the_untruncated_sum_bit_for_bit(monkeypatch):
+    # at x_max = 8 the Maxwellian ends at 1e-14, not at exact 0: no tail
+    grid = sp.RadialGrid(1024, 8.0)
+    phi = sp.CharacteristicProfile.maxwellian(grid)
+    assert sp._node_table(phi.values, grid.dx)[1] == grid.n - 1
+    r = rs.default_r_nodes(10.0, 2001)
+    xq = np.linspace(0.0, grid.x_max, 1025)
+    wq = rs.simpson_weights(xq) * sp.evaluate(phi, xq)
+    f = np.empty_like(r)
+    f[0] = float(wq @ (xq * xq)) / (2.0 * math.pi ** 2)
+    f[1:] = rs._sine_transform(wq * xq, xq, r)[1:] / (2.0 * math.pi ** 2 * r[1:])
+    got, (evaluated,) = _reconstruct_counted(phi, r, monkeypatch)
+    assert np.array_equal(evaluated, xq)
+    assert np.array_equal(got.values, rs.RadialDensity(r, f).values)
+
+
+def test_reconstructs_that_stop_at_different_tails_share_one_lattice(monkeypatch):
+    # the sums read row views of the lattice's tables: no new cache key, and
+    # warm calls are cold calls bit for bit
+    grid, r = sp.RadialGrid(4096, 50.0), rs.default_r_nodes()
+    profiles = [sp.CharacteristicProfile.bimaxwellian(grid),
+                sp.CharacteristicProfile.maxwellian(grid, 0.5),
+                sp.CharacteristicProfile.maxwellian(grid, 2.0)]
+    cold, counts = [], set()
+    for phi in profiles:
+        monkeypatch.setattr(rs, "_TRANSFORM_CACHE", {})
+        f, (evaluated,) = _reconstruct_counted(phi, r, monkeypatch)
+        cold.append(f.values)
+        counts.add(len(evaluated))
+    assert len(counts) == 3
+    cache = {}
+    monkeypatch.setattr(rs, "_TRANSFORM_CACHE", cache)
+    for _ in range(2):
+        for phi, values in zip(profiles, cold):
+            assert np.array_equal(rs.reconstruct(phi, r).values, values)
+    (tables,) = cache.values()
+    assert all(t.shape[0] == 4097 for t in tables)
+
+
+def test_evaluate_and_reconstruct_reject_nan_abscissae(bimax, r10):
+    phi, _ = bimax
+    for x in (math.nan, [0.5, math.nan], [30.0, math.nan]):  # past the tail too
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            sp.evaluate(phi, x)
+    for k in (5, len(r10) - 1):
+        r = r10.copy()
+        r[k] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            rs.reconstruct(phi, r)
+
+
 def test_forward_transform_even_node_count(grid):
     # an even count takes Simpson's last-interval (Cartwright) weights
     f = rs.RadialDensity.mixture(rs.default_r_nodes(10.0, 2000))

@@ -483,6 +483,51 @@ def test_a_widening_run_fills_each_query_once_and_matches_the_full_gain(monkeypa
     assert sum(rows) == gain.plan.filled
 
 
+def test_gain_plans_of_one_shape_share_one_product_array_bit_for_bit(monkeypatch):
+    # two plans of one (q, n) take turns on the shared product array while
+    # their tails move out and back, so P rises and falls on each plan, both
+    # between applies of one plan and across a switch to the other
+    monkeypatch.setattr(sp, "_PRODUCTS", {})
+    g, q = sp.RadialGrid(1024, 30.0), sp.QUAD_ORDER
+    widths = (1.0, 0.25, 4.0, None, 0.5, 16.0, 1.0)  # None: phi = 1, no tail
+    profiles = [np.ones(g.n) if t is None else sp.CharacteristicProfile.maxwellian(g, t).values
+                for t in widths]
+    plans = {e: (sp._GainPlan(g, e, q), _FullGain(g, e, q)) for e in (0.5, 0.95)}
+    turns = [(e, v) for v in profiles for e in (0.5, 0.5, 0.95)]
+    turns += [(0.95, v) for v in profiles[::-1]] + [(0.5, v) for v in profiles]
+    seen = []
+    for e, v in turns:
+        gain, full = plans[e]
+        assert np.array_equal(gain.apply(v), full.apply(v)), (e, len(seen))
+        seen.append((e, int(gain.below[sp._node_table(v, g.dx)[1]])))
+        assert list(sp._PRODUCTS) == [(q, g.n)]
+    for e in plans:
+        P = [p for k, p in seen if k == e]
+        assert any(b < a for a, b in zip(P, P[1:])) and any(b > a for a, b in zip(P, P[1:]))
+    assert max(p for _, p in seen) == q * g.n
+    # a plan built after the last writer is gone refills the array
+    prod = sp._PRODUCTS[(q, g.n)][0]
+    del plans[0.95], gain, full
+    fresh = sp._GainPlan(g, 0.95, q)
+    assert np.array_equal(fresh.apply(profiles[2]), _FullGain(g, 0.95, q).apply(profiles[2]))
+    assert sp._PRODUCTS[(q, g.n)][0] is prod
+
+
+def test_one_product_array_is_held_per_shape(monkeypatch):
+    monkeypatch.setattr(sp, "_PRODUCTS", {})
+    monkeypatch.setattr(sp, "_GAIN_CACHE", {})
+    for n, x_max in ((512, 20.0), (1024, 30.0)):
+        phi = sp.CharacteristicProfile.bimaxwellian(sp.RadialGrid(n, x_max))
+        for q in (32, 40):
+            for e in (0.5, 0.9, 1.0):
+                sp.gain_fourier(phi, e, q)
+                sp.gain_fourier(phi, e, q)
+    assert len(sp._GAIN_CACHE) == 12
+    assert sorted(sp._PRODUCTS) == [(32, 512), (32, 1024), (40, 512), (40, 1024)]
+    for (q, n), (prod, _, _) in sp._PRODUCTS.items():
+        assert prod.shape == (q, n)
+
+
 def test_cached_heads_stay_views_after_later_fills():
     g = sp.RadialGrid(1024, 30.0)
     gain = sp._GainPlan(g, 0.9, 32)
