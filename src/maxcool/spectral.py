@@ -20,14 +20,16 @@ Hermite interpolation with sixth-order 7-point slopes and fourth-order 5-point
 curvatures, by one operator, `_InterpPlan`. That evaluation is linear in the
 profile and factors into two maps: a fixed stencil map from the deviation
 phi - 1 to a node table of values, slopes and curvatures, then a sparse
-gather matrix (scipy.sparse CSR, six weights per query) whose rows are
-computed once per query. Gain and drift plans are cached; `evaluate` builds
-an uncached one per call. scipy.sparse is imported with the first gather
-matrix, not with this module, so code that evaluates no profile (DSMC, the
-kinematics Monte Carlo, the stamp) never loads it. The table of phi = 1 is
-exactly zero and the gain is evaluated in deviation form, so the constant
-profile phi = 1 is a fixed point of the gain and of the drift resample bit
-for bit.
+gather matrix (CSR, six weights per query) whose rows are computed once per
+query. Gain and drift plans are cached; `evaluate` builds an uncached one per
+call. The gather runs scipy's compiled `csr_matvec`, the kernel behind
+`csr_matrix @ x`, loaded from scipy.sparse's extension file with the first
+plan (`_csr_matvec`). scipy.sparse itself is never imported (its import
+costs 0.1-0.2 s), and code that evaluates no profile (DSMC, the kinematics
+Monte Carlo, the stamp) does not load the kernel either. The table of
+phi = 1 is exactly zero and the gain is evaluated in deviation form, so the
+constant profile phi = 1 is a fixed point of the gain and of the drift
+resample bit for bit.
 
 The node table is computed only up to the saturated tail: the trailing run
 of nodes where phi - 1 == -1 in floating point and the slopes and curvatures
@@ -57,8 +59,11 @@ tolerance, after 5 to 19 steps at `DT` for e in [0.2, 0.99].
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import logging
 import math
+import os
 import warnings
 import weakref
 from dataclasses import dataclass
@@ -295,14 +300,46 @@ _ROW_POINTER = np.zeros(1, dtype=np.int32)
 
 
 def _row_pointer(m: int, reserve: int) -> np.ndarray:
-    # the row pointer 6 r, r = 0..m, of a gather matrix of m queries: a view of
-    # one read-only array shared by every plan, regrown to `reserve` rows when
-    # too short (heads made before keep the old one)
+    # the row pointer 6 r, r = 0..m, of a gather of m queries: a view of one
+    # read-only array shared by every plan, regrown to `reserve` rows when
+    # too short
     global _ROW_POINTER
     if len(_ROW_POINTER) <= m:
         _ROW_POINTER = np.arange(0, 6 * (max(m, reserve) + 1), 6, dtype=np.int32)
         _ROW_POINTER.flags.writeable = False
     return _ROW_POINTER[:m + 1]
+
+
+_CSR_MATVEC = None  # scipy's compiled csr_matvec, loaded with the first plan
+
+
+def _csr_matvec():
+    """scipy's compiled `csr_matvec(M, N, indptr, indices, data, x, y)`, y += A x.
+
+    Loaded once from the `_sparsetools` extension file in scipy's `sparse`
+    directory, without importing scipy.sparse. The module is left under its
+    own top-level name: registered as scipy.sparse._sparsetools, it would
+    hide that attribute from a later `import scipy.sparse`. ImportError,
+    naming the directory, when the file is missing.
+    """
+    global _CSR_MATVEC
+    if _CSR_MATVEC is None:
+        spec = importlib.util.find_spec("scipy")
+        if spec is None:
+            raise ImportError("scipy is required for interpolation plans")
+        where = os.path.join(spec.submodule_search_locations[0], "sparse")
+        paths = [os.path.join(where, "_sparsetools" + suffix)
+                 for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        path = next((p for p in paths if os.path.isfile(p)), None)
+        if path is None:
+            from importlib.metadata import version  # noqa: PLC0415  (17 ms, only here)
+
+            raise ImportError(f"no _sparsetools extension in {where} (scipy {version('scipy')})")
+        spec = importlib.util.spec_from_file_location("_sparsetools", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        _CSR_MATVEC = module.csr_matvec
+    return _CSR_MATVEC
 
 
 def _cells(p: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -351,9 +388,10 @@ class _InterpPlan:
     floating point, and `fill` raises ValueError for any query where they do
     not. So a query in a saturated interval, whose two nodes are (-1, 0, 0)
     (u = -1, the scaled slopes and curvatures 0), gets the dot product
-    fl(-W0 - W1) = -1 and evaluates to exactly +0. `head(m)` is the gather
-    matrix of the first m queries, over views of the arrays, cached in `heads`
-    per m.
+    fl(-W0 - W1) = -1 and evaluates to exactly +0. `gather(m, X, out)` runs
+    the gather matrix of the first m queries, views of the arrays, through
+    scipy's compiled csr_matvec (`_csr_matvec`), the kernel and the operands
+    of `csr_matrix @ x`, so the sums are those of scipy.sparse bit for bit.
 
     A plan built from its positions is filled at once. A `reserved` plan (the
     gain's) holds the arrays unfilled: `fill` appends the weights of the next
@@ -361,7 +399,7 @@ class _InterpPlan:
     memory until they are filled.
     """
 
-    __slots__ = ("shape", "n", "h", "data", "indices", "filled", "clamped", "heads")
+    __slots__ = ("shape", "n", "h", "data", "indices", "filled", "clamped")
 
     def __init__(self, positions: np.ndarray, n: int, h: float) -> None:
         p = np.asarray(positions, dtype=float)
@@ -376,12 +414,12 @@ class _InterpPlan:
         return plan
 
     def _reserve(self, shape: tuple, n: int, h: float) -> None:
+        _csr_matvec()  # a missing kernel fails here, before any plan is cached
         m = math.prod(shape)
         self.shape, self.n, self.h = shape, n, h
         self.data = np.empty((m, 6))
         self.indices = np.empty((m, 6), dtype=np.int32)
         self.filled = self.clamped = 0
-        self.heads = {}  # number of queries -> gather matrix of the first ones
 
     def fill(self, p: np.ndarray) -> None:
         """Fill the next len(p) queries at the flat positions p."""
@@ -401,27 +439,24 @@ class _InterpPlan:
                 raise ValueError("Hermite value weights must sum to exactly 1")
         self.filled = a0 + len(p)
 
-    def head(self, m: int):
-        """The gather matrix of the first m queries, over views of the arrays."""
-        M = self.heads.get(m)
-        if M is None:
-            if m > self.filled:
-                raise ValueError(f"{m} queries asked of a plan with {self.filled} filled")
-            # imported here: scipy.sparse costs 0.1-0.2 s, and only plans need it
-            from scipy.sparse import csr_matrix  # noqa: PLC0415
+    def gather(self, m: int, X: np.ndarray, out: np.ndarray) -> None:
+        """out = M @ X over the first m queries, for a flat node table X.
 
-            M = csr_matrix((m, 3 * self.n))
-            # assigned, not passed to the constructor: its format check copies
-            # any data or indices view of under half its base
-            M.data = self.data[:m].reshape(-1)
-            M.indices = self.indices[:m].reshape(-1)
-            M.indptr = _row_pointer(m, len(self.data))
-            self.heads[m] = M
-        return M
+        `out` must be m contiguous float zeros: the kernel adds into it, and
+        scipy.sparse starts from zeros too. The kernel checks no lengths, and
+        writes a strided `out` to a copy it drops, so both are checked here.
+        """
+        if m > self.filled:
+            raise ValueError(f"{m} queries asked of a plan with {self.filled} filled")
+        if X.shape != (3 * self.n,) or out.shape != (m,) or not out.flags.c_contiguous:
+            raise ValueError("gather needs a flat node table and m contiguous outputs")
+        _CSR_MATVEC(m, 3 * self.n, _row_pointer(m, len(self.data)),
+                    self.indices[:m].reshape(-1), self.data[:m].reshape(-1), X, out)
 
     def eval(self, v: np.ndarray) -> np.ndarray:
         """The profile v at every query."""
-        out = self.head(self.filled) @ _node_table(v, self.h)[0].ravel()
+        out = np.zeros(self.filled)
+        self.gather(self.filled, _node_table(v, self.h)[0].ravel(), out)
         out += 1.0  # in place: a second array of the plan's size costs page faults
         return out.reshape(self.shape)
 
@@ -434,7 +469,7 @@ class _InterpPlan:
         X, J = _node_table(v, self.h)
         m = int(np.searchsorted(self.indices[:self.filled, 0], 3 * J))
         out = np.zeros(self.filled)
-        out[:m] = self.head(m) @ X.ravel()
+        self.gather(m, X.ravel(), out[:m])
         out[:m] += 1.0
         return out.reshape(self.shape)
 
@@ -492,8 +527,7 @@ class _GainPlan:
     more than an eager build would. The plan holds 2 bytes per query for the
     int32 `order` and 72 per filled query, beside the shared row pointer; on
     the (4096, 50) grid an apply to a Gaussian-tailed profile fills about a
-    quarter of them. The plan's `heads` keep the gather matrix of each
-    number of pairs seen, views of its arrays, which later fills do not move.
+    quarter of them. Each apply gathers over views of the plan's arrays.
 
     The products go into one (q, n) array per grid shape, shared by every
     gain plan of that shape and kept between applies (`_PRODUCTS`; 1 MB at
@@ -554,7 +588,8 @@ class _GainPlan:
         X, J = _node_table(v, self.plan.h)
         P = int(self.below[J])
         self._fill(P)
-        vals = self.plan.head(2 * P) @ X.ravel()
+        vals = np.zeros(2 * P)
+        self.plan.gather(2 * P, X.ravel(), vals)
         vals += 1.0
         prod = self._products(P)
         # an intp index scatters twice as fast as the stored int32

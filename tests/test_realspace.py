@@ -71,11 +71,13 @@ def test_trapezoid_matches_scipy_bit_for_bit(n):
 
 
 def test_import_does_not_load_scipy_integrate():
-    # scipy.sparse costs 0.1-0.2 s to import; only interpolation plans use it
+    # scipy.sparse costs 0.1-0.2 s to import; interpolation plans load only its
+    # compiled CSR kernel, and code that evaluates no profile not even that
     code = """
 import sys
+import numpy as np
 import maxcool
-from maxcool import dsmc, harness, kinematics as kin, spectral as sp
+from maxcool import dsmc, harness, kinematics as kin, realspace as rs, spectral as sp
 loaded = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 print(loaded())
 ens = dsmc.sample_initial("maxwellian", 200, seed=1, e=0.5)
@@ -84,12 +86,26 @@ dsmc.ecf(ens, [0.0, 1.0, 2.0])
 kin.mc_change_of_variables(harness._gaussian_kernel(11), 0.5, samples=1000, seed=1)
 harness._stamp({})
 print("scipy.sparse" in loaded())
-sp.gain_fourier(sp.CharacteristicProfile.maxwellian(sp.RadialGrid(256, 20.0)), 0.5)
-print("scipy.sparse" in loaded())
+g = sp.RadialGrid(1024, 30.0)
+phi = sp.CharacteristicProfile.bimaxwellian(g)
+sp.gain_fourier(phi, 0.5)
+for frame in ("rescaled-g", "unscaled-f"):
+    sp.step(phi, 0.5, sp.SolverConfig(frame=frame))
+sp.evaluate(phi, [0.5, 1.5])
+rs.reconstruct(phi, np.linspace(0.0, 10.0, 2001))
+print(any(m.startswith("scipy.sparse") for m in loaded()))
+import scipy.sparse
+(plan,) = sp._DRIFT_CACHE.values()
+X = sp._node_table(phi.values, g.dx)[0].ravel()
+out = np.zeros(plan.filled)
+plan.gather(plan.filled, X, out)
+M = scipy.sparse.csr_matrix((plan.data.ravel(), plan.indices.ravel(),
+                             6 * np.arange(plan.filled + 1)), shape=(plan.filled, 3 * g.n))
+print(out.tobytes() == (M @ X).tobytes())
 """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
-    assert out.stdout.split("\n")[:3] == ["[]", "False", "True"]
+    assert out.stdout.split("\n")[:4] == ["[]", "False", "False", "True"]
 
 
 # ---------------------------------------------------------------------------

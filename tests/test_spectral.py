@@ -1,8 +1,13 @@
 """Tests for the Fourier-space spectral solver and profile functionals."""
 
+import contextlib
+import importlib.machinery
+import importlib.metadata
+import importlib.util
 import math
 import re
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -206,18 +211,57 @@ def test_gain_never_clamps():
     assert plan.plan.clamped == 0
 
 
+class _Gather(NamedTuple):
+    # the arguments of one call of the CSR kernel: y += A x for the gather
+    # matrix A of the first n_row queries
+    n_row: int
+    n_col: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    x: np.ndarray
+    out: np.ndarray
+
+
+@contextlib.contextmanager
+def _gathers():
+    # every gather run inside, as the arguments the loaded kernel receives
+    calls = []
+    kernel = sp._csr_matvec()
+
+    def spy(*args):
+        calls.append(_Gather(*args))
+        kernel(*args)
+
+    sp._CSR_MATVEC = spy
+    try:
+        yield calls
+    finally:
+        sp._CSR_MATVEC = kernel
+
+
 def _full_head(gain, n):
     # phi = 1 has no saturated tail: one apply fills every pair of a gain
-    # plan, and its head over all of them is the plan's whole gather matrix
-    gain.apply(np.ones(n))
-    return gain.plan.heads[2 * gain.q * n]
+    # plan, and gathers over the plan's whole gather matrix
+    with _gathers() as calls:
+        gain.apply(np.ones(n))
+    (M,) = calls
+    assert M.n_row == 2 * gain.q * n
+    return M
 
 
 def _eval_all(gain, v):
     # the gain plan's queries at every pair, as _InterpPlan.eval would give
-    out = _full_head(gain, len(v)) @ sp._node_table(v, gain.plan.h)[0].ravel()
+    M = _full_head(gain, len(v))
+    out = np.zeros(M.n_row)
+    gain.plan.gather(M.n_row, sp._node_table(v, gain.plan.h)[0].ravel(), out)
     out += 1.0
     return out.reshape(gain.plan.shape)
+
+
+def _same_start(a, b):
+    # a is a view of b from its first element on, not a copy
+    return a.__array_interface__["data"][0] == b.__array_interface__["data"][0]
 
 
 def _hermite_reference(v, positions, h):
@@ -283,7 +327,7 @@ def test_gain_plan_footprint():
     g = sp.RadialGrid(4096, 50.0)
     M = _full_head(sp._GainPlan(g, 0.95, 64), g.n)
     queries = 2 * 64 * g.n
-    assert M.shape[0] == queries
+    assert M.n_row == queries
     assert M.data.nbytes == 48 * queries and M.indices.nbytes == 24 * queries
     assert M.indptr.nbytes == 4 * (queries + 1) and np.shares_memory(M.indptr, sp._ROW_POINTER)
 
@@ -398,31 +442,105 @@ def test_gain_plan_pairs_are_sorted_by_their_outer_interval():
         assert np.all(np.diff(gain.order)[same] > 0)
 
 
-def test_gain_heads_are_views_of_the_plan():
+def test_gain_gathers_are_views_of_the_plan():
     g = sp.RadialGrid(1024, 30.0)
     gain = sp._GainPlan(g, 0.9, 32)
-    for v in (sp.CharacteristicProfile.maxwellian(g).values,
-              sp.CharacteristicProfile.bimaxwellian(g).values, np.ones(g.n)):
-        gain.apply(v)
+    with _gathers() as calls:
+        for v in (sp.CharacteristicProfile.maxwellian(g).values,
+                  sp.CharacteristicProfile.bimaxwellian(g).values, np.ones(g.n)):
+            gain.apply(v)
     plan = gain.plan
-    assert len(plan.heads) == 3 and 2 * 32 * g.n in plan.heads
-    for m, head in plan.heads.items():
-        assert head.shape == (m, 3 * g.n)
-        for a, b in ((head.data, plan.data), (head.indices, plan.indices),
-                     (head.indptr, sp._ROW_POINTER)):
-            assert np.shares_memory(a, b)
+    assert len({M.n_row for M in calls}) == 3 and calls[-1].n_row == 2 * 32 * g.n
+    for M in calls:
+        assert M.n_col == 3 * g.n and len(M.indptr) == M.n_row + 1
+        assert len(M.data) == len(M.indices) == 6 * M.n_row
+        for a, b in ((M.data, plan.data), (M.indices, plan.indices),
+                     (M.indptr, sp._ROW_POINTER)):
+            assert np.shares_memory(a, b) and _same_start(a, b)
+
+
+def test_gather_is_the_scipy_csr_product_bit_for_bit():
+    from scipy.sparse import csr_matrix  # noqa: PLC0415  (the oracle only)
+
+    g = sp.RadialGrid(1024, 30.0)
+    rng = np.random.default_rng(5)
+    gain = sp._GainPlan(g, 0.7, 32)
+    _full_head(gain, g.n)  # phi = 1: every pair filled
+    xq = np.minimum(rng.uniform(0.0, 1.05 * g.x_max, 5001), g.x_max)
+    plans = {"gain": gain.plan, "drift": sp._drift_plan(g, 0.02),
+             "evaluate": sp._InterpPlan(xq / g.dx, g.n, g.dx)}
+    random = rng.uniform(-1.0, 1.0, g.n)
+    random[0] = 1.0
+    for name, plan in plans.items():
+        for v in (sp.CharacteristicProfile.bimaxwellian(g).values, random):
+            X = sp._node_table(v, g.dx)[0].ravel()
+            for m in (plan.filled, plan.filled // 3):
+                M = csr_matrix((plan.data[:m].ravel(), plan.indices[:m].ravel(),
+                                6 * np.arange(m + 1)), shape=(m, 3 * g.n))
+                out = np.zeros(m)
+                plan.gather(m, X, out)
+                assert out.tobytes() == (M @ X).tobytes(), (name, m)
+
+
+def test_gather_rejects_what_the_kernel_would_misread():
+    # csr_matvec reads past a short node table, and writes a strided output
+    # to a copy that it drops
+    plan = sp._InterpPlan(np.linspace(0.0, 10.0, 7), 64, 0.1)
+    X = np.zeros(3 * 64)
+    for bad_X, bad_out in ((X[:-1], np.zeros(7)), (X.reshape(64, 3), np.zeros(7)),
+                           (X, np.zeros(6)), (X, np.zeros(14)[::2])):
+        with pytest.raises(ValueError, match="flat node table and m contiguous outputs"):
+            plan.gather(7, bad_X, bad_out)
+    with pytest.raises(ValueError, match="8 queries asked of a plan with 7 filled"):
+        plan.gather(8, X, np.zeros(8))
+
+
+def test_a_missing_kernel_fails_the_first_gather_naming_the_directory(tmp_path, monkeypatch):
+    # scipy's sparse directory replaced by an empty one
+    (tmp_path / "sparse").mkdir()
+    find_spec = importlib.util.find_spec
+
+    def empty_scipy(name, *args):
+        if name != "scipy":
+            return find_spec(name, *args)
+        spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations = [str(tmp_path)]
+        return spec
+
+    monkeypatch.setattr(importlib.util, "find_spec", empty_scipy)
+    monkeypatch.setattr(sp, "_CSR_MATVEC", None)
+    monkeypatch.setattr(sp, "_GAIN_CACHE", {})
+    monkeypatch.setattr(sp, "_DRIFT_CACHE", {})
+    g = sp.RadialGrid(256, 20.0)
+    phi = sp.CharacteristicProfile.bimaxwellian(g)
+    message = re.escape(f"{tmp_path / 'sparse'} (scipy {importlib.metadata.version('scipy')})")
+    for run in (lambda: sp.gain_fourier(phi, 0.5),
+                lambda: sp.step(phi, 0.5, sp.SolverConfig(frame="rescaled-g")),
+                lambda: sp.evaluate(phi, [0.5, 1.5])):
+        with pytest.raises(ImportError, match=message):
+            run()
+    assert not sp._GAIN_CACHE and not sp._DRIFT_CACHE and sp._CSR_MATVEC is None
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name, *args: None if name == "scipy" else find_spec(name, *args))
+    with pytest.raises(ImportError, match="scipy is required"):
+        sp.evaluate(phi, [0.5])
+    monkeypatch.setattr(importlib.util, "find_spec", find_spec)
+    assert np.array_equal(sp.gain_fourier(phi, 0.5).values,
+                          sp._GainPlan(g, 0.5, sp.QUAD_ORDER).apply(phi.values))
+    assert len(sp._GAIN_CACHE) == 1 and sp._CSR_MATVEC is not None
 
 
 def test_every_plan_has_value_weights_summing_to_one(monkeypatch):
     # the saturated tail is exact because W0 + W1 == 1 in floating point
     g = sp.RadialGrid(1024, 30.0)
-    mats = [_full_head(sp._GainPlan(g, e, q), g.n) for e in (0.2, 0.5, 0.95, 1.0)
-            for q in (32, 64)]
-    plans = [sp._drift_plan(g, shift) for shift in (1e-4, 0.02)]
+    gains = [sp._GainPlan(g, e, q) for e in (0.2, 0.5, 0.95, 1.0) for q in (32, 64)]
+    for gain in gains:
+        _full_head(gain, g.n)
+    plans = [gain.plan for gain in gains]
+    plans += [sp._drift_plan(g, shift) for shift in (1e-4, 0.02)]
     plans.append(sp._InterpPlan(np.linspace(0.0, g.n - 1, 100003), g.n, g.dx))
-    mats += [plan.head(plan.filled) for plan in plans]
-    for M in mats:
-        W = M.data.reshape(-1, 6)
+    for plan in plans:
+        W = plan.data[:plan.filled]
         assert np.all(W[:, 0] + W[:, 1] == 1.0)
     inner = sp._hermite_weights
 
@@ -443,11 +561,12 @@ def test_an_apply_fills_only_the_pairs_below_the_tail():
     chunk = sp._PLAN_CHUNK
     for e in (0.2, 0.5, 0.95, 1.0):
         gain = sp._GainPlan(g, e, 32)
-        assert gain.plan.filled == 0 and not gain.plan.heads
+        assert gain.plan.filled == 0
         P = int(gain.below[sp._node_table(v, g.dx)[1]])
-        gain.apply(v)
+        with _gathers() as calls:
+            gain.apply(v)
         assert 2 * P <= gain.plan.filled <= -(-2 * P // chunk) * chunk, e
-        assert gain.plan.filled < 2 * 32 * g.n and list(gain.plan.heads) == [2 * P]
+        assert gain.plan.filled < 2 * 32 * g.n and [M.n_row for M in calls] == [2 * P]
 
 
 def test_a_widening_run_fills_each_query_once_and_matches_the_full_gain(monkeypatch):
@@ -528,25 +647,34 @@ def test_one_product_array_is_held_per_shape(monkeypatch):
         assert prod.shape == (q, n)
 
 
-def test_cached_heads_stay_views_after_later_fills():
+def test_gathers_stay_views_after_later_fills():
     g = sp.RadialGrid(1024, 30.0)
     gain = sp._GainPlan(g, 0.9, 32)
     narrow = sp.CharacteristicProfile.maxwellian(g, 4.0).values
     wide = sp.CharacteristicProfile.maxwellian(g, 0.25).values
-    gain.apply(narrow)
+    with _gathers() as calls:
+        gain.apply(narrow)
     plan = gain.plan
-    ((m, head),) = plan.heads.items()
+    (head,) = calls
+    m = head.n_row
     before = plan.filled
     X = sp._node_table(wide, g.dx)[0].ravel()
-    expected = head @ X
-    gain.apply(wide)
-    assert plan.filled > before and len(plan.heads) == 2
-    wider = max(plan.heads)
+    expected = np.zeros(m)
+    plan.gather(m, X, expected)
+    with _gathers() as calls:
+        gain.apply(wide)
+    (widened,) = calls
+    wider = widened.n_row
+    assert plan.filled > before
     for a, b in ((head.data, plan.data), (head.indices, plan.indices),
-                 (head.indptr, plan.heads[wider].indptr)):
-        assert a.__array_interface__["data"][0] == b.__array_interface__["data"][0]
-    assert np.array_equal(head @ X, expected)
-    assert wider > m and np.array_equal((plan.heads[wider] @ X)[:m], expected)
+                 (head.indptr, widened.indptr), (widened.data, plan.data)):
+        assert _same_start(a, b)
+    again = np.zeros(m)
+    sp._csr_matvec()(m, head.n_col, head.indptr, head.indices, head.data, X, again)
+    assert np.array_equal(again, expected)
+    out = np.zeros(wider)
+    plan.gather(wider, X, out)
+    assert wider > m and np.array_equal(out[:m], expected)
 
 
 def _interval_tail_start(v, h):
@@ -590,10 +718,11 @@ def test_a_drift_that_stops_at_the_tail_is_the_full_drift_bit_for_bit(shift, mon
     monkeypatch.setattr(sp, "_DRIFT_CACHE", {})
     for name, (g, v) in _tail_profiles().items():
         sp._DRIFT_CACHE.clear()
-        out = sp._drift_vals(v, g, shift)
+        with _gathers() as calls:
+            out = sp._drift_vals(v, g, shift)
         plan = sp._drift_plan(g, shift)
         assert plan.clamped > 0, name
-        ((m, _),) = plan.heads.items()
+        ((m, *_),) = calls
         full = plan.eval(v)
         full[0] = 1.0
         assert out.tobytes() == full.tobytes(), name
@@ -604,24 +733,25 @@ def test_a_drift_that_stops_at_the_tail_is_the_full_drift_bit_for_bit(shift, mon
             assert m < g.n - plan.clamped, name
 
 
-def test_every_cached_head_is_a_view_of_its_plan(monkeypatch):
-    # a CSR matrix built from (data, indices, indptr) copies any view of under
-    # half its base; a head of the first m queries must not
+def test_every_gather_is_a_view_of_its_plan(monkeypatch):
+    # the kernel gets views of the plan's arrays, of under half of them too,
+    # never copies
     monkeypatch.setattr(sp, "_GAIN_CACHE", {})
     monkeypatch.setattr(sp, "_DRIFT_CACHE", {})
     g = sp.RadialGrid(1024, 30.0)
     B = sp.CharacteristicProfile.bimaxwellian(g)
-    for frame in ("rescaled-g", "unscaled-f"):
-        sp.evolve(B, 0.9, sp.SolverConfig(t_max=10 * sp.DT, frame=frame))
+    with _gathers() as calls:
+        for frame in ("rescaled-g", "unscaled-f"):
+            sp.evolve(B, 0.9, sp.SolverConfig(t_max=10 * sp.DT, frame=frame))
     plans = [gain.plan for gain in sp._GAIN_CACHE.values()] + list(sp._DRIFT_CACHE.values())
-    assert len(plans) == 2 and all(plan.heads for plan in plans)
+    assert len(plans) == 2
     for plan in plans:
-        assert min(plan.heads) < len(plan.data) // 2
-        for m, head in plan.heads.items():
-            assert np.shares_memory(head.data, plan.data)
-            assert np.shares_memory(head.indices, plan.indices)
-            assert head.indptr.base is not None
-            assert np.array_equal(head.indptr, 6 * np.arange(m + 1))
+        mine = [M for M in calls if np.shares_memory(M.data, plan.data)]
+        assert mine and min(M.n_row for M in mine) < len(plan.data) // 2
+        for M in mine:
+            assert _same_start(M.data, plan.data) and _same_start(M.indices, plan.indices)
+            assert M.indptr.base is not None
+            assert np.array_equal(M.indptr, 6 * np.arange(M.n_row + 1))
 
 
 @settings(max_examples=15, deadline=None)
