@@ -794,7 +794,7 @@ def _suite_weak_decay(ws: dict, params: SuiteParams, rows: list[dict],
         d2_ref = trace.diagnostics["d2_ref"]
         fit = fit_exponential_rate((trace.times, d2_ref),
                                    window=(10.0, params.run_t_max))
-        gamma = sp.gamma_constants(0.9, 0.95)[2]
+        gamma = sp.gamma_constants(0.9, 0.95)[1]
         # the fit reads the decay only while d2_ref stays well above the
         # reference's own error: record both at the ends of the window
         ends = np.searchsorted(trace.times, fit.window)

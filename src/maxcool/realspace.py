@@ -11,8 +11,8 @@ kernel, and requires the output nodes to equal j dr to a few ulp, as
 np.linspace gives. The four m x sqrt(R) sine and cosine tables depend only on
 the lattice, the exact abscissae x with R and dr, so they are computed once
 per lattice (about 4 m sqrt(R) sines) and stay resident, 32 m sqrt(R) bytes
-per lattice, in a FIFO cache of at most `spectral._CACHE_CAP` lattices. The
-forward transform uses the same helper. `reconstruct` sums only the
+per lattice, in a FIFO cache of at most `spectral._CACHE_CAP` lattices.
+`reconstruct` sums only the
 abscissae below the profile's saturated tail, past which phi - 1 == -1 and
 phi evaluates to exactly +0 (from x ~ 11 for a Gaussian tail on the
 (4096, 50) grid, so 22 % of the abscissae are summed): it evaluates only
@@ -44,7 +44,7 @@ import numpy as np
 
 from . import spectral
 from .kinematics import _check_e, fisher_growth_exponent, growth_rate
-from .spectral import CharacteristicProfile, RadialGrid, trapezoid
+from .spectral import CharacteristicProfile, trapezoid
 
 __all__ = [
     "RadialDensity",
@@ -52,7 +52,6 @@ __all__ = [
     "simpson",
     "default_r_nodes",
     "reconstruct",
-    "characteristic_from_density",
     "fisher_information",
     "fisher_gain_check",
     "fisher_trajectory_check",
@@ -195,7 +194,7 @@ class RadialDensity:
 
 
 # ---------------------------------------------------------------------------
-# reconstruction and forward transform
+# reconstruction
 
 def _required_xmax(x: np.ndarray, absv: np.ndarray, target: float) -> float:
     # extrapolate the tail decay exponentially to estimate where |phi| = target
@@ -308,29 +307,6 @@ def reconstruct(phi: CharacteristicProfile, r_nodes) -> RadialDensity:
             f"inversion clipped mass {clipped:.3e} exceeds budget {_CLIP_BUDGET:g}; "
             f"estimated required x_max ~ {need:.3g}")
     return RadialDensity(r, f)
-
-
-def characteristic_from_density(f: RadialDensity, grid: RadialGrid) -> CharacteristicProfile:
-    """Forward transform phi(x) = (4 pi / x) int_0^inf r f(r) sin(rx) dr.
-
-    Composite Simpson over f.r (Cartwright's last interval for an even node
-    count), summed at every grid node at once by angle addition
-    (`_sine_transform`, the same two small products as `reconstruct`, with
-    the uniform grid.x as output nodes). Output is normalized so phi(0) = 1
-    exactly (the quadrature mass differs from 1 at the density's own mass
-    tolerance). Warns when the radial grid underresolves sin(r x) at x_max.
-    """
-    if f.dr > 2.0 * math.pi / (20.0 * grid.x_max):
-        warnings.warn("density grid underresolves sin(r x) at x_max; "
-                      "forward transform may be inaccurate at large x")
-    x = grid.x
-    wf = simpson_weights(f.r) * f.values
-    vals = np.empty(grid.n)
-    vals[0] = FOUR_PI * float(wf @ (f.r * f.r))
-    integrals = _sine_transform(wf * f.r, f.r, x)
-    vals[1:] = FOUR_PI * integrals[1:] / x[1:]
-    vals /= vals[0]
-    return CharacteristicProfile(grid, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +528,7 @@ def l1_decay_rate(alpha: float, e, beta2: float = 0.5) -> dict:
     """L1 rate bookkeeping: gamma_tilde = (1-beta2) gamma, l1 rate = (8/11) gamma_tilde."""
     if not (0.0 < beta2 < 1.0):
         raise ValueError("need 0 < beta2 < 1")
-    _, _, gamma, _ = spectral.gamma_constants(alpha, e)
+    gamma = spectral.gamma_constants(alpha, e)[1]
     gt = (1.0 - beta2) * gamma
     return {"gamma": gamma, "gamma_tilde": gt, "l1_rate": (8.0 / 11.0) * gt}
 

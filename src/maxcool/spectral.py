@@ -41,11 +41,14 @@ evaluates only the queries below the tail. The gain plan holds its (s-node
 k, grid node i) pairs sorted stably by the interval of their outer query
 max(a-, a+) x_i, each pair's a- and a+ queries in adjacent rows, and an
 apply evaluates only the pairs below the tail: a pair whose outer query lies
-there has product - 1 exactly -1 whatever its finite inner value. Both are
-bit for bit the full evaluation; see `_GainPlan`. The gain plan computes the
-weights of its queries on demand, in pair order, only as far as an apply has
-needed: at most once per query, and about a quarter of them on the
-(4096, 50) grid for a Gaussian-tailed profile. The drift plans and
+there has product - 1 exactly -1 whatever its finite inner value. The
+drift and the gain's products are bit for bit the full evaluation. A tail
+node whose products - 1 are all -1, as at every node whose pairs all lie
+past the tail, gets the gain exactly +0, written as such rather than
+summed, whatever BLAS sums the weights; see `_GainPlan`. The gain plan
+computes the weights of its queries on demand, in pair order, only as far
+as an apply has needed: at most once per query, and about a quarter of them
+on the (4096, 50) grid for a Gaussian-tailed profile. The drift plans and
 `evaluate` are filled when built.
 
 The stationary rescaled profile (`steady_profile`) is the fixed point of one
@@ -65,7 +68,6 @@ import logging
 import math
 import os
 import warnings
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -511,15 +513,27 @@ class _GainPlan:
     counts the pairs whose outer query lies below interval j.
 
     `apply` evaluates only the pairs below the saturated tail, the trailing
-    run of saturated intervals from J on (`_node_table`), and sets every
-    other product - 1 to exactly -1. That is bit for bit the full evaluation
-    for a finite profile: a query in a saturated interval gets the dot
-    product fl(-W0 - W1) = -1, since W0 = fl(1 - W1) and
-    fl(fl(1 - W1) + W1) = 1 for W1 in [0, 1] (exact by Sterbenz for
+    run of saturated intervals from J on (`_node_table`), and takes every
+    other product - 1 as exactly -1. Those are the products of the full
+    evaluation bit for bit for a finite profile: a query in a saturated
+    interval gets the dot product fl(-W0 - W1) = -1, since W0 = fl(1 - W1)
+    and fl(fl(1 - W1) + W1) = 1 for W1 in [0, 1] (exact by Sterbenz for
     W1 >= 1/2, a half-ulp tie rounding to 1 below that; `_InterpPlan` checks
     it for every query), so the query evaluates to +0, the pair's product
     is +-0 whatever its finite inner value, and the product - 1 is -1.
     Without a tail (phi = 1, say) every pair is evaluated.
+
+    `live[j]` is 1 + the largest grid node i of a pair whose outer query
+    lies below interval j (0 if there is none). Every grid node from
+    live[J] on has all its pairs at or past the tail, so every product - 1
+    is -1 and the gain 1 + (1/2) sum_k w_k (-1) is 0, the exact weights
+    summing to 2. `apply` writes that +0 itself, there and at every other
+    node from J on whose products - 1 are all -1 (a gain that the deviation
+    form cannot tell from 0), rather than leave it to how a BLAS rounds the
+    sum of the floating-point weights: 2.2e-16 under some OpenBLAS kernels,
+    which unsaturates the tail of an unscaled run within a fraction of a
+    time unit. It runs the weighted sum over the nodes below live[J] only
+    (rounded up; see `apply`).
 
     The plan's rows are filled on demand, in pair order: an apply that needs
     the first P pairs fills the ones not yet filled, in whole `_PLAN_CHUNK`
@@ -527,27 +541,12 @@ class _GainPlan:
     more than an eager build would. The plan holds 2 bytes per query for the
     int32 `order` and 72 per filled query, beside the shared row pointer; on
     the (4096, 50) grid an apply to a Gaussian-tailed profile fills about a
-    quarter of them. Each apply gathers over views of the plan's arrays.
-
-    The products go into one (q, n) array per grid shape, shared by every
-    gain plan of that shape and kept between applies (`_PRODUCTS`; 1 MB at
-    q = 32 on the (4096, 50) grid), in which every pair not written reads
-    -1. After an apply of the same plan with P' pairs, only the pairs
-    order[P:P'] are reset to -1; after another plan's apply, the whole array
-    is refilled. One array per shape, not per plan, keeps the plans of a run
-    at one array between them.
-
-    The exact +0 of the gain over a saturated tail rests on the BLAS sum of
-    the weights: there every product - 1 is -1, and OpenBLAS's gemv sums the
-    32 Gauss-Legendre weights to exactly 2, so 1 + (1/2) w.(prod - 1) is
-    exactly 0. The correctly rounded sum (math.fsum) is 1.9999999999999998
-    and a sequential one 1.9999999999999996; summed sequentially, the gain
-    of a saturated tail is 2.2e-16, and in the unscaled frame the tail
-    leaves saturation (J back at n - 1) within 80 steps of dt = 0.005 from
-    the (4096, 50) bimaxwellian, so every pair is evaluated again.
+    quarter of them. Each apply gathers over views of the plan's arrays. The
+    products go into one scratch (q, n) array per grid shape (`_PRODUCTS`;
+    1 MB at q = 32 on the (4096, 50) grid).
     """
 
-    __slots__ = ("plan", "w", "q", "a_minus", "a_plus", "order", "below", "__weakref__")
+    __slots__ = ("plan", "w", "q", "a_minus", "a_plus", "order", "below", "live")
 
     def __init__(self, grid: RadialGrid, e: float, quad_order: int) -> None:
         _, w, self.a_minus, self.a_plus = gain_scales(e, quad_order)
@@ -555,6 +554,12 @@ class _GainPlan:
             # cannot happen for e in (0, 1]; guard against regressions
             warnings.warn("gain quadrature queries beyond x_max were clamped")
         self.order, self.below = _sorted_pairs(self.a_minus, self.a_plus, grid.n)
+        # node i has a pair whose outer query lies below interval j when its
+        # lowest outer query, at the smallest max(a-, a+), does; so the
+        # nodes that have one are the first live[j]
+        lowest = float(np.min(np.maximum(self.a_minus, self.a_plus)))
+        ramp = np.arange(grid.n)
+        self.live = np.searchsorted(_cells(lowest * ramp, grid.n)[1], ramp)
         self.plan = _InterpPlan.reserved((len(self.order), 2), grid.n, grid.dx)
         self.w = w
         self.q = int(quad_order)
@@ -571,42 +576,40 @@ class _GainPlan:
             positions[:, 1] = self.a_plus[k] * x
             plan.fill(positions.ravel())
 
-    def _products(self, P: int) -> np.ndarray:
-        # the shared (q, n) product array, every pair from the P-th on at -1
-        key = (self.q, self.plan.n)
-        prod, writer, last = _PRODUCTS.get(key, (None, None, 0))
-        if prod is None:
-            prod = np.full(key, -1.0)
-        elif writer() is not self:
-            prod.fill(-1.0)
-        elif P < last:
-            prod.ravel()[self.order[P:last]] = -1.0
-        _PRODUCTS[key] = (prod, weakref.ref(self), P)
-        return prod
-
     def apply(self, v: np.ndarray) -> np.ndarray:
+        n = self.plan.n
         X, J = _node_table(v, self.plan.h)
         P = int(self.below[J])
         self._fill(P)
         vals = np.zeros(2 * P)
         self.plan.gather(2 * P, X.ravel(), vals)
         vals += 1.0
-        prod = self._products(P)
+        # the weighted sum runs over the first W >= live[J] nodes; W is a
+        # multiple of 8 (or n) only because OpenBLAS's dgemv kernels sum the
+        # remainder rows of a block of 8 apart: so the nodes below live[J] get
+        # the bits of a full-width sum
+        W = min(-(-int(self.live[J]) // 8) * 8, n)
+        prod = _PRODUCTS.get((self.q, n))
+        if prod is None:
+            prod = _PRODUCTS[(self.q, n)] = np.empty((self.q, n))
+        dev = prod[:, :W]
+        dev[...] = -1.0
         # an intp index scatters twice as fast as the stored int32
         prod.ravel()[self.order[:P].astype(np.intp)] = vals[0::2] * vals[1::2] - 1.0
-        # deviation form 1 + (1/2) w.(prod - 1): (1/2) sum(w) = 1 holds only
-        # to rounding, and its rounding depends on the BLAS summation order
-        out = self.w @ prod
-        out *= 0.5
-        out += 1.0
+        out = np.empty(n)
+        out[:W] = self.w @ dev  # deviation form 1 + (1/2) w.(prod - 1)
+        out[:W] *= 0.5
+        out[:W] += 1.0
+        # the tail nodes whose every product - 1 is -1, those from live[J] on
+        # among them, have gain 0 (see above)
+        out[J:W][np.all(dev[:, J:] == -1.0, axis=0)] = 0.0
+        out[W:] = 0.0
         out[0] = 1.0  # exact mass conservation at x = 0
         return out
 
 
-# the (q, n) product array of every gain plan of that shape, kept between
-# applies: (array, the plan that wrote it last, its P); the reference is weak,
-# so an evicted plan is freed and a later plan is never taken for it
-_PRODUCTS: dict[tuple, tuple] = {}
+# the scratch (q, n) product array of the gain plans of that shape
+_PRODUCTS: dict[tuple, np.ndarray] = {}
 _GAIN_CACHE: dict[tuple, _GainPlan] = {}
 _DRIFT_CACHE: dict[tuple, _InterpPlan] = {}
 _CACHE_CAP = 16
@@ -1033,14 +1036,13 @@ def sup_weighted(phi: CharacteristicProfile, delta: float) -> float:
     return float(np.max(phi.grid.x ** delta * np.abs(phi.values)))
 
 
-def gamma_constants(alpha: float, e) -> tuple[float, float, float, float]:
-    """Spectral-gap constants (A1, A2, gamma, gamma_star) for moment alpha.
+def gamma_constants(alpha: float, e) -> tuple[float, float]:
+    """Spectral-gap constants (A2, gamma) for moment alpha.
 
-    A1 = (2/(4+alpha)) [ ((1+e)/2)^{2+alpha}
-         + (1 - ((1-e)/2)^{4+alpha}) / (1 - ((1-e)/2)^2) ],
-    A2 = 1 - A1 - E (2+alpha),
-    gamma = min( (2/(2+alpha)) A2, (3-e)(1+e)/8 ),
-    gamma_star = min( 2 alpha/((2+alpha)(4+alpha)), 1/2 ).
+    With A1 = (2/(4+alpha)) [ ((1+e)/2)^{2+alpha}
+              + (1 - ((1-e)/2)^{4+alpha}) / (1 - ((1-e)/2)^2) ],
+    A2 = 1 - A1 - E (2+alpha) and
+    gamma = min( (2/(2+alpha)) A2, (3-e)(1+e)/8 ).
     """
     e = _check_e(e)
     if not (0.0 < alpha <= 1.0):
@@ -1051,8 +1053,7 @@ def gamma_constants(alpha: float, e) -> tuple[float, float, float, float]:
                                   / (1.0 - half_loss ** 2))
     A2 = 1.0 - A1 - dissipation_rate(e) * (2.0 + alpha)
     gamma = min((2.0 / (2.0 + alpha)) * A2, (3.0 - e) * (1.0 + e) / 8.0)
-    gamma_star = min(2.0 * alpha / ((2.0 + alpha) * (4.0 + alpha)), 0.5)
-    return A1, A2, gamma, gamma_star
+    return A2, gamma
 
 
 def evaluate(phi: CharacteristicProfile, x) -> np.ndarray:

@@ -98,7 +98,7 @@ def test_criterion_4_fisher_bounds(report):
 
 def test_criterion_5_d2_decay_rate(report):
     row = _one(report, "weak-decay", "d2-decay-rate")
-    gamma = sp.gamma_constants(0.9, 0.95)[2]
+    gamma = sp.gamma_constants(0.9, 0.95)[1]
     assert gamma == pytest.approx(0.12204742658421754, abs=1e-15)
     assert row["bound"] == pytest.approx(0.9 * gamma, rel=1e-12)
     ok = row["status"] == "pass" and row["measured"] >= row["bound"]

@@ -184,14 +184,6 @@ def test_reconstruct_refuses_undecayed_tail(r10):
         rs.reconstruct(phi, r10)
 
 
-def test_forward_round_trip(bimax, grid):
-    phi, f = bimax
-    back = rs.characteristic_from_density(f, grid)
-    mask = grid.x <= grid.x_max / 2
-    assert np.max(np.abs(back.values[mask] - phi.values[mask])) < 1e-10
-    assert back.values[0] == 1.0
-
-
 def _sine_sum_reference(a, x, r):
     # the dense m x R kernel that the angle-addition form replaces
     return np.sin(np.outer(x, r)).T @ a
@@ -214,39 +206,44 @@ def test_sine_transform_matches_dense_kernel(R, m, monkeypatch):
 def test_sine_tables_are_cached_per_lattice(monkeypatch):
     def cold(fn, *args):
         monkeypatch.setattr(rs, "_TRANSFORM_CACHE", {})
-        return fn(*args).values
+        return fn(*args)
+
+    def forward(f, grid):
+        # a second lattice: the density's nodes as abscissae, the profile
+        # grid as output nodes
+        return rs._sine_transform(f.values * f.r, f.r, grid.x)
 
     cache = {}
     monkeypatch.setattr(rs, "_TRANSFORM_CACHE", cache)
-    cases = []  # two (profile grid, r nodes) lattices, called interleaved
+    cases = []  # two (profile grid, r nodes) pairs of lattices, called interleaved
     for n, x_max, r_max, R in ((4096, 50.0, 8.0, 1601), (1024, 30.0, 10.0, 2001)):
         grid = sp.RadialGrid(n, x_max)
         phi = sp.CharacteristicProfile.bimaxwellian(grid)
         r = rs.default_r_nodes(r_max, R)
         f = rs.reconstruct(phi, r)
-        cases.append((phi, r, grid, f.values, rs.characteristic_from_density(f, grid).values))
-    assert len(cache) == 4  # inverse and forward tables of each lattice
+        cases.append((phi, r, grid, f.values, forward(f, grid)))
+    assert len(cache) == 4  # the reconstruct lattice and the second one of each pair
     for _ in range(2):
         for phi, r, grid, f_vals, back_vals in cases:
             f = rs.reconstruct(phi, r)
             assert np.array_equal(f.values, f_vals)
-            assert np.array_equal(rs.characteristic_from_density(f, grid).values, back_vals)
+            assert np.array_equal(forward(f, grid), back_vals)
     assert len(cache) == 4
     for phi, r, grid, f_vals, back_vals in cases:
-        assert np.array_equal(cold(rs.reconstruct, phi, r), f_vals)
+        assert np.array_equal(cold(rs.reconstruct, phi, r).values, f_vals)
         f = rs.RadialDensity(r, f_vals)
-        assert np.array_equal(cold(rs.characteristic_from_density, f, grid), back_vals)
+        assert np.array_equal(cold(forward, f, grid), back_vals)
 
     # density nodes within the uniformity tolerance are another lattice
     _, r, grid, _, _ = cases[1]
     jittered = r + 1e-10 * np.random.default_rng(5).uniform(-1.0, 1.0, len(r))
     jittered[0] = 0.0
     exact, jit = rs.RadialDensity.maxwellian(r), rs.RadialDensity.maxwellian(jittered)
-    jit_cold = cold(rs.characteristic_from_density, jit, grid)
+    jit_cold = cold(forward, jit, grid)
     cache = {}
     monkeypatch.setattr(rs, "_TRANSFORM_CACHE", cache)
-    rs.characteristic_from_density(exact, grid)
-    assert np.array_equal(rs.characteristic_from_density(jit, grid).values, jit_cold)
+    forward(exact, grid)
+    assert np.array_equal(forward(jit, grid), jit_cold)
     assert len(cache) == 2
 
     # one step and abscissae with another node count: B = 3, then B = 4
@@ -412,22 +409,6 @@ def test_evaluate_and_reconstruct_reject_nan_abscissae(bimax, r10):
         r[k] = math.nan
         with pytest.raises(ValueError, match="finite"):
             rs.reconstruct(phi, r)
-
-
-def test_forward_transform_even_node_count(grid):
-    # an even count takes Simpson's last-interval (Cartwright) weights
-    f = rs.RadialDensity.mixture(rs.default_r_nodes(10.0, 2000))
-    back = rs.characteristic_from_density(f, grid)
-    mask = grid.x <= grid.x_max / 2
-    exact = sp.CharacteristicProfile.bimaxwellian(grid).values
-    assert np.max(np.abs(back.values[mask] - exact[mask])) < 1e-10
-
-
-def test_forward_transform_warns_when_underresolved():
-    coarse = rs.default_r_nodes(8.0, 81)  # dr = 0.1: sin(r*50) underresolved
-    f = rs.RadialDensity.maxwellian(coarse, 1.0)
-    with pytest.warns(UserWarning, match="underresolve"):
-        rs.characteristic_from_density(f, sp.RadialGrid(512, 50.0))
 
 
 # ---------------------------------------------------------------------------
