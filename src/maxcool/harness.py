@@ -32,11 +32,14 @@ named after the suite, claim "suite execution".
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import dataclasses
+import glob
 import hashlib
 import json
 import logging
 import math
+import os
 import time
 import warnings
 from dataclasses import dataclass
@@ -211,12 +214,41 @@ FAST = SuiteParams(
 )
 
 
+# the exports of the OpenBLAS that numpy's wheels bundle in numpy.libs
+_OPENBLAS_CORENAME = "scipy_openblas_get_corename64_"
+_OPENBLAS_THREADS = "scipy_openblas_get_num_threads64_"
+
+
+def _blas() -> dict | None:
+    """numpy's OpenBLAS kernel and thread count, None where its library exports neither.
+
+    Both change the rounding of BLAS sums (those of `realspace.reconstruct`,
+    for one), so the same inputs can give other bits under another kernel
+    (`OPENBLAS_CORETYPE`) or thread count (`OPENBLAS_NUM_THREADS`).
+    """
+    for path in sorted(glob.glob(os.path.join(np.__path__[0] + ".libs", "*openblas*"))):
+        lib = ctypes.CDLL(path)  # the copy numpy loaded: one path, one handle
+        corename = getattr(lib, _OPENBLAS_CORENAME, None)
+        threads = getattr(lib, _OPENBLAS_THREADS, None)
+        if corename is None and threads is None:
+            continue
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            corename = corename().decode()
+        if threads is not None:
+            threads = int(threads())
+        return {"corename": corename, "threads": threads}
+    return None
+
+
 def _stamp(fields: dict) -> tuple[dict, str]:
-    """`fields` plus the package versions, and the SHA-256 of its canonical JSON text."""
+    """`fields` plus the package versions and the BLAS kernel (`_blas`), and
+    the SHA-256 of its canonical JSON text."""
     import scipy  # noqa: PLC0415  (read only here, so `import maxcool` loads no scipy)
 
     stamp = {**fields, "versions": {"maxcool": __version__, "numpy": np.__version__,
-                                    "scipy": scipy.__version__}}
+                                    "scipy": scipy.__version__},
+             "blas": _blas()}
     return stamp, hashlib.sha256(_canonical(stamp).encode("utf-8")).hexdigest()
 
 

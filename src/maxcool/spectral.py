@@ -9,7 +9,9 @@ fhat(eta) = integral exp(-i eta.v) f(v) dv. The gain operator collapses to a
 
 with a-(s) = ((1+e)/4) sqrt(2(1-s)) and
 a+(s) = sqrt(((3-e)/4)^2 + ((1+e)/4)^2 + s (3-e)(1+e)/8); both scales lie in
-[0, 1], so the quadrature never queries beyond the grid. The unscaled frame
+[0, 1], so the quadrature never queries beyond the grid. Its Gauss-Legendre
+nodes are taken in u = sqrt((1-s)/2), in which a- = (1+e) u/2 is linear
+(`gain_scales`, `QUAD_ORDER`). The unscaled frame
 integrates d phi/dt = Q+ phi - phi with classical RK4; the rescaled frame
 adds the drift generator E x d phi/dx by Strang splitting, the drift
 half-steps applied as exact resampling phi(x) <- phi(x exp(E dt/2)).
@@ -100,10 +102,20 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# Gauss-Legendre order of the gain's s-quadrature. The s-integrand is analytic
-# (a-^2 and a+^2 are linear in s), so 32 nodes sit at round-off: one apply to
-# the (4096, 50) bimaxwellian is within 5.1e-15 of 256 nodes for e in [0.2, 0.99].
-QUAD_ORDER = 32
+# Gauss-Legendre order of the gain quadrature, whose nodes are taken in
+# u = sqrt((1 - s)/2) (`gain_scales`). The strongly inelastic HCS carries a
+# C x^(2 p*) term (Ernst & Brito 2002; Bobylev, Cercignani & Toscani 2003)
+# and a- is proportional to sqrt(1 - s), so in s that term is an (1 - s)^p*
+# endpoint singularity and a rule in s converges like q^-(2 p* + 2); in u it
+# is u^(2 p* + 1), and the rule converges like q^-(4 p* + 4). Against 256
+# nodes, one apply at 24 u-nodes reads <= 6.8e-15 on the (4096, 50)
+# bimaxwellian for e in [0.1, 1], and 1.7e-13 and 1.8e-13 on the e = 0.2 and
+# 0.3 steady profiles (`steady_profile` defaults) on (2048, 40), where 24
+# s-nodes read 2.0e-12 and 6.1e-13. On the coarse (256, 20) grid every rule
+# sits on the C^2 floor of the quintic interpolant: 1.8e-10 to 3.2e-10 at 24
+# u-nodes and 4e-11 to 1.1e-10 at 32 s-nodes, against the 1.3e-9 to 1.7e-9
+# by which that grid's gain of the bimaxwellian misses its exact value.
+QUAD_ORDER = 24
 
 # Time step of every spectral solve. Its error is far below the moment
 # extractor's 8e-5 bias and the solve tolerances (1e-7 and looser): against
@@ -479,14 +491,21 @@ class _InterpPlan:
 def gain_scales(e: float, quad_order: int = QUAD_ORDER):
     """Quadrature nodes s, weights w and the scale arrays (a-, a+).
 
-    Orders below `QUAD_ORDER` are rejected: they are not at round-off. Every
-    gain path (`step`, `gain_fourier`, `steady_residual`) builds its plan here.
+    The rule is Gauss-Legendre in u = sqrt((1 - s)/2) on [0, 1]: s = 1 - 2u^2
+    and ds = -4u du, so the weights are 2 w_GL u, which sum to 2, and
+    a- = (1 + e) u/2 is linear in u (see `QUAD_ORDER` for why). a+ is the
+    same function of s as in the module docstring. Orders below
+    `QUAD_ORDER` are rejected: they are not at round-off. Every gain path
+    (`step`, `gain_fourier`, `steady_residual`) builds its plan here.
     """
     e = _check_e(e)
     if quad_order < QUAD_ORDER:
         raise ValueError(f"quad_order must be at least {QUAD_ORDER}, got {quad_order}")
-    s, w = leggauss(int(quad_order))
-    a_minus = 0.25 * (1.0 + e) * np.sqrt(2.0 * (1.0 - s))
+    t, w = leggauss(int(quad_order))
+    u = 0.5 * (t + 1.0)
+    s = 1.0 - 2.0 * u * u
+    w = 2.0 * w * u  # ds = -4u du, and the Gauss-Legendre weights on [0, 1] are w/2
+    a_minus = 0.5 * (1.0 + e) * u
     a_plus = np.sqrt(((3.0 - e) / 4.0) ** 2 + ((1.0 + e) / 4.0) ** 2
                      + s * (3.0 - e) * (1.0 + e) / 8.0)
     return s, w, a_minus, a_plus
@@ -504,8 +523,10 @@ def _sorted_pairs(a_minus: np.ndarray, a_plus: np.ndarray, n: int):
 
 
 class _GainPlan:
-    """The gain quadrature over the (s-node k, grid node i) pairs.
+    """The gain quadrature over the (node k, grid node i) pairs.
 
+    Node k is the k-th node of `gain_scales`, with weight w_k and scales
+    a-_k, a+_k; the plan reads nothing else of the rule.
     Pair (k, i) queries phi at a-_k x_i and a+_k x_i. The pairs are sorted
     stably by the interval of their outer query max(a-_k, a+_k) i, and pair p
     is the adjacent rows 2p (a-) and 2p + 1 (a+) of one reserved
@@ -530,10 +551,11 @@ class _GainPlan:
     summing to 2. `apply` writes that +0 itself, there and at every other
     node from J on whose products - 1 are all -1 (a gain that the deviation
     form cannot tell from 0), rather than leave it to how a BLAS rounds the
-    sum of the floating-point weights: 2.2e-16 under some OpenBLAS kernels,
-    which unsaturates the tail of an unscaled run within a fraction of a
-    time unit. It runs the weighted sum over the nodes below live[J] only
-    (rounded up; see `apply`).
+    sum of the floating-point weights. OpenBLAS's dgemv sums the default
+    order's weights to exactly 2, but at many other orders (26, say) to
+    2 - 2.2e-16 or less, which unsaturates the tail of an unscaled run
+    within a fraction of a time unit. It runs the weighted sum over the
+    nodes below live[J] only (rounded up; see `apply`).
 
     The plan's rows are filled on demand, in pair order: an apply that needs
     the first P pairs fills the ones not yet filled, in whole `_PLAN_CHUNK`
@@ -541,9 +563,10 @@ class _GainPlan:
     more than an eager build would. The plan holds 2 bytes per query for the
     int32 `order` and 72 per filled query, beside the shared row pointer; on
     the (4096, 50) grid an apply to a Gaussian-tailed profile fills about a
-    quarter of them. Each apply gathers over views of the plan's arrays. The
+    quarter of them (3.9 MB in all at the default q = 24, against 14.5 MB
+    for every pair). Each apply gathers over views of the plan's arrays. The
     products go into one scratch (q, n) array per grid shape (`_PRODUCTS`;
-    1 MB at q = 32 on the (4096, 50) grid).
+    0.79 MB at q = 24 on the (4096, 50) grid).
     """
 
     __slots__ = ("plan", "w", "q", "a_minus", "a_plus", "order", "below", "live")

@@ -10,6 +10,9 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -431,6 +434,28 @@ def test_cli_artifact_hash_covers_the_code_stamp(tmp_path, monkeypatch):
     assert sha() == base
     monkeypatch.setattr(sp, "QUAD_ORDER", 2 * sp.QUAD_ORDER)
     assert sha() != base
+
+
+def test_stamp_hash_covers_the_blas_kernel_and_thread_count():
+    # the kernel and the thread count of numpy's OpenBLAS change the bits of
+    # reconstruct's sums, so a stamp made under another one hashes apart
+    if harness._blas() is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS kernel name or thread count")
+    code = ("import json\nfrom maxcool import harness\n"
+            "stamp, sha = harness._stamp({})\nprint(json.dumps([stamp['blas'], sha]))\n")
+
+    def stamp(**env):
+        base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**base, **env}, check=True)
+        return json.loads(out.stdout)
+
+    one, two = stamp(OPENBLAS_NUM_THREADS="1"), stamp(OPENBLAS_NUM_THREADS="2")
+    sandybridge = stamp(OPENBLAS_CORETYPE="Sandybridge", OPENBLAS_NUM_THREADS="1")
+    assert one[0]["threads"] == 1 and sandybridge[0]["corename"] == "Sandybridge"
+    assert (sandybridge[1] != one[1]) == (one[0]["corename"] != "Sandybridge")
+    if (os.cpu_count() or 1) >= 2:
+        assert two[0]["threads"] == 2 and two[1] != one[1]
 
 
 def test_cli_dsmc_hash_covers_exactly_its_inputs(tmp_path, monkeypatch):
