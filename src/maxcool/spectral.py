@@ -18,20 +18,26 @@ half-steps applied as exact resampling phi(x) <- phi(x exp(E dt/2)).
 
 Profiles live on a uniform radial grid. Every evaluation off it (gain
 quadrature queries, drift resampling, the m2 pin and `evaluate`) is quintic
-Hermite interpolation with sixth-order 7-point slopes and fourth-order 5-point
-curvatures, by one operator, `_InterpPlan`. That evaluation is linear in the
-profile and factors into two maps: a fixed stencil map from the deviation
-phi - 1 to a node table of values, slopes and curvatures, then a sparse
-gather matrix (CSR, six weights per query) whose rows are computed once per
-query. Gain and drift plans are cached; `evaluate` builds an uncached one per
-call. The gather runs scipy's compiled `csr_matvec`, the kernel behind
+Hermite interpolation with sixth-order 7-point slopes and fourth-order
+5-point curvatures, by one operator, `_InterpPlan`. That evaluation is
+linear in the profile and is two CSR products. The first, the stencil
+matrix, maps the deviation phi - 1 to a node table of values, slopes and
+curvatures (`_stencil_rows`). Its interior rows, three per node with the
+even reflection at x = 0 in their column indices, are one read-only matrix
+that every grid shares, built vectorised and regrown, at least doubling,
+when a table needs more nodes (`_interior_csr`); the one-sided closure rows
+of the last three nodes are a fixed matrix over the last five. The second,
+the plan's gather matrix (six weights per query), maps the node table to the
+queries; its rows are computed once per query. Gain and drift plans are
+cached; the m2 pin and `evaluate` build an uncached one per call. Both
+products run scipy's compiled `csr_matvec`, the kernel behind
 `csr_matrix @ x`, loaded from scipy.sparse's extension file with the first
-plan (`_csr_matvec`). scipy.sparse itself is never imported (its import
-costs 0.1-0.2 s), and code that evaluates no profile (DSMC, the kinematics
-Monte Carlo, the stamp) does not load the kernel either. The table of
-phi = 1 is exactly zero and the gain is evaluated in deviation form, so the
-constant profile phi = 1 is a fixed point of the gain and of the drift
-resample bit for bit.
+plan or node table (`_csr_matvec`). scipy.sparse itself is never imported
+(its import costs 0.1-0.2 s), and code that evaluates no profile (DSMC, the
+kinematics Monte Carlo, the stamp) does not load the kernel either. The
+table of phi = 1 is exactly zero and the gain is evaluated in deviation
+form, so the constant profile phi = 1 is a fixed point of the gain and of
+the drift resample bit for bit.
 
 The node table is computed only up to the saturated tail: the trailing run
 of nodes where phi - 1 == -1 in floating point and the slopes and curvatures
@@ -39,19 +45,20 @@ are exactly 0 (past x ~ 11 for a Gaussian tail on the (4096, 50) grid). A
 query there evaluates to exactly +0, because the Hermite value weights
 satisfy fl(fl(1 - W1) + W1) = 1 (checked for every query when its weights
 are computed). So the drift, whose queries x_i exp(E dt/2) are sorted,
-evaluates only the queries below the tail. The gain plan holds its (s-node
-k, grid node i) pairs sorted stably by the interval of their outer query
-max(a-, a+) x_i, each pair's a- and a+ queries in adjacent rows, and an
-apply evaluates only the pairs below the tail: a pair whose outer query lies
-there has product - 1 exactly -1 whatever its finite inner value. The
-drift and the gain's products are bit for bit the full evaluation. A tail
+and the pin, whose queries lam x_i are sorted too, evaluate only the
+queries below the tail. The gain plan holds its (s-node k, grid node i)
+pairs sorted stably by the interval of their outer query max(a-, a+) x_i,
+each pair's a- and a+ queries in adjacent rows, and an apply evaluates only
+the pairs below the tail: a pair whose outer query lies there has
+product - 1 exactly -1 whatever its finite inner value. The drift, the pin
+and the gain's products are bit for bit the full evaluation. A tail
 node whose products - 1 are all -1, as at every node whose pairs all lie
 past the tail, gets the gain exactly +0, written as such rather than
 summed, whatever BLAS sums the weights; see `_GainPlan`. The gain plan
 computes the weights of its queries on demand, in pair order, only as far
 as an apply has needed: at most once per query, and about a quarter of them
 on the (4096, 50) grid for a Gaussian-tailed profile. The drift plans and
-`evaluate` are filled when built.
+`evaluate` are filled when built, the pin's only below the tail.
 
 The stationary rescaled profile (`steady_profile`) is the fixed point of one
 rescaled step followed by a gauge pin, the dilation that sets m2 = 3, found
@@ -250,34 +257,100 @@ class EvolutionTrace:
 # ---------------------------------------------------------------------------
 # interpolation kernels
 
-def _quintic_derivs(v: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    # sixth-order 7-point slopes and fourth-order 5-point curvatures with
-    # even extension across x = 0 and one-sided closures at the top edge
-    n = len(v)
-    ve = np.concatenate([v[3:0:-1], v])  # ve[i + 3] = v[i], even-reflected
-    d = np.empty_like(v)
-    c = np.empty_like(v)
-    # slope at node i uses ve[i : i + 7]; valid for i <= n - 4
-    d[: n - 3] = (-ve[:-6] + 9.0 * ve[1:-5] - 45.0 * ve[2:-4]
-                  + 45.0 * ve[4:-2] - 9.0 * ve[5:-1] + ve[6:]) / (60.0 * h)
-    d[0] = 0.0
-    d[-3] = (v[-5] - 8.0 * v[-4] + 8.0 * v[-2] - v[-1]) / (12.0 * h)
-    d[-2] = (v[-1] - v[-3]) / (2.0 * h)
-    d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    # curvature at node i uses ve[i + 1 : i + 6]; valid for i <= n - 3
-    c[: n - 2] = (-ve[1:-4] + 16.0 * ve[2:-3] - 30.0 * ve[3:-2]
-                  + 16.0 * ve[4:-1] - ve[5:]) / (12.0 * h * h)
-    c[-2] = (v[-1] - 2.0 * v[-2] + v[-3]) / (h * h)
-    c[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / (h * h)
-    return d, c
-
-
 _PLAN_CHUNK = 8192
 
 # the node-table column of each Hermite weight [1-H3, H3, H1, H4, H2, H5]
 # of a query in interval i, less 3 i: node i holds (u_i, h d_i, h^2 c_i)
 _COLUMNS = np.array([0, 3, 1, 4, 2, 5], dtype=np.int32)
 _SATURATED = np.array([-1.0, 0.0, 0.0])  # the node row of u = -1
+
+# The stencils of the node table. Node i has three rows: its value, its slope
+# and its curvature, each a tuple of (node offset, integer weight) terms in
+# the order they are summed. The slope sum is divided by a h and the
+# curvature sum by (b h) h, for the node's divisors (a, b). Below n - 3 every
+# node takes the sixth-order 7-point slope and the fourth-order 5-point
+# curvature; an offset that reaches below x = 0 reflects there (column
+# |i + offset|), the profile being even, and the slope at x = 0 is set to 0.
+# The last three nodes take one-sided closures, but for the interior
+# curvature at node n - 3.
+_VALUE = ((0, 1.0),)
+_CURVATURE = ((-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0))
+_INTERIOR = ((_VALUE, ((-3, -1.0), (-2, 9.0), (-1, -45.0), (1, 45.0), (2, -9.0), (3, 1.0)),
+              _CURVATURE), (60.0, 12.0))
+_CLOSURES = (  # nodes n - 3, n - 2 and n - 1
+    ((_VALUE, ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0)), _CURVATURE), (12.0, 12.0)),
+    ((_VALUE, ((1, 1.0), (-1, -1.0)), ((1, 1.0), (0, -2.0), (-1, 1.0))), (2.0, 1.0)),
+    ((_VALUE, ((0, 3.0), (-1, -4.0), (-2, 1.0)), ((0, 2.0), (-1, -5.0), (-2, 4.0), (-3, -1.0))),
+     (2.0, 1.0)),
+)
+
+
+def _stencil_csr(nodes: np.ndarray, rows: tuple) -> tuple:
+    # (indptr, indices, data) of the CSR matrix that holds the `rows` of each
+    # node in `nodes` in turn, the columns reflected at 0; read-only. Each
+    # array is written in place: temporaries of the matrix's size would stay
+    # resident as heap the matrix sits above
+    offsets, weights = np.array([term for row in rows for term in row]).T
+    ends = np.cumsum([len(row) for row in rows], dtype=np.int32)
+    count, nnz = len(nodes), int(ends[-1])
+    indptr = np.zeros(len(rows) * count + 1, dtype=np.int32)
+    np.add.outer(nnz * np.arange(count, dtype=np.int32), ends,
+                 out=indptr[1:].reshape(count, len(rows)))
+    indices = np.empty((count, nnz), dtype=np.int32)
+    np.add.outer(nodes, offsets.astype(np.int32), out=indices)
+    np.abs(indices, out=indices)
+    data = np.empty((count, nnz))
+    data[...] = weights
+    arrays = (indptr, indices.reshape(-1), data.reshape(-1))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+# the closure rows over the last five nodes, node n - 3 at column 2
+_CLOSURE_CSR = _stencil_csr(np.array([2], dtype=np.int32), tuple(
+    tuple((offset + k, w) for offset, w in row)
+    for k, (rows, _) in enumerate(_CLOSURES) for row in rows))
+_INTERIOR_CSR = _stencil_csr(np.arange(0, dtype=np.int32), _INTERIOR[0])
+
+
+def _interior_csr(k: int) -> tuple:
+    # the interior rows of at least the first k nodes: one matrix shared by
+    # every grid, regrown to max(k, twice its nodes) when too short
+    global _INTERIOR_CSR
+    if len(_INTERIOR_CSR[0]) <= 3 * k:
+        grown = max(k, 2 * (len(_INTERIOR_CSR[0]) // 3))
+        _INTERIOR_CSR = _stencil_csr(np.arange(grown, dtype=np.int32), _INTERIOR[0])
+    return _INTERIOR_CSR
+
+
+def _stencil_rows(v: np.ndarray, h: float, m: int) -> np.ndarray:
+    """(n, 3) array whose first m rows are [v_i, d_i, c_i], the rest zero.
+
+    d and c are the slopes and curvatures of v by the stencils above: one
+    CSR product (`_csr_matvec`) over the interior rows of the first
+    min(m, n - 3) nodes, and one over the closure rows when m > n - 3. The
+    kernel adds each row's terms to +0 in their listed order.
+    """
+    n = len(v)
+    k = min(m, n - 3)
+    X = np.zeros((n, 3))
+    flat = X.reshape(-1)
+    kernel = _csr_matvec()
+    indptr, indices, data = _interior_csr(k)
+    kernel(3 * k, n, indptr[:3 * k + 1], indices, data, v, flat[:3 * k])
+    a, b = _INTERIOR[1]
+    X[:k, 1] /= a * h
+    X[:k, 2] /= b * h * h
+    if m > k:
+        indptr, indices, data = _CLOSURE_CSR
+        kernel(3 * (m - k), 5, indptr[:3 * (m - k) + 1], indices, data, v[n - 5:],
+               flat[3 * k:3 * m])
+        divisors = [ab for _, ab in _CLOSURES[:m - k]]
+        X[k:m, 1] /= [a * h for a, _ in divisors]
+        X[k:m, 2] /= [b * h * h for _, b in divisors]
+    X[0, 1] = 0.0
+    return X
 
 
 def _node_table(v: np.ndarray, h: float) -> tuple[np.ndarray, int]:
@@ -290,23 +363,21 @@ def _node_table(v: np.ndarray, h: float) -> tuple[np.ndarray, int]:
     u != -1, every node from L + 4 on is exactly (-1, 0, 0): the slope and
     curvature stencils reach 3 and 2 nodes, and their integer weights sum
     -1s to exactly +0, at the top-edge closures too. So only the rows up to
-    L + 3 are computed, by the interior stencils over u up to node L + 6;
-    the closures enter only when L + 7 >= n. J follows from those rows.
+    L + 3 are computed (`_stencil_rows`); the closures enter only when
+    L + 4 > n - 3. J follows from those rows.
     """
     n = len(v)
     u = v - 1.0
     live = np.flatnonzero(u != -1.0)
     L = int(live[-1]) if live.size else -1
     m = min(L + 4, n)
-    d, c = _quintic_derivs(u[:min(L + 7, n)], h)
-    X = np.zeros((n, 3))
-    X[:m, 0] = u[:m]
+    X = _stencil_rows(u, h, m)
+    X[:m, 1] *= h
+    X[:m, 2] *= h * h
     X[m:, 0] = -1.0
-    np.multiply(d[:m], h, out=X[:m, 1])
-    np.multiply(c[:m], h * h, out=X[:m, 2])
     # the last unsaturated node is node L or one of the 3 after it
-    off = np.flatnonzero(np.any(X[L + 1:m] != _SATURATED, axis=1))
-    K = L + 1 + int(off[-1]) if off.size else L
+    off = np.flatnonzero((X[L + 1:m] != _SATURATED).ravel())
+    K = L + 1 + int(off[-1]) // 3 if off.size else L
     return X, min(K + 1, n - 1)
 
 
@@ -386,9 +457,12 @@ class _InterpPlan:
     range-check column indices. Positions past n - 1 are clamped to the last
     node and counted in `clamped`.
 
-    The evaluation is the product of two linear maps. The first is the fixed
-    stencil map from a profile to its (n, 3) node table X (`_node_table`).
-    The second is the plan's CSR gather matrix M over X flattened: query r in
+    The evaluation is the product of two CSR matrices. The first is the
+    stencil matrix, which maps a profile to its (n, 3) node table X
+    (`_node_table`); its interior rows are shared by every plan and grid and
+    grow with the largest table asked for, and the closure rows of the top
+    edge are fixed (`_stencil_rows`). The second is the plan's gather matrix
+    M over X flattened: query r in
     interval i holds the six Hermite weights [1-H3, H3, H1, H4, H2, H5](t_r)
     at the columns 3 i + (0, 3, 1, 4, 2, 5), that is at u_i, u_{i+1},
     h d_i, h d_{i+1}, h^2 c_i and h^2 c_{i+1}, so eval(v) = 1 + M @ X. The
@@ -805,8 +879,8 @@ def steady_residual(phi: CharacteristicProfile, e, quad_order: int = QUAD_ORDER)
     e = _check_e(e)
     gain = _gain_plan(phi.grid, e, int(quad_order))
     E = dissipation_rate(e)
-    R = gain.apply(phi.values) - phi.values \
-        + E * phi.grid.x * _quintic_derivs(phi.values, phi.grid.dx)[0]
+    d = _stencil_rows(phi.values, phi.grid.dx, phi.grid.n)[:, 1]
+    R = gain.apply(phi.values) - phi.values + E * phi.grid.x * d
     return float(np.max(np.abs(R)))
 
 
@@ -835,24 +909,39 @@ _ANDERSON_DEPTH = 10   # differences kept by the Anderson mixing of a steady sol
 
 def _pin(phi: CharacteristicProfile) -> CharacteristicProfile:
     # the dilation phi(x) -> phi(lam x) to moment(., 2) = 3, as m2 scales as
-    # lam^2; after one step (|m2 - 3| < 1e-8) it lands within 1e-12 of 3
+    # lam^2; after one step (|m2 - 3| < 1e-8) it lands within 1e-12 of 3.
+    # The queries are sorted, so as in `_InterpPlan.eval_sorted` only those
+    # below the tail start J are filled and gathered and the rest are +0:
+    # `evaluate(phi, lam x)` bit for bit, in an uncached plan.
+    grid = phi.grid
     lam = math.sqrt(3.0 / moment(phi, 2))
-    return CharacteristicProfile(phi.grid, evaluate(phi, lam * phi.grid.x), phi.time)
+    p = np.clip(lam * grid.x, 0.0, grid.x_max) / grid.dx
+    X, J = _node_table(phi.values, grid.dx)
+    m = grid.n if J == grid.n - 1 else int(np.searchsorted(p, J))
+    out = np.zeros(grid.n)
+    _InterpPlan(p[:m], grid.n, grid.dx).gather(m, X.ravel(), out[:m])
+    out[:m] += 1.0
+    return CharacteristicProfile(grid, out, phi.time)
 
 
 def _loss_drift_solve(r: np.ndarray, E: float) -> np.ndarray:
     # u - E x u' = r by implicit upwind differences, u_i - E i (u_{i+1} - u_i)
     # = r_i, swept inward from x_max: the inverse of the loss-and-drift part
-    # of the rescaled generator. u_0 = r_0, and |u| <= max |r|.
-    c = E * np.arange(len(r), dtype=float)
+    # of the rescaled generator. u_0 = r_0, and |u| <= max |r|. Past the
+    # last nonzero r (a NaN counts as nonzero) every u is exactly +0, so the
+    # sweep starts there.
+    nonzero = np.flatnonzero(r)
+    K = int(nonzero[-1]) + 1 if nonzero.size else 0
+    c = E * np.arange(K, dtype=float)
     a = (c / (1.0 + c)).tolist()
-    b = (r / (1.0 + c)).tolist()
-    u = [0.0] * len(b)
+    b = (r[:K] / (1.0 + c)).tolist()
     acc = 0.0
-    for i in range(len(b) - 1, -1, -1):
+    for i in range(K - 1, -1, -1):
         acc = b[i] + a[i] * acc
-        u[i] = acc
-    return np.array(u)
+        b[i] = acc
+    u = np.zeros(len(r))
+    u[:K] = b
+    return u
 
 
 def steady_profile(e, config: SolverConfig | None = None, tol: float = 1e-7,
@@ -1082,8 +1171,9 @@ def gamma_constants(alpha: float, e) -> tuple[float, float]:
 def evaluate(phi: CharacteristicProfile, x) -> np.ndarray:
     """Evaluate the profile at arbitrary abscissae, clamped to [0, x_max].
 
-    Builds an uncached `_InterpPlan`: the m2 pin queries a new dilation each
-    step, and caching those plans would evict the gain and drift plans. A NaN
+    Builds an uncached `_InterpPlan` filled at every abscissa. The m2 pin of
+    a steady solve does not come through here: it builds its own uncached
+    plan of the dilation's queries below the saturated tail (`_pin`). A NaN
     abscissa raises ValueError.
     """
     xq = np.clip(np.atleast_1d(np.asarray(x, dtype=float)), 0.0, phi.grid.x_max)

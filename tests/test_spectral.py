@@ -256,12 +256,15 @@ class _Gather(NamedTuple):
 
 @contextlib.contextmanager
 def _gathers():
-    # every gather run inside, as the arguments the loaded kernel receives
+    # every gather run inside, as the arguments the loaded kernel receives; a
+    # gather's row pointer is a view of the shared `_ROW_POINTER`, and the
+    # kernel's other calls, the node tables' stencil products, are not recorded
     calls = []
     kernel = sp._csr_matvec()
 
     def spy(*args):
-        calls.append(_Gather(*args))
+        if args[2].base is sp._ROW_POINTER:
+            calls.append(_Gather(*args))
         kernel(*args)
 
     sp._CSR_MATVEC = spy
@@ -295,6 +298,29 @@ def _same_start(a, b):
     return a.__array_interface__["data"][0] == b.__array_interface__["data"][0]
 
 
+def _quintic_derivs(v, h):
+    # the oracle of the node table's stencils: sixth-order 7-point slopes and
+    # fourth-order 5-point curvatures with even extension across x = 0 and
+    # one-sided closures at the top edge, as array expressions
+    n = len(v)
+    ve = np.concatenate([v[3:0:-1], v])  # ve[i + 3] = v[i], even-reflected
+    d = np.empty_like(v)
+    c = np.empty_like(v)
+    # slope at node i uses ve[i : i + 7]; valid for i <= n - 4
+    d[: n - 3] = (-ve[:-6] + 9.0 * ve[1:-5] - 45.0 * ve[2:-4]
+                  + 45.0 * ve[4:-2] - 9.0 * ve[5:-1] + ve[6:]) / (60.0 * h)
+    d[0] = 0.0
+    d[-3] = (v[-5] - 8.0 * v[-4] + 8.0 * v[-2] - v[-1]) / (12.0 * h)
+    d[-2] = (v[-1] - v[-3]) / (2.0 * h)
+    d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+    # curvature at node i uses ve[i + 1 : i + 6]; valid for i <= n - 3
+    c[: n - 2] = (-ve[1:-4] + 16.0 * ve[2:-3] - 30.0 * ve[3:-2]
+                  + 16.0 * ve[4:-1] - ve[5:]) / (12.0 * h * h)
+    c[-2] = (v[-1] - 2.0 * v[-2] + v[-3]) / (h * h)
+    c[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / (h * h)
+    return d, c
+
+
 def _hermite_reference(v, positions, h):
     # quintic Hermite evaluation in increment form, gathered query by query;
     # the operator form of _InterpPlan must reproduce it
@@ -302,7 +328,7 @@ def _hermite_reference(v, positions, h):
     p = np.minimum(np.asarray(positions, dtype=float), float(n - 1))
     i0 = np.minimum(p.astype(np.int64), n - 2)
     t = p - i0
-    d, c = sp._quintic_derivs(v, h)
+    d, c = _quintic_derivs(v, h)
     H3 = 10 * t ** 3 - 15 * t ** 4 + 6 * t ** 5
     H1 = t - 6 * t ** 3 + 8 * t ** 4 - 3 * t ** 5
     H4 = -4 * t ** 3 + 7 * t ** 4 - 3 * t ** 5
@@ -773,7 +799,7 @@ def _interval_tail_start(v, h):
     # interval of the trailing run of rows [u_i, u_{i+1}, h d_i, h d_{i+1},
     # h^2 c_i, h^2 c_{i+1}] equal to (-1, -1, 0, 0, 0, 0)
     u = v - 1.0
-    d, c = sp._quintic_derivs(u, h)
+    d, c = _quintic_derivs(u, h)
     T = np.empty((len(v) - 1, 6))
     for k, a in enumerate((u, d * h, c * (h * h))):
         T[:, 2 * k] = a[:-1]
@@ -794,11 +820,28 @@ def _edge_profiles():
     return out
 
 
+def _closure_profiles():
+    # profiles on grids of other sizes and parities: all but the bimaxwellian
+    # have no tail, so their node tables reach the top-edge closures
+    rng = np.random.default_rng(7)
+    out = {}
+    for n, x_max in ((256, 20.0), (4093, 50.0)):
+        g = sp.RadialGrid(n, x_max)
+        noisy = rng.uniform(-1.0, 1.0, n)
+        noisy[0] = 1.0
+        out[f"ones-{n}"] = (g, np.ones(n))
+        out[f"random-{n}"] = (g, noisy)
+        out[f"wide-maxwellian-{n}"] = (g, sp.CharacteristicProfile.maxwellian(g, 0.005).values)
+        out[f"bimaxwellian-{n}"] = (g, sp.CharacteristicProfile.bimaxwellian(g).values)
+    return out
+
+
 def test_node_table_is_the_full_stencil_table_and_finds_the_interval_tail():
-    for name, (g, v) in {**_tail_profiles(), **_edge_profiles()}.items():
+    profiles = {**_tail_profiles(), **_edge_profiles(), **_closure_profiles()}
+    for name, (g, v) in profiles.items():
         X, J = sp._node_table(v, g.dx)
         u = v - 1.0
-        d, c = sp._quintic_derivs(u, g.dx)
+        d, c = _quintic_derivs(u, g.dx)
         full = np.stack([u, d * g.dx, c * (g.dx * g.dx)], axis=1)
         assert X.tobytes() == full.tobytes(), name  # every row, zero signs included
         assert J == _interval_tail_start(v, g.dx), name
@@ -1179,6 +1222,84 @@ def test_steady_profile_rejected_mixing_falls_back_to_the_image(monkeypatch):
     config = sp.SolverConfig(dt=0.05, t_max=60.0, frame="rescaled-g")
     phi = sp.steady_profile(0.8, config, tol=1e-4, grid=sp.RadialGrid(256, 15.0))
     assert rejected and phi.meta["converged"]
+
+
+def test_steady_residual_takes_the_stencil_slopes_to_the_top_edge():
+    # every slope enters, the closures' too
+    for name, (g, v) in _closure_profiles().items():
+        phi = sp.CharacteristicProfile(g, v)
+        for e in (0.3, 0.9):
+            R = (sp.gain_fourier(phi, e).values - v
+                 + sp.dissipation_rate(e) * g.x * _quintic_derivs(v, g.dx)[0])
+            assert sp.steady_residual(phi, e) == float(np.max(np.abs(R))), (name, e)
+
+
+def _full_sweep(r, E):
+    # u - E x u' = r swept inward over every node
+    c = E * np.arange(len(r), dtype=float)
+    a = (c / (1.0 + c)).tolist()
+    b = (r / (1.0 + c)).tolist()
+    u = [0.0] * len(b)
+    acc = 0.0
+    for i in range(len(b) - 1, -1, -1):
+        acc = b[i] + a[i] * acc
+        u[i] = acc
+    return np.array(u)
+
+
+def test_the_loss_drift_sweep_that_stops_at_the_last_nonzero_r_is_the_full_sweep():
+    rng = np.random.default_rng(13)
+    n = 1024
+    zero_tail = rng.standard_normal(n) * 1e-3
+    zero_tail[300:] = 0.0
+    zero_tail[310::7] = -0.0
+    nan = zero_tail.copy()
+    nan[200] = math.nan
+    cases = {"zero-tail": zero_tail, "no-tail": rng.standard_normal(n), "all-zero": np.zeros(n),
+             "nan": nan}
+    for e in (0.2, 0.95):
+        E = sp.dissipation_rate(e)
+        for name, r in cases.items():
+            u = sp._loss_drift_solve(r, E)
+            assert u.tobytes() == _full_sweep(r, E).tobytes(), (name, e)
+        u = sp._loss_drift_solve(zero_tail, E)
+        assert np.all(u[300:] == 0.0) and not np.any(np.signbit(u[300:]))
+        u = sp._loss_drift_solve(nan, E)
+        assert np.all(np.isnan(u[:201])) and not np.any(np.isnan(u[201:]))
+
+
+def _pin_profiles():
+    # profiles with and without a saturated tail, pinned by dilations below
+    # and above 1
+    out = {}
+    for n, x_max in ((256, 20.0), (1024, 30.0), (4093, 50.0)):
+        g = sp.RadialGrid(n, x_max)
+        for theta in (0.005, 0.8, 1.3, 4.0):
+            out[f"maxwellian-{theta}-{n}"] = sp.CharacteristicProfile.maxwellian(g, theta)
+        out[f"bimaxwellian-{n}"] = sp.CharacteristicProfile.bimaxwellian(g)
+        out[f"stepped-{n}"] = sp.step(out[f"bimaxwellian-{n}"], 0.5, sp.SolverConfig())
+    return out
+
+
+def test_the_pin_is_the_evaluated_dilation_bit_for_bit(monkeypatch):
+    monkeypatch.setattr(sp, "_GAIN_CACHE", {})
+    monkeypatch.setattr(sp, "_DRIFT_CACHE", {})
+    profiles = _pin_profiles()
+    gain, drift = dict(sp._GAIN_CACHE), dict(sp._DRIFT_CACHE)
+    tailed = 0
+    for name, phi in profiles.items():
+        lam = math.sqrt(3.0 / sp.moment(phi, 2))
+        full = sp.evaluate(phi, lam * phi.grid.x)
+        with _gathers() as calls:
+            pinned = sp._pin(phi)
+        assert pinned.values.tobytes() == full.tobytes(), name  # zero signs included
+        assert pinned.time == phi.time
+        ((m, *_),) = calls
+        J = sp._node_table(phi.values, phi.grid.dx)[1]
+        assert m == phi.grid.n if J == phi.grid.n - 1 else m < phi.grid.n, name
+        tailed += m < phi.grid.n
+    assert 0 < tailed < len(profiles)
+    assert sp._GAIN_CACHE == gain and sp._DRIFT_CACHE == drift
 
 
 def test_steady_residual_discriminates(steady_e09):
