@@ -12,11 +12,10 @@ np.linspace gives. The four m x sqrt(R) sine and cosine tables depend only on
 the lattice, the exact abscissae x with R and dr, so they are computed once
 per lattice (about 4 m sqrt(R) sines) and stay resident, 32 m sqrt(R) bytes
 per lattice, in a FIFO cache of at most `spectral._CACHE_CAP` lattices.
-`reconstruct` sums only the
-abscissae below the profile's saturated tail, past which phi - 1 == -1 and
-phi evaluates to exactly +0 (from x ~ 11 for a Gaussian tail on the
-(4096, 50) grid, so 22 % of the abscissae are summed): it evaluates only
-those and reads only their rows of the lattice's tables, as views.
+`reconstruct` sums only the abscissae below the profile's saturated tail,
+past which phi is exactly +0 (x ~ 11 for a Gaussian tail on the (4096, 50)
+grid, so 22 % are summed): one `spectral._evaluate` call gathers phi there,
+and the sums read only their rows of the lattice's tables, as views.
 
 On top of reconstructed (or closed-form sampled) densities this module
 provides the Fisher information I(f) = int 4 pi r^2 f (d ln f / dr)^2 dr,
@@ -259,11 +258,11 @@ def reconstruct(phi: CharacteristicProfile, r_nodes) -> RadialDensity:
     r = 0 node uses the limit (1/(2 pi^2)) int x^2 phi dx. The m-node sum is
     evaluated at all R nodes at once by angle addition (`_sine_transform`):
     two (sqrt(R) x m)(m x sqrt(R)) products on sine tables computed once per
-    (x, r) lattice and kept. The sums stop at the saturated tail of the
-    profile's node table: every abscissa from there on evaluates to exactly
-    +0 and is left out, so the sums differ from the full ones only by the
-    BLAS grouping of the products, and a profile without such a tail gets
-    the full sums bit for bit. The angle addition needs r_j = j dr to
+    (x, r) lattice and kept. The sums stop at the saturated tail: one
+    `spectral._evaluate` call gathers phi at the abscissae below it, and the
+    rest, exactly +0, are left out. So the sums differ from the full ones
+    only by the BLAS grouping of the products, and a profile without a tail
+    gets the full sums bit for bit. The angle addition needs r_j = j dr to
     rounding, which is stricter than `RadialDensity`'s uniformity check;
     np.linspace nodes meet it. Refuses such off-lattice nodes, nonfinite
     ones, profiles that have not decayed at x_max (tail above 1e-8) and
@@ -286,13 +285,12 @@ def reconstruct(phi: CharacteristicProfile, r_nodes) -> RadialDensity:
     if m % 2 == 0:
         m += 1
     xq = np.linspace(0.0, x_max, m)
-    # phi evaluates to exactly +0 at the abscissae from the tail start J of
-    # its node table on (spectral._InterpPlan), so only the first M enter
-    # the sums; without a tail (J = n - 1) all of them do
-    J = spectral._node_table(phi.values, phi.grid.dx)[1]
-    M = m if J == phi.grid.n - 1 else int(np.searchsorted(xq / phi.grid.dx, J))
+    # phi is exactly +0 past its saturated tail, so only the live abscissae,
+    # the first M of the sorted xq (all of them without a tail), are summed
+    vals, live = spectral._evaluate(phi, xq)
+    M = int(np.count_nonzero(live))
     xs = xq[:M]
-    wq = simpson_weights(xq)[:M] * spectral.evaluate(phi, xs)
+    wq = simpson_weights(xq)[:M] * vals[:M]
 
     f = np.empty_like(r)
     f[0] = float(wq @ (xs * xs)) / (2.0 * math.pi ** 2)

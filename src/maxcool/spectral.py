@@ -17,7 +17,7 @@ adds the drift generator E x d phi/dx by Strang splitting, the drift
 half-steps applied as exact resampling phi(x) <- phi(x exp(E dt/2)).
 
 Profiles live on a uniform radial grid. Every evaluation off it (gain
-quadrature queries, drift resampling, the m2 pin and `evaluate`) is quintic
+quadrature queries, drift resampling, `evaluate` and so the m2 pin) is quintic
 Hermite interpolation with sixth-order 7-point slopes and fourth-order
 5-point curvatures, by one operator, `_InterpPlan`. That evaluation is
 linear in the profile and is two CSR products. The first, the stencil
@@ -29,7 +29,7 @@ when a table needs more nodes (`_interior_csr`); the one-sided closure rows
 of the last three nodes are a fixed matrix over the last five. The second,
 the plan's gather matrix (six weights per query), maps the node table to the
 queries; its rows are computed once per query. Gain and drift plans are
-cached; the m2 pin and `evaluate` build an uncached one per call. Both
+cached; `evaluate` builds an uncached one per call. Both
 products run scipy's compiled `csr_matvec`, the kernel behind
 `csr_matrix @ x`, loaded from scipy.sparse's extension file with the first
 plan or node table (`_csr_matvec`). scipy.sparse itself is never imported
@@ -44,21 +44,21 @@ of nodes where phi - 1 == -1 in floating point and the slopes and curvatures
 are exactly 0 (past x ~ 11 for a Gaussian tail on the (4096, 50) grid). A
 query there evaluates to exactly +0, because the Hermite value weights
 satisfy fl(fl(1 - W1) + W1) = 1 (checked for every query when its weights
-are computed). So the drift, whose queries x_i exp(E dt/2) are sorted,
-and the pin, whose queries lam x_i are sorted too, evaluate only the
-queries below the tail. The gain plan holds its (s-node k, grid node i)
+are computed). So the drift, whose queries x_i exp(E dt/2) are sorted, and
+`evaluate`, which masks its queries below the tail, gather only those and
+write +0 for the rest. The gain plan holds its (s-node k, grid node i)
 pairs sorted stably by the interval of their outer query max(a-, a+) x_i,
 each pair's a- and a+ queries in adjacent rows, and an apply evaluates only
 the pairs below the tail: a pair whose outer query lies there has
-product - 1 exactly -1 whatever its finite inner value. The drift, the pin
-and the gain's products are bit for bit the full evaluation. A tail
-node whose products - 1 are all -1, as at every node whose pairs all lie
-past the tail, gets the gain exactly +0, written as such rather than
+product - 1 exactly -1 whatever its finite inner value. The drift,
+`evaluate` and the gain's products are bit for bit the full evaluation. A
+tail node whose products - 1 are all -1, as at every node whose pairs all
+lie past the tail, gets the gain exactly +0, written as such rather than
 summed, whatever BLAS sums the weights; see `_GainPlan`. The gain plan
 computes the weights of its queries on demand, in pair order, only as far
 as an apply has needed: at most once per query, and about a quarter of them
-on the (4096, 50) grid for a Gaussian-tailed profile. The drift plans and
-`evaluate` are filled when built, the pin's only below the tail.
+on the (4096, 50) grid for a Gaussian-tailed profile. A drift plan is filled
+when built; `evaluate` fills a plan of its queries below the tail alone.
 
 The stationary rescaled profile (`steady_profile`) is the fixed point of one
 rescaled step followed by a gauge pin, the dilation that sets m2 = 3, found
@@ -465,7 +465,7 @@ class _InterpPlan:
     M over X flattened: query r in
     interval i holds the six Hermite weights [1-H3, H3, H1, H4, H2, H5](t_r)
     at the columns 3 i + (0, 3, 1, 4, 2, 5), that is at u_i, u_{i+1},
-    h d_i, h d_{i+1}, h^2 c_i and h^2 c_{i+1}, so eval(v) = 1 + M @ X. The
+    h d_i, h d_{i+1}, h^2 c_i and h^2 c_{i+1}, so phi(queries) = 1 + M @ X. The
     table of the constant profile phi = 1 is exactly zero, so phi = 1 is
     reproduced bit for bit whatever the summation order. The plan's arrays
     `data` and `indices` take 72 bytes per query: six weights and six int32
@@ -541,18 +541,11 @@ class _InterpPlan:
         _CSR_MATVEC(m, 3 * self.n, _row_pointer(m, len(self.data)),
                     self.indices[:m].reshape(-1), self.data[:m].reshape(-1), X, out)
 
-    def eval(self, v: np.ndarray) -> np.ndarray:
-        """The profile v at every query."""
-        out = np.zeros(self.filled)
-        self.gather(self.filled, _node_table(v, self.h)[0].ravel(), out)
-        out += 1.0  # in place: a second array of the plan's size costs page faults
-        return out.reshape(self.shape)
-
     def eval_sorted(self, v: np.ndarray) -> np.ndarray:
-        """eval(v) for a filled plan whose queries are sorted by position.
+        """The profile v at every query of a filled plan sorted by position.
 
         Only the queries below the saturated tail are evaluated; every other
-        one is exactly +0, as the full evaluation gives it.
+        one is exactly +0, as the full evaluation 1 + M @ X gives it.
         """
         X, J = _node_table(v, self.h)
         m = int(np.searchsorted(self.indices[:self.filled, 0], 3 * J))
@@ -647,9 +640,6 @@ class _GainPlan:
 
     def __init__(self, grid: RadialGrid, e: float, quad_order: int) -> None:
         _, w, self.a_minus, self.a_plus = gain_scales(e, quad_order)
-        if float(max(np.max(self.a_minus), np.max(self.a_plus))) > 1.0 + 1e-12:
-            # cannot happen for e in (0, 1]; guard against regressions
-            warnings.warn("gain quadrature queries beyond x_max were clamped")
         self.order, self.below = _sorted_pairs(self.a_minus, self.a_plus, grid.n)
         # node i has a pair whose outer query lies below interval j when its
         # lowest outer query, at the smallest max(a-, a+), does; so the
@@ -909,19 +899,9 @@ _ANDERSON_DEPTH = 10   # differences kept by the Anderson mixing of a steady sol
 
 def _pin(phi: CharacteristicProfile) -> CharacteristicProfile:
     # the dilation phi(x) -> phi(lam x) to moment(., 2) = 3, as m2 scales as
-    # lam^2; after one step (|m2 - 3| < 1e-8) it lands within 1e-12 of 3.
-    # The queries are sorted, so as in `_InterpPlan.eval_sorted` only those
-    # below the tail start J are filled and gathered and the rest are +0:
-    # `evaluate(phi, lam x)` bit for bit, in an uncached plan.
-    grid = phi.grid
+    # lam^2; after one step (|m2 - 3| < 1e-8) it lands within 1e-12 of 3
     lam = math.sqrt(3.0 / moment(phi, 2))
-    p = np.clip(lam * grid.x, 0.0, grid.x_max) / grid.dx
-    X, J = _node_table(phi.values, grid.dx)
-    m = grid.n if J == grid.n - 1 else int(np.searchsorted(p, J))
-    out = np.zeros(grid.n)
-    _InterpPlan(p[:m], grid.n, grid.dx).gather(m, X.ravel(), out[:m])
-    out[:m] += 1.0
-    return CharacteristicProfile(grid, out, phi.time)
+    return CharacteristicProfile(phi.grid, evaluate(phi, lam * phi.grid.x), phi.time)
 
 
 def _loss_drift_solve(r: np.ndarray, E: float) -> np.ndarray:
@@ -1168,16 +1148,37 @@ def gamma_constants(alpha: float, e) -> tuple[float, float]:
     return A2, gamma
 
 
+def _evaluate(phi: CharacteristicProfile, x) -> tuple[np.ndarray, np.ndarray]:
+    """(values, live): `evaluate` at the abscissae x, and the mask of those gathered.
+
+    An abscissa is live when its clamped grid position lies in an interval
+    below the tail start J of `_node_table`. Only the live ones go into the
+    uncached `_InterpPlan`, so x need not be sorted; the others are exactly
+    +0, as the full evaluation gives them. NaN is rejected here, since the
+    mask keeps tail positions from the plan's own check.
+    """
+    grid = phi.grid
+    xq = np.asarray(x, dtype=float)
+    if np.isnan(xq).any():
+        raise ValueError("interpolation positions must be finite and nonnegative")
+    p = np.clip(xq, 0.0, grid.x_max) / grid.dx
+    X, J = _node_table(phi.values, grid.dx)
+    live = _cells(p, grid.n)[1] < J
+    vals = np.zeros(np.count_nonzero(live))
+    _InterpPlan(p[live], grid.n, grid.dx).gather(len(vals), X.ravel(), vals)
+    out = np.zeros(xq.shape)
+    out[live] = vals + 1.0
+    return out, live
+
+
 def evaluate(phi: CharacteristicProfile, x) -> np.ndarray:
     """Evaluate the profile at arbitrary abscissae, clamped to [0, x_max].
 
-    Builds an uncached `_InterpPlan` filled at every abscissa. The m2 pin of
-    a steady solve does not come through here: it builds its own uncached
-    plan of the dilation's queries below the saturated tail (`_pin`). A NaN
-    abscissa raises ValueError.
+    The one uncached off-grid evaluation: the m2 pin of a steady solve and
+    `realspace.reconstruct` (by `_evaluate`) go through it too. It gathers
+    only the abscissae below the saturated tail. NaN raises ValueError.
     """
-    xq = np.clip(np.atleast_1d(np.asarray(x, dtype=float)), 0.0, phi.grid.x_max)
-    out = _InterpPlan(xq / phi.grid.dx, phi.grid.n, phi.grid.dx).eval(phi.values)
+    out = _evaluate(phi, np.atleast_1d(x))[0]
     return out if np.ndim(x) else float(out[0])
 
 

@@ -305,16 +305,33 @@ def _dense_inversion(phi, r):
 
 def _reconstruct_counted(phi, r, monkeypatch):
     # reconstruct(phi, r), or the error it raises, and the abscissae it
-    # evaluated
+    # evaluated: the live ones of each `_evaluate` call
     seen = []
-    evaluate = sp.evaluate
-    monkeypatch.setattr(sp, "evaluate", lambda p, x: seen.append(x) or evaluate(p, x))
+    evaluate = sp._evaluate
+
+    def spy(p, x):
+        vals, live = evaluate(p, x)
+        seen.append(x[live])
+        return vals, live
+
+    monkeypatch.setattr(sp, "_evaluate", spy)
     try:
         return rs.reconstruct(phi, r), seen
     except ValueError as exc:
         return exc, seen
     finally:
-        monkeypatch.setattr(sp, "evaluate", evaluate)
+        monkeypatch.setattr(sp, "_evaluate", evaluate)
+
+
+def test_a_reconstruct_builds_one_node_table(monkeypatch):
+    # the tail start and the gathered values come from one table
+    tables = []
+    node_table = sp._node_table
+    monkeypatch.setattr(sp, "_node_table", lambda v, h: tables.append(h) or node_table(v, h))
+    for grid in (sp.RadialGrid(4096, 50.0), sp.RadialGrid(1024, 8.0)):  # tail, and none
+        tables.clear()
+        rs.reconstruct(sp.CharacteristicProfile.maxwellian(grid), rs.default_r_nodes())
+        assert len(tables) == 1, grid
 
 
 @pytest.mark.parametrize("case", ["bimaxwellian-4096", "maxwellian-2048", "narrow-1024"])

@@ -235,11 +235,14 @@ def test_gain_moment_contraction():
 
 
 def test_gain_never_clamps():
-    # both scale families lie in [0, 1]: queries stay on the grid
+    # both scale families lie in [0, 1] for e in (0, 1]: a- = (1 + e) u/2 < 1
+    # and a+ <= 1 at every Gauss node, so queries stay on the grid
     g = sp.RadialGrid(512, 20.0)
-    plan = sp._gain_plan(g, 0.4, 64)
-    _full_head(plan, g.n)
-    assert plan.plan.clamped == 0
+    for e in (0.05, 0.4, 0.95, 1.0):
+        for q in (sp.QUAD_ORDER, 64):
+            plan = sp._GainPlan(g, e, q)
+            _full_head(plan, g.n)  # fills every pair
+            assert plan.plan.clamped == 0, (e, q)
 
 
 class _Gather(NamedTuple):
@@ -284,13 +287,19 @@ def _full_head(gain, n):
     return M
 
 
-def _eval_all(gain, v):
-    # the gain plan's queries at every pair, as _InterpPlan.eval would give
-    M = _full_head(gain, len(v))
-    out = np.zeros(M.n_row)
-    gain.plan.gather(M.n_row, sp._node_table(v, gain.plan.h)[0].ravel(), out)
+def _full_eval(plan, v):
+    # the profile v at every query of a filled plan, all of them gathered:
+    # the full evaluation that every tail skip must reproduce bit for bit
+    out = np.zeros(plan.filled)
+    plan.gather(plan.filled, sp._node_table(v, plan.h)[0].ravel(), out)
     out += 1.0
-    return out.reshape(gain.plan.shape)
+    return out.reshape(plan.shape)
+
+
+def _eval_all(gain, v):
+    # the gain plan's queries at every pair
+    _full_head(gain, len(v))
+    return _full_eval(gain.plan, v)
 
 
 def _same_start(a, b):
@@ -375,7 +384,7 @@ def test_interp_operator_matches_hermite_reference():
         ref = _hermite_reference(v, np.minimum(xq, g.x_max) / g.dx, g.dx)
         assert np.max(np.abs(sp.evaluate(phi, xq) - ref)) <= tol
         plan = sp._InterpPlan(np.minimum(xq, g.x_max) / g.dx, g.n, g.dx)
-        assert np.array_equal(sp.evaluate(phi, xq), plan.eval(v))
+        assert np.array_equal(sp.evaluate(phi, xq), _full_eval(plan, v))
 
 
 def test_gain_plan_footprint():
@@ -401,7 +410,7 @@ class _FullGain:
 
     def products(self, v):
         # the (q, n) products - 1
-        vals = self.plan.eval(v)
+        vals = _full_eval(self.plan, v)
         prod = vals[: self.q] * vals[self.q:]
         prod -= 1.0
         return prod
@@ -857,7 +866,7 @@ def test_a_drift_that_stops_at_the_tail_is_the_full_drift_bit_for_bit(shift, mon
         plan = sp._drift_plan(g, shift)
         assert plan.clamped > 0, name
         ((m, *_),) = calls
-        full = plan.eval(v)
+        full = _full_eval(plan, v)
         full[0] = 1.0
         assert out.tobytes() == full.tobytes(), name
         # the tailed profiles skip their top queries, the clamped ones among them
@@ -1323,18 +1332,50 @@ def test_evaluate_accuracy_and_clamp():
 
 def test_evaluate_rejects_positions_a_plan_cannot_index():
     # a NaN or negative column index would read out of bounds in the CSR
-    # product, so the plan rejects it before the int32 cast
+    # product, so the plan rejects it before the int32 cast; evaluate checks
+    # for NaN before its own cast, as its live mask keeps tail positions
+    # from the plan
     g = sp.RadialGrid(256, 20.0)
     M = sp.CharacteristicProfile.maxwellian(g, 1.0)
-    for x in (math.nan, [1.0, math.nan]):
-        with pytest.raises(ValueError, match="finite and nonnegative"):
-            sp.evaluate(M, x)
+    J = sp._node_table(M.values, g.dx)[1]
+    assert J < g.n - 1
+    tail = np.linspace(J * g.dx, g.x_max + 5.0, 12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a cast of NaN warns
+        for x in (math.nan, [1.0, math.nan], np.insert(tail, 5, math.nan)):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                sp.evaluate(M, x)
     for p in ([math.nan], [3.0, -0.5]):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             sp._InterpPlan(np.array(p), g.n, g.dx)
     # infinities still clamp to the ends of the grid
     assert sp.evaluate(M, math.inf) == pytest.approx(M.values[-1], abs=1e-12)
     assert sp.evaluate(M, -math.inf) == 1.0
+
+
+def test_evaluate_of_unsorted_abscissae_past_the_tail_is_the_full_evaluation():
+    # the live mask marks the abscissae below the tail start wherever they
+    # sit; the others, those past x_max among them, are exactly +0
+    rng = np.random.default_rng(3)
+    g512 = sp.RadialGrid(512, 20.0)  # x_max/dx rounds to n - 1 here, not on (1024, 30)
+    noisy = rng.uniform(-1.0, 1.0, g512.n)
+    noisy[0] = 1.0
+    for name, (g, v) in {**_tail_profiles(), "random-512": (g512, noisy)}.items():
+        phi = sp.CharacteristicProfile(g, v)
+        x = np.concatenate([rng.permutation(np.concatenate([
+            rng.uniform(0.0, g.x_max, 300), g.x_max + rng.uniform(0.0, 5.0, 20), [g.x_max]])),
+            [0.0]])
+        full = _full_eval(sp._InterpPlan(np.minimum(x, g.x_max) / g.dx, g.n, g.dx), v)
+        with _gathers() as calls:
+            got, live = sp._evaluate(phi, x)
+        assert got.tobytes() == full.tobytes(), name  # zero signs included
+        assert sp.evaluate(phi, x).tobytes() == full.tobytes(), name
+        ((m, *_),) = calls
+        assert m == np.count_nonzero(live), name
+        if sp._node_table(v, g.dx)[1] == g.n - 1:
+            assert live.all(), name
+        else:  # unsorted: the live abscissae are no prefix of x
+            assert not live[:m].all() and live[-1], name
 
 
 def test_evaluate_leaves_the_plan_caches_alone(monkeypatch):
