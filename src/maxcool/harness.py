@@ -185,7 +185,7 @@ class SuiteParams:
     sweep_grid: tuple[int, float]
     sweep_tol: float
     # step budget of every steady solve (shared, corpus, sweep) as time; at
-    # DT a solve takes 5 to 19 steps, so the budget never limits one
+    # DT and tol >= 1e-7 a solve takes 1 to 19 steps, so the budget never limits one
     steady_t_max: float = 250.0
     decay_t_max: float = 10.0           # m2-rate runs, spectral and DSMC
     dsmc_dt: float = 0.01

@@ -36,6 +36,7 @@ __all__ = [
     "block_rng",
     "effective_gain_rates",
     "dissipation_rate",
+    "moment_rate",
     "growth_rate",
     "fisher_growth_exponent",
     "z_identity_residual",
@@ -57,6 +58,23 @@ def dissipation_rate(e) -> float:
     """
     e = _check_e(e)
     return (1.0 - e * e) / 8.0
+
+
+def moment_rate(p, e) -> float:
+    """Rescaled-frame rate lambda(p, e) at which the moment of order 2p relaxes.
+
+    With h = (1 - e)/2,
+    lambda(p, e) = 1 - [((1+e)/2)^(2p) + (1 - h^(2p+2))/(1 - h^2)]/(p + 1) - 2pE,
+    where the bracket over p + 1 is the gain's share (1/2) int (a-^2p + a+^2p) ds
+    in closed form. lambda(1, e) = 0 is energy balance; the moment of order 2p
+    is finite in the homogeneous cooling state while lambda(p, e) > 0.
+    The one definition of lambda.
+    """
+    e = _check_e(e)
+    h = (1.0 - e) / 2.0
+    gain = (((1.0 + e) / 2.0) ** (2.0 * p)
+            + (1.0 - h ** (2.0 * p + 2.0)) / (1.0 - h * h)) / (p + 1.0)
+    return 1.0 - gain - 2.0 * p * dissipation_rate(e)
 
 
 def growth_rate(e) -> float:

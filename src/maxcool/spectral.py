@@ -63,10 +63,13 @@ when built; `evaluate` fills a plan of its queries below the tail alone.
 The stationary rescaled profile (`steady_profile`) is the fixed point of one
 rescaled step followed by a gauge pin, the dilation that sets m2 = 3, found
 by Anderson mixing of the step's residual preconditioned by the inverse of the
-loss and drift, from a unit Maxwellian. The pin removes the neutral dilation
-mode of the rescaled flow, so m2 does not drift. The solve stops once the
-one-step d2 residual bounds the d2 of a 5-time-unit march below the
-tolerance, after 5 to 19 steps at `DT` for e in [0.2, 0.99].
+loss and drift. It starts from the Sonine approximation of that fixed point,
+a Gaussian times the polynomial in x^2 whose Taylor series up to x^2K
+(K <= 4) is the stationary one that the moment recursion gives in closed
+form (`_steady_start`). The pin removes the neutral dilation mode of the rescaled
+flow, so m2 does not drift. The solve stops once the one-step d2 residual
+bounds the d2 of a 5-time-unit march below the tolerance: at `DT` and tol
+1e-7, after 1 to 19 steps for e in [0.2, 0.99], and 1 or 2 for e >= 0.95.
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .kinematics import _check_e, dissipation_rate
+from .kinematics import _check_e, dissipation_rate, moment_rate
 
 __all__ = [
     "QUAD_ORDER",
@@ -924,6 +927,48 @@ def _loss_drift_solve(r: np.ndarray, E: float) -> np.ndarray:
     return u
 
 
+_START_ORDER = 4       # highest Taylor order K of the start of a steady solve
+
+
+def _stationary_taylor(e: float, order: int) -> list[float]:
+    # c_0 .. c_order of the stationary profile phi* = sum_k c_k x^2k at m2 = 3,
+    # so that m_2k* = (-1)^k (2k+1)! c_k: c_0 = 1, c_1 = -1/2 and the fixed
+    # point of the moment hierarchy, c_k lambda(k) = sum_{i+j=k; i,j>=1}
+    # c_i c_j I_ij with I_ij = (1/2) int a-^2i a+^2j ds (Ernst & Brito 2002;
+    # Bobylev, Cercignani & Toscani 2003). I_ij is a polynomial integral of
+    # degree 2k + 1 in u, which the gain's own rule sums exactly. c_k is
+    # finite while lambda(k) > 0, that is for k below the tail exponent.
+    _, w, a_minus, a_plus = gain_scales(e)
+    c = [1.0, -0.5]
+    for k in range(2, order + 1):
+        gain = sum(c[i] * c[k - i] * 0.5 * float(w @ (a_minus ** (2 * i)
+                                                       * a_plus ** (2 * (k - i))))
+                   for i in range(1, k))
+        c.append(gain / moment_rate(k, e))
+    return c
+
+
+def _steady_start(grid: RadialGrid, e: float) -> tuple[CharacteristicProfile, int]:
+    # (phi0, K): phi0 = exp(-x^2/2) sum_{k<=K} b_k x^2k, whose Taylor series
+    # matches the stationary c_0 .. c_K, so b_k = sum_{j<=k} c_j 2^(j-k)/(k-j)!
+    # (the coefficients of exp(x^2/2) sum_j c_j x^2j). K is the largest order
+    # up to `_START_ORDER` whose rates lambda(2..K) are positive and whose
+    # phi0 is a valid profile, |phi0| <= 1 on the grid; K = 1 is the
+    # unit Maxwellian, since b_1 = c_1 + 1/2 = 0.
+    top = 1
+    while top < _START_ORDER and moment_rate(top + 1, e) > 0.0:
+        top += 1
+    c = _stationary_taylor(e, top)
+    b = [sum(c[j] * 2.0 ** (j - k) / math.factorial(k - j) for j in range(k + 1))
+         for k in range(top + 1)]
+    x2 = grid.x ** 2
+    gauss = np.exp(-0.5 * x2)
+    for K in range(top, 0, -1):
+        values = gauss * np.polynomial.polynomial.polyval(x2, b[:K + 1])
+        if K == 1 or np.max(np.abs(values)) <= 1.0:
+            return CharacteristicProfile(grid, values), K
+
+
 def steady_profile(e, config: SolverConfig | None = None, tol: float = 1e-7,
                    grid: RadialGrid | None = None) -> CharacteristicProfile:
     """Stationary rescaled profile at unit temperature, as a fixed point.
@@ -932,7 +977,10 @@ def steady_profile(e, config: SolverConfig | None = None, tol: float = 1e-7,
     G(phi) = pin(step(phi)), where the pin is the dilation phi(x) -> phi(lam x)
     that sets moment(phi, 2) = 3. The rescaled equation is dilation
     invariant, so the pin removes its one neutral mode and G contracts.
-    phi = G(phi) is solved from the unit Maxwellian by Anderson mixing (type
+    phi = G(phi) is solved from the stationary start of `_steady_start` (the
+    unit Maxwellian times a polynomial in x^2 that carries the closed-form
+    m4*, m6* and m8* where they are finite and the product is a valid
+    profile) by Anderson mixing (type
     II, Walker & Ni 2011) of depth `_ANDERSON_DEPTH`, with its least squares
     weighted by 1/x^2 like d2. The mixed residual is that of G preconditioned
     by the loss and drift: H(phi) = phi + P^-1 (G(phi) - phi)/dt with
@@ -974,7 +1022,7 @@ def steady_profile(e, config: SolverConfig | None = None, tol: float = 1e-7,
     x = grid.x
     keep = x >= 2.0 * grid.dx       # the rows d2 reads, weighted like d2
     weight = 1.0 / x[keep] ** 2
-    phi = _pin(CharacteristicProfile.maxwellian(grid, 1.0))
+    phi = _pin(_steady_start(grid, e)[0])
     dF: list[np.ndarray] = []
     dH: list[np.ndarray] = []
     prev = None                     # (f, h) of the last application
@@ -1131,19 +1179,14 @@ def sup_weighted(phi: CharacteristicProfile, delta: float) -> float:
 def gamma_constants(alpha: float, e) -> tuple[float, float]:
     """Spectral-gap constants (A2, gamma) for moment alpha.
 
-    With A1 = (2/(4+alpha)) [ ((1+e)/2)^{2+alpha}
-              + (1 - ((1-e)/2)^{4+alpha}) / (1 - ((1-e)/2)^2) ],
-    A2 = 1 - A1 - E (2+alpha) and
+    A2 = lambda(1 + alpha/2, e), the relaxation rate of the moment of order
+    2 + alpha (`kinematics.moment_rate`), and
     gamma = min( (2/(2+alpha)) A2, (3-e)(1+e)/8 ).
     """
     e = _check_e(e)
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    half_loss = (1.0 - e) / 2.0
-    A1 = (2.0 / (4.0 + alpha)) * (((1.0 + e) / 2.0) ** (2.0 + alpha)
-                                  + (1.0 - half_loss ** (4.0 + alpha))
-                                  / (1.0 - half_loss ** 2))
-    A2 = 1.0 - A1 - dissipation_rate(e) * (2.0 + alpha)
+    A2 = moment_rate(1.0 + alpha / 2.0, e)
     gamma = min((2.0 / (2.0 + alpha)) * A2, (3.0 - e) * (1.0 + e) / 8.0)
     return A2, gamma
 

@@ -52,9 +52,41 @@ def test_restitution_constants():
 
 @pytest.mark.parametrize("bad", [0.0, -0.2, 1.0001, float("nan")])
 def test_restitution_rejects(bad):
-    for rate in (kin.dissipation_rate, kin.growth_rate, kin.fisher_growth_exponent):
+    for rate in (kin.dissipation_rate, kin.growth_rate, kin.fisher_growth_exponent,
+                 lambda e: kin.moment_rate(2, e)):
         with pytest.raises(ValueError):
             rate(bad)
+
+
+def test_moment_rate_energy_balance_and_elastic_limit():
+    # lambda(1) = 0 is energy balance: within 1e-16 on these e, and within
+    # one ulp of 1 (the size of its terms) on a dense sweep
+    for e in (0.3, 0.5, 0.7, 0.95, 1.0):
+        assert abs(kin.moment_rate(1, e)) <= 1e-16
+    for e in np.linspace(0.001, 1.0, 400):
+        assert abs(kin.moment_rate(1, e)) <= np.finfo(float).eps
+    assert kin.moment_rate(2, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-16)
+    assert kin.moment_rate(3, 1.0) == pytest.approx(0.5, abs=1e-16)
+
+
+@pytest.mark.parametrize("e", [0.05, 0.3, 0.5, 0.8, 0.95, 1.0])
+def test_moment_rate_of_m4_is_the_scale_integral(e):
+    # lambda(2) = 1 - c4 - 4E with c4 = (1/2) int (a-^4 + a+^4) ds, written in
+    # a-^2 = 2 al^2 (1 - s) and a+^2 = al^2 + be^2 + 2 al be s
+    al, be = (1.0 + e) / 4.0, (3.0 - e) / 4.0
+    p = al * al + be * be
+    c4 = 16.0 / 3.0 * al ** 4 + p * p + 4.0 / 3.0 * al * al * be * be
+    assert kin.moment_rate(2, e) == pytest.approx(1.0 - c4 - 4.0 * kin.dissipation_rate(e),
+                                                  abs=1e-15)
+
+
+@pytest.mark.parametrize("e, p_star", [(0.2, 2.800), (0.3, 3.100), (0.5, 4.127),
+                                       (0.8, 9.963), (0.9, 19.91), (0.95, 39.89)])
+def test_moment_rate_changes_sign_at_the_tail_exponent(e, p_star):
+    # the HCS tail exponent p*(e) is the root of lambda above 1, given here to
+    # its last digit
+    half = 0.0005 if p_star < 10 else 0.005
+    assert kin.moment_rate(p_star - half, e) > 0.0 > kin.moment_rate(p_star + half, e)
 
 
 def test_e_must_be_a_number():

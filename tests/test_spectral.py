@@ -991,6 +991,17 @@ def test_gamma_constants_examples():
         sp.gamma_constants(1.5, 0.9)
 
 
+@pytest.mark.parametrize("e", [0.3, 0.7, 0.95])
+@pytest.mark.parametrize("alpha", [0.5, 0.9, 1.0])
+def test_gamma_constants_A2_is_the_moment_rate(alpha, e):
+    # A2 = lambda(1 + alpha/2), against the inline A1 form it replaced
+    h = (1.0 - e) / 2.0
+    A1 = (2.0 / (4.0 + alpha)) * (((1.0 + e) / 2.0) ** (2.0 + alpha)
+                                  + (1.0 - h ** (4.0 + alpha)) / (1.0 - h * h))
+    A2 = 1.0 - A1 - sp.dissipation_rate(e) * (2.0 + alpha)
+    assert abs(sp.gamma_constants(alpha, e)[0] - A2) <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # time stepping
 
@@ -1160,6 +1171,60 @@ def test_steady_profile_e09(steady_e09):
     # stationary profile lies inside the two-sided envelope at theta = 1
     assert meta["envelope"]["lower_ok_fraction"] == 1.0
     assert meta["envelope"]["upper_ok_fraction"] == 1.0
+
+
+@pytest.mark.parametrize("e", [0.05, 0.3, 0.5, 0.8, 0.95, 1.0])
+def test_stationary_taylor_gives_the_closed_form_m4(e):
+    # m4* = 120 c_2 = 30 c22/(1 - c4 - 4E), with c4 = (1/2) int (a-^4 + a+^4) ds
+    # and c22 = (1/2) int a-^2 a+^2 ds written in a-^2 = 2 al^2 (1 - s) and
+    # a+^2 = al^2 + be^2 + 2 al be s
+    al, be = (1.0 + e) / 4.0, (3.0 - e) / 4.0
+    p = al * al + be * be
+    c4 = 16.0 / 3.0 * al ** 4 + p * p + 4.0 / 3.0 * al * al * be * be
+    c22 = al * al * (2.0 * p - 4.0 / 3.0 * al * be)
+    m4 = 30.0 * c22 / (1.0 - c4 - 4.0 * sp.dissipation_rate(e))
+    c = sp._stationary_taylor(e, 2)
+    assert c[:2] == [1.0, -0.5]
+    assert abs(120.0 * c[2] - m4) <= 1e-13
+
+
+@pytest.mark.parametrize("e, m6", [(0.95, 105.80), (0.8, 119.10), (0.5, 271.17)])
+def test_stationary_taylor_gives_m6(e, m6):
+    assert -5040.0 * sp._stationary_taylor(e, 3)[3] == pytest.approx(m6, abs=5e-3)
+
+
+# (e, K): K = 2 where lambda(3) <= 0 (e < 0.2701) or phi0 at K = 3 leaves
+# |phi| <= 1; K = 3 where lambda(4) <= 0 (e < 0.4823) or phi0 at K = 4 does
+_START_ORDERS = [(0.001, 2), (0.1, 2), (0.2701, 2), (0.271, 2), (0.35, 2), (0.36, 3),
+                 (0.4823, 3), (0.5, 3), (0.55, 4), (0.8, 4), (0.99, 4), (1.0, 4)]
+
+
+@pytest.mark.parametrize("e, K", _START_ORDERS)
+def test_steady_start_is_a_valid_profile_of_its_order(e, K):
+    for g in (sp.RadialGrid(1024, 30.0), sp.RadialGrid()):
+        phi0, order = sp._steady_start(g, e)
+        assert order == K
+        assert phi0.values[0] == 1.0
+        assert np.max(np.abs(phi0.values)) <= 1.0
+
+
+@pytest.mark.parametrize("e, K", [(0.2, 2), (0.5, 3), (0.95, 4)])
+def test_steady_start_has_the_stationary_taylor_series(e, K):
+    # exp(x^2/2) phi0 is a polynomial of degree K in y = x^2: fit it on x <= 1,
+    # multiply by the series of exp(-y/2), and read back c_0 .. c_K
+    g = sp.RadialGrid(1024, 30.0)
+    phi0, _ = sp._steady_start(g, e)
+    y = g.x[g.x <= 1.0] ** 2
+    b = np.polynomial.polynomial.polyfit(y, np.exp(y / 2.0) * phi0.values[:len(y)], K)
+    gauss = [(-0.5) ** m / math.factorial(m) for m in range(K + 1)]
+    c = np.polynomial.polynomial.polymul(gauss, b)[:K + 1]
+    np.testing.assert_allclose(c, sp._stationary_taylor(e, K), rtol=1e-9, atol=1e-12)
+
+
+def test_steady_solve_from_the_stationary_start_is_short():
+    # the unit Maxwellian start took 5 steps here
+    phi = sp.steady_profile(0.98, tol=1e-6, grid=sp.RadialGrid(1024, 30.0))
+    assert phi.meta["converged"] and phi.meta["steps"] <= 2
 
 
 def test_steady_profile_validation():
