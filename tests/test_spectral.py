@@ -1201,30 +1201,84 @@ _START_ORDERS = [(0.001, 2), (0.1, 2), (0.2701, 2), (0.271, 2), (0.35, 2), (0.36
 
 @pytest.mark.parametrize("e, K", _START_ORDERS)
 def test_steady_start_is_a_valid_profile_of_its_order(e, K):
+    # exp(x^2/2) phi0 is a polynomial of degree K in y = x^2: fit it to degree
+    # 4 on x <= 1, multiply by the series of exp(-y/2), and read back
+    # c_0 .. c_K, with nothing above y^K
     for g in (sp.RadialGrid(1024, 30.0), sp.RadialGrid()):
-        phi0, order = sp._steady_start(g, e)
-        assert order == K
+        phi0 = sp._steady_start(g, e)
         assert phi0.values[0] == 1.0
         assert np.max(np.abs(phi0.values)) <= 1.0
+        y = g.x[g.x <= 1.0] ** 2
+        b = np.polynomial.polynomial.polyfit(y, np.exp(y / 2.0) * phi0.values[:len(y)], 4)
+        np.testing.assert_allclose(b[K + 1:], 0.0, atol=1e-9)
+        gauss = [(-0.5) ** m / math.factorial(m) for m in range(K + 1)]
+        c = np.polynomial.polynomial.polymul(gauss, b[:K + 1])[:K + 1]
+        np.testing.assert_allclose(c, sp._stationary_taylor(e, K), rtol=1e-9, atol=1e-12)
 
 
-@pytest.mark.parametrize("e, K", [(0.2, 2), (0.5, 3), (0.95, 4)])
-def test_steady_start_has_the_stationary_taylor_series(e, K):
-    # exp(x^2/2) phi0 is a polynomial of degree K in y = x^2: fit it on x <= 1,
-    # multiply by the series of exp(-y/2), and read back c_0 .. c_K
+@pytest.mark.parametrize("e", [0.8, 0.95, 0.99])
+def test_steady_start_waits_for_its_last_term_to_fall_below_tol(e, monkeypatch):
+    # the last term, exp(-x^2/2) b_4 x^8, is the difference from the start of
+    # order 3; 3.7e-4, 7.6e-7 and 1.1e-9 in d2 at these e
     g = sp.RadialGrid(1024, 30.0)
-    phi0, _ = sp._steady_start(g, e)
-    y = g.x[g.x <= 1.0] ** 2
-    b = np.polynomial.polynomial.polyfit(y, np.exp(y / 2.0) * phi0.values[:len(y)], K)
-    gauss = [(-0.5) ** m / math.factorial(m) for m in range(K + 1)]
-    c = np.polynomial.polynomial.polymul(gauss, b)[:K + 1]
-    np.testing.assert_allclose(c, sp._stationary_taylor(e, K), rtol=1e-9, atol=1e-12)
+    phi0 = sp._steady_start(g, e)
+    monkeypatch.setattr(sp, "_START_ORDER", 3)
+    last = sp.d2_distance(phi0, sp._steady_start(g, e), warn_temperature=False)
+    monkeypatch.undo()
+    assert np.array_equal(sp._steady_start(g, e, 1.001 * last).values, phi0.values)
+    assert sp._steady_start(g, e, 0.999 * last) is None
+
+
+def _maxwellian_bound(g, e):
+    # the 5-time-unit bound of the first application of G to the unit Maxwellian
+    M = sp._pin(sp.CharacteristicProfile.maxwellian(g))
+    first = sp._pin(sp.step(M, e, sp.SolverConfig(t_max=300.0, frame="rescaled-g")))
+    return 5.0 / sp.DT * sp.d2_distance(first, M, warn_temperature=False)
+
+
+def test_steady_solve_without_a_start_begins_at_the_maxwellian():
+    # e = 0.9 at tol 1e-7: the start's last term (1.5e-5) is not below tol,
+    # so the first application is to the unit Maxwellian
+    g, e, tol = sp.RadialGrid(1024, 30.0), 0.9, 1e-7
+    assert sp._steady_start(g, e, tol) is None
+    phi = sp.steady_profile(e, tol=tol, grid=g)
+    assert phi.meta["converged"]
+    assert phi.meta["history"][0] == pytest.approx(_maxwellian_bound(g, e), rel=1e-12)
+
+
+def test_a_start_whose_bound_stops_falling_gives_way_to_the_maxwellian():
+    # e = 0.99 at tol 1e-8: the start's last term (1.1e-9) is below tol, but
+    # the grid's offset holds its 200-time-unit bound near 2e-7; the second
+    # bound does not fall, and the third application is to the Maxwellian
+    g, e, tol = sp.RadialGrid(1024, 30.0), 0.99, 1e-8
+    assert sp._steady_start(g, e, tol) is not None
+    phi = sp.steady_profile(e, tol=tol, grid=g)
+    history = phi.meta["history"]
+    assert phi.meta["converged"] and tol <= history[0] <= history[1]
+    assert history[2] == pytest.approx(_maxwellian_bound(g, e), rel=1e-12)
 
 
 def test_steady_solve_from_the_stationary_start_is_short():
-    # the unit Maxwellian start took 5 steps here
-    phi = sp.steady_profile(0.98, tol=1e-6, grid=sp.RadialGrid(1024, 30.0))
+    # the start's first image bounds a 200-time-unit march to 1.9e-7; from
+    # the unit Maxwellian the solve takes 5 steps here
+    g = sp.RadialGrid(1024, 30.0)
+    phi = sp.steady_profile(0.98, tol=1e-6, grid=g)
     assert phi.meta["converged"] and phi.meta["steps"] <= 2
+    assert sp.d2_distance(phi, sp.steady_profile(0.98, tol=1e-10, grid=g)) <= 1e-6
+
+
+@pytest.mark.parametrize("e", [0.98, 0.99])
+def test_steady_solve_at_a_tight_tol_is_near_its_fixed_point(e):
+    # the stationary start misses the grid's fixed point by 6.9e-8 in d2,
+    # along directions that a time unit of steps moves by 1/70 of that; a
+    # solve that took its image on the 5-time-unit bound read 6.9 tol off.
+    # Bound fixed before the run: 2 tol (the Maxwellian start reads 0.12
+    # and 1.2 tol)
+    g, tol = sp.RadialGrid(1024, 30.0), 1e-8
+    phi = sp.steady_profile(e, tol=tol, grid=g)
+    ref = sp.steady_profile(e, tol=1e-11, grid=g)
+    assert phi.meta["converged"] and ref.meta["converged"]
+    assert sp.d2_distance(phi, ref) <= 2.0 * tol
 
 
 def test_steady_profile_validation():
