@@ -219,21 +219,21 @@ def z_identity_residual(eta, sigma, e) -> np.ndarray:
     differences: ~1e-16 |eta| by exact algebra, and 0 where eta = 0.
     """
     e = _check_e(e)
-    r = np.linalg.norm(eta, axis=-1, keepdims=True)
+    r = np.sqrt(_dot(eta, eta))[..., None]
     m = eta / np.where(r > 0.0, r, 1.0)
     eta_m = 0.25 * (1.0 + e) * (eta - r * sigma)
     eta_p = eta - eta_m
 
     def dot(a, b):
-        return np.einsum("ij,ij->i", a, b)[:, None]
+        return _dot(a, b)[..., None]
 
     def P(x):
         return dot(sigma, x) * m + dot(m, sigma) * x - dot(m, x) * sigma
 
     c = (1.0 + e) / (4.0 * e)
     Z = (3.0 * e - 1.0) / (4.0 * e) * eta_p + c * P(eta_p) + c * eta_m - c * P(eta_m)
-    target = eta + (1.0 - e * e) / (4.0 * e) * (dot(eta, sigma) * m - r * sigma)
-    return np.linalg.norm(Z - target, axis=-1)
+    d = Z - (eta + (1.0 - e * e) / (4.0 * e) * (dot(eta, sigma) * m - r * sigma))
+    return np.sqrt(_dot(d, d))
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,39 @@ def test_jacobian_check_tests_the_coded_reflection(monkeypatch):
         assert bad["status"] == "fail" and bad["measured"] > 1e-4
 
 
+def test_exactness_does_not_depend_on_the_block_size(monkeypatch):
+    n = 2 * 1000 + 7
+
+    def measured(block, e):
+        monkeypatch.setattr(harness, "_EXACTNESS_BLOCK", block)
+        rows = harness._kinematics_exactness(e, n, seed=2)
+        assert len(rows) == 7
+        return [float(r["measured"]).hex() for r in rows]
+
+    for e in harness._KIN_ES:
+        assert measured(1000, e) == measured(n, e)
+
+
+def test_an_elastic_swap_map_fails_the_energy_law(monkeypatch):
+    # the e = 1 map keeps momentum but not the inelastic energy loss
+    swap = kin._swap_velocities
+    monkeypatch.setattr(kin, "_swap_velocities",
+                        lambda v, w, sigma, e, rel=None: swap(v, w, sigma, 1.0, rel))
+    rows = {r["name"]: r for r in harness._kinematics_exactness(0.5, 2000, seed=2)}
+    assert rows["swap-momentum e=0.5"]["status"] == "pass"
+    assert rows["swap-energy e=0.5"]["status"] == "fail"
+
+
+def test_an_elastic_dsmc_collision_fails_the_m2_rate(monkeypatch):
+    apply_events = dsmc._apply_events
+    monkeypatch.setattr(dsmc, "_apply_events",
+                        lambda vel, idx, sigma, e: apply_events(vel, idx, sigma, 1.0))
+    report = harness.verify("weak-decay", fast=True)
+    rows = {c["name"]: c for c in report["checks"]}
+    assert rows["spectral-m2-rate e=0.5"]["status"] == "pass"
+    assert rows["dsmc-m2-rate e=0.5"]["status"] == "fail"
+
+
 def test_verify_errors_propagate_without_aborting(monkeypatch):
     def boom(ws, params, rows, raw):
         raise RuntimeError("synthetic failure")
