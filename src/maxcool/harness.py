@@ -701,19 +701,25 @@ def _suite_kinematics(ws: dict, params: SuiteParams, rows: list[dict],
             rows.extend(_kinematics_exactness(e, params.kin_triples, seed=2))
     mc_log = raw["mc_identities"] = []
     claim = "gain-side change of variables leaves the collision average invariant"
-    for ks in params.kernel_seeds:
-        K = _gaussian_kernel(ks)
-        for e in _MC_ES:
-            for which in ("sigma-theorem", "n-theorem"):
-                name = f"mc-{which} kernel={ks} e={e:g}"
-                with _guard(rows, claim, name) as add:
-                    lhs, rhs, sl, sr = kin.mc_change_of_variables(
-                        K, e, which=which, samples=params.mc_samples, seed=7)
-                    sig = math.hypot(sl, sr)
-                    z = abs(lhs - rhs) / sig
-                    add(z, 3.0, lhs=lhs, rhs=rhs, stderr=sig)
-                    mc_log.append({"name": name, "lhs": lhs, "rhs": rhs,
-                                   "stderr": sig, "z": z})
+    cases = [(ks, e, which) for ks in params.kernel_seeds for e in _MC_ES
+             for which in ("sigma-theorem", "n-theorem")]
+    kernels = {ks: _gaussian_kernel(ks) for ks in params.kernel_seeds}
+    # one shared sample stream; each row re-raises its own job's failure
+    try:
+        results = kin._mc_identities([(kernels[ks], e, which) for ks, e, which in cases],
+                                     params.mc_samples, seed=7)
+    except Exception as exc:
+        results = [exc] * len(cases)
+    for (ks, e, which), result in zip(cases, results):
+        name = f"mc-{which} kernel={ks} e={e:g}"
+        with _guard(rows, claim, name) as add:
+            if isinstance(result, Exception):
+                raise result
+            lhs, rhs, sl, sr = result
+            sig = math.hypot(sl, sr)
+            z = abs(lhs - rhs) / sig
+            add(z, 3.0, lhs=lhs, rhs=rhs, stderr=sig)
+            mc_log.append({"name": name, "lhs": lhs, "rhs": rhs, "stderr": sig, "z": z})
 
 
 def _ws_steady(ws: dict, params: SuiteParams) -> sp.CharacteristicProfile:

@@ -12,8 +12,11 @@ sigma = k - 2(k.n)n with k = (v - w)/|v - w|. The module provides the forward
 and pre-collisional (inverse) maps, the Philox streams and uniform directions
 that draw collision parameters, the effective gain-term rates produced by the
 change of variables, the residual of the "Z identity" behind the Fisher gain
-bound, and Monte Carlo verification of the change-of-variables identities,
-whose sample blocks are stored component-major.
+bound, and Monte Carlo verification of the change-of-variables identities.
+The Monte Carlo draws each Philox block of samples once, however many
+identities share its stream, and maps it in cache-sized row tiles stored
+component-major; the sample order and every estimate are those of one
+whole-block reduction per identity.
 
 The collision rate is the constant Maxwell rate: B(s) = 1 in the swapping
 picture (s = k.sigma) and Btilde(t) = 2|t| in the reflection picture
@@ -24,6 +27,7 @@ E = (1 - e^2)/8 in closed form.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable
 
 import numpy as np
@@ -111,8 +115,13 @@ def reflect(v: np.ndarray, w: np.ndarray, n: np.ndarray, coef: float):
     v' = v - coef (u.n) n, w' = w + coef (u.n) n with u = v - w. The forward
     collision is coef = (1+e)/2; its inverse is the same map at (1+e)/(2e).
     """
-    un = _dot(v - w, n)[..., None]
-    return v - coef * un * n, w + coef * un * n
+    return _reflect(v, w, n, coef, _dot(v - w, n))
+
+
+def _reflect(v, w, n, coef: float, un):
+    # reflect on the row dot products un = (v - w).n its caller already holds
+    c = coef * un[..., None] * n
+    return v - c, w + c
 
 
 def _rel(v: np.ndarray, w: np.ndarray):
@@ -121,13 +130,25 @@ def _rel(v: np.ndarray, w: np.ndarray):
     return u, np.sqrt(_dot(u, u))[..., None]
 
 
-def _unit_rel(v: np.ndarray, w: np.ndarray):
+def _where(mask, x, y):
+    # np.where(mask, x, y), skipped when every row is selected: np.where(True,
+    # x, y) is x bit for bit when x already has the broadcast shape
+    return x if mask.all() else np.where(mask, x, y)
+
+
+def _unit_rel(v: np.ndarray, w: np.ndarray, vv=None, ww=None):
     # Relative directions are flagged unsafe below ~1e-13 of the pair's
     # scale: there v - w is pure cancellation noise and k is meaningless.
+    # vv, ww are |v|^2 and |w|^2 when the caller already holds them.
     u, unorm = _rel(v, w)
-    scale = np.sqrt(_dot(v, v))[..., None] + np.sqrt(_dot(w, w))[..., None]
+    if vv is None:
+        vv, ww = _dot(v, v), _dot(w, w)
+    scale = np.sqrt(vv)[..., None] + np.sqrt(ww)[..., None]
     safe = unorm > 1e-13 * (scale + 1.0)
-    k = np.where(safe, u / np.where(safe, unorm, 1.0), 0.0)
+    if safe.all():
+        k = u / unorm
+    else:
+        k = np.where(safe, u / np.where(safe, unorm, 1.0), 0.0)
     return u, unorm, k, safe[..., 0]
 
 
@@ -140,13 +161,17 @@ def swap_forward(v, w, sigma, e: float):
     sigma unchanged. e is not validated.
     """
     rel = _unit_rel(v, w)
+    return _swap_forward(v, w, sigma, e, rel, _dot(rel[2], sigma))
+
+
+def _swap_forward(v, w, sigma, e: float, rel, ks):
+    # swap_forward on the _unit_rel(v, w) and row dot products ks = k.sigma
+    # its caller already holds
     vp, wp = _swap_velocities(v, w, sigma, e, rel)
     _, _, k, safe = rel
-    ks = _dot(k, sigma)[..., None]
-    denom = np.sqrt(2.0 * (1.0 + e * e) + 2.0 * (1.0 - e * e) * ks)
+    denom = np.sqrt(2.0 * (1.0 + e * e) + 2.0 * (1.0 - e * e) * ks[..., None])
     sigmap = ((1.0 + e) * k + (1.0 - e) * sigma) / denom
-    sigmap = np.where(safe[..., None], sigmap, sigma)
-    return vp, wp, sigmap, safe
+    return vp, wp, _where(safe[..., None], sigmap, sigma), safe
 
 
 def _swap_velocities(v, w, sigma, e: float, rel=None):
@@ -164,21 +189,21 @@ def swap_inverse(v, w, sigma, e: float):
     It divides by e, so e outside (0, 1] raises ValueError. The outputs and
     the unsafe case (v == w: v, w and sigma unchanged) are as in swap_forward.
     """
-    return _swap_inverse(v, w, sigma, _check_e(e), _unit_rel(v, w))
+    rel = _unit_rel(v, w)
+    return _swap_inverse(v, w, sigma, _check_e(e), rel, _dot(rel[2], sigma))
 
 
-def _swap_inverse(v, w, sigma, e: float, rel):
-    # swap_inverse on the _unit_rel(v, w) its caller already holds
+def _swap_inverse(v, w, sigma, e: float, rel, ks):
+    # swap_inverse on the _unit_rel(v, w) and row dot products ks = k.sigma
+    # its caller already holds
     z = 0.5 * (v + w)
     u, unorm, k, safe = rel
     half = -(1.0 - e) / (4.0 * e) * u + (1.0 + e) / (4.0 * e) * unorm * sigma
     vs = z + half
     ws = z - half
-    ks = _dot(k, sigma)[..., None]
-    denom = np.sqrt(2.0 * (1.0 + e * e) - 2.0 * (1.0 - e * e) * ks)
+    denom = np.sqrt(2.0 * (1.0 + e * e) - 2.0 * (1.0 - e * e) * ks[..., None])
     sigmas = ((1.0 + e) * k - (1.0 - e) * sigma) / denom
-    sigmas = np.where(safe[..., None], sigmas, sigma)
-    return vs, ws, sigmas, safe
+    return vs, ws, _where(safe[..., None], sigmas, sigma), safe
 
 
 def effective_gain_rates(e):
@@ -253,25 +278,118 @@ def uniform_sphere(rng: np.random.Generator, m: int) -> np.ndarray:
     return _unit_rows(rng.standard_normal((m, 3)))
 
 
-def _mc_reduce(block_fn, samples: int, seed: int, tag0: int):
-    # fixed ascending-block reduction keeps the estimate bit-reproducible
-    block = 1 << 16
-    total = 0.0
-    total_sq = 0.0
-    count = 0
-    b = 0
-    while count < samples:
-        m = min(block, samples - count)
-        vals = block_fn(block_rng(seed, tag0 + b), m)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("kernel produced non-finite Monte Carlo samples")
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals * vals))
-        count += m
-        b += 1
-    mean = total / count
-    var = max(total_sq - count * mean * mean, 0.0) / max(count - 1, 1)
-    return mean, math.sqrt(var / count)
+_MC_BLOCK = 1 << 16  # samples per Philox block
+_MC_TILE = 1 << 13  # rows of a block mapped at a time; a tile's (t, 3) array is 192 KiB
+
+
+def _mc_sides(K: Callable, e, which: str):
+    # (lhs, rhs) of one identity: each takes a tile's shared (v, w, d, rel,
+    # k.d, (v - w).d) to K times the collision rate, before the importance weight
+    e = _check_e(e)
+    if which not in ("sigma-theorem", "n-theorem"):
+        raise ValueError(f"unknown identity {which!r}")
+    B_e_plus, Bt_e_plus = effective_gain_rates(e)
+
+    def kernel(*args):
+        return np.asarray(K(*args), dtype=float)
+
+    if which == "sigma-theorem":
+        def lhs(v, w, sigma, rel, ks, un):
+            vs, ws, ss, _ = _swap_inverse(v, w, sigma, e, rel, ks)
+            return kernel(vs, ws, ss, v, w, sigma) * B_e_plus(ks)
+
+        def rhs(v, w, sigma, rel, ks, un):
+            vp, wp, sp, _ = _swap_forward(v, w, sigma, e, rel, ks)
+            return kernel(v, w, sigma, vp, wp, sp)
+    else:
+        def lhs(v, w, n, rel, kn, un):
+            vs, ws = _reflect(v, w, n, (1.0 + e) / (2.0 * e), un)
+            return kernel(vs, ws, n, v, w, n) * Bt_e_plus(kn)
+
+        def rhs(v, w, n, rel, kn, un):
+            vp, wp = _reflect(v, w, n, 0.5 * (1.0 + e), un)
+            return kernel(v, w, n, vp, wp, n) * (2.0 * np.abs(kn))
+    return lhs, rhs
+
+
+def _mc_tile(x):
+    # the quantities every identity shares on one tile, from a component-major
+    # (3, 3, t) copy of its rows of the draw: the side arguments (v, w, unit
+    # directions d, _unit_rel(v, w), k.d, (v - w).d), the inverse importance
+    # weight exp(|v|^2/2 + |w|^2/2) / (2 pi)^-3, and the safe rows
+    v, w, d = x[0].T, x[1].T, _unit_rows(x[2].T)
+    vv, ww = _dot(v, v), _dot(w, w)
+    rel = _unit_rel(v, w, vv, ww)
+    wt = np.exp(0.5 * (vv + ww) - 2.0 * _LOG_Q_NORM)
+    return (v, w, d, rel, _dot(rel[2], d), _dot(rel[0], d)), wt, rel[3]
+
+
+def _mc_identities(jobs, samples, seed):
+    """Several change-of-variables identities on one sample stream.
+
+    jobs are (K, e, which) triples, read as in mc_change_of_variables at the
+    given samples and seed. Each side draws its Philox blocks once for all
+    jobs and maps each block in tiles of _MC_TILE rows; every job evaluates
+    each tile and writes its values into its own block array, which is then
+    reduced whole, so each job gets the bits of its own call. Returns one
+    entry per job: (lhs, rhs, stderr_lhs, stderr_rhs), or the exception that
+    stopped that job (the others run on).
+    """
+    try:  # numpy bools have no __index__; Python's would count as 0 or 1
+        samples = None if isinstance(samples, bool) else operator.index(samples)
+    except TypeError:
+        samples = None
+    if samples is None or samples < 1:
+        raise ValueError("samples must be a positive integer")
+    seed = int(seed)
+
+    out: list = [None] * len(jobs)
+    live = {}
+    for j, job in enumerate(jobs):
+        try:
+            live[j] = _mc_sides(*job)
+        except Exception as exc:
+            out[j] = exc
+
+    def fail(j, exc):
+        out[j] = exc
+        del live[j]
+
+    moments = {j: [] for j in live}
+    for side, tag0 in enumerate((0, 1 << 62)):
+        # fixed ascending-block reduction keeps the estimate bit-reproducible
+        sums = {j: [0.0, 0.0] for j in live}
+        count = b = 0
+        while count < samples and live:
+            m = min(_MC_BLOCK, samples - count)
+            x = block_rng(seed, tag0 + b).standard_normal((3, m, 3))
+            vals = {j: np.empty(m) for j in live}
+            for lo in range(0, m, _MC_TILE):
+                hi = min(lo + _MC_TILE, m)
+                args, wt, safe = _mc_tile(np.ascontiguousarray(x[:, lo:hi].transpose(0, 2, 1)))
+                for j in list(vals):
+                    try:
+                        vals[j][lo:hi] = _where(safe, live[j][side](*args) * wt, 0.0)
+                    except Exception as exc:
+                        fail(j, exc)
+                        del vals[j]
+            for j, y in vals.items():
+                if not np.all(np.isfinite(y)):
+                    fail(j, ValueError("kernel produced non-finite Monte Carlo samples"))
+                    continue
+                sums[j][0] += float(np.sum(y))
+                sums[j][1] += float(np.sum(y * y))
+            count += m
+            b += 1
+        for j in live:
+            total, total_sq = sums[j]
+            mean = total / count
+            var = max(total_sq - count * mean * mean, 0.0) / max(count - 1, 1)
+            moments[j].append((mean, math.sqrt(var / count)))
+    for j in live:
+        (lhs, se_l), (rhs, se_r) = moments[j]
+        out[j] = (lhs, rhs, se_l, se_r)
+    return out
 
 
 def mc_change_of_variables(K: Callable, e, which: str = "sigma-theorem",
@@ -287,66 +405,19 @@ def mc_change_of_variables(K: Callable, e, which: str = "sigma-theorem",
     Velocities are importance-sampled from a standard Gaussian; kernels must
     decay fast enough (Gaussian-bump test kernels with width <= 1 do). LHS
     and RHS use independent Philox substreams, so the two standard errors may
-    be combined in quadrature. Returns (lhs, rhs, stderr_lhs, stderr_rhs).
+    be combined in quadrature. samples must be a positive integer (bool is
+    not). Returns (lhs, rhs, stderr_lhs, stderr_rhs) as Python floats.
 
     Sample order: each side runs blocks b = 0, 1, ... of 2^16 samples (the
     last one partial) on block_rng(seed, tag0 + b), tag0 = 0 for LHS and
     2^62 for RHS. Each block draws v, w and the Gaussian normals of the
     directions as three C-ordered (m, 3) standard-normal arrays, in that
-    order; K receives (m, 3) arrays, stored component-major.
+    order (one (3, m, 3) draw), and each block's values are summed whole.
+    K is called on row tiles of a block, (t, 3) arrays stored
+    component-major, so it must act row by row (the value of a row may
+    depend on that row alone); every kernel in this package does.
     """
-    e = _check_e(e)
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    seed = int(seed)
-
-    if which not in ("sigma-theorem", "n-theorem"):
-        raise ValueError(f"unknown identity {which!r}")
-
-    B_e_plus, Bt_e_plus = effective_gain_rates(e)
-
-    def draw(rng, m):
-        # one (3, m, 3) draw is the stream of three (m, 3) draws: v, w and the
-        # direction normals. It is copied once to component-major storage and
-        # handed out as (m, 3) views, so the maps work on contiguous rows.
-        x = np.ascontiguousarray(rng.standard_normal((3, m, 3)).transpose(0, 2, 1))
-        v, w, omega = x[0].T, x[1].T, _unit_rows(x[2].T)
-        # inverse importance weight exp(|v|^2/2 + |w|^2/2) / (2 pi)^-3
-        logw = 0.5 * (_dot(v, v) + _dot(w, w)) - 2.0 * _LOG_Q_NORM
-        return v, w, omega, np.exp(logw)
-
-    if which == "sigma-theorem":
-        def lhs_block(rng, m):
-            v, w, sigma, wt = draw(rng, m)
-            rel = _unit_rel(v, w)
-            _, _, k, safe = rel
-            ks = _dot(k, sigma)
-            vs, ws, ss, _ = _swap_inverse(v, w, sigma, e, rel)
-            val = np.asarray(K(vs, ws, ss, v, w, sigma), dtype=float)
-            return np.where(safe, val * B_e_plus(ks) * wt, 0.0)
-
-        def rhs_block(rng, m):
-            v, w, sigma, wt = draw(rng, m)
-            vp, wp, sp, safe = swap_forward(v, w, sigma, e)
-            val = np.asarray(K(v, w, sigma, vp, wp, sp), dtype=float)
-            return np.where(safe, val * wt, 0.0)
-    else:
-        def lhs_block(rng, m):
-            v, w, n, wt = draw(rng, m)
-            _, _, k, safe = _unit_rel(v, w)
-            kn = _dot(k, n)
-            vs, ws = reflect(v, w, n, (1.0 + e) / (2.0 * e))
-            val = np.asarray(K(vs, ws, n, v, w, n), dtype=float)
-            return np.where(safe, val * Bt_e_plus(kn) * wt, 0.0)
-
-        def rhs_block(rng, m):
-            v, w, n, wt = draw(rng, m)
-            _, _, k, safe = _unit_rel(v, w)
-            kn = _dot(k, n)
-            vp, wp = reflect(v, w, n, 0.5 * (1.0 + e))
-            val = np.asarray(K(v, w, n, vp, wp, n), dtype=float)
-            return np.where(safe, val * (2.0 * np.abs(kn)) * wt, 0.0)
-
-    lhs, se_l = _mc_reduce(lhs_block, samples, seed, 0)
-    rhs, se_r = _mc_reduce(rhs_block, samples, seed, 1 << 62)
-    return lhs, rhs, se_l, se_r
+    (result,) = _mc_identities([(K, e, which)], samples, seed)
+    if isinstance(result, Exception):
+        raise result
+    return result

@@ -329,6 +329,50 @@ def test_exactness_does_not_depend_on_the_block_size(monkeypatch):
         assert measured(1000, e) == measured(n, e)
 
 
+def test_kinematics_suite_draws_each_monte_carlo_block_once(monkeypatch):
+    # the 6 fast Monte Carlo rows share one block per side (seed 7); the
+    # exactness checks draw on seed 2
+    block_rng = kin.block_rng
+    drawn = []
+
+    def spy(seed, tag):
+        drawn.append((seed, tag))
+        return block_rng(seed, tag)
+
+    monkeypatch.setattr(kin, "block_rng", spy)
+    report = harness.verify("kinematics", fast=True)
+    assert report["passed"]
+    assert [d for d in drawn if d[0] != 2] == [(7, 0), (7, 1 << 62)]
+
+
+def test_a_raising_kernel_errors_only_its_own_monte_carlo_rows(monkeypatch):
+    params = dataclasses.replace(harness.FAST, kin_triples=2000, kernel_seeds=(11, 23))
+
+    def suite():
+        rows, raw = [], {}
+        harness._suite_kinematics({}, params, rows, raw)
+        return rows, raw
+
+    good_rows, good_raw = suite()
+    kernel = harness._gaussian_kernel
+
+    def raising(*args):
+        raise RuntimeError("synthetic kernel failure")
+
+    monkeypatch.setattr(harness, "_gaussian_kernel",
+                        lambda seed: raising if seed == 23 else kernel(seed))
+    rows, raw = suite()
+    assert [r["name"] for r in rows] == [r["name"] for r in good_rows]
+    for row, good in zip(rows, good_rows):
+        if "kernel=23" in row["name"]:
+            assert row["status"] == "error"
+            assert "synthetic kernel failure" in row["detail"]["error"]
+        else:
+            assert json.dumps(row) == json.dumps(good)
+    assert json.dumps(raw["mc_identities"]) == json.dumps(
+        [r for r in good_raw["mc_identities"] if "kernel=23" not in r["name"]])
+
+
 def test_an_elastic_swap_map_fails_the_energy_law(monkeypatch):
     # the e = 1 map keeps momentum but not the inelastic energy loss
     swap = kin._swap_velocities

@@ -396,6 +396,68 @@ def test_mc_sample_stream_is_pinned(which):
     assert got == reference_mc(K, 0.6, which, samples, 9)
 
 
+def hexed(result):
+    return [x.hex() for x in result]
+
+
+def test_mc_does_not_depend_on_the_tile_size(monkeypatch):
+    # two full blocks and a partial one, so a partial tile too
+    K = gaussian_pair_kernel(23)
+    samples = 2 * 65536 + 5
+
+    def run(tile, e, which):
+        monkeypatch.setattr(kin, "_MC_TILE", tile)
+        return hexed(kin.mc_change_of_variables(K, e, which=which, samples=samples, seed=9))
+
+    for e in (0.3, 0.99):
+        for which in ("sigma-theorem", "n-theorem"):
+            assert run(1000, e, which) == run(1 << 16, e, which)
+
+
+def test_shared_identities_equal_separate_calls():
+    jobs = [(gaussian_pair_kernel(ks), e, which) for ks in (11, 23, 47) for e in (0.4, 0.95)
+            for which in ("sigma-theorem", "n-theorem")]
+    shared = kin._mc_identities(jobs, 70_000, 3)
+    assert len(shared) == len(jobs)
+    for (K, e, which), got in zip(jobs, shared):
+        assert hexed(got) == hexed(kin.mc_change_of_variables(K, e, which=which,
+                                                              samples=70_000, seed=3))
+
+
+def test_a_failing_identity_fails_alone():
+    def nan_kernel(v1, w1, o1, v2, w2, o2):
+        return np.full(np.asarray(v1).shape[0], np.nan)
+
+    def raising_kernel(*args):
+        raise RuntimeError("kernel out of order")
+
+    good = [(gaussian_pair_kernel(11), 0.5, "sigma-theorem"),
+            (gaussian_pair_kernel(23), 0.7, "n-theorem")]
+    jobs = [good[0], (nan_kernel, 0.5, "n-theorem"),
+            (raising_kernel, 0.5, "sigma-theorem"), good[1]]
+    first, nan, raised, last = kin._mc_identities(jobs, 70_000, 5)
+    for (K, e, which), got in zip(good, (first, last)):
+        assert hexed(got) == hexed(kin.mc_change_of_variables(K, e, which=which,
+                                                              samples=70_000, seed=5))
+    assert type(nan) is ValueError
+    assert str(nan) == "kernel produced non-finite Monte Carlo samples"
+    assert type(raised) is RuntimeError and str(raised) == "kernel out of order"
+    # a job that cannot start fails alone too
+    bad_e, ok = kin._mc_identities([(good[0][0], 1.5, "sigma-theorem"), good[0]], 10, 5)
+    assert type(bad_e) is ValueError
+    assert ok == kin.mc_change_of_variables(good[0][0], 0.5, samples=10, seed=5)
+
+
+def test_mc_samples_must_be_a_positive_integer():
+    K = gaussian_pair_kernel(17)
+    for samples in (1e6, 2.5, True, 0, -3):
+        with pytest.raises(ValueError, match="^samples must be a positive integer$"):
+            kin.mc_change_of_variables(K, 0.5, samples=samples, seed=1)
+    got = kin.mc_change_of_variables(K, 0.5, samples=np.int64(1000), seed=1)
+    assert all(type(x) is float for x in got)
+    assert hexed(got) == hexed(kin.mc_change_of_variables(K, 0.5, samples=1000, seed=1))
+
+
 def test_maps_are_bit_identical_in_any_layout():
     rows = [RNG.standard_normal((257, 3)) for _ in range(3)]
     rows[2] = unit(rows[2])
