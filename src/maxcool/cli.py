@@ -2,16 +2,18 @@
 
 Subcommands: evolve (deterministic solver run), dsmc (particle run), steady
 (stationary profile solve), sweep-eps (small-inelasticity sweep), verify
-(named check suites), kincheck (fast collision-law exactness check). Flag
-precedence is CLI > config file (flat key=value via --config) > defaults.
-Exit codes: 0 success, 1 numerical failure, 2 usage error. Every run is
-deterministic given its flags; artifacts carry the provenance stamp of the
-config fields their command reads, and its SHA-256.
+(named check suites), kincheck (fast collision-law exactness check), compare
+(the diff of two verify reports). Flag precedence is CLI > config file (flat
+key=value via --config) > defaults. Exit codes: 0 success, 1 numerical
+failure (for compare: reports that are not equivalent), 2 usage error. Every
+run is deterministic given its flags; artifacts carry the provenance stamp of
+the config fields their command reads, and its SHA-256.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import sys
 
@@ -126,6 +128,12 @@ def _build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--triples", type=int, default=100_000,
                     help="random collision triples per value")
     _add_common(pk)
+
+    pc = sub.add_parser("compare", help="diff two verify reports (exit 1 unless equivalent)")
+    pc.add_argument("old", help="report JSON of the reference run")
+    pc.add_argument("new", help="report JSON to compare with it")
+    pc.add_argument("--rtol", type=float, default=0.0,
+                    help="relative move a value may make (default 0: the same bits)")
     return parser
 
 
@@ -265,6 +273,45 @@ def _cmd_kincheck(args: argparse.Namespace) -> int:
     return 1 if worst_fail else 0
 
 
+def _load_report(path: str) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        report = json.load(fh)
+    if not isinstance(report, dict) or not isinstance(report.get("checks"), list):
+        raise ValueError(f"{path} is not a verify report (no list of checks)")
+    return report
+
+
+def _cmd_compare(old: dict, new: dict, rtol: float) -> int:
+    diff = harness.compare_reports(old, new, rtol)
+    for v in diff["verdicts"]:
+        print(f"verdict {v['suite']}/{v['row']}: {v['old']} -> {v['new']}")
+    for kind in ("missing", "added"):
+        for name in diff[kind]:
+            print(f"{kind} row {name}")
+    for m in diff["moves"]:
+        where = f"{m['row']}: {m['field']}" if m["row"] is not None else m["field"]
+        rel = "" if m["rel"] is None else f"rel {m['rel']:.3g}, "
+        bits = "" if m["old_hex"] is None or m["new_hex"] is None else \
+            f"{m['old_hex']} -> {m['new_hex']}, "
+        print(f"{'moved' if m['beyond'] else 'within'} {where}: {m['old']!r} -> "
+              f"{m['new']!r} ({rel}{bits}bound {m['bound']!r})")
+    for f in diff["provenance"]:
+        print(f"stamp {f['field']}: {f['old']!r} -> {f['new']!r}")
+    if diff["config_sha256"]:
+        print("config_sha256: {} -> {}".format(*diff["config_sha256"]))
+    for name, times in diff["suite_elapsed"].items():
+        print(f"elapsed {name}: " + " -> ".join("-" if t is None else f"{t:.3f}"
+                                               for t in times) + " s")
+    beyond = sum(m["beyond"] for m in diff["moves"])
+    print(f"compare: {diff['rows'][0]} -> {diff['rows'][1]} rows, "
+          f"{len(diff['verdicts'])} verdicts changed, {len(diff['added'])} added, "
+          f"{len(diff['missing'])} missing; {len(diff['moves'])} of {diff['compared']} "
+          f"values moved, {beyond} beyond rtol {rtol:g}; "
+          f"{len(diff['provenance'])} stamp fields differ; "
+          f"{'equivalent' if diff['equivalent'] else 'NOT equivalent'}")
+    return 0 if diff["equivalent"] else 1
+
+
 def run_cli(argv=None) -> int:
     """Parse argv and execute; returns the process exit status."""
     parser = _build_parser()
@@ -284,6 +331,11 @@ def run_cli(argv=None) -> int:
             if args.triples < 1:
                 raise ValueError(f"triples must be positive, got {args.triples}")
             cfg = None
+        elif args.command == "compare":
+            if not args.rtol >= 0.0:
+                raise ValueError(f"rtol must be nonnegative, got {args.rtol}")
+            reports = _load_report(args.old), _load_report(args.new)
+            cfg = None
         else:
             cfg = _resolve(args)
         x_grid = _parse_x_grid(args.x_grid) if args.command == "dsmc" else None
@@ -302,6 +354,8 @@ def run_cli(argv=None) -> int:
             return _cmd_sweep(cfg)
         if args.command == "verify":
             return _cmd_verify(cfg)
+        if args.command == "compare":
+            return _cmd_compare(*reports, args.rtol)
         return _cmd_kincheck(args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,7 +26,9 @@ verdict. A report-only row has bound and slack None and passes. A check
 that raises becomes an "error" row under its own name and claim, with
 measured, bound and slack None and detail {"error": repr(exc)}; a suite
 that raises keeps the rows and raw data it made, followed by one error row
-named after the suite, claim "suite execution".
+named after the suite, claim "suite execution". `compare_reports` diffs two
+reports row by row and value by value, and says whether they are the same
+bits (or within a relative tolerance) with the same verdicts.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ __all__ = [
     "sweep_epsilon",
     "verify",
     "save_report",
+    "compare_reports",
     "SUITES",
 ]
 
@@ -1062,3 +1065,114 @@ def save_report(path, report: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
+
+
+# ---------------------------------------------------------------------------
+# report comparison
+
+# the report keys that `compare_reports` does not compare leaf by leaf: the
+# rows (matched by name), the timings and the stamp (reported only), and the
+# artifact paths (where the files went)
+_NOT_LEAVES = ("checks", "elapsed_seconds", "suite_elapsed", "provenance",
+               "config_sha256", "artifacts")
+
+
+def _leaves(obj, path: str = "") -> dict:
+    """{path: value} for every leaf of nested dicts and lists."""
+    if isinstance(obj, dict):
+        items = ((f"{path}.{k}" if path else str(k), v) for k, v in obj.items())
+    elif isinstance(obj, list):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return {path: obj}
+    return {p: leaf for key, v in items for p, leaf in _leaves(v, key).items()}
+
+
+def _hex(v) -> str | None:
+    return float(v).hex() if isinstance(v, (int, float)) and not isinstance(v, bool) else None
+
+
+def _moves(old: dict, new: dict, rtol: float, row=None, bound=None) -> list[dict]:
+    """The leaves of `old` and `new` (as `_leaves` gives) that differ.
+
+    Two numbers differ unless they hold the same bits, which `float.hex`
+    shows, and it writes every NaN as "nan", so NaN equals NaN. A move between
+    them is beyond rtol unless rtol > 0 and |new - old| <= rtol |old|.
+    Any other leaf, or one on one side only (None on the other), differs
+    when it is not equal and of the same type, and is beyond any rtol.
+    """
+    out = []
+    for path in {**old, **new}:
+        a, b = old.get(path), new.get(path)
+        ha, hb = _hex(a), _hex(b)
+        if ha is not None and hb is not None:
+            if ha == hb:
+                continue
+            rel = abs(float(b) - float(a)) / abs(float(a)) if float(a) else math.inf
+            beyond = not (rtol > 0 and rel <= rtol)
+        elif a == b and type(a) is type(b) and path in old and path in new:
+            continue
+        else:
+            rel, beyond = None, True
+        out.append({"row": row, "field": path, "old": a, "new": b, "old_hex": ha,
+                    "new_hex": hb, "rel": rel, "bound": bound, "beyond": beyond})
+    return out
+
+
+def compare_reports(old: dict, new: dict, rtol: float = 0.0) -> dict:
+    """What moved between two `verify` reports, and whether they are equivalent.
+
+    Rows are matched by name. The diff holds:
+    - `verdicts`: the rows whose status changed, old -> new;
+    - `added` and `missing`: the names of the rows only in new or only in old;
+    - `moves`: each leaf that differs (`_moves`) among the rows' fields
+      (measured, bound, slack, claim, the leaves of detail) and the report's
+      other keys (the sweep table, say), with both values and their
+      float.hex, the relative move |new - old|/|old|, the row's bound and
+      whether the move is beyond rtol; `compared` counts the leaves;
+    - `provenance`: the stamp fields that differ (BLAS kernel and threads,
+      versions, table), and `config_sha256` old -> new if it differs;
+    - `suite_elapsed`: each suite's time, old -> new.
+    The reports are `equivalent` when no verdict changed, no row was added
+    or is missing and no move is beyond rtol. rtol = 0, the default, asks
+    for the same bits everywhere. Timings and the stamp never make reports
+    inequivalent: another BLAS kernel or thread count may round sums
+    otherwise, and the stamp fields that differ say so.
+    """
+    if not rtol >= 0.0:
+        raise ValueError(f"rtol must be nonnegative, got {rtol}")
+    old_rows = {c["name"]: c for c in old["checks"]}
+    new_rows = {c["name"]: c for c in new["checks"]}
+    verdicts, moves, compared = [], [], 0
+    for name in [n for n in old_rows if n in new_rows]:
+        a, b = old_rows[name], new_rows[name]
+        if a["status"] != b["status"]:
+            verdicts.append({"row": name, "suite": b.get("suite"),
+                             "old": a["status"], "new": b["status"]})
+        la, lb = (_leaves({k: v for k, v in r.items() if k not in ("name", "status")})
+                  for r in (a, b))
+        compared += len({**la, **lb})
+        moves += _moves(la, lb, rtol, name, b["bound"])
+    la, lb = (_leaves({k: v for k, v in r.items() if k not in _NOT_LEAVES})
+              for r in (old, new))
+    compared += len({**la, **lb})
+    moves += _moves(la, lb, rtol)
+    stamp = _moves(_leaves(old.get("provenance", {})), _leaves(new.get("provenance", {})), 0.0)
+    elapsed = [old.get("suite_elapsed", {}), new.get("suite_elapsed", {})]
+    added = [n for n in new_rows if n not in old_rows]
+    missing = [n for n in old_rows if n not in new_rows]
+    return {
+        "rows": [len(old_rows), len(new_rows)],
+        "verdicts": verdicts,
+        "added": added,
+        "missing": missing,
+        "moves": moves,
+        "compared": compared,
+        "provenance": [{k: m[k] for k in ("field", "old", "new")} for m in stamp],
+        "config_sha256": (None if old.get("config_sha256") == new.get("config_sha256")
+                          else [old.get("config_sha256"), new.get("config_sha256")]),
+        "suite_elapsed": {k: [elapsed[0].get(k), elapsed[1].get(k)]
+                          for k in {**elapsed[0], **elapsed[1]}},
+        "equivalent": not (verdicts or added or missing
+                           or any(m["beyond"] for m in moves)),
+    }

@@ -86,9 +86,32 @@ def simpson_weights(x: np.ndarray) -> np.ndarray:
     An even node count integrates the first n - 1 nodes by the plain rule and
     the last interval by Cartwright's correction, weights 5h/12, 2h/3 and
     -h/12 on the last three nodes, as scipy.integrate.simpson does.
+
+    The weights depend only on n and the spacing h = (x[-1] - x[0])/(n - 1),
+    so for h > 0 they are computed once per (n, h) and kept, read-only,
+    while that lattice is among the last `spectral._CACHE_CAP` built;
+    `simpson`, `RadialDensity` and `reconstruct` read the kept weights. The
+    values are those of computing them afresh, bit for bit, and this function
+    returns a new array that the caller owns.
     """
+    return _simpson_table(x).copy()
+
+
+_SIMPSON_CACHE: dict[tuple, np.ndarray] = {}
+
+
+def _simpson_table(x) -> np.ndarray:
+    # the weights of `simpson_weights`, kept per lattice and read-only; the
+    # key holds h's type beside its value, since a float32 h makes other
+    # weights, and a zero, negative or NaN spacing is not kept
     n = len(x)
     h = (x[-1] - x[0]) / (n - 1)
+    if not h > 0:
+        return _simpson_build(n, h)
+    return spectral._cached(_SIMPSON_CACHE, (n, type(h), h), lambda: _simpson_build(n, h))
+
+
+def _simpson_build(n: int, h) -> np.ndarray:
     m = n if n % 2 else n - 1
     w = np.zeros(n)
     w[0:m - 2:2] += h / 3.0
@@ -96,12 +119,13 @@ def simpson_weights(x: np.ndarray) -> np.ndarray:
     w[2:m:2] += h / 3.0
     if m < n:
         w[-3:] += h * np.array([-1.0 / 12.0, 2.0 / 3.0, 5.0 / 12.0])
+    w.flags.writeable = False
     return w
 
 
 def simpson(y, x: np.ndarray) -> float:
     """Composite Simpson rule for samples y on the uniform grid x (n >= 3)."""
-    return float(simpson_weights(x) @ np.asarray(y, dtype=float))
+    return float(_simpson_table(x) @ np.asarray(y, dtype=float))
 
 
 def default_r_nodes(r_max: float = 8.0, n: int = 1601) -> np.ndarray:
@@ -290,7 +314,7 @@ def reconstruct(phi: CharacteristicProfile, r_nodes) -> RadialDensity:
     vals, live = spectral._evaluate(phi, xq)
     M = int(np.count_nonzero(live))
     xs = xq[:M]
-    wq = simpson_weights(xq)[:M] * vals[:M]
+    wq = _simpson_table(xq)[:M] * vals[:M]
 
     f = np.empty_like(r)
     f[0] = float(wq @ (xs * xs)) / (2.0 * math.pi ** 2)

@@ -571,19 +571,35 @@ def gain_scales(e: float, quad_order: int = QUAD_ORDER):
     a- = (1 + e) u/2 is linear in u (see `QUAD_ORDER` for why). a+ is the
     same function of s as in the module docstring. Orders below
     `QUAD_ORDER` are rejected: they are not at round-off. Every gain path
-    (`step`, `gain_fourier`, `steady_residual`) builds its plan here.
+    (`step`, `gain_fourier`, `steady_residual`) builds its plan here, and so
+    does the start of every steady solve (`_stationary_taylor`).
+
+    The rule's u, s and w depend on the order alone, so they are computed
+    once per order and kept, read-only, while the order is among the last
+    `_CACHE_CAP` built; an order is checked before it is looked up. The
+    values are those of computing the rule afresh, bit for bit, and every
+    call returns new arrays that the caller owns.
     """
     e = _check_e(e)
     if quad_order < QUAD_ORDER:
         raise ValueError(f"quad_order must be at least {QUAD_ORDER}, got {quad_order}")
-    t, w = leggauss(int(quad_order))
-    u = 0.5 * (t + 1.0)
-    s = 1.0 - 2.0 * u * u
-    w = 2.0 * w * u  # ds = -4u du, and the Gauss-Legendre weights on [0, 1] are w/2
+    q = int(quad_order)
+    u, s, w = _cached(_RULE_CACHE, (q,), lambda: _u_rule(q))
     a_minus = 0.5 * (1.0 + e) * u
     a_plus = np.sqrt(((3.0 - e) / 4.0) ** 2 + ((1.0 + e) / 4.0) ** 2
                      + s * (3.0 - e) * (1.0 + e) / 8.0)
-    return s, w, a_minus, a_plus
+    return s.copy(), w.copy(), a_minus, a_plus
+
+
+def _u_rule(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # the nodes u and s and the weights w of `gain_scales` at order q, read-only
+    t, w = leggauss(q)
+    u = 0.5 * (t + 1.0)
+    s = 1.0 - 2.0 * u * u
+    w = 2.0 * w * u  # ds = -4u du, and the Gauss-Legendre weights on [0, 1] are w/2
+    for a in (u, s, w):
+        a.flags.writeable = False  # shared by every later call at this order
+    return u, s, w
 
 
 def _sorted_pairs(a_minus: np.ndarray, a_plus: np.ndarray, n: int):
@@ -707,6 +723,7 @@ class _GainPlan:
 _PRODUCTS: dict[tuple, np.ndarray] = {}
 _GAIN_CACHE: dict[tuple, _GainPlan] = {}
 _DRIFT_CACHE: dict[tuple, _InterpPlan] = {}
+_RULE_CACHE: dict[tuple, tuple[np.ndarray, ...]] = {}
 _CACHE_CAP = 16
 
 
@@ -1158,8 +1175,10 @@ def d2_distance(phi1: CharacteristicProfile, phi2: CharacteristicProfile,
 # interpolation bias, and a fit through x = 0 would amplify that tiny cusp by
 # 1/h^2. Constant offsets cancel exactly in the curvature coefficients.
 _MOM_NODES = 7
+_MOM_OFFSETS = np.arange(1, _MOM_NODES + 1)
 _MOM_PINV = np.linalg.pinv(np.stack(
-    [(np.arange(1, _MOM_NODES + 1) / _MOM_NODES) ** (2 * j) for j in range(4)], axis=1))
+    [(_MOM_OFFSETS / _MOM_NODES) ** (2 * j) for j in range(4)], axis=1))
+_MOM_PINV_ABS = np.abs(_MOM_PINV).sum(axis=1)  # the fit's roundoff gain per coefficient
 
 
 # m2 = -6 phi''(0)/2 and m4 = 120 phi''''(0)/24, where phi''(0)/2 and
@@ -1169,11 +1188,10 @@ _MOM_FACTOR = {2: -6.0, 4: 120.0}
 
 def _even_fit(vals: np.ndarray, h: float, spacing: int, order: int) -> tuple[float, float]:
     # returns (the moment of this order, roundoff scale of the fit)
-    k = np.arange(1, _MOM_NODES + 1) * spacing
+    k = _MOM_OFFSETS * spacing
     span = k[-1] * h
     coef = _MOM_PINV @ vals[k]
-    eps_amp = np.finfo(float).eps * float(np.max(np.abs(vals[k]))) \
-        * np.abs(_MOM_PINV).sum(axis=1)
+    eps_amp = np.finfo(float).eps * float(np.max(np.abs(vals[k]))) * _MOM_PINV_ABS
     c, j = _MOM_FACTOR[order], order // 2
     return c * (coef[j] / span ** order), abs(c) * (eps_amp[j] / span ** order)
 

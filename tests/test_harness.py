@@ -609,6 +609,8 @@ def test_cli_usage_errors():
     assert run_cli(["evolve", "--grid-n", "64"]) == 2
     assert run_cli(["kincheck", "--e", "1.5"]) == 2
     assert run_cli(["kincheck", "--triples", "0"]) == 2
+    assert run_cli(["compare", "no-such-report.json", "no-such-report.json"]) == 2
+    assert run_cli(["compare", "a.json", "b.json", "--rtol", "-1"]) == 2
     assert run_cli(["--help"]) == 0
 
 
@@ -744,3 +746,80 @@ def test_cli_sweep_exit_codes(tmp_path, capsys):
     assert run_cli(["sweep-eps", "--eps", "0.1,0.02"] + common) == 1
     err = capsys.readouterr().err
     assert "c_stable=False" in err
+
+
+# ---------------------------------------------------------------------------
+# report comparison
+
+@pytest.fixture(scope="module")
+def small_report():
+    return harness.verify("inequalities", fast=True)
+
+
+def _compare_cli(tmp_path, old, new, *flags):
+    paths = [tmp_path / "old.json", tmp_path / "new.json"]
+    for path, report in zip(paths, (old, new)):
+        harness.save_report(path, report)
+    return run_cli(["compare", *map(str, paths), *flags])
+
+
+def test_compare_of_a_report_with_itself_is_empty(small_report, tmp_path, capsys):
+    new = json.loads(json.dumps(small_report))  # what a saved report reads back as
+    new["checks"][0]["detail"]["nan"] = math.nan  # NaN equals NaN
+    old = json.loads(json.dumps(small_report))
+    old["checks"][0]["detail"]["nan"] = math.nan
+    # timings and the stamp are reported, and never make reports inequivalent
+    new["elapsed_seconds"] += 1.0
+    new["suite_elapsed"]["inequalities"] += 1.0
+    old["provenance"]["blas"] = {"corename": "SkylakeX", "threads": 1}
+    new["provenance"]["blas"] = {"corename": "Sandybridge", "threads": 2}
+    new["config_sha256"] = "0" * 64
+    diff = harness.compare_reports(old, new)
+    assert diff["equivalent"] and diff["compared"] > 5 * len(old["checks"])
+    assert not (diff["verdicts"] or diff["added"] or diff["missing"] or diff["moves"])
+    assert {f["field"] for f in diff["provenance"]} == {"blas.corename", "blas.threads"}
+    assert diff["config_sha256"] == [old["config_sha256"], "0" * 64]
+    assert _compare_cli(tmp_path, old, new) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith(
+        "0 verdicts changed, 0 added, 0 missing; 0 of %d values moved, 0 beyond rtol 0; "
+        "2 stamp fields differ; equivalent" % diff["compared"])
+
+
+def test_compare_shows_one_changed_bit_of_measured_in_hex(small_report, tmp_path, capsys):
+    new = json.loads(json.dumps(small_report))
+    row = new["checks"][1]
+    was = row["measured"]
+    row["measured"] = float(np.nextafter(was, math.inf))
+    (move,) = harness.compare_reports(small_report, new)["moves"]
+    assert (move["row"], move["field"], move["beyond"]) == (row["name"], "measured", True)
+    assert (move["old_hex"], move["new_hex"]) == (was.hex(), row["measured"].hex())
+    assert move["bound"] == row["bound"] and 0.0 < move["rel"] < 1e-15
+    assert _compare_cli(tmp_path, small_report, new) == 1
+    out = capsys.readouterr().out
+    assert f"{was.hex()} -> {row['measured'].hex()}" in out and "NOT equivalent" in out
+    assert _compare_cli(tmp_path, small_report, new, "--rtol", "1e-15") == 0
+
+
+def test_compare_exits_1_on_a_verdict_flip(small_report, tmp_path, capsys):
+    new = json.loads(json.dumps(small_report))
+    row = new["checks"][2]
+    assert row["status"] == "pass"
+    row["status"] = "fail"
+    diff = harness.compare_reports(small_report, new, rtol=1.0)
+    assert diff["verdicts"] == [{"row": row["name"], "suite": "inequalities",
+                                 "old": "pass", "new": "fail"}]
+    assert not diff["moves"] and not diff["equivalent"]
+    assert _compare_cli(tmp_path, small_report, new, "--rtol", "1") == 1
+    assert f"verdict inequalities/{row['name']}: pass -> fail" in capsys.readouterr().out
+
+
+def test_compare_reports_a_missing_row(small_report, tmp_path, capsys):
+    new = json.loads(json.dumps(small_report))
+    gone = new["checks"].pop(3)
+    diff = harness.compare_reports(small_report, new)
+    assert diff["missing"] == [gone["name"]] and not diff["added"]
+    assert diff["rows"] == [len(small_report["checks"]), len(new["checks"])]
+    assert not diff["moves"] and not diff["equivalent"]
+    assert harness.compare_reports(new, small_report)["added"] == [gone["name"]]
+    assert _compare_cli(tmp_path, small_report, new) == 1
+    assert f"missing row {gone['name']}" in capsys.readouterr().out

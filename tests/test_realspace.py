@@ -61,6 +61,53 @@ def test_simpson_matches_scipy(n):
         assert abs(rs.simpson(y, x) - ref) <= 1e-15 * ref
 
 
+def _simpson_weights_afresh(x):
+    # simpson_weights as it was before its weights were kept: the reference
+    n = len(x)
+    h = (x[-1] - x[0]) / (n - 1)
+    m = n if n % 2 else n - 1
+    w = np.zeros(n)
+    w[0:m - 2:2] += h / 3.0
+    w[1:m - 1:2] += 4.0 * h / 3.0
+    w[2:m:2] += h / 3.0
+    if m < n:
+        w[-3:] += h * np.array([-1.0 / 12.0, 2.0 / 3.0, 5.0 / 12.0])
+    return w
+
+
+def test_kept_simpson_weights_equal_the_weights_built_afresh(monkeypatch):
+    monkeypatch.setattr(rs, "_SIMPSON_CACHE", {})
+    # h = 1 on the first two lattices: a float32 spacing of the same value
+    # makes other weights, so it must not be served the float64 ones
+    lattices = [np.linspace(0.0, 8.0, 9), np.linspace(0.0, 8.0, 9, dtype=np.float32),
+                np.linspace(0.0, 8.0, 10), np.linspace(0.0, 30.0, 4097),
+                np.linspace(0.0, 0.0, 9), np.linspace(8.0, 0.0, 9)]
+    for x in lattices + lattices:  # built, then kept
+        ref = _simpson_weights_afresh(x)
+        got = rs.simpson_weights(x)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), x
+        y = np.cos(x.astype(float))
+        assert rs.simpson(y, x) == float(ref @ y)
+    # one entry per lattice with a positive spacing
+    assert len(rs._SIMPSON_CACHE) == 4
+
+
+def test_simpson_weights_hand_out_arrays_the_kept_weights_do_not_share(monkeypatch):
+    monkeypatch.setattr(rs, "_SIMPSON_CACHE", {})
+    x = np.linspace(0.0, 8.0, 1601)
+    y = x * x * np.exp(-x * x / 2.0)
+    total = rs.simpson(y, x)
+    w = rs.simpson_weights(x)
+    ref = w.copy()
+    w[:] = np.nan  # the caller owns it
+    assert rs.simpson(y, x) == total
+    assert rs.simpson_weights(x).tobytes() == ref.tobytes()
+    (kept,) = rs._SIMPSON_CACHE.values()
+    assert not kept.flags.writeable and kept.tobytes() == ref.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        kept[0] = 0.0
+
+
 @pytest.mark.parametrize("n", [9, 10, 1601])
 def test_trapezoid_matches_scipy_bit_for_bit(n):
     from scipy.integrate import trapezoid as scipy_trapezoid

@@ -183,6 +183,42 @@ def test_gain_nodes_are_gauss_legendre_in_u(q):
     assert np.all(np.abs(am * am + ap * ap - 1.0) <= 4 * np.spacing(1.0))
 
 
+def _gain_scales_afresh(e, q):
+    # gain_scales as it was before its rule was cached: the reference
+    t, w = np.polynomial.legendre.leggauss(q)
+    u = 0.5 * (t + 1.0)
+    s = 1.0 - 2.0 * u * u
+    w = 2.0 * w * u
+    a_minus = 0.5 * (1.0 + e) * u
+    a_plus = np.sqrt(((3.0 - e) / 4.0) ** 2 + ((1.0 + e) / 4.0) ** 2
+                     + s * (3.0 - e) * (1.0 + e) / 8.0)
+    return s, w, a_minus, a_plus
+
+
+@pytest.mark.parametrize("q", [sp.QUAD_ORDER, 32, 64])
+def test_gain_scales_from_the_kept_rule_equal_the_rule_built_afresh(q, monkeypatch):
+    monkeypatch.setattr(sp, "_RULE_CACHE", {})
+    for e in (0.2, 0.96, 1.0, 0.2):  # the first call builds the rule, the rest reuse it
+        got = sp.gain_scales(e, q)
+        for a, b in zip(got, _gain_scales_afresh(e, q)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (q, e)
+    assert list(sp._RULE_CACHE) == [(q,)]
+
+
+def test_gain_scales_hand_out_arrays_the_kept_rule_does_not_share(monkeypatch):
+    monkeypatch.setattr(sp, "_RULE_CACHE", {})
+    first = sp.gain_scales(0.9, 32)
+    ref = [a.copy() for a in first]
+    for a in first:  # the caller owns them
+        a[:] = np.nan
+    for a, b in zip(sp.gain_scales(0.9, 32), ref):
+        assert a.tobytes() == b.tobytes()
+    (kept,) = sp._RULE_CACHE.values()
+    assert not any(a.flags.writeable for a in kept)
+    with pytest.raises(ValueError, match="read-only"):
+        kept[0][0] = 0.0
+
+
 def test_every_gain_runs_at_the_one_quad_order(monkeypatch):
     assert sp.SolverConfig().quad_order == sp.QUAD_ORDER
     monkeypatch.setattr(sp, "_GAIN_CACHE", {})
@@ -201,6 +237,7 @@ def test_dissipation_rate_single_source():
 def test_gain_rejects_a_quad_order_below_the_default(monkeypatch):
     # every gain path builds its plan through gain_scales, which holds the guard
     monkeypatch.setattr(sp, "_GAIN_CACHE", {})
+    monkeypatch.setattr(sp, "_RULE_CACHE", {})
     phi = sp.CharacteristicProfile.maxwellian(sp.RadialGrid(1024, 30.0))
     with pytest.raises(ValueError, match="quad_order"):
         sp.gain_fourier(phi, 0.5, 8)
@@ -210,7 +247,7 @@ def test_gain_rejects_a_quad_order_below_the_default(monkeypatch):
         sp.step(phi, 0.5, sp.SolverConfig(dt=0.01, t_max=1.0, quad_order=16))
     with pytest.raises(ValueError, match="quad_order"):
         sp.gain_scales(0.5, 8)
-    assert not sp._GAIN_CACHE
+    assert not sp._GAIN_CACHE and not sp._RULE_CACHE  # checked before it is looked up
     for q in (32, 64):  # the orders the benchmark passes
         assert sp.gain_fourier(phi, 0.5, q).values[0] == 1.0
         assert math.isfinite(sp.steady_residual(phi, 0.5, q))
