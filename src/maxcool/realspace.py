@@ -14,8 +14,10 @@ per lattice (about 4 m sqrt(R) sines) and stay resident, 32 m sqrt(R) bytes
 per lattice, in a FIFO cache of at most `spectral._CACHE_CAP` lattices.
 `reconstruct` sums only the abscissae below the profile's saturated tail,
 past which phi is exactly +0 (x ~ 11 for a Gaussian tail on the (4096, 50)
-grid, so 22 % are summed): one `spectral._evaluate` call gathers phi there,
-and the sums read only their rows of the lattice's tables, as views.
+grid, so 22 % are summed): an interpolation plan of the lattice's abscissae,
+kept per lattice in a FIFO of the same size and filled only as far as a
+profile's live prefix has needed, gathers phi there, and the sums read only
+their rows of the lattice's tables, as views.
 
 On top of reconstructed (or closed-form sampled) densities this module
 provides the Fisher information I(f) = int 4 pi r^2 f (d ln f / dr)^2 dr,
@@ -274,6 +276,18 @@ def _sine_transform(a: np.ndarray, x: np.ndarray, r: np.ndarray) -> np.ndarray:
     return out.ravel()[:R]
 
 
+_ABSCISSA_CACHE: dict[tuple, spectral._PrefixPlan] = {}
+
+
+def _abscissa_values(phi: CharacteristicProfile, xq: np.ndarray) -> np.ndarray:
+    # phi at the live prefix of the sorted Simpson abscissae xq, through one
+    # interpolation plan per (grid, xq) lattice, kept and filled on demand
+    grid = phi.grid
+    plan = spectral._cached(_ABSCISSA_CACHE, (grid.n, grid.x_max, len(xq)),
+                            lambda: spectral._PrefixPlan(xq / grid.dx, grid.n, grid.dx))
+    return plan.live_values(phi.values)
+
+
 def reconstruct(phi: CharacteristicProfile, r_nodes) -> RadialDensity:
     """Invert a characteristic profile to an isotropic density.
 
@@ -282,16 +296,17 @@ def reconstruct(phi: CharacteristicProfile, r_nodes) -> RadialDensity:
     r = 0 node uses the limit (1/(2 pi^2)) int x^2 phi dx. The m-node sum is
     evaluated at all R nodes at once by angle addition (`_sine_transform`):
     two (sqrt(R) x m)(m x sqrt(R)) products on sine tables computed once per
-    (x, r) lattice and kept. The sums stop at the saturated tail: one
-    `spectral._evaluate` call gathers phi at the abscissae below it, and the
-    rest, exactly +0, are left out. So the sums differ from the full ones
-    only by the BLAS grouping of the products, and a profile without a tail
-    gets the full sums bit for bit. The angle addition needs r_j = j dr to
-    rounding, which is stricter than `RadialDensity`'s uniformity check;
-    np.linspace nodes meet it. Refuses such off-lattice nodes, nonfinite
-    ones, profiles that have not decayed at x_max (tail above 1e-8) and
-    inversions whose negative lobes exceed the clipped-mass budget,
-    reporting the x_max that the tail decay suggests would be needed.
+    (x, r) lattice and kept. The sums stop at the saturated tail: the
+    lattice's kept interpolation plan (`spectral._PrefixPlan`) gathers phi
+    at the abscissae below it, with the values `spectral.evaluate` gives
+    there, and the rest, exactly +0, are left out. So the sums differ from
+    the full ones only by the BLAS grouping of the products, and a profile
+    without a tail gets the full sums bit for bit. The angle addition needs
+    r_j = j dr to rounding, which is stricter than `RadialDensity`'s
+    uniformity check; np.linspace nodes meet it. Refuses such off-lattice
+    nodes, nonfinite ones, profiles that have not decayed at x_max (tail
+    above 1e-8) and inversions whose negative lobes exceed the clipped-mass
+    budget, reporting the x_max that the tail decay suggests would be needed.
     """
     r = _check_r_nodes(r_nodes)
     x_max = phi.grid.x_max
@@ -311,8 +326,8 @@ def reconstruct(phi: CharacteristicProfile, r_nodes) -> RadialDensity:
     xq = np.linspace(0.0, x_max, m)
     # phi is exactly +0 past its saturated tail, so only the live abscissae,
     # the first M of the sorted xq (all of them without a tail), are summed
-    vals, live = spectral._evaluate(phi, xq)
-    M = int(np.count_nonzero(live))
+    vals = _abscissa_values(phi, xq)
+    M = len(vals)
     xs = xq[:M]
     wq = _simpson_table(xq)[:M] * vals[:M]
 

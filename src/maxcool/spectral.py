@@ -29,15 +29,18 @@ when a table needs more nodes (`_interior_csr`); the one-sided closure rows
 of the last three nodes are a fixed matrix over the last five. The second,
 the plan's gather matrix (six weights per query), maps the node table to the
 queries; its rows are computed once per query. Gain and drift plans are
-cached; `evaluate` builds an uncached one per call. Both
-products run scipy's compiled `csr_matvec`, the kernel behind
-`csr_matrix @ x`, loaded from scipy.sparse's extension file with the first
-plan or node table (`_csr_matvec`). scipy.sparse itself is never imported
+cached; `evaluate` builds an uncached one per call. The gain adds a third
+CSR product, which sums each grid node's quadrature products in node order
+(`_GainPlan`). All three products run scipy's compiled `csr_matvec`, the
+kernel behind `csr_matrix @ x`, loaded from scipy.sparse's extension file
+with the first plan or node table (`_csr_matvec`). scipy.sparse itself is never imported
 (its import costs 0.1-0.2 s), and code that evaluates no profile (DSMC, the
-kinematics Monte Carlo, the stamp) does not load the kernel either. The
-table of phi = 1 is exactly zero and the gain is evaluated in deviation
-form, so the constant profile phi = 1 is a fixed point of the gain and of
-the drift resample bit for bit.
+kinematics Monte Carlo, the stamp) does not load the kernel either, and no
+gain, drift or node table calls a BLAS routine. The table of phi = 1 is
+exactly zero, so every query of phi = 1 is exactly 1, and the gain's
+weights sum left to right to exactly 2 (`gain_scales`): the constant
+profile phi = 1 is a fixed point of the gain and of the drift resample bit
+for bit.
 
 The node table is computed only up to the saturated tail: the trailing run
 of nodes where phi - 1 == -1 in floating point and the slopes and curvatures
@@ -49,12 +52,11 @@ are computed). So the drift, whose queries x_i exp(E dt/2) are sorted, and
 write +0 for the rest. The gain plan holds its (s-node k, grid node i)
 pairs sorted stably by the interval of their outer query max(a-, a+) x_i,
 each pair's a- and a+ queries in adjacent rows, and an apply evaluates only
-the pairs below the tail: a pair whose outer query lies there has
-product - 1 exactly -1 whatever its finite inner value. The drift,
-`evaluate` and the gain's products are bit for bit the full evaluation. A
-tail node whose products - 1 are all -1, as at every node whose pairs all
-lie past the tail, gets the gain exactly +0, written as such rather than
-summed, whatever BLAS sums the weights; see `_GainPlan`. The gain plan
+the pairs below the tail: a pair whose outer query lies there has product
++-0 whatever its finite inner value, and adds exactly +0 to its node's
+sum. The drift, `evaluate` and the gain are bit for bit the full
+evaluation, and a node whose pairs all lie past the tail gets the gain
+exactly +0; see `_GainPlan`. The gain plan
 computes the weights of its queries on demand, in pair order, only as far
 as an apply has needed: at most once per query, and about a quarter of them
 on the (4096, 50) grid for a Gaussian-tailed profile. A drift plan is filled
@@ -490,9 +492,9 @@ class _InterpPlan:
     of `csr_matrix @ x`, so the sums are those of scipy.sparse bit for bit.
 
     A plan built from its positions is filled at once. A `reserved` plan (the
-    gain's) holds the arrays unfilled: `fill` appends the weights of the next
-    queries, and the reserve is np.empty, so its pages cost no resident
-    memory until they are filled.
+    gain's and `_PrefixPlan`'s) holds the arrays unfilled: `fill` appends the
+    weights of the next queries, and the reserve is np.empty, so its pages
+    cost no resident memory until they are filled.
     """
 
     __slots__ = ("shape", "n", "h", "data", "indices", "filled", "clamped")
@@ -563,12 +565,45 @@ class _InterpPlan:
         return out.reshape(self.shape)
 
 
+class _PrefixPlan:
+    """An `_InterpPlan` of fixed sorted positions, filled as far as its live prefix.
+
+    `live_values(v)` takes the tail start J of `_node_table`, counts the
+    positions whose interval lies below it (M, from the cells computed at
+    construction), fills the plan with those of them not yet filled, and
+    gathers them, as `eval_sorted` does. It returns the M values; every
+    later position is exactly +0 and left out. So a plan fills each query
+    at most once, and only as far as the widest prefix asked of it.
+    """
+
+    __slots__ = ("positions", "cells", "plan")
+
+    def __init__(self, positions: np.ndarray, n: int, h: float) -> None:
+        self.positions = positions
+        self.cells = _cells(positions, n)[1]
+        self.plan = _InterpPlan.reserved(positions.shape, n, h)
+
+    def live_values(self, v: np.ndarray) -> np.ndarray:
+        X, J = _node_table(v, self.plan.h)
+        M = int(np.searchsorted(self.cells, J))
+        plan = self.plan
+        if plan.filled < M:
+            plan.fill(self.positions[plan.filled:M])
+        out = np.zeros(M)
+        plan.gather(M, X.ravel(), out)
+        out += 1.0
+        return out
+
+
 def gain_scales(e: float, quad_order: int = QUAD_ORDER):
     """Quadrature nodes s, weights w and the scale arrays (a-, a+).
 
     The rule is Gauss-Legendre in u = sqrt((1 - s)/2) on [0, 1]: s = 1 - 2u^2
     and ds = -4u du, so the weights are 2 w_GL u, which sum to 2, and
-    a- = (1 + e) u/2 is linear in u (see `QUAD_ORDER` for why). a+ is the
+    a- = (1 + e) u/2 is linear in u (see `QUAD_ORDER` for why). Summed left
+    to right in floating point the weights give exactly 2.0: at orders where
+    the rounded 2 w_GL u do not (26, say), the last weight is replaced by 2
+    minus the sum of the others, a change of a few ulp of 2. a+ is the
     same function of s as in the module docstring. Orders below
     `QUAD_ORDER` are rejected: they are not at round-off. Every gain path
     (`step`, `gain_fourier`, `steady_residual`) builds its plan here, and so
@@ -597,6 +632,12 @@ def _u_rule(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     u = 0.5 * (t + 1.0)
     s = 1.0 - 2.0 * u * u
     w = 2.0 * w * u  # ds = -4u du, and the Gauss-Legendre weights on [0, 1] are w/2
+    # the gain sums w left to right, so phi = 1 is its fixed point bit for bit
+    # only if that sum is exactly 2 (it is at 24, 32, 48 and 64, not at 26);
+    # elsewhere the last weight takes 2 - (sum of the others), exact by
+    # Sterbenz since that sum lies in [1, 2]
+    if np.cumsum(w)[-1] != 2.0:
+        w[-1] = 2.0 - np.cumsum(w[:-1])[-1]
     for a in (u, s, w):
         a.flags.writeable = False  # shared by every later call at this order
     return u, s, w
@@ -626,41 +667,42 @@ class _GainPlan:
 
     `apply` evaluates only the pairs below the saturated tail, the trailing
     run of saturated intervals from J on (`_node_table`), and takes every
-    other product - 1 as exactly -1. Those are the products of the full
-    evaluation bit for bit for a finite profile: a query in a saturated
-    interval gets the dot product fl(-W0 - W1) = -1, since W0 = fl(1 - W1)
-    and fl(fl(1 - W1) + W1) = 1 for W1 in [0, 1] (exact by Sterbenz for
+    other product as exactly +0. That is the product of the full evaluation
+    up to its sign for a finite profile: a query in a saturated interval
+    gets the dot product fl(-W0 - W1) = -1, since W0 = fl(1 - W1) and
+    fl(fl(1 - W1) + W1) = 1 for W1 in [0, 1] (exact by Sterbenz for
     W1 >= 1/2, a half-ulp tie rounding to 1 below that; `_InterpPlan` checks
-    it for every query), so the query evaluates to +0, the pair's product
-    is +-0 whatever its finite inner value, and the product - 1 is -1.
-    Without a tail (phi = 1, say) every pair is evaluated.
+    it for every query), so the query evaluates to +0 and the pair's product
+    is +-0 whatever its finite inner value. Without a tail (phi = 1, say)
+    every pair is evaluated.
 
+    The products go into a zeroed buffer in pair order, so from P = below[J]
+    on it holds exactly +0. The gain at node i is then
+    (1/2) sum_k w_k phi(a-_k x_i) phi(a+_k x_i), summed over k left to
+    right by one CSR product (`_csr_matvec`) whose row i lists the pair
+    positions of node i in node order (`index`), with the weights and the
+    row pointer that every plan of a (q, n) shares (`_node_sums`). A dead
+    pair adds a product of +-0 to a sum that starts at +0, so the sums are
+    those of the full evaluation bit for bit, and no BLAS is called.
     `live[j]` is 1 + the largest grid node i of a pair whose outer query
-    lies below interval j (0 if there is none). Every grid node from
-    live[J] on has all its pairs at or past the tail, so every product - 1
-    is -1 and the gain 1 + (1/2) sum_k w_k (-1) is 0, the exact weights
-    summing to 2. `apply` writes that +0 itself, there and at every other
-    node from J on whose products - 1 are all -1 (a gain that the deviation
-    form cannot tell from 0), rather than leave it to how a BLAS rounds the
-    sum of the floating-point weights. OpenBLAS's dgemv sums the default
-    order's weights to exactly 2, but at many other orders (26, say) to
-    2 - 2.2e-16 or less, which unsaturates the tail of an unscaled run
-    within a fraction of a time unit. It runs the weighted sum over the
-    nodes below live[J] only (rounded up; see `apply`).
+    lies below interval j (0 if there is none); every node from live[J] on
+    has only dead pairs, so its gain is +0 and the product runs over the
+    first live[J] rows only, whose columns lie below reach[live[J] - 1]: the
+    length of the buffer. The weights sum left to right to exactly 2
+    (`gain_scales`), so phi = 1 is a fixed point bit for bit.
 
     The plan's rows are filled on demand, in pair order: an apply that needs
     the first P pairs fills the ones not yet filled, in whole `_PLAN_CHUNK`
     chunks of queries, so no row is computed twice and a plan never fills
     more than an eager build would. The plan holds 2 bytes per query for the
-    int32 `order` and 72 per filled query, beside the shared row pointer; on
-    the (4096, 50) grid an apply to a Gaussian-tailed profile fills about a
-    quarter of them (3.9 MB in all at the default q = 24, against 14.5 MB
-    for every pair). Each apply gathers over views of the plan's arrays. The
-    products go into one scratch (q, n) array per grid shape (`_PRODUCTS`;
-    0.79 MB at q = 24 on the (4096, 50) grid).
+    int32 `order`, 2 more for the int32 `index` and 72 per filled query,
+    beside the shared arrays; on the (4096, 50) grid an apply to a
+    Gaussian-tailed profile fills about a quarter of them. Each apply gathers
+    over views of the plan's arrays.
     """
 
-    __slots__ = ("plan", "w", "q", "a_minus", "a_plus", "order", "below", "live")
+    __slots__ = ("plan", "q", "a_minus", "a_plus", "order", "below", "live", "index",
+                 "reach", "indptr", "weights")
 
     def __init__(self, grid: RadialGrid, e: float, quad_order: int) -> None:
         _, w, self.a_minus, self.a_plus = gain_scales(e, quad_order)
@@ -672,8 +714,16 @@ class _GainPlan:
         ramp = np.arange(grid.n)
         self.live = np.searchsorted(_cells(lowest * ramp, grid.n)[1], ramp)
         self.plan = _InterpPlan.reserved((len(self.order), 2), grid.n, grid.dx)
-        self.w = w
         self.q = int(quad_order)
+        self.indptr, self.weights = _node_sums(w, grid.n)
+        # index[i q + k] is the position of pair (k, i): the inverse of
+        # `order`, transposed from (k, i) to (i, k)
+        position = np.empty(len(self.order), dtype=np.int32)
+        position[self.order] = np.arange(len(self.order), dtype=np.int32)
+        index = position.reshape(self.q, grid.n).T.copy()
+        # the rows up to node i read the first reach[i] products
+        self.reach = np.maximum.accumulate(index.max(axis=1)) + 1
+        self.index = index.reshape(-1)
 
     def _fill(self, P: int) -> None:
         # fill whole chunks of pairs until the first P are filled
@@ -695,32 +745,32 @@ class _GainPlan:
         vals = np.zeros(2 * P)
         self.plan.gather(2 * P, X.ravel(), vals)
         vals += 1.0
-        # the weighted sum runs over the first W >= live[J] nodes; W is a
-        # multiple of 8 (or n) only because OpenBLAS's dgemv kernels sum the
-        # remainder rows of a block of 8 apart: so the nodes below live[J] get
-        # the bits of a full-width sum
-        W = min(-(-int(self.live[J]) // 8) * 8, n)
-        prod = _PRODUCTS.get((self.q, n))
-        if prod is None:
-            prod = _PRODUCTS[(self.q, n)] = np.empty((self.q, n))
-        dev = prod[:, :W]
-        dev[...] = -1.0
-        # an intp index scatters twice as fast as the stored int32
-        prod.ravel()[self.order[:P].astype(np.intp)] = vals[0::2] * vals[1::2] - 1.0
-        out = np.empty(n)
-        out[:W] = self.w @ dev  # deviation form 1 + (1/2) w.(prod - 1)
-        out[:W] *= 0.5
-        out[:W] += 1.0
-        # the tail nodes whose every product - 1 is -1, those from live[J] on
-        # among them, have gain 0 (see above)
-        out[J:W][np.all(dev[:, J:] == -1.0, axis=0)] = 0.0
-        out[W:] = 0.0
+        L = int(self.live[J])  # >= 1: node 0's pairs lie in interval 0 < J
+        products = np.zeros(int(self.reach[L - 1]))  # >= P: a live pair's node lies below L
+        np.multiply(vals[0::2], vals[1::2], out=products[:P])
+        out = np.zeros(n)
+        _CSR_MATVEC(L, len(products), self.indptr[:L + 1], self.index, self.weights,
+                    products, out[:L])
+        out[:L] *= 0.5
         out[0] = 1.0  # exact mass conservation at x = 0
         return out
 
 
-# the scratch (q, n) product array of the gain plans of that shape
-_PRODUCTS: dict[tuple, np.ndarray] = {}
+def _node_sums(w: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    # (indptr, weights) of the gain's node sums on n nodes, row i holding the
+    # q weights w in node order; read-only, one pair per (q, n)
+    def build():
+        q = len(w)
+        indptr = np.arange(0, q * n + 1, q, dtype=np.int32)
+        weights = np.tile(w, n)
+        for a in (indptr, weights):
+            a.flags.writeable = False
+        return indptr, weights
+
+    return _cached(_NODE_SUMS, (len(w), n), build)
+
+
+_NODE_SUMS: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 _GAIN_CACHE: dict[tuple, _GainPlan] = {}
 _DRIFT_CACHE: dict[tuple, _InterpPlan] = {}
 _RULE_CACHE: dict[tuple, tuple[np.ndarray, ...]] = {}
@@ -752,13 +802,14 @@ def gain_fourier(phi: CharacteristicProfile, e,
                  quad_order: int = QUAD_ORDER) -> CharacteristicProfile:
     """Apply the Fourier gain operator to a profile.
 
-    phi == 1 is a fixed point for every e, bit for bit and independent of the
-    summation order of the quadrature: the interpolation operator acts on the
-    deviation phi - 1, so it returns exactly 1 at every query, every product
-    is exactly 1, and the
-    gain is evaluated in deviation form 1 + (1/2) w.(prod - 1), which adds
-    exact zeros. For e = 1 every Maxwellian is a fixed point since
-    a-^2 + a+^2 = 1. Output mass is exact: (Q+ phi)(0) = 1.
+    phi == 1 is a fixed point for every e and every order, bit for bit: the
+    interpolation operator acts on the deviation phi - 1, so it returns
+    exactly 1 at every query and every product is exactly 1, and each node
+    sums w_k times its products left to right, which gives exactly 2 for the
+    weights of `gain_scales`, then halves. No BLAS routine enters, so the
+    bits do not depend on the BLAS kernel or thread count. For e = 1 every
+    Maxwellian is a fixed point since a-^2 + a+^2 = 1. Output mass is exact:
+    (Q+ phi)(0) = 1.
 
     `quad_order` remains only for the benchmark's explicit calls.
     """

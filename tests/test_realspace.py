@@ -361,24 +361,33 @@ def _dense_inversion(phi, r):
     return xq, a, f
 
 
+def _live_by_evaluate(phi, x):
+    # the values at the live abscissae of one uncached `_evaluate` call
+    vals, live = sp._evaluate(phi, x)
+    return vals[live]
+
+
 def _reconstruct_counted(phi, r, monkeypatch):
     # reconstruct(phi, r), or the error it raises, and the abscissae it
-    # evaluated: the live ones of each `_evaluate` call
+    # evaluated, each call's values checked against `_evaluate`'s live ones
     seen = []
-    evaluate = sp._evaluate
+    values = rs._abscissa_values
 
     def spy(p, x):
-        vals, live = evaluate(p, x)
+        vals = values(p, x)
+        ref, live = sp._evaluate(p, x)
+        assert vals.tobytes() == ref[live].tobytes()
+        assert np.array_equal(live, np.arange(len(x)) < len(vals))
         seen.append(x[live])
-        return vals, live
+        return vals
 
-    monkeypatch.setattr(sp, "_evaluate", spy)
+    monkeypatch.setattr(rs, "_abscissa_values", spy)
     try:
         return rs.reconstruct(phi, r), seen
     except ValueError as exc:
         return exc, seen
     finally:
-        monkeypatch.setattr(sp, "_evaluate", evaluate)
+        monkeypatch.setattr(rs, "_abscissa_values", values)
 
 
 def test_a_reconstruct_builds_one_node_table(monkeypatch):
@@ -472,6 +481,37 @@ def test_reconstructs_that_stop_at_different_tails_share_one_lattice(monkeypatch
             assert np.array_equal(rs.reconstruct(phi, r).values, values)
     (tables,) = cache.values()
     assert all(t.shape[0] == 4097 for t in tables)
+
+
+def test_reconstruct_keeps_one_plan_per_lattice_filled_once(monkeypatch):
+    # three profiles whose tails stop at different abscissae, in turn: the
+    # values of the uncached `_evaluate` path bit for bit, one kept plan of
+    # the lattice, and a second round computes no query's weights
+    monkeypatch.setattr(rs, "_ABSCISSA_CACHE", {})
+    grid, r = sp.RadialGrid(4096, 50.0), rs.default_r_nodes()
+    profiles = [sp.CharacteristicProfile.maxwellian(grid, 2.0),
+                sp.CharacteristicProfile.bimaxwellian(grid),
+                sp.CharacteristicProfile.maxwellian(grid, 0.5)]
+    values = rs._abscissa_values
+    monkeypatch.setattr(rs, "_abscissa_values", _live_by_evaluate)
+    uncached = [rs.reconstruct(phi, r).values for phi in profiles]
+    monkeypatch.setattr(rs, "_abscissa_values", values)
+    rows = []
+    inner = sp._hermite_weights
+
+    def counted(t, W):
+        rows.append(len(t))
+        inner(t, W)
+
+    monkeypatch.setattr(sp, "_hermite_weights", counted)
+    for phi, ref in zip(profiles, uncached):
+        assert rs.reconstruct(phi, r).values.tobytes() == ref.tobytes()
+    (plan,) = rs._ABSCISSA_CACHE.values()
+    assert sum(rows) == plan.plan.filled < len(plan.positions)  # never past the widest prefix
+    rows.clear()
+    for phi, ref in zip(profiles, uncached):
+        assert rs.reconstruct(phi, r).values.tobytes() == ref.tobytes()
+    assert rows == [] and len(rs._ABSCISSA_CACHE) == 1
 
 
 def test_evaluate_and_reconstruct_reject_nan_abscissae(bimax, r10):

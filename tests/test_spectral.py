@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import hashlib
 import importlib.machinery
 import importlib.metadata
 import importlib.util
@@ -135,7 +136,7 @@ def test_drift_resample_of_ones_bit_exact():
         assert np.array_equal(sp._drift_vals(np.ones(g.n), g, shift), np.ones(g.n))
 
 
-@pytest.mark.parametrize("quad_order", [32, 64])
+@pytest.mark.parametrize("quad_order", [24, 25, 26, 27, 32, 40, 64])
 def test_gain_fixed_point_constant_quad_orders(quad_order):
     g = sp.RadialGrid(1024, 30.0)
     one = sp.CharacteristicProfile(g, np.ones(g.n))
@@ -403,7 +404,7 @@ def test_interp_operator_matches_hermite_reference():
             ref = _hermite_reference(v, np.stack([am[k] * i, ap[k] * i], axis=1), g.dx)
             assert np.max(np.abs(_eval_all(gain, v) - ref)) <= tol
             ref = _hermite_reference(v, np.multiply.outer(np.concatenate([am, ap]), ramp), g.dx)
-            ref_gain = 1.0 + 0.5 * (w @ (ref[:q] * ref[q:] - 1.0))
+            ref_gain = 0.5 * (w @ (ref[:q] * ref[q:]))
             ref_gain[0] = 1.0
             assert np.max(np.abs(gain.apply(v) - ref_gain)) <= tol
         # drift: the dilated queries run past x_max and are clamped
@@ -437,7 +438,8 @@ def test_gain_plan_footprint():
 
 class _FullGain:
     # every (s-node, grid node) pair evaluated: one unsorted plan over
-    # outer(concat(a-, a+), arange(n)), then the product and the gemv of apply
+    # outer(concat(a-, a+), arange(n)), then at each node the products
+    # w_k phi(a-_k x) phi(a+_k x) summed over k left to right, and halved
     def __init__(self, grid, e, q):
         _, self.w, am, ap = sp.gain_scales(e, q)
         ramp = np.arange(grid.n, dtype=float)
@@ -445,32 +447,23 @@ class _FullGain:
                                    grid.n, grid.dx)
         self.q = q
 
-    def products(self, v):
-        # the (q, n) products - 1
-        vals = _full_eval(self.plan, v)
-        prod = vals[: self.q] * vals[self.q:]
-        prod -= 1.0
-        return prod
-
     def apply(self, v):
-        out = self.w @ self.products(v)
+        vals = _full_eval(self.plan, v)
+        out = np.zeros(vals.shape[1])
+        for k in range(self.q):
+            out += self.w[k] * (vals[k] * vals[self.q + k])
         out *= 0.5
-        out += 1.0
         out[0] = 1.0
         return out
 
 
-def _assert_full_gain_off_the_dead_tail_nodes(gain, out, full, v, name=None):
-    # the full evaluation, except exact +0 at the nodes from J on whose every
-    # product - 1 is exactly -1, every node from live[J] on among them; the
-    # full evaluation's gemv gives +0 there only where the BLAS sums the
-    # weights to exactly 2
+def _assert_full_gain(gain, out, full, v, name=None):
+    # the full evaluation bit for bit, and exact +0 at every node from
+    # live[J] on, whose pairs all have their outer query in the tail
     J = sp._node_table(v, gain.plan.h)[1]
-    dead = np.all(full.products(v) == -1.0, axis=0)
-    dead[:J] = False
-    assert np.all(dead[gain.live[J]:]), name
-    assert np.array_equal(out[~dead], full.apply(v)[~dead]), name
-    assert out[dead].tobytes() == bytes(8 * np.count_nonzero(dead)), name
+    assert np.array_equal(out, full.apply(v)), name
+    L = int(gain.live[J])
+    assert out[L:].tobytes() == bytes(8 * (len(out) - L)), name
 
 
 def _tail_profiles():
@@ -503,7 +496,7 @@ def test_gain_tail_skip_is_the_full_evaluation_bit_for_bit(e):
         gain = sp._GainPlan(g, e, q)
         X, J = sp._node_table(v, g.dx)
         P = int(gain.below[J])
-        _assert_full_gain_off_the_dead_tail_nodes(gain, gain.apply(v), _FullGain(g, e, q), v, name)
+        _assert_full_gain(gain, gain.apply(v), _FullGain(g, e, q), v, name)
         # only the trailing run counts, and what the run skips is exact
         if name in ("ones", "random", "interior-hole-no-tail"):
             assert J == g.n - 1 and P == q * g.n, name
@@ -709,7 +702,7 @@ def test_a_widening_run_fills_each_query_once_and_matches_the_full_gain(monkeypa
 
     def checked(self, v):
         out = apply(self, v)
-        _assert_full_gain_off_the_dead_tail_nodes(self, out, full, v)
+        _assert_full_gain(self, out, full, v)
         filled.append(self.plan.filled)
         return out
 
@@ -723,11 +716,12 @@ def test_a_widening_run_fills_each_query_once_and_matches_the_full_gain(monkeypa
     assert sum(rows) == gain.plan.filled
 
 
-def test_gain_plans_of_one_shape_share_one_product_array_bit_for_bit(monkeypatch):
-    # two plans of one (q, n) take turns on the shared product array while
-    # their tails move out and back, so P rises and falls on each plan, both
-    # between applies of one plan and across a switch to the other
-    monkeypatch.setattr(sp, "_PRODUCTS", {})
+def test_gain_plans_of_one_shape_share_their_node_sums_bit_for_bit(monkeypatch):
+    # two plans of one (q, n) take turns while their tails move out and
+    # back, so P rises and falls on each plan, both between applies of one
+    # plan and across a switch to the other; each plan holds its own int32
+    # index and shares the weights and the row pointer
+    monkeypatch.setattr(sp, "_NODE_SUMS", {})
     g, q = sp.RadialGrid(1024, 30.0), sp.QUAD_ORDER
     widths = (1.0, 0.25, 4.0, None, 0.5, 16.0, 1.0)  # None: phi = 1, no tail
     profiles = [np.ones(g.n) if t is None else sp.CharacteristicProfile.maxwellian(g, t).values
@@ -738,39 +732,31 @@ def test_gain_plans_of_one_shape_share_one_product_array_bit_for_bit(monkeypatch
     seen = []
     for e, v in turns:
         gain, full = plans[e]
-        _assert_full_gain_off_the_dead_tail_nodes(gain, gain.apply(v), full, v, (e, len(seen)))
+        _assert_full_gain(gain, gain.apply(v), full, v, (e, len(seen)))
         seen.append((e, int(gain.below[sp._node_table(v, g.dx)[1]])))
-        assert list(sp._PRODUCTS) == [(q, g.n)]
     for e in plans:
         P = [p for k, p in seen if k == e]
         assert any(b < a for a, b in zip(P, P[1:])) and any(b > a for a, b in zip(P, P[1:]))
     assert max(p for _, p in seen) == q * g.n
+    (a, _), (b, _) = plans.values()
+    assert a.index.dtype == b.index.dtype == np.int32 and len(a.index) == q * g.n
+    assert not np.shares_memory(a.index, b.index)
+    assert np.shares_memory(a.weights, b.weights) and np.shares_memory(a.indptr, b.indptr)
+    assert list(sp._NODE_SUMS) == [(q, g.n)]
+    other = sp._GainPlan(sp.RadialGrid(512, 20.0), 0.5, q)
+    assert not np.shares_memory(other.weights, a.weights)
 
 
-def test_one_product_array_is_held_per_shape(monkeypatch):
-    monkeypatch.setattr(sp, "_PRODUCTS", {})
-    monkeypatch.setattr(sp, "_GAIN_CACHE", {})
-    for n, x_max in ((512, 20.0), (1024, 30.0)):
-        phi = sp.CharacteristicProfile.bimaxwellian(sp.RadialGrid(n, x_max))
-        for q in (32, 40):
-            for e in (0.5, 0.9, 1.0):
-                sp.gain_fourier(phi, e, q)
-                sp.gain_fourier(phi, e, q)
-    assert len(sp._GAIN_CACHE) == 12
-    assert sorted(sp._PRODUCTS) == [(32, 512), (32, 1024), (40, 512), (40, 1024)]
-    for (q, n), prod in sp._PRODUCTS.items():
-        assert type(prod) is np.ndarray and prod.shape == (q, n)
-
-
-# an order whose weights OpenBLAS's SkylakeX and Sandybridge dgemv kernels
-# both sum to 2 - 4.4e-16, where the default order's sum to exactly 2
+# an order whose rounded Gauss-Legendre weights sum left to right to
+# 2 + 4.4e-16, so that `gain_scales` corrects its last weight; the default
+# order's sum to exactly 2
 _ROUNDED_SUM_ORDER = 26
 
 
 def _unscaled_tail(n, x_max, q, steps=80):
     # (J, the node table from J on is saturated, the apply of live[J] on
-    # is +0) after `steps` unscaled steps of dt = 0.005 at e = 0.95 from the
-    # bimaxwellian, with the gain at order q
+    # is +0, the SHA-256 of the final profile) after `steps` unscaled steps
+    # of dt = 0.005 at e = 0.95 from the bimaxwellian, with the gain at order q
     g = sp.RadialGrid(n, x_max)
     phi = sp.CharacteristicProfile.bimaxwellian(g)
     config = sp.SolverConfig(dt=0.005, frame="unscaled-f", quad_order=q)
@@ -780,34 +766,52 @@ def _unscaled_tail(n, x_max, q, steps=80):
     gain = sp._gain_plan(g, 0.95, q)
     out = gain.apply(phi.values)
     return (J, bool(np.array_equal(X[J:], np.tile(sp._SATURATED, (n - J, 1)))),
-            out[int(gain.live[J]):].tobytes() == bytes(8 * (n - int(gain.live[J]))))
+            out[int(gain.live[J]):].tobytes() == bytes(8 * (n - int(gain.live[J]))),
+            hashlib.sha256(phi.values.tobytes()).hexdigest())
+
+
+def _gain_hashes(orders):
+    # the SHA-256 of gain_fourier of the bimaxwellian at e = 0.95 at each
+    # order on the (1024, 30) and (4093, 50) grids
+    out = []
+    for n, x_max in ((1024, 30.0), (4093, 50.0)):
+        B = sp.CharacteristicProfile.bimaxwellian(sp.RadialGrid(n, x_max))
+        out += [hashlib.sha256(sp.gain_fourier(B, 0.95, q).values.tobytes()).hexdigest()
+                for q in orders]
+    return out
 
 
 def test_an_unscaled_run_keeps_its_tail_on_a_grid_of_odd_size():
-    # n = 4093 is no multiple of 8, so OpenBLAS's gemv sums the last grid
-    # nodes apart from the rest; at _ROUNDED_SUM_ORDER it sums the weights to
-    # just under 2 at every node, which gives 2.2e-16 for a gain that is
-    # exactly 0
+    # n = 4093 is no multiple of 8, the block width of a blocked BLAS kernel;
+    # the gain sums each node's products left to right whatever n, so the
+    # nodes past the tail's reach read exactly +0 and the tail stays
+    # saturated, at _ROUNDED_SUM_ORDER too
     for q in (sp.QUAD_ORDER, _ROUNDED_SUM_ORDER):
-        J, saturated, zero = _unscaled_tail(4093, 50.0, q)
+        J, saturated, zero, _ = _unscaled_tail(4093, 50.0, q)
         assert J < 4093 - 1 and saturated and zero, q
 
 
 def test_the_tail_stays_saturated_under_a_kernel_that_rounds_the_weight_sum():
-    # OpenBLAS's Sandybridge kernel sums the default weights to exactly 2
-    # but those of _ROUNDED_SUM_ORDER to just under 2, so that run needs the
-    # +0 the apply writes. The variable picks the kernel of a DYNAMIC_ARCH
+    # OpenBLAS's Sandybridge kernel and the default one round BLAS sums
+    # differently; the gain calls no BLAS, so under both the gain's bytes
+    # and those of an 80-step unscaled run are the same, and the run's tail
+    # stays saturated. The variable picks the kernel of a DYNAMIC_ARCH
     # OpenBLAS, and other builds ignore it
     runs = [(n, x_max, q) for n, x_max in ((1024, 30.0), (4096, 50.0))
             for q in (sp.QUAD_ORDER, _ROUNDED_SUM_ORDER)]
-    code = ("import numpy as np\nfrom maxcool import spectral as sp\n"
-            + inspect.getsource(_unscaled_tail)
-            + f"print([_unscaled_tail(*run) for run in {runs!r}])\n")
-    env = {**os.environ, "OPENBLAS_CORETYPE": "Sandybridge"}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
-    for (J, saturated, zero), run in zip(ast.literal_eval(out.stdout), runs):
+    orders = [sp.QUAD_ORDER, _ROUNDED_SUM_ORDER, 64]
+    code = ("import hashlib\nimport numpy as np\nfrom maxcool import spectral as sp\n"
+            + inspect.getsource(_unscaled_tail) + inspect.getsource(_gain_hashes)
+            + f"print([[_unscaled_tail(*run) for run in {runs!r}], _gain_hashes({orders!r})])\n")
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    results = [ast.literal_eval(subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        check=True).stdout) for env in (base, {**base, "OPENBLAS_CORETYPE": "Sandybridge"})]
+    (default_runs, default_gains), (sandybridge_runs, sandybridge_gains) = results
+    for (J, saturated, zero, _), run in zip(sandybridge_runs, runs):
         assert J < run[0] - 1 and saturated and zero, run
+    assert sandybridge_runs == default_runs
+    assert sandybridge_gains == default_gains
 
 
 def test_gathers_stay_views_after_later_fills():
