@@ -9,15 +9,17 @@ sin(x r_j) = sin(x pB dr) cos(x l dr) + cos(x pB dr) sin(x l dr), so the sum
 is two (sqrt(R) x m)(m x sqrt(R)) matrix products instead of an m x R
 kernel, and requires the output nodes to equal j dr to a few ulp, as
 np.linspace gives. The four m x sqrt(R) sine and cosine tables depend only on
-the lattice, the exact abscissae x with R and dr, so they are computed once
-per lattice (about 4 m sqrt(R) sines) and stay resident, 32 m sqrt(R) bytes
-per lattice, in a FIFO cache of at most `spectral._CACHE_CAP` lattices.
+the lattice, the exact abscissae x with R and dr, so they are kept per
+lattice in a FIFO cache of at most `spectral._CACHE_CAP` lattices.
 `reconstruct` sums only the abscissae below the profile's saturated tail,
 past which phi is exactly +0 (x ~ 11 for a Gaussian tail on the (4096, 50)
-grid, so 22 % are summed): an interpolation plan of the lattice's abscissae,
-kept per lattice in a FIFO of the same size and filled only as far as a
-profile's live prefix has needed, gathers phi there, and the sums read only
-their rows of the lattice's tables, as views.
+grid, so the first M = 909 of 4097 are summed): an interpolation plan of the
+lattice's abscissae, kept per lattice in a FIFO of the same size and filled
+only as far as a profile's live prefix has needed, gathers phi there, and
+the sums read only the first M rows of the lattice's tables. A table row is
+computed when a call first needs it, once (about 4 sqrt(R) sines per row),
+so a lattice holds 32 M sqrt(R) bytes of resident tables for the widest
+live prefix M asked of it, not 32 m sqrt(R).
 
 On top of reconstructed (or closed-form sampled) densities this module
 provides the Fisher information I(f) = int 4 pi r^2 f (d ln f / dr)^2 dr,
@@ -234,7 +236,43 @@ def _required_xmax(x: np.ndarray, absv: np.ndarray, target: float) -> float:
     return float(x[-1] + math.log(tail / target) / rate)
 
 
-_TRANSFORM_CACHE: dict[tuple, tuple[np.ndarray, ...]] = {}
+class _SineTables:
+    """The four sine and cosine tables of one lattice, filled row by row.
+
+    Row i of sin/cos(x pB dr) holds x_i times the P coarse angles, and row i
+    of cos/sin(x l dr) x_i times the B fine ones. The tables are
+    `spectral._on_demand` reserves of m rows, of which the first `filled`
+    are computed; `rows(x, M)` computes rows [filled, M) when M is wider
+    than any call before, with the expressions of a whole build applied to
+    those rows alone, so every row holds the bits a whole build gives it.
+    """
+
+    __slots__ = ("coarse", "fine", "tables", "filled")
+
+    def __init__(self, m: int, R: int, dr: float) -> None:
+        B = math.isqrt(R - 1) + 1
+        P = -(-R // B)
+        self.coarse = (B * dr) * np.arange(P)
+        self.fine = dr * np.arange(B)
+        self.tables = tuple(spectral._on_demand((m, k)) for k in (P, P, B, B))
+        self.filled = 0
+
+    def rows(self, x: np.ndarray, M: int) -> tuple[np.ndarray, ...]:
+        """Row views [:M] of (sin_c, cos_c, cos_f, sin_f), filled first if need be."""
+        f = self.filled
+        if M > f:
+            sin_c, cos_c, cos_f, sin_f = (t[f:M] for t in self.tables)
+            coarse = np.multiply.outer(x[f:M], self.coarse)
+            fine = np.multiply.outer(x[f:M], self.fine)
+            np.sin(coarse, out=sin_c)
+            np.cos(coarse, out=cos_c)
+            np.cos(fine, out=cos_f)
+            np.sin(fine, out=sin_f)
+            self.filled = M
+        return tuple(t[:M] for t in self.tables)
+
+
+_TRANSFORM_CACHE: dict[tuple, _SineTables] = {}
 
 
 def _sine_transform(a: np.ndarray, x: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -242,37 +280,28 @@ def _sine_transform(a: np.ndarray, x: np.ndarray, r: np.ndarray) -> np.ndarray:
 
     With B = ceil(sqrt(R)), P = ceil(R / B) and j = p B + l, angle addition
     sin(x (pB + l) dr) = sin(x pB dr) cos(x l dr) + cos(x pB dr) sin(x l dr)
-    turns the sum into two (P x m)(m x B) products. The tables sin/cos(x pB dr)
-    and sin/cos(x l dr), about 4 m sqrt(R) sines and cosines instead of m R,
-    are built on the first call for a lattice and kept: each lattice holds
-    32 m sqrt(R) bytes while it is among the last `spectral._CACHE_CAP` used.
-    The key is the exact bytes of x with R and dr, so abscissae that differ
-    in one ulp get their own tables. The identity holds only on the lattice
-    r_j = j dr, so r must equal it to 4 ulp of r_max (np.linspace nodes are
-    within 1 ulp). An `a` shorter than x sums its first len(a) abscissae
-    over row views of the same tables, under the same key.
+    turns the sum into two (P x M)(M x B) products over the first M = len(a)
+    abscissae. The tables sin/cos(x pB dr) and sin/cos(x l dr), about
+    4 M sqrt(R) sines and cosines instead of M R, are kept per lattice
+    while it is among the last `spectral._CACHE_CAP` used, and their rows
+    are computed only as far as the widest M asked of the lattice
+    (`_SineTables`), once each: a lattice holds 32 M sqrt(R) bytes of
+    resident tables for that widest M, in 4 kB pages. The key is the exact
+    bytes of x with R and dr, so abscissae that differ in one ulp get their
+    own tables. The identity holds only on the lattice r_j = j dr, so r
+    must equal it to 4 ulp of r_max (np.linspace nodes are within 1 ulp).
     """
     R = len(r)
     dr = float(r[1])
     if np.max(np.abs(r - dr * np.arange(R))) > 4.0 * np.spacing(r[-1]):
         raise ValueError("output nodes must be j*dr to rounding (as np.linspace gives)")
-
-    def tables() -> tuple[np.ndarray, ...]:
-        B = math.isqrt(R - 1) + 1
-        P = -(-R // B)
-        coarse = np.multiply.outer(x, (B * dr) * np.arange(P))
-        fine = np.multiply.outer(x, dr * np.arange(B))
-        out = (np.sin(coarse), np.cos(coarse), np.cos(fine), np.sin(fine))
-        for t in out:
-            t.flags.writeable = False  # shared by every later call on this lattice
-        return out
-
-    sin_c, cos_c, cos_f, sin_f = spectral._cached(
-        _TRANSFORM_CACHE, (x.tobytes(), R, dr), tables)
+    tables = spectral._cached(_TRANSFORM_CACHE, (x.tobytes(), R, dr),
+                              lambda: _SineTables(len(x), R, dr))
     M = len(a)
+    sin_c, cos_c, cos_f, sin_f = tables.rows(x, M)
     a = a[:, None]
-    out = (a * sin_c[:M]).T @ cos_f[:M]
-    out += (a * cos_c[:M]).T @ sin_f[:M]
+    out = (a * sin_c).T @ cos_f
+    out += (a * cos_c).T @ sin_f
     return out.ravel()[:R]
 
 
@@ -295,8 +324,8 @@ def reconstruct(phi: CharacteristicProfile, r_nodes) -> RadialDensity:
     on a grid with at least 20 points per sin period at the largest r; the
     r = 0 node uses the limit (1/(2 pi^2)) int x^2 phi dx. The m-node sum is
     evaluated at all R nodes at once by angle addition (`_sine_transform`):
-    two (sqrt(R) x m)(m x sqrt(R)) products on sine tables computed once per
-    (x, r) lattice and kept. The sums stop at the saturated tail: the
+    two (sqrt(R) x m)(m x sqrt(R)) products on sine tables kept per (x, r)
+    lattice, each row computed once. The sums stop at the saturated tail: the
     lattice's kept interpolation plan (`spectral._PrefixPlan`) gathers phi
     at the abscissae below it, with the values `spectral.evaluate` gives
     there, and the rest, exactly +0, are left out. So the sums differ from

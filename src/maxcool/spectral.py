@@ -59,7 +59,8 @@ evaluation, and a node whose pairs all lie past the tail gets the gain
 exactly +0; see `_GainPlan`. The gain plan
 computes the weights of its queries on demand, in pair order, only as far
 as an apply has needed: at most once per query, and about a quarter of them
-on the (4096, 50) grid for a Gaussian-tailed profile. A drift plan is filled
+on the (4096, 50) grid for a Gaussian-tailed profile, and only the pages of
+the filled rows are resident (`_on_demand`). A drift plan is filled
 when built; `evaluate` fills a plan of its queries below the tail alone.
 
 The stationary rescaled profile (`steady_profile`) is the fixed point of one
@@ -437,6 +438,27 @@ def _csr_matvec():
     return _CSR_MATVEC
 
 
+def _on_demand(shape: tuple, dtype=float) -> np.ndarray:
+    """An unfilled array of `shape` whose pages become resident only as written.
+
+    For arrays filled row by row as they are needed (`_InterpPlan.reserved`,
+    `realspace`'s sine tables). np.empty advises transparent huge pages for
+    arrays over 4 MB, so where the host's THP mode honours that advice
+    (`madvise` or `always`) a first write makes a whole 2 MB page resident.
+    This array is a private anonymous mapping of its own, advised against
+    huge pages where the platform has that flag, so a write makes only its
+    own base (4 kB) pages resident. The mapping is unmapped when the array
+    is freed.
+    """
+    import mmap  # noqa: PLC0415  (only here: code that keeps no plan, DSMC say, never loads it)
+
+    dtype = np.dtype(dtype)
+    buf = mmap.mmap(-1, math.prod(shape) * dtype.itemsize, flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype=dtype).reshape(shape)
+
+
 def _cells(p: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     # positions clamped to the last node, and the interval each lands in (the
     # last node in the last interval); p must be finite and nonnegative
@@ -491,32 +513,38 @@ class _InterpPlan:
     scipy's compiled csr_matvec (`_csr_matvec`), the kernel and the operands
     of `csr_matrix @ x`, so the sums are those of scipy.sparse bit for bit.
 
-    A plan built from its positions is filled at once. A `reserved` plan (the
-    gain's and `_PrefixPlan`'s) holds the arrays unfilled: `fill` appends the
-    weights of the next queries, and the reserve is np.empty, so its pages
-    cost no resident memory until they are filled.
+    A plan built from its positions is filled at once, into np.empty
+    arrays. A `reserved` plan (the gain's and `_PrefixPlan`'s) holds its
+    arrays unfilled: `fill` appends the weights of the next queries. Its
+    reserve comes from `_on_demand`, so only the pages of the filled rows
+    are resident: 72 bytes per filled query, rounded up to whole 4 kB
+    pages. np.empty would not do: numpy advises huge pages for arrays over
+    4 MB, and where the host honours that advice each fill makes whole
+    2 MB pages resident, megabytes of unfilled reserve for a (4096, 50) gain
+    plan filled to a quarter, more or fewer with where its arrays fall
+    among those pages.
     """
 
     __slots__ = ("shape", "n", "h", "data", "indices", "filled", "clamped")
 
     def __init__(self, positions: np.ndarray, n: int, h: float) -> None:
         p = np.asarray(positions, dtype=float)
-        self._reserve(p.shape, n, h)
+        self._reserve(p.shape, n, h, np.empty)
         self.fill(p.ravel())
 
     @classmethod
     def reserved(cls, shape: tuple, n: int, h: float) -> "_InterpPlan":
         """A plan of `shape` queries with none filled yet."""
         plan = cls.__new__(cls)
-        plan._reserve(shape, n, h)
+        plan._reserve(shape, n, h, _on_demand)
         return plan
 
-    def _reserve(self, shape: tuple, n: int, h: float) -> None:
+    def _reserve(self, shape: tuple, n: int, h: float, empty) -> None:
         _csr_matvec()  # a missing kernel fails here, before any plan is cached
         m = math.prod(shape)
         self.shape, self.n, self.h = shape, n, h
-        self.data = np.empty((m, 6))
-        self.indices = np.empty((m, 6), dtype=np.int32)
+        self.data = empty((m, 6))
+        self.indices = empty((m, 6), dtype=np.int32)
         self.filled = self.clamped = 0
 
     def fill(self, p: np.ndarray) -> None:

@@ -1,6 +1,8 @@
 """Tests for density reconstruction and real-space functionals."""
 
+import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -250,6 +252,43 @@ def test_sine_transform_matches_dense_kernel(R, m, monkeypatch):
     assert np.array_equal(rs._sine_transform(a, x, r), got)  # warm
 
 
+def _whole_sine_tables(x, R, dr):
+    # the tables of a lattice built whole, as before they were filled row by row
+    B = math.isqrt(R - 1) + 1
+    P = -(-R // B)
+    coarse = np.multiply.outer(x, (B * dr) * np.arange(P))
+    fine = np.multiply.outer(x, dr * np.arange(B))
+    return np.sin(coarse), np.cos(coarse), np.cos(fine), np.sin(fine)
+
+
+@pytest.mark.parametrize("R", [9, 10, 1601])
+def test_sine_tables_filled_row_by_row_are_the_whole_build_bit_for_bit(R, monkeypatch):
+    # live prefixes rising, then falling: each call's rows and sums are those
+    # of the whole build, and a narrower call writes no row (the reserves are
+    # made read-only once the widest prefix is filled)
+    cache = {}
+    monkeypatch.setattr(rs, "_TRANSFORM_CACHE", cache)
+    x = np.linspace(0.0, 50.0, 4097)
+    r = np.linspace(0.0, 8.0, R)
+    whole = _whole_sine_tables(x, R, float(r[1]))
+    a = np.random.default_rng(R).normal(size=len(x))
+    widest = 0
+    for M in (1, 300, 909, 2000, 4097, 2000, 909, 300, 1):
+        if M < widest:
+            for t in tables.tables:
+                t.flags.writeable = False
+        got = rs._sine_transform(a[:M], x, r)
+        widest = max(widest, M)
+        (tables,) = cache.values()
+        assert tables.filled == widest
+        for t, w in zip(tables.tables, whole):
+            assert t.shape == w.shape and t[:widest].tobytes() == w[:widest].tobytes()
+        sin_c, cos_c, cos_f, sin_f = (w[:M] for w in whole)
+        want = (a[:M, None] * sin_c).T @ cos_f
+        want += (a[:M, None] * cos_c).T @ sin_f
+        assert got.tobytes() == want.ravel()[:R].tobytes()
+
+
 def test_sine_tables_are_cached_per_lattice(monkeypatch):
     def cold(fn, *args):
         monkeypatch.setattr(rs, "_TRANSFORM_CACHE", {})
@@ -480,7 +519,56 @@ def test_reconstructs_that_stop_at_different_tails_share_one_lattice(monkeypatch
         for phi, values in zip(profiles, cold):
             assert np.array_equal(rs.reconstruct(phi, r).values, values)
     (tables,) = cache.values()
-    assert all(t.shape[0] == 4097 for t in tables)
+    assert all(t.shape[0] == 4097 for t in tables.tables)
+    assert tables.filled == max(counts)  # rows only as far as the widest prefix
+
+
+_RESIDENT_CODE = """
+import json, mmap
+from maxcool import realspace as rs, spectral as sp
+
+grid = sp.RadialGrid(4096, 50.0)
+phi = sp.CharacteristicProfile.bimaxwellian(grid)
+gain = sp._GainPlan(grid, 0.95, 64)
+gain.apply(phi.values)
+rs.reconstruct(phi, rs.default_r_nodes())
+(prefix,) = rs._ABSCISSA_CACHE.values()
+(tables,) = rs._TRANSFORM_CACHE.values()
+arrays = [(p.data, 48 * p.filled) for p in (gain.plan, prefix.plan)]
+arrays += [(p.indices, 24 * p.filled) for p in (gain.plan, prefix.plan)]
+arrays += [(t, 8 * t.shape[1] * tables.filled) for t in tables.tables]
+vmas = {}
+with open("/proc/self/smaps") as fh:
+    for line in fh:
+        head = line.split()
+        if "-" in head[0] and not head[0].endswith(":"):
+            vma = vmas[tuple(int(v, 16) for v in head[0].split("-"))] = {}
+        elif head[0] in ("Rss:", "AnonHugePages:"):
+            vma[head[0]] = 1024 * int(head[1])
+page = mmap.PAGESIZE
+held, bound, filled = set(), 0, 0
+for a, f in arrays:
+    at = a.__array_interface__["data"][0]
+    held |= {key for key in vmas if key[0] < at + a.nbytes and at < key[1]}
+    bound += -(-f // page) * page + page
+    filled += f
+print(json.dumps({"vmas": [vmas[key] for key in held], "bound": bound, "filled": filled}))
+"""
+
+
+def test_kept_plans_and_sine_tables_are_resident_only_as_far_as_filled():
+    # a (4096, 50) q = 64 gain plan applied to the bimaxwellian, and the sine
+    # tables and abscissa plan of one reconstruct, in a fresh process: the
+    # memory mappings that hold their arrays have no huge page, and their
+    # resident bytes are at most the filled ones, rounded up to pages, plus
+    # one page per array
+    if not os.path.exists("/proc/self/smaps"):
+        pytest.skip("needs /proc/self/smaps")
+    out = json.loads(subprocess.run([sys.executable, "-c", _RESIDENT_CODE],
+                                    capture_output=True, text=True, check=True).stdout)
+    assert out["filled"] > 4 * 2 ** 20
+    assert all(vma["AnonHugePages:"] == 0 for vma in out["vmas"]), out
+    assert sum(vma["Rss:"] for vma in out["vmas"]) <= out["bound"], out
 
 
 def test_reconstruct_keeps_one_plan_per_lattice_filled_once(monkeypatch):
