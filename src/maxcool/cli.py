@@ -27,10 +27,9 @@ from .harness import ExperimentConfig
 
 logger = logging.getLogger(__name__)
 
-# steady and sweep-eps solve on the grid and budget of the full sweep suite
+# steady and sweep-eps solve on the grid of the full sweep suite
 _SWEEP_DEFAULTS = {"grid_n": harness.FULL.sweep_grid[0],
-                   "x_max": harness.FULL.sweep_grid[1],
-                   "t_max": harness.FULL.steady_t_max}
+                   "x_max": harness.FULL.sweep_grid[1]}
 
 _COMMAND_DEFAULTS = {
     "evolve": {},
@@ -46,8 +45,8 @@ _COMMAND_DEFAULTS = {
 _COMMAND_FIELDS = {
     "evolve": ("e", "grid_n", "x_max", "dt", "t_max", "init", "frame"),
     "dsmc": ("e", "dt", "t_max", "init", "n_particles", "seed", "record_every"),
-    "steady": ("e", "grid_n", "x_max", "dt", "t_max", "tol"),
-    "sweep-eps": ("grid_n", "x_max", "dt", "t_max", "tol", "eps"),
+    "steady": ("e", "grid_n", "x_max", "tol"),
+    "sweep-eps": ("grid_n", "x_max", "tol", "eps"),
 }
 
 
@@ -94,10 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--e", type=float, default=None)
     ps.add_argument("--grid-n", type=int, default=None, dest="grid_n")
     ps.add_argument("--x-max", type=float, default=None, dest="x_max")
-    ps.add_argument("--dt", type=float, default=None)
-    ps.add_argument("--t-max", type=float, default=None, dest="t_max",
-                    help="step budget of the steady solve, as time: at most t_max/dt steps")
-    ps.add_argument("--tol", type=float, default=None)
+    ps.add_argument("--tol", type=float, default=None,
+                    help="bound on the d2 size of the last Newton update")
     ps.add_argument("--out", default=None, help="profile CSV path")
     _add_common(ps)
 
@@ -106,8 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="comma-separated eps values in (0, 0.25], descending")
     pw.add_argument("--grid-n", type=int, default=None, dest="grid_n")
     pw.add_argument("--x-max", type=float, default=None, dest="x_max")
-    pw.add_argument("--dt", type=float, default=None)
-    pw.add_argument("--t-max", type=float, default=None, dest="t_max")
     pw.add_argument("--tol", type=float, default=None)
     pw.add_argument("--out", default=None, help="sweep table CSV path")
     _add_common(pw)
@@ -203,35 +198,34 @@ def _cmd_dsmc(cfg: ExperimentConfig, x_grid: np.ndarray | None) -> int:
 
 
 def _cmd_steady(cfg: ExperimentConfig) -> int:
-    grid = sp.RadialGrid(cfg.grid_n, cfg.x_max)
-    solver = sp.SolverConfig(dt=cfg.dt, t_max=cfg.t_max, frame="rescaled-g")
-    phi = sp.steady_profile(cfg.e, solver, tol=cfg.tol, grid=grid)
+    phi = sp.steady_profile(cfg.e, tol=cfg.tol, grid=sp.RadialGrid(cfg.grid_n, cfg.x_max))
     if cfg.out:
         sp.save_profile(cfg.out, phi, cfg.e, "rescaled-g")
         harness.embed_provenance(cfg.out, *_artifact_stamp(cfg, "steady"))
         print(f"wrote {cfg.out}")
-    print(f"steady e={cfg.e:g}: converged={phi.meta['converged']} "
-          f"steps={phi.meta['steps']} "
-          f"residual={phi.meta['fixed_point_residual']:.3g} "
+    meta = phi.meta
+    print(f"steady e={cfg.e:g}: converged={meta['converged']} "
+          f"newton_steps={meta['newton_steps']} gmres_steps={meta['gmres_steps']} "
+          f"last_update_d2={meta['last_update_d2']:.3g} mu={meta['mu']:.4g} "
+          f"residual={meta['fixed_point_residual']:.3g} "
           f"m2={sp.moment(phi, 2):.8g}")
-    if not phi.meta["converged"]:
-        print(f"error: no convergence to tol={cfg.tol:g} within t_max={cfg.t_max:g}",
-              file=sys.stderr)
+    if not meta["converged"]:
+        print(f"error: no convergence to tol={cfg.tol:g} "
+              f"in {meta['newton_steps']} Newton steps", file=sys.stderr)
         return 1
     return 0
 
 
 def _cmd_sweep(cfg: ExperimentConfig) -> int:
-    solver = sp.SolverConfig(dt=cfg.dt, t_max=cfg.t_max, frame="rescaled-g")
-    table = harness.sweep_epsilon(cfg.eps_values(), config=solver,
+    table = harness.sweep_epsilon(cfg.eps_values(),
                                   grid=sp.RadialGrid(cfg.grid_n, cfg.x_max),
                                   tol=cfg.tol, raise_on_failure=False)
     for row in table["rows"]:
         print(f"eps={row['eps']:g}: l1={row['l1']:.6g} envelope={row['envelope']:.6g} "
-              f"c={row['c_fit']:.6g} steps={row['steps']}")
+              f"c={row['c_fit']:.6g} newton_steps={row['newton_steps']}")
     for d in table["dropped"]:
         print(f"eps={d['eps']:g}: dropped (steady state not converged "
-              f"in {d['steps']} steps)")
+              f"in {d['newton_steps']} Newton steps)")
     if cfg.out:
         harness._save_sweep_csv(cfg.out, table)
         harness.embed_provenance(cfg.out, *_artifact_stamp(cfg, "sweep-eps"))

@@ -7,7 +7,7 @@ spelling per value), the named verification suites that aggregate
 module-level assertions into a pass/fail report, and the small-inelasticity
 steady-state sweep. The suites read their sizes, horizons, budgets and
 tolerances from one declared table (`FULL`, or `FAST` for smoke runs); every
-spectral solve steps at `spectral.DT`.
+spectral run steps at `spectral.DT`, and the steady solves take no step.
 
 Provenance: every artifact, of `verify` or of a CLI command, carries one
 stamp, a dict of the inputs that shaped it plus the package versions, and
@@ -161,7 +161,8 @@ class SuiteParams:
     laws and their bounds are the same in both. Grids are `(n, x_max)` for
     `spectral.RadialGrid`, node sets `(r_max, n)` for
     `realspace.default_r_nodes`. Fields with defaults hold in both tables.
-    Every spectral solve steps at `spectral.DT`, so the table holds no step;
+    Every spectral run steps at `spectral.DT` and the steady solves take no
+    step, so the table holds no step;
     `dsmc_dt` is the step of the DSMC event stream. The whole table is stamped
     into every verify report and its hash.
     """
@@ -187,9 +188,6 @@ class SuiteParams:
     sweep_eps: tuple[float, ...]
     sweep_grid: tuple[int, float]
     sweep_tol: float
-    # step budget of every steady solve (shared, corpus, sweep) as time; at
-    # DT and tol >= 1e-7 a solve takes 1 to 19 steps, so the budget never limits one
-    steady_t_max: float = 250.0
     decay_t_max: float = 10.0           # m2-rate runs, spectral and DSMC
     dsmc_dt: float = 0.01
 
@@ -444,8 +442,7 @@ def density_corpus(params: SuiteParams) -> list[dict]:
                         diagnostics_schedule=[t_ev]).final
     entries.append({"name": "evolved", "phi": evolved,
                     "f": rs.reconstruct(evolved, r_nodes)})
-    steady = sp.steady_profile(_CORPUS_E, sp.SolverConfig(t_max=params.steady_t_max),
-                               tol=params.corpus_tol, grid=grid)
+    steady = sp.steady_profile(_CORPUS_E, tol=params.corpus_tol, grid=grid)
     entries.append({"name": "steady", "phi": steady,
                     "f": rs.reconstruct(steady, r_nodes)})
     return entries
@@ -471,11 +468,12 @@ def sweep_epsilon(eps_list, config: sp.SolverConfig | None = None,
     C(eps) = L1 / (sqrt(eps) (1 + sqrt|log eps|)) is stable within a factor 3
     between consecutive points. Non-converged points are dropped and
     reported; each row and dropped entry lists the warnings its solve raised
-    and its number of solver steps.
+    and its number of Newton steps, and a dropped entry the d2 size of its
+    last Newton update.
     With `raise_on_failure` the checks raise AssertionError; the returned
     table always carries the full data and verdicts. The defaults are the
-    `FULL` sweep suite's: its grid, nodes, tolerance and step budget, at the
-    one step `spectral.DT`.
+    `FULL` sweep suite's: its grid, nodes and tolerance. `config` reaches
+    `spectral.steady_profile`, which reads only its `quad_order` and `frame`.
 
     Note: the envelope is an upper bound, and the measured distances fall
     faster than it (roughly like eps^2), so the two-sided factor-3 stability
@@ -487,8 +485,6 @@ def sweep_epsilon(eps_list, config: sp.SolverConfig | None = None,
         grid = sp.RadialGrid(*FULL.sweep_grid)
     if r_nodes is None:
         r_nodes = rs.default_r_nodes(*FULL.r_nodes)
-    if config is None:
-        config = sp.SolverConfig(t_max=FULL.steady_t_max)
 
     rows: list[dict] = []
     dropped: list[dict] = []
@@ -498,8 +494,8 @@ def sweep_epsilon(eps_list, config: sp.SolverConfig | None = None,
                                           grid=grid)
         if not phi.meta.get("converged", False):
             dropped.append({"eps": ev, "e": e,
-                            "cauchy_d2": phi.meta.get("cauchy_d2"),
-                            "steps": phi.meta["steps"],
+                            "last_update_d2": phi.meta["last_update_d2"],
+                            "newton_steps": phi.meta["newton_steps"],
                             "warnings": caught})
             logger.warning("sweep: dropping eps=%g (steady state not converged)", ev)
             continue
@@ -510,7 +506,7 @@ def sweep_epsilon(eps_list, config: sp.SolverConfig | None = None,
         rows.append({"eps": ev, "e": e, "l1": l1, "envelope": env,
                      "c_fit": l1 / env,
                      "residual": phi.meta.get("fixed_point_residual"),
-                     "steps": phi.meta["steps"],
+                     "newton_steps": phi.meta["newton_steps"],
                      "warnings": caught})
 
     c = np.array([r["c_fit"] for r in rows])
@@ -526,7 +522,7 @@ def sweep_epsilon(eps_list, config: sp.SolverConfig | None = None,
         "eps": [r["eps"] for r in rows], "e": [r["e"] for r in rows],
         "l1": [r["l1"] for r in rows], "envelope": [r["envelope"] for r in rows],
         "c_fit": c.tolist(), "c_ratios": ratios.tolist(),
-        "steps": [r["steps"] for r in rows],
+        "newton_steps": [r["newton_steps"] for r in rows],
         "warnings": [r["warnings"] for r in rows], "rows": rows, "dropped": dropped,
         "monotone": monotone, "c_stable": stable, "c_growth_ok": growth_ok,
     }
@@ -728,8 +724,7 @@ def _suite_kinematics(ws: dict, params: SuiteParams, rows: list[dict],
 def _ws_steady(ws: dict, params: SuiteParams) -> sp.CharacteristicProfile:
     if "steady_e095" not in ws:
         ws["steady_e095"], ws["steady_e095_warnings"] = _recording_warnings(
-            sp.steady_profile, 0.95, sp.SolverConfig(t_max=params.steady_t_max),
-            tol=params.steady_tol, grid=sp.RadialGrid(*params.grid))
+            sp.steady_profile, 0.95, tol=params.steady_tol, grid=sp.RadialGrid(*params.grid))
     return ws["steady_e095"]
 
 
@@ -840,7 +835,7 @@ def _suite_weak_decay(ws: dict, params: SuiteParams, rows: list[dict],
         ends = np.searchsorted(trace.times, fit.window)
         add(fit.rate, 0.9 * gamma, lower=True,
             gamma=gamma, r_squared=fit.r_squared,
-            ref_cauchy_d2=_ws_steady(ws, params).meta["cauchy_d2"],
+            ref_last_update_d2=_ws_steady(ws, params).meta["last_update_d2"],
             d2_ref_ends=d2_ref[ends].tolist())
 
 
@@ -923,7 +918,6 @@ def _suite_sweep(ws: dict, params: SuiteParams, rows: list[dict],
     claim = "steady-state distance to the Maxwellian shrinks as e -> 1"
     with _guard(rows, claim, "sweep"):
         table = sweep_epsilon(params.sweep_eps,
-                              config=sp.SolverConfig(t_max=params.steady_t_max),
                               grid=sp.RadialGrid(*params.sweep_grid),
                               r_nodes=rs.default_r_nodes(*params.r_nodes),
                               tol=params.sweep_tol,
@@ -931,7 +925,7 @@ def _suite_sweep(ws: dict, params: SuiteParams, rows: list[dict],
         raw["sweep_table"] = {k: table[k] for k in
                               ("eps", "e", "l1", "envelope", "c_fit", "c_ratios",
                                "monotone", "c_stable", "c_growth_ok", "dropped",
-                               "steps", "warnings")}
+                               "newton_steps", "warnings")}
         l1 = np.array(table["l1"])
         worst_step = float(np.max(np.diff(l1))) if len(l1) >= 2 else math.nan
         rows.append(_row("sweep-monotone", claim, worst_step, 0.0,

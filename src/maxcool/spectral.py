@@ -17,7 +17,7 @@ adds the drift generator E x d phi/dx by Strang splitting, the drift
 half-steps applied as exact resampling phi(x) <- phi(x exp(E dt/2)).
 
 Profiles live on a uniform radial grid. Every evaluation off it (gain
-quadrature queries, drift resampling, `evaluate` and so the m2 pin) is quintic
+quadrature queries, drift resampling and `evaluate`) is quintic
 Hermite interpolation with sixth-order 7-point slopes and fourth-order
 5-point curvatures, by one operator, `_InterpPlan`. That evaluation is
 linear in the profile and is two CSR products. The first, the stencil
@@ -63,21 +63,15 @@ on the (4096, 50) grid for a Gaussian-tailed profile, and only the pages of
 the filled rows are resident (`_on_demand`). A drift plan is filled
 when built; `evaluate` fills a plan of its queries below the tail alone.
 
-The stationary rescaled profile (`steady_profile`) is the fixed point of one
-rescaled step followed by a gauge pin, the dilation that sets m2 = 3, found
-by Anderson mixing of the step's residual preconditioned by the inverse of the
-loss and drift. The pin removes the neutral dilation mode of the rescaled
-flow, so m2 does not drift. A solve from the unit Maxwellian stops once the
-one-step d2 residual bounds the d2 of a 5-time-unit march below the
-tolerance. Where the tolerance allows, it is preceded by a solve from the
-Sonine approximation of the fixed point, a Gaussian times the polynomial in
-x^2 whose Taylor series up to x^2K (K <= 4) is the stationary one that the
-moment recursion gives in closed form (`_steady_start`). What that start
-misses sits in directions that a step barely moves, so its solve must bound
-a 200-time-unit march instead, and gives up for the Maxwellian as soon as
-that bound stops falling. At `DT` and tol 1e-7 a solve takes 8 to 19 steps
-for e in [0.2, 0.99] on (1024, 30), and on (4096, 50) 1 step for e >= 0.98
-and 7 to 19 below.
+The stationary rescaled profile (`steady_profile`) is the root of the
+stationary equation Q+ phi - phi + (E + mu) x phi' = 0 bordered by m2 = 3
+as `moment` reads it (its 7-node fit), with the grid's dissipation defect
+mu as the extra unknown, found by Newton's method with a Jacobian-free,
+preconditioned GMRES solve per step. It starts from the Sonine
+approximation of the root, a Gaussian times the polynomial in x^2 whose
+Taylor series up to x^2K (K <= 4) is the closed-form stationary one
+(`_steady_start`), and stops when the d2 size of the Newton update is below
+the tolerance. It takes no time step, so its root does not depend on dt.
 """
 
 from __future__ import annotations
@@ -135,8 +129,9 @@ logger = logging.getLogger(__name__)
 # by which that grid's gain of the bimaxwellian misses its exact value.
 QUAD_ORDER = 24
 
-# Time step of every spectral solve. Its error is far below the moment
-# extractor's 8e-5 bias and the solve tolerances (1e-7 and looser): against
+# Time step of every spectral run (`step`, `evolve`). Its error is far below
+# the moment extractor's 8e-5 bias and the steady tolerances (1e-7 and
+# looser): against
 # dt = 0.005, max |dphi| of the e = 0.95 rescaled run from the bimaxwellian
 # to t = 20 is 6.3e-11 on the (256, 20) grid and 4.2e-12 on (1024, 30), and
 # that of the unscaled e = 0.5 run from the Maxwellian to t = 10 is 2.4e-10
@@ -227,7 +222,8 @@ class SolverConfig:
     `dt` remains only for the benchmark's explicit steps and the CLI's
     `--dt`, and `quad_order` only for the benchmark's explicit orders; every
     other caller steps at the default `DT` and runs the gain at the default
-    `QUAD_ORDER`. `gain_scales` rejects an order below it.
+    `QUAD_ORDER`. `gain_scales` rejects an order below it. `steady_profile`
+    takes no time step and reads only `quad_order` and `frame`.
     """
 
     dt: float = DT
@@ -997,16 +993,10 @@ def envelope_report(phi: CharacteristicProfile) -> dict:
     }
 
 
-_STEADY_WINDOW = 5.0   # time units of the Cauchy d2 that a steady solve bounds
-_START_WINDOW = 200.0  # time units of it that a solve from the stationary start bounds
-_ANDERSON_DEPTH = 10   # differences kept by the Anderson mixing of a steady solve
-
-
-def _pin(phi: CharacteristicProfile) -> CharacteristicProfile:
-    # the dilation phi(x) -> phi(lam x) to moment(., 2) = 3, as m2 scales as
-    # lam^2; after one step (|m2 - 3| < 1e-8) it lands within 1e-12 of 3
-    lam = math.sqrt(3.0 / moment(phi, 2))
-    return CharacteristicProfile(phi.grid, evaluate(phi, lam * phi.grid.x), phi.time)
+_NEWTON_STEPS = 20     # Newton steps of a steady solve before it reports non-convergence
+_GMRES_RESTART = 80    # Krylov vectors per cycle of the GMRES solve of a Newton step
+_GMRES_BUDGET = 800    # GMRES iterations per Newton step
+_FORCING = (1e-2, 1e-14)  # largest forcing term of a GMRES solve, and its round-off floor per |phi|
 
 
 def _loss_drift_solve(r: np.ndarray, E: float) -> np.ndarray:
@@ -1050,17 +1040,13 @@ def _stationary_taylor(e: float, order: int) -> list[float]:
     return c
 
 
-def _steady_start(grid: RadialGrid, e: float,
-                  tol: float = math.inf) -> CharacteristicProfile | None:
+def _steady_start(grid: RadialGrid, e: float) -> CharacteristicProfile | None:
     # phi0 = exp(-x^2/2) sum_{k<=K} b_k x^2k, whose Taylor series matches the
     # stationary c_0 .. c_K, so b_k = sum_{j<=k} c_j 2^(j-k)/(k-j)! (the
     # coefficients of exp(x^2/2) sum_j c_j x^2j). K is the largest order up
     # to `_START_ORDER` whose rates lambda(2..K) are positive and whose phi0
     # is a valid profile, |phi0| <= 1 on the grid. None when only K = 1, the
-    # unit Maxwellian (b_1 = c_1 + 1/2 = 0), qualifies, or when the last term
-    # is not below tol in d2, where its size is
-    # |b_K| max x^(2K-2) exp(-x^2/2) = |b_K| ((2K - 2)/exp(1))^(K-1): the
-    # series has then not settled at tol.
+    # unit Maxwellian (b_1 = c_1 + 1/2 = 0), qualifies.
     top = 1
     while top < _START_ORDER and moment_rate(top + 1, e) > 0.0:
         top += 1
@@ -1072,156 +1058,167 @@ def _steady_start(grid: RadialGrid, e: float,
     for K in range(top, 1, -1):
         values = gauss * np.polynomial.polynomial.polyval(x2, b[:K + 1])
         if np.max(np.abs(values)) <= 1.0:
-            last = abs(b[K]) * ((2 * K - 2) / math.e) ** (K - 1)
-            return CharacteristicProfile(grid, values) if last < tol else None
+            return CharacteristicProfile(grid, values)
     return None
 
 
-def _anderson(phi: CharacteristicProfile, e: float, config: SolverConfig, tol: float,
-              budget: int, span: float,
-              give_up: bool) -> tuple[CharacteristicProfile, float, list[float]]:
-    # the Anderson solve of `steady_profile` from phi, in at most budget
-    # applications of G, each bounding a march of span time units: (the
-    # image with the smallest bound, that bound, the bound after each
-    # application). With give_up it stops at the first bound that does not
-    # fall below the one before.
-    grid = phi.grid
-    E = dissipation_rate(e)
-    window = span / config.dt
-    x = grid.x
-    keep = x >= 2.0 * grid.dx       # the rows d2 reads, weighted like d2
-    weight = 1.0 / x[keep] ** 2
-    dF: list[np.ndarray] = []
-    dH: list[np.ndarray] = []
-    prev = None                     # (f, h) of the last application
-    history: list[float] = []
-    achieved, best, best_k = math.inf, None, 0
-    restarted = None                # the best image the history last restarted from
-    for k in range(budget):
-        image = _pin(step(phi, e, config))
-        delta = image.values - phi.values
-        bound = window * float(np.max(np.abs(delta[keep]) * weight))
-        history.append(bound)
-        if bound < achieved:
-            achieved, best, best_k = bound, image, k
-        if bound < tol or (give_up and k > 0 and bound >= history[-2]):
+def _gmres(A, M, b: np.ndarray, target: float) -> tuple[np.ndarray, int]:
+    # (M y, iterations) with |b - A M y| <= target: GMRES (Saad & Schultz
+    # 1986) right-preconditioned by M, restarted every `_GMRES_RESTART` and
+    # stopped after `_GMRES_BUDGET` iterations; Arnoldi by classical
+    # Gram-Schmidt done twice, the least squares by Givens rotations
+    m = _GMRES_RESTART
+    y, r, its = np.zeros(len(b)), b, 0
+    V, H = np.zeros((m + 1, len(b))), np.zeros((m + 1, m))
+    while True:
+        g = np.zeros(m + 1)
+        g[0] = float(np.linalg.norm(r))
+        if g[0] <= target or its == _GMRES_BUDGET:
             break
-        if k - best_k >= _ANDERSON_DEPTH and restarted is not best:
-            dF.clear()
-            dH.clear()
-            prev, restarted, phi = None, best, best
-            continue
-        u = _loss_drift_solve(delta / config.dt, E)
-        h = phi.values + u
-        f = u[keep] * weight
-        if prev is not None:
-            dF.append(f - prev[0])
-            dH.append(h - prev[1])
-            if len(dF) > _ANDERSON_DEPTH:
-                del dF[0], dH[0]
-        prev = (f, h)
-        if dF:
-            gamma = np.linalg.lstsq(np.column_stack(dF), f, rcond=None)[0]
-            h = h - np.column_stack(dH) @ gamma
-        try:
-            phi = CharacteristicProfile(grid, h, image.time)
-        except ValueError:
-            dF.clear()
-            dH.clear()
-            prev, phi = None, image
-    return best, achieved, history
+        V[0], H[:], rot, k = r / g[0], 0.0, [], 0
+        while k < m and its < _GMRES_BUDGET and abs(g[k]) > target:
+            w = A(M(V[k]))
+            its += 1
+            for _ in range(2):
+                coef = V[:k + 1] @ w
+                w -= coef @ V[:k + 1]
+                H[:k + 1, k] += coef
+            beta = float(np.linalg.norm(w))
+            for i, (c, s) in enumerate(rot):
+                H[i, k], H[i + 1, k] = c * H[i, k] + s * H[i + 1, k], c * H[i + 1, k] - s * H[i, k]
+            nu = math.hypot(H[k, k], beta)
+            c, s = H[k, k] / nu, beta / nu
+            rot.append((c, s))
+            H[k, k] = nu
+            V[k + 1] = w / beta if beta > 0.0 else 0.0
+            g[k + 1], g[k] = -s * g[k], c * g[k]
+            k += 1
+        for i in range(k - 1, -1, -1):  # back substitution; g[k] is the residual
+            g[i] = (g[i] - H[i, i + 1:k] @ g[i + 1:k]) / H[i, i]
+        y += g[:k] @ V[:k]
+        if abs(g[k]) <= target:
+            break
+        r = b - A(M(y))
+    return M(y), its
 
 
 def steady_profile(e, config: SolverConfig | None = None, tol: float = 1e-7,
                    grid: RadialGrid | None = None) -> CharacteristicProfile:
-    """Stationary rescaled profile at unit temperature, as a fixed point.
+    """Stationary rescaled profile at unit temperature, as a root.
 
-    The map is one rescaled step followed by the gauge pin,
-    G(phi) = pin(step(phi)), where the pin is the dilation phi(x) -> phi(lam x)
-    that sets moment(phi, 2) = 3. The rescaled equation is dilation
-    invariant, so the pin removes its one neutral mode and G contracts.
+    Newton's method (Knoll & Keyes 2004) solves for the node values phi and
+    a rate mu in R = Q+ phi - phi + (E + mu) x phi' = 0, with the 7-point
+    slope of `steady_residual`, bordered by m2 = 3 as `moment`'s 7-node fit
+    reads it. On the grid the gain misses energy balance, so R = 0 at the
+    exact E and m2 = 3 cannot both hold; mu is that dissipation defect
+    (1.00e-8 to 1.13e-8 for e in [0.8, 1] on (1024, 30), 15.7 times less on
+    (2048, 30); 2.1e-8 at e = 0.5 and -9.5e-8 at e = 0.2). It starts from
+    `_steady_start`, or the unit Maxwellian where that gives None. Each step
+    solves J d = -F by `_gmres`, right-preconditioned by
+    -(1 - (E + mu) x d/dx)^-1 (`_loss_drift_solve`), to Eisenstat & Walker's
+    (1996) second forcing term, at most `_FORCING[0]` and not below the
+    residual's round-off. J_Q h is the one-sided difference
+    (Q+(phi + t h) - Q+ phi)/t, t = 1.5e-8/max |h|, which reuses the step's
+    Q+ phi; Q+ is quadratic, so its error t Q2(h, h) moves the path, not the
+    root.
 
-    phi = G(phi) is solved by Anderson mixing (type II, Walker & Ni 2011) of
-    depth `_ANDERSON_DEPTH`, with its least squares weighted by 1/x^2 like
-    d2. The mixed residual is that of G preconditioned by the loss and drift:
-    H(phi) = phi + P^-1 (G(phi) - phi)/dt with P = 1 - E x d/dx, which has
-    the fixed points of G. Without P the tail, which relaxes at rate ~1 and
-    which the d2 weights do not see, is extrapolated with the O(1/dt) mixing
-    coefficients of a near-identity map. A mixed iterate that is not a valid
-    profile is replaced by the unmixed image G(phi) and the history is
-    cleared. When no new best residual appears within one depth of
-    applications, the history restarts from the best image, once per best
-    image (a second restart would repeat the same iterates).
+    The solve stops when the d2 size of the update is below tol and returns
+    the updated profile: under quadratic convergence the last update bounds
+    the error of the iterate before it. Not so for a first update from a
+    start that errs along the near-dilations, where J is ill-conditioned: at
+    e = 0.96 on (1024, 30) it reads 4.8e-8 while the start lies 1.09e-7 from
+    the root, and the second update finds the rest. So a tol above the first
+    update stops one step short, with a mu that has not converged: 0.70 tol
+    (d2) from the root at tol 1e-7 and e = 0.95 there, and 1.6 tol at tol
+    1e-8 and e = 0.99 on (2048, 40), the worst of six grids from (256, 15)
+    to (4096, 50), e in [0.2, 1] and tol in [1e-10, 1e-6]. On the finest
+    grids the root is set only to the residual's round-off (5e-14): roots
+    from the two starts differ by up to 3e-9 in d2 and 2e-10 in mu there.
 
-    The solve from the unit Maxwellian stops when (5/dt) d2(G(phi), phi) <
-    tol. G contracts d2, so that bounds the d2 between the image G(phi) and
-    its image after the 5 time units of pinned steps that a march would take.
-    It is preceded, when `_steady_start` gives one, by a solve from the
-    stationary start: the unit Maxwellian times a polynomial in x^2 that
-    carries the closed-form m4*, m6* and m8* where they are finite, the
-    product is a valid profile and its last term is below tol. What that
-    start misses lies mostly along the slow, far from normal directions of
-    G: the offset that the grid's discretization leaves on the fixed point,
-    a temperature that drifts across x and that the pin reads only at x = 0
-    (6.9e-8 in d2 on (1024, 30), 3e-9 on (4096, 50)). A time unit of steps
-    moves a profile there by as little as 1/160 of its distance to the
-    fixed point, and Anderson mixing from the start does not remove that
-    offset (14 applications at e = 0.95 left it whole), where from the
-    Maxwellian, whose error lies mostly in the fast directions, it does. So
-    the solve from the start stops when (200/dt) d2(G(phi), phi) < tol
-    (`_START_WINDOW`; 160 is the largest ratio measured on seven grids from
-    (256, 15) to (4096, 50), at dt 0.05 and 0.01 and e from 0.9 to 0.999),
-    and gives up for the Maxwellian at the first bound that does not fall.
-
-    Each application of G is one `step` call, at most config.t_max/dt of
-    them, the start's included. The default config steps at `DT` with
-    t_max = 300, a budget that no solve nears. The returned profile is the
-    image G(phi) with the smallest bound, reported as meta["cauchy_d2"]. Its
-    meta carries "converged", "cauchy_d2", "fixed_point_residual", the
-    qualitative "envelope" report, "e", "steps" (applications of G) and
-    "history" (the bound after each application, the start's first).
-    On non-convergence meta["converged"] is False and a warning is issued.
+    After `_NEWTON_STEPS` steps without such an update it warns and sets
+    meta["converged"] = False. The meta holds "converged", "last_update_d2",
+    "mu", "newton_steps", "gmres_steps", "gain_applies" (the solve's;
+    "fixed_point_residual", `steady_residual` at the exact E, costs one
+    more), "history" (sup |R|, the update's d2 and the GMRES iterations of
+    each step), the qualitative "envelope" report and "e". `config` is read
+    only for `quad_order` and `frame`, which must be the rescaled one.
     """
     e = _check_e(e)
-    if grid is None:
-        grid = RadialGrid()
-    if config is None:
-        config = SolverConfig(t_max=300.0, frame="rescaled-g")
-    elif config.frame != "rescaled-g":
+    grid = RadialGrid() if grid is None else grid
+    config = SolverConfig() if config is None else config
+    if config.frame != "rescaled-g":
         raise ValueError("steady_profile requires the rescaled frame")
     if not (tol > 0):
         raise ValueError("tol must be positive")
 
-    budget = max(1, int(round(config.t_max / config.dt)))
-    start = _steady_start(grid, e, tol)
-    achieved, best, history = math.inf, None, []
-    if start is not None:
-        best, achieved, history = _anderson(_pin(start), e, config, tol, budget,
-                                            _START_WINDOW, give_up=True)
-    if achieved >= tol and budget > len(history):
-        image, bound, tail = _anderson(_pin(CharacteristicProfile.maxwellian(grid, 1.0)),
-                                       e, config, tol, budget - len(history),
-                                       _STEADY_WINDOW, give_up=False)
-        history += tail
-        if bound < achieved:
-            achieved, best = bound, image
+    gain = _gain_plan(grid, e, config.quad_order)
+    E, x, dx, n = dissipation_rate(e), grid.x, grid.dx, grid.n
+    keep = x >= 2.0 * dx           # the rows d2 reads
+    v = (_steady_start(grid, e) or CharacteristicProfile.maxwellian(grid)).values
+    mu, applies, gmres_steps, history = 0.0, 0, 0, []
+    eta, norm, update, converged = _FORCING[0], None, math.inf, False
 
-    converged = achieved < tol
+    def m2(h):
+        return _even_fit(h, dx, 1, 2)[0]
+
+    def drift(h):
+        return x * _stencil_rows(h, dx, n)[:, 1]
+
+    def jacobian(d):
+        # J (h, dmu) with J_Q h one-sided: Q+ is quadratic, so the
+        # difference misses J_Q h by t Q2(h, h)
+        nonlocal applies
+        h, peak = d[:-1], float(np.max(np.abs(d[:-1])))
+        t = 1.5e-8 / peak if peak > 0.0 else 1.0
+        applies += 1
+        JQ = (gain.apply(v + t * h) - Qv) / t
+        return np.append(JQ - h + (E + mu) * drift(h) + d[-1] * slope, m2(h))
+
+    def precondition(r):
+        return np.append(-_loss_drift_solve(r[:-1], E + mu), r[-1])
+
+    for _ in range(_NEWTON_STEPS):
+        Qv = gain.apply(v)
+        applies += 1
+        slope = drift(v)
+        F = np.append(Qv - v + (E + mu) * slope, m2(v) - 3.0)
+        last, norm = norm, float(np.linalg.norm(F))
+        if last is not None:  # Eisenstat & Walker (1996), choice 2
+            eta = min(_FORCING[0], 0.9 * (norm / last) ** 2)
+        floor = _FORCING[1] * float(np.linalg.norm(v))
+        d, its = _gmres(jacobian, precondition, -F, max(eta * norm, floor))
+        gmres_steps += its
+        v, mu = v + d[:-1], mu + float(d[-1])
+        update = float(np.max(np.abs(d[:-1][keep]) / x[keep] ** 2))
+        history.append({"residual": float(np.max(np.abs(F[:-1]))), "update_d2": update,
+                        "gmres": its})
+        if update < tol:
+            converged = True
+            break
+
     if not converged:
-        warnings.warn(f"steady profile did not reach tol={tol:g}; "
-                      f"achieved bound={achieved:.3g} after {len(history)} steps")
-    best.meta.update({
+        warnings.warn(f"steady profile did not reach tol={tol:g}; last update "
+                      f"d2={update:.3g} after {len(history)} Newton steps")
+    phi = CharacteristicProfile(grid, v)
+    phi.meta.update({
         "converged": converged,
-        "cauchy_d2": achieved,
-        "fixed_point_residual": steady_residual(best, e, config.quad_order),
-        "envelope": envelope_report(best),
-        "e": e,
-        "steps": len(history),
+        "last_update_d2": update,
+        "mu": mu,
+        "newton_steps": len(history),
+        "gmres_steps": gmres_steps,
+        "gain_applies": applies,
         "history": history,
+        "fixed_point_residual": steady_residual(phi, e, config.quad_order),
+        "envelope": envelope_report(phi),
+        "e": e,
     })
-    logger.info("steady profile e=%g: converged=%s cauchy_d2=%.3g residual=%.3g steps=%d",
-                e, converged, achieved, best.meta["fixed_point_residual"], len(history))
-    return best
+    for k, h in enumerate(history):
+        logger.info("steady e=%g Newton step %d: sup|R|=%.3g update d2=%.3g GMRES %d",
+                    e, k + 1, h["residual"], h["update_d2"], h["gmres"])
+    logger.info("steady profile e=%g: converged=%s last update d2=%.3g mu=%.4g "
+                "residual=%.3g Newton steps=%d GMRES steps=%d gain applies=%d", e, converged,
+                update, mu, phi.meta["fixed_point_residual"], len(history), gmres_steps, applies)
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -1362,9 +1359,8 @@ def _evaluate(phi: CharacteristicProfile, x) -> tuple[np.ndarray, np.ndarray]:
 def evaluate(phi: CharacteristicProfile, x) -> np.ndarray:
     """Evaluate the profile at arbitrary abscissae, clamped to [0, x_max].
 
-    The one uncached off-grid evaluation: the m2 pin of a steady solve and
-    `realspace.reconstruct` (by `_evaluate`) go through it too. It gathers
-    only the abscissae below the saturated tail. NaN raises ValueError.
+    The one uncached off-grid evaluation. It gathers only the abscissae
+    below the saturated tail (`_evaluate`). NaN raises ValueError.
     """
     out = _evaluate(phi, np.atleast_1d(x))[0]
     return out if np.ndim(x) else float(out[0])

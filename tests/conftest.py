@@ -12,10 +12,9 @@ from maxcool import spectral as sp
 def steady_e09():
     """Stationary rescaled profile at e = 0.9 (n=2048, x_max=40)."""
     grid = sp.RadialGrid(2048, 40.0)
-    cfg = sp.SolverConfig(dt=0.01, t_max=200.0, frame="rescaled-g")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return sp.steady_profile(0.9, config=cfg, tol=1e-7, grid=grid)
+        return sp.steady_profile(0.9, tol=1e-7, grid=grid)
 
 
 @pytest.fixture

@@ -225,9 +225,7 @@ def test_density_corpus_fast():
 # ---------------------------------------------------------------------------
 # epsilon sweep
 
-_SWEEP_FAST = dict(grid=sp.RadialGrid(256, 15.0),
-                   r_nodes=None, tol=1e-4,
-                   config=sp.SolverConfig(dt=0.05, t_max=60.0, frame="rescaled-g"))
+_SWEEP_FAST = dict(grid=sp.RadialGrid(256, 15.0), r_nodes=None, tol=1e-4)
 
 
 def test_sweep_validation():
@@ -244,9 +242,10 @@ def test_sweep_adjacent_pair_passes_both_checks():
     table = harness.sweep_epsilon([0.1, 0.05], **_SWEEP_FAST)
     assert table["monotone"] and table["c_stable"] and table["c_growth_ok"]
     assert len(table["rows"]) == 2 and table["dropped"] == []
-    assert table["steps"] == [r["steps"] for r in table["rows"]] and min(table["steps"]) >= 1
+    assert table["newton_steps"] == [r["newton_steps"] for r in table["rows"]]
+    assert min(table["newton_steps"]) >= 1
     # distances are resolution-robust: these values match the fine-grid runs
-    # (coarse dt and loose tol shift the transient cutoff by well under 2%)
+    # (a coarse grid and a loose tol move them by well under 2%)
     assert table["l1"][0] == pytest.approx(0.031116, rel=0.02)
     assert table["l1"][1] == pytest.approx(0.008352, rel=0.02)
     assert 1.0 < table["c_ratios"][0] < 3.0
@@ -264,12 +263,13 @@ def test_sweep_wide_step_fails_stability_only():
         harness.sweep_epsilon([0.1, 0.02], **_SWEEP_FAST)
 
 
-def test_sweep_records_warnings_of_a_dropped_solve():
-    short = dict(_SWEEP_FAST, config=sp.SolverConfig(dt=0.05, t_max=0.05, frame="rescaled-g"))
-    table = harness.sweep_epsilon([0.1], raise_on_failure=False, **short)
+def test_sweep_records_warnings_of_a_dropped_solve(monkeypatch):
+    monkeypatch.setattr(sp, "_NEWTON_STEPS", 1)
+    table = harness.sweep_epsilon([0.1], raise_on_failure=False, **_SWEEP_FAST)
     assert table["rows"] == [] and len(table["dropped"]) == 1
     assert any("did not reach tol" in w for w in table["dropped"][0]["warnings"])
-    assert table["dropped"][0]["steps"] == 1
+    assert table["dropped"][0]["newton_steps"] == 1
+    assert table["dropped"][0]["last_update_d2"] >= _SWEEP_FAST["tol"]
     assert type(table["dropped"][0]["e"]) is float
     assert type(table["dropped"][0]["eps"]) is float
 
@@ -667,10 +667,10 @@ def test_cli_evolve_and_steady(tmp_path, capsys):
     assert np.loadtxt(trace, delimiter=",").shape[1] == 8
     prof = tmp_path / "steady.csv"
     code = run_cli(["steady", "--e", "0.8", "--grid-n", "256", "--x-max", "15",
-                    "--dt", "0.05", "--t-max", "60", "--tol", "1e-4",
-                    "--out", str(prof)])
+                    "--tol", "1e-4", "--out", str(prof)])
     assert code == 0
-    assert "steps=" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "newton_steps=" in out and "gmres_steps=" in out
     assert prof.read_text().startswith("# maxcool-profile v1 e=0.80000000000000004 ")
     assert np.loadtxt(prof, delimiter=",", comments="#").shape == (256, 2)
 
@@ -680,7 +680,9 @@ def test_cli_steady_and_sweep_defaults_are_the_full_sweep_suites():
     for command in ("steady", "sweep-eps"):
         cfg = cli._resolve(parser.parse_args([command]))
         assert (cfg.grid_n, cfg.x_max) == harness.FULL.sweep_grid
-        assert (cfg.dt, cfg.t_max) == (sp.DT, harness.FULL.steady_t_max)
+        # the steady solve takes no time step
+        for flag in ("--dt", "--t-max"):
+            assert run_cli([command, flag, "1"]) == 2
     assert cfg.tol == harness.FULL.sweep_tol
     assert cfg.eps_values() == harness.FULL.sweep_eps
 
@@ -689,55 +691,43 @@ def test_every_spectral_solve_steps_at_the_one_dt(monkeypatch):
     assert sp.SolverConfig().dt == sp.DT
     assert ExperimentConfig().dt == sp.DT
     parser = cli._build_parser()
-    for command in ("evolve", "steady", "sweep-eps"):
-        assert cli._resolve(parser.parse_args([command])).dt == sp.DT
+    assert cli._resolve(parser.parse_args(["evolve"])).dt == sp.DT
     for fast in (False, True):
         assert harness._provenance("all", fast)[0]["dt"] == sp.DT
-    # the default config of steady_profile: record the step of its one
-    # application (any bound meets tol=1e30)
-    inner, seen = sp.step, []
-
-    def step(phi, e, config):
-        seen.append(config.dt)
-        return inner(phi, e, config)
-
-    monkeypatch.setattr(sp, "step", step)
-    sp.steady_profile(0.9, tol=1e30, grid=sp.RadialGrid(256, 20.0))
-    assert seen == [sp.DT]
+    # the steady solve takes no step at all
+    monkeypatch.setattr(sp, "step", None)
+    assert sp.steady_profile(0.9, tol=1e-6, grid=sp.RadialGrid(256, 20.0)).meta["converged"]
 
 
 def test_cli_steady_solves_as_the_sweep_does(tmp_path):
     # the CLI, a direct call and the sweep run one and the same steady solve
     eps, tol, grid = 0.1, 1e-4, sp.RadialGrid(256, 15.0)
     e = 1.0 - 2.0 * eps
-    config = sp.SolverConfig(dt=0.05, t_max=60.0, frame="rescaled-g")
     prof = tmp_path / "steady.csv"
     assert run_cli(["steady", "--e", repr(e), "--grid-n", "256", "--x-max", "15",
-                    "--dt", "0.05", "--t-max", "60", "--tol", repr(tol),
-                    "--out", str(prof)]) == 0
+                    "--tol", repr(tol), "--out", str(prof)]) == 0
     written = np.loadtxt(prof, delimiter=",", comments="#")[:, 1]
-    direct = sp.steady_profile(e, config, tol=tol, grid=grid)
+    direct = sp.steady_profile(e, tol=tol, grid=grid)
     np.testing.assert_array_equal(written, direct.values)  # 17 digits round-trip
 
     r_nodes = rs.default_r_nodes(*harness.FULL.r_nodes)
     f = rs.reconstruct(direct, r_nodes)
     l1 = rs.l1_distance(f, rs.RadialDensity.maxwellian(r_nodes, theta=f.m2 / 3.0))
-    table = harness.sweep_epsilon([eps], config=config, grid=grid, tol=tol,
-                                  raise_on_failure=False)
+    table = harness.sweep_epsilon([eps], grid=grid, tol=tol, raise_on_failure=False)
     assert table["l1"] == [l1]
 
 
-def test_cli_steady_nonconvergence_is_numerical_failure(capsys):
+def test_cli_steady_nonconvergence_is_numerical_failure(capsys, monkeypatch):
+    monkeypatch.setattr(sp, "_NEWTON_STEPS", 1)
     with pytest.warns(UserWarning, match="did not reach"):
         code = run_cli(["steady", "--e", "0.8", "--grid-n", "256", "--x-max",
-                        "15", "--dt", "0.05", "--t-max", "0.05", "--tol", "1e-12"])
+                        "15", "--tol", "1e-12"])
     assert code == 1
     assert "no convergence" in capsys.readouterr().err
 
 
 def test_cli_sweep_exit_codes(tmp_path, capsys):
-    common = ["--grid-n", "256", "--x-max", "15", "--dt", "0.05",
-              "--t-max", "60", "--tol", "1e-4"]
+    common = ["--grid-n", "256", "--x-max", "15", "--tol", "1e-4"]
     out = tmp_path / "sweep.csv"
     assert run_cli(["sweep-eps", "--eps", "0.1,0.05", "--out", str(out)]
                    + common) == 0
