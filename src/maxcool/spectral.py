@@ -999,24 +999,44 @@ _GMRES_BUDGET = 800    # GMRES iterations per Newton step
 _FORCING = (1e-2, 1e-14)  # largest forcing term of a GMRES solve, and its round-off floor per |phi|
 
 
-def _loss_drift_solve(r: np.ndarray, E: float) -> np.ndarray:
-    # u - E x u' = r by implicit upwind differences, u_i - E i (u_{i+1} - u_i)
-    # = r_i, swept inward from x_max: the inverse of the loss-and-drift part
-    # of the rescaled generator. u_0 = r_0, and |u| <= max |r|. Past the
-    # last nonzero r (a NaN counts as nonzero) every u is exactly +0, so the
-    # sweep starts there.
-    nonzero = np.flatnonzero(r)
-    K = int(nonzero[-1]) + 1 if nonzero.size else 0
-    c = E * np.arange(K, dtype=float)
-    a = (c / (1.0 + c)).tolist()
-    b = (r[:K] / (1.0 + c)).tolist()
-    acc = 0.0
-    for i in range(K - 1, -1, -1):
-        acc = b[i] + a[i] * acc
-        b[i] = acc
-    u = np.zeros(len(r))
-    u[:K] = b
-    return u
+def _loss_drift(E: float, n: int):
+    # The solver of u - E x u' = r on n nodes by implicit upwind differences,
+    # u_i - E i (u_{i+1} - u_i) = r_i: the inverse of the loss-and-drift part
+    # of the rescaled generator. With d = 1 + E i, a = E i/d and b = r/d it
+    # is the recurrence u_i = b_i + a_i u_{i+1} with u_n = 0, which recursive
+    # doubling (Kogge & Stone 1973) evaluates in log2 n vector passes: after
+    # the pass of stride s, b_i holds u_i less m_2s,i u_{i+2s}, where
+    # m_s,i = a_i ... a_{i+s-1}. The multipliers depend on E and n only and
+    # are built here once; a solve then costs O(K log K) for K = 1 + the last
+    # nonzero r (a NaN counts as nonzero), since every u from K on is exactly
+    # +0. a_0 = 0, so u_0 = r_0 exactly, and a NaN at j makes u NaN on
+    # exactly [0, j]. |u| <= max |r| up to rounding: u_i is the sum over
+    # k >= i of (a_i ... a_{k-1}/d_k) r_k, whose weights sum to at most 1,
+    # and each term carries at most 3 log2 K + 1 roundings, so u lies within
+    # (3 log2 K + 1) eps max |r| of the exact solution (measured: within
+    # 0.7 eps max |r| of the sequential sweep on random r, n = 1024 and 4096).
+    c = E * np.arange(n, dtype=float)
+    d = 1.0 + c
+    passes = [(1, (c / d)[:n - 1])]   # (s, m_s) for s = 1, 2, 4, ...; n - s entries
+    while 2 * passes[-1][0] < n:
+        s, ms = passes[-1]
+        passes.append((2 * s, ms[:n - 2 * s] * ms[s:]))
+    tmp = np.empty(n)
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        nonzero = np.flatnonzero(r)
+        K = int(nonzero[-1]) + 1 if nonzero.size else 0
+        u = np.zeros(n)
+        b = u[:K]
+        np.divide(r[:K], d[:K], out=b)
+        for s, ms in passes:
+            if s >= K:
+                break
+            np.multiply(ms[:K - s], b[s:], out=tmp[:K - s])
+            b[:K - s] += tmp[:K - s]
+        return u
+
+    return solve
 
 
 _START_ORDER = 4       # highest Taylor order K of the start of a steady solve
@@ -1115,7 +1135,8 @@ def steady_profile(e, config: SolverConfig | None = None, tol: float = 1e-7,
     (2048, 30); 2.1e-8 at e = 0.5 and -9.5e-8 at e = 0.2). It starts from
     `_steady_start`, or the unit Maxwellian where that gives None. Each step
     solves J d = -F by `_gmres`, right-preconditioned by
-    -(1 - (E + mu) x d/dx)^-1 (`_loss_drift_solve`), to Eisenstat & Walker's
+    -(1 - (E + mu) x d/dx)^-1 (`_loss_drift`, built once per step and
+    applied by recursive doubling), to Eisenstat & Walker's
     (1996) second forcing term, at most `_FORCING[0]` and not below the
     residual's round-off. J_Q h is the one-sided difference
     (Q+(phi + t h) - Q+ phi)/t, t = 1.5e-8/max |h|, which reuses the step's
@@ -1175,7 +1196,7 @@ def steady_profile(e, config: SolverConfig | None = None, tol: float = 1e-7,
         return np.append(JQ - h + (E + mu) * drift(h) + d[-1] * slope, m2(h))
 
     def precondition(r):
-        return np.append(-_loss_drift_solve(r[:-1], E + mu), r[-1])
+        return np.append(-loss_drift(r[:-1]), r[-1])
 
     for _ in range(_NEWTON_STEPS):
         Qv = gain.apply(v)
@@ -1186,6 +1207,7 @@ def steady_profile(e, config: SolverConfig | None = None, tol: float = 1e-7,
         if last is not None:  # Eisenstat & Walker (1996), choice 2
             eta = min(_FORCING[0], 0.9 * (norm / last) ** 2)
         floor = _FORCING[1] * float(np.linalg.norm(v))
+        loss_drift = _loss_drift(E + mu, n)
         d, its = _gmres(jacobian, precondition, -F, max(eta * norm, floor))
         gmres_steps += its
         v, mu = v + d[:-1], mu + float(d[-1])

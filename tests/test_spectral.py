@@ -1272,12 +1272,33 @@ def test_steady_solve_without_a_start_begins_at_the_maxwellian(monkeypatch):
 
 
 def test_steady_solve_from_the_stationary_start_is_short():
-    # the start lies 1.1e-7 (d2) from the root: one Newton step meets tol
-    # 1e-6, and from the unit Maxwellian (3.7e-5 away) it takes two
+    # the start lies about 1.1e-7 (d2) from the root: one Newton step of
+    # three GMRES iterations meets tol 1e-6, at the default order and at
+    # q = 32 (the solves of perfbench's `steady` workload), and from the
+    # unit Maxwellian (3.7e-5 away) it takes two steps
     g = sp.RadialGrid(1024, 30.0)
-    phi = sp.steady_profile(0.98, tol=1e-6, grid=g)
-    assert phi.meta["converged"] and phi.meta["newton_steps"] == 1
-    assert sp.d2_distance(phi, sp.steady_profile(0.98, tol=1e-10, grid=g)) <= 1e-6
+    for e, q in ((0.98, sp.QUAD_ORDER), (0.96, 32), (0.98, 32)):
+        config = sp.SolverConfig(quad_order=q)
+        phi = sp.steady_profile(e, config, tol=1e-6, grid=g)
+        meta = phi.meta
+        assert meta["converged"] and meta["newton_steps"] == 1, (e, q)
+        assert meta["gmres_steps"] == 3 and meta["gain_applies"] == 4, (e, q)
+        ref = sp.steady_profile(e, config, tol=1e-10, grid=g)
+        assert sp.d2_distance(phi, ref) <= 1e-6, (e, q)
+
+
+def test_steady_profile_builds_one_loss_drift_solver_per_newton_step(monkeypatch):
+    builds = []
+    inner = sp._loss_drift
+
+    def counted(E, n):
+        builds.append(E)
+        return inner(E, n)
+
+    monkeypatch.setattr(sp, "_loss_drift", counted)
+    phi = sp.steady_profile(0.5, tol=1e-10, grid=sp.RadialGrid(1024, 30.0))
+    assert phi.meta["converged"] and phi.meta["newton_steps"] >= 2
+    assert len(builds) == phi.meta["newton_steps"]
 
 
 @pytest.mark.parametrize("e", [0.95, 0.98, 0.99, 1.0])
@@ -1390,7 +1411,7 @@ def test_steady_residual_takes_the_stencil_slopes_to_the_top_edge():
 
 
 def _full_sweep(r, E):
-    # u - E x u' = r swept inward over every node
+    # u - E x u' = r swept inward over every node, one node at a time
     c = E * np.arange(len(r), dtype=float)
     a = (c / (1.0 + c)).tolist()
     b = (r / (1.0 + c)).tolist()
@@ -1400,6 +1421,19 @@ def _full_sweep(r, E):
         acc = b[i] + a[i] * acc
         u[i] = acc
     return np.array(u)
+
+
+def _full_doubling(r, E):
+    # the same recurrence by recursive doubling over every node, with no
+    # stop at the last nonzero r
+    n = len(r)
+    c = E * np.arange(n, dtype=float)
+    b = r / (1.0 + c)
+    m, s = (c / (1.0 + c))[:n - 1], 1
+    while s < n:
+        b[:n - s] += m * b[s:]
+        m, s = m[:max(n - 2 * s, 0)] * m[s:], 2 * s
+    return b
 
 
 def test_the_loss_drift_sweep_that_stops_at_the_last_nonzero_r_is_the_full_sweep():
@@ -1412,15 +1446,36 @@ def test_the_loss_drift_sweep_that_stops_at_the_last_nonzero_r_is_the_full_sweep
     nan[200] = math.nan
     cases = {"zero-tail": zero_tail, "no-tail": rng.standard_normal(n), "all-zero": np.zeros(n),
              "nan": nan}
-    for e in (0.2, 0.95):
+    for e in (0.2, 0.95, 1.0):
         E = sp.dissipation_rate(e)
+        solve = sp._loss_drift(E, n)
         for name, r in cases.items():
-            u = sp._loss_drift_solve(r, E)
-            assert u.tobytes() == _full_sweep(r, E).tobytes(), (name, e)
-        u = sp._loss_drift_solve(zero_tail, E)
+            u = solve(r)
+            assert u.tobytes() == _full_doubling(r, E).tobytes(), (name, e)
+        u = solve(zero_tail)
         assert np.all(u[300:] == 0.0) and not np.any(np.signbit(u[300:]))
-        u = sp._loss_drift_solve(nan, E)
+        u = solve(nan)
         assert np.all(np.isnan(u[:201])) and not np.any(np.isnan(u[201:]))
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_the_loss_drift_solve_is_the_sequential_sweep_to_rounding(n):
+    # bound fixed before the run: |u - u_seq| <= 32 eps max |r| (measured
+    # 0.7 eps max |r|); u_0 = r_0 exactly, since a_0 = 0
+    rng = np.random.default_rng(n)
+    eps = np.finfo(float).eps
+    for e in (0.2, 0.5, 0.95, 1.0):
+        E = sp.dissipation_rate(e)
+        solve = sp._loss_drift(E, n)
+        cases = [rng.standard_normal(n), np.exp(-np.linspace(0.0, 40.0, n))]
+        for K in (0, 1, 2):
+            r = np.zeros(n)
+            r[:K] = rng.standard_normal(K)
+            cases.append(r)
+        for r in cases:
+            u = solve(r)
+            assert u[0] == r[0], e
+            assert np.max(np.abs(u - _full_sweep(r, E))) <= 32.0 * eps * np.max(np.abs(r)), e
 
 
 def _dilation_profiles():
