@@ -13,13 +13,14 @@ the lattice, the exact abscissae x with R and dr, so they are kept per
 lattice in a FIFO cache of at most `spectral._CACHE_CAP` lattices.
 `reconstruct` sums only the abscissae below the profile's saturated tail,
 past which phi is exactly +0 (x ~ 11 for a Gaussian tail on the (4096, 50)
-grid, so the first M = 909 of 4097 are summed): an interpolation plan of the
-lattice's abscissae, kept per lattice in a FIFO of the same size and filled
-only as far as a profile's live prefix has needed, gathers phi there, and
-the sums read only the first M rows of the lattice's tables. A table row is
-computed when a call first needs it, once (about 4 sqrt(R) sines per row),
-so a lattice holds 32 M sqrt(R) bytes of resident tables for the widest
-live prefix M asked of it, not 32 m sqrt(R).
+grid, so the first M = 909 of 4097 are summed): a `spectral._PrefixPlan` of
+the lattice's abscissae, the one path of every evaluation at fixed positions
+(the drift and `spectral.evaluate` take it too), kept per lattice in a FIFO
+of the same size and filled only as far as a profile's live prefix has
+needed, gathers phi there, and the sums read only the first M rows of the
+lattice's tables. A table row is computed when a call first needs it, once
+(about 4 sqrt(R) sines per row), so a lattice holds 32 M sqrt(R) bytes of
+resident tables for the widest live prefix M asked of it, not 32 m sqrt(R).
 
 On top of reconstructed (or closed-form sampled) densities this module
 provides the Fisher information I(f) = int 4 pi r^2 f (d ln f / dr)^2 dr,
@@ -310,11 +311,12 @@ _ABSCISSA_CACHE: dict[tuple, spectral._PrefixPlan] = {}
 
 def _abscissa_values(phi: CharacteristicProfile, xq: np.ndarray) -> np.ndarray:
     # phi at the live prefix of the sorted Simpson abscissae xq, through one
-    # interpolation plan per (grid, xq) lattice, kept and filled on demand
+    # prefix plan per (grid, xq) lattice, kept and filled on demand
     grid = phi.grid
     plan = spectral._cached(_ABSCISSA_CACHE, (grid.n, grid.x_max, len(xq)),
                             lambda: spectral._PrefixPlan(xq / grid.dx, grid.n, grid.dx))
-    return plan.live_values(phi.values)
+    values, M = plan.values(phi.values)
+    return values[:M]
 
 
 def reconstruct(phi: CharacteristicProfile, r_nodes) -> RadialDensity:
@@ -326,16 +328,17 @@ def reconstruct(phi: CharacteristicProfile, r_nodes) -> RadialDensity:
     evaluated at all R nodes at once by angle addition (`_sine_transform`):
     two (sqrt(R) x m)(m x sqrt(R)) products on sine tables kept per (x, r)
     lattice, each row computed once. The sums stop at the saturated tail: the
-    lattice's kept interpolation plan (`spectral._PrefixPlan`) gathers phi
-    at the abscissae below it, with the values `spectral.evaluate` gives
-    there, and the rest, exactly +0, are left out. So the sums differ from
-    the full ones only by the BLAS grouping of the products, and a profile
-    without a tail gets the full sums bit for bit. The angle addition needs
-    r_j = j dr to rounding, which is stricter than `RadialDensity`'s
-    uniformity check; np.linspace nodes meet it. Refuses such off-lattice
-    nodes, nonfinite ones, profiles that have not decayed at x_max (tail
-    above 1e-8) and inversions whose negative lobes exceed the clipped-mass
-    budget, reporting the x_max that the tail decay suggests would be needed.
+    lattice's kept `spectral._PrefixPlan` (`spectral.evaluate` builds one
+    per call) gathers phi at the abscissae below it, with the values
+    `spectral.evaluate` gives there, and the rest, exactly +0, are left out.
+    So the sums differ from the full ones only by the BLAS grouping of the
+    products, and a profile without a tail gets the full sums bit for bit.
+    The angle addition needs r_j = j dr to rounding, which is stricter than
+    `RadialDensity`'s uniformity check; np.linspace nodes meet it. Refuses
+    such off-lattice nodes, nonfinite ones, profiles that have not decayed at
+    x_max (tail above 1e-8) and inversions whose negative lobes exceed the
+    clipped-mass budget, reporting the x_max that the tail decay suggests
+    would be needed.
     """
     r = _check_r_nodes(r_nodes)
     x_max = phi.grid.x_max

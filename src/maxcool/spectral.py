@@ -28,8 +28,10 @@ that every grid shares, built vectorised and regrown, at least doubling,
 when a table needs more nodes (`_interior_csr`); the one-sided closure rows
 of the last three nodes are a fixed matrix over the last five. The second,
 the plan's gather matrix (six weights per query), maps the node table to the
-queries; its rows are computed once per query. Gain and drift plans are
-cached; `evaluate` builds an uncached one per call. The gain adds a third
+queries; its rows are computed once per query. Every evaluation at fixed
+positions (the drift, `realspace.reconstruct` and `evaluate`) runs through
+one `_PrefixPlan` of its sorted queries. Gain and drift plans are cached;
+`evaluate` builds an uncached one per call. The gain adds a third
 CSR product, which sums each grid node's quadrature products in node order
 (`_GainPlan`). All three products run scipy's compiled `csr_matvec`, the
 kernel behind `csr_matrix @ x`, loaded from scipy.sparse's extension file
@@ -47,21 +49,21 @@ of nodes where phi - 1 == -1 in floating point and the slopes and curvatures
 are exactly 0 (past x ~ 11 for a Gaussian tail on the (4096, 50) grid). A
 query there evaluates to exactly +0, because the Hermite value weights
 satisfy fl(fl(1 - W1) + W1) = 1 (checked for every query when its weights
-are computed). So the drift, whose queries x_i exp(E dt/2) are sorted, and
-`evaluate`, which masks its queries below the tail, gather only those and
-write +0 for the rest. The gain plan holds its (s-node k, grid node i)
-pairs sorted stably by the interval of their outer query max(a-, a+) x_i,
-each pair's a- and a+ queries in adjacent rows, and an apply evaluates only
-the pairs below the tail: a pair whose outer query lies there has product
-+-0 whatever its finite inner value, and adds exactly +0 to its node's
-sum. The drift, `evaluate` and the gain are bit for bit the full
-evaluation, and a node whose pairs all lie past the tail gets the gain
-exactly +0; see `_GainPlan`. The gain plan
-computes the weights of its queries on demand, in pair order, only as far
-as an apply has needed: at most once per query, and about a quarter of them
-on the (4096, 50) grid for a Gaussian-tailed profile, and only the pages of
-the filled rows are resident (`_on_demand`). A drift plan is filled
-when built; `evaluate` fills a plan of its queries below the tail alone.
+are computed). So a `_PrefixPlan`, whose queries are sorted (the drift's
+x_i exp(E dt/2) are, and `evaluate` sorts its own), gathers only the prefix
+below the tail and writes +0 for the rest. The gain plan holds its (s-node
+k, grid node i) pairs sorted stably by the interval of their outer query
+max(a-, a+) x_i, each pair's a- and a+ queries in adjacent rows, and an
+apply evaluates only the pairs below the tail: a pair whose outer query
+lies there has product +-0 whatever its finite inner value, and adds
+exactly +0 to its node's sum. The prefix plans and the gain are bit for
+bit the full evaluation, and a node whose pairs all lie past the tail gets
+the gain exactly +0; see `_GainPlan`. Every plan computes the weights of its
+queries on demand, in query order, only as far as a call has needed: at
+most once per query, and only the pages of the filled rows are resident
+(`_on_demand`). For a Gaussian-tailed profile on the (4096, 50) grid a gain
+plan fills about a quarter of its queries, and a drift plan about 900 of
+its 4096.
 
 The stationary rescaled profile (`steady_profile`) is the root of the
 stationary equation Q+ phi - phi + (E + mu) x phi' = 0 bordered by m2 = 3
@@ -437,19 +439,22 @@ def _csr_matvec():
 def _on_demand(shape: tuple, dtype=float) -> np.ndarray:
     """An unfilled array of `shape` whose pages become resident only as written.
 
-    For arrays filled row by row as they are needed (`_InterpPlan.reserved`,
+    For arrays filled row by row as they are needed (`_InterpPlan`,
     `realspace`'s sine tables). np.empty advises transparent huge pages for
     arrays over 4 MB, so where the host's THP mode honours that advice
     (`madvise` or `always`) a first write makes a whole 2 MB page resident.
     This array is a private anonymous mapping of its own, advised against
     huge pages where the platform has that flag, so a write makes only its
     own base (4 kB) pages resident. The mapping is unmapped when the array
-    is freed.
+    is freed. An array of size 0 maps nothing, as mmap rejects length 0.
     """
     import mmap  # noqa: PLC0415  (only here: code that keeps no plan, DSMC say, never loads it)
 
     dtype = np.dtype(dtype)
-    buf = mmap.mmap(-1, math.prod(shape) * dtype.itemsize, flags=mmap.MAP_PRIVATE)
+    size = math.prod(shape) * dtype.itemsize
+    if not size:
+        return np.empty(shape, dtype)
+    buf = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
     if hasattr(mmap, "MADV_NOHUGEPAGE"):
         buf.madvise(mmap.MADV_NOHUGEPAGE)
     return np.frombuffer(buf, dtype=dtype).reshape(shape)
@@ -479,11 +484,13 @@ def _hermite_weights(t: np.ndarray, W: np.ndarray) -> None:
 class _InterpPlan:
     """Quintic Hermite evaluation at fixed query positions as a linear operator.
 
-    Every off-grid evaluation of a profile runs through one. Positions are
-    fractional grid indices, a * i for the queries a * x_i. They must be
+    Every off-grid evaluation of a profile runs through one. `_InterpPlan(m,
+    n, h)` reserves m queries on the grid of n nodes and spacing h, none of
+    them filled: `fill` appends the positions of the next queries. Positions
+    are fractional grid indices, a * i for the queries a * x_i. They must be
     finite and nonnegative (ValueError otherwise): csr_matvec does not
     range-check column indices. Positions past n - 1 are clamped to the last
-    node and counted in `clamped`.
+    node, and `clamped` counts those among the filled queries.
 
     The evaluation is the product of two CSR matrices. The first is the
     stencil matrix, which maps a profile to its (n, 3) node table X
@@ -508,11 +515,10 @@ class _InterpPlan:
     the gather matrix of the first m queries, views of the arrays, through
     scipy's compiled csr_matvec (`_csr_matvec`), the kernel and the operands
     of `csr_matrix @ x`, so the sums are those of scipy.sparse bit for bit.
+    Each row is its own 6-term dot product, so a query's value does not
+    depend on which other queries the plan holds or on their order.
 
-    A plan built from its positions is filled at once, into np.empty
-    arrays. A `reserved` plan (the gain's and `_PrefixPlan`'s) holds its
-    arrays unfilled: `fill` appends the weights of the next queries. Its
-    reserve comes from `_on_demand`, so only the pages of the filled rows
+    The reserve comes from `_on_demand`, so only the pages of the filled rows
     are resident: 72 bytes per filled query, rounded up to whole 4 kB
     pages. np.empty would not do: numpy advises huge pages for arrays over
     4 MB, and where the host honours that advice each fill makes whole
@@ -521,26 +527,13 @@ class _InterpPlan:
     among those pages.
     """
 
-    __slots__ = ("shape", "n", "h", "data", "indices", "filled", "clamped")
+    __slots__ = ("n", "h", "data", "indices", "filled", "clamped")
 
-    def __init__(self, positions: np.ndarray, n: int, h: float) -> None:
-        p = np.asarray(positions, dtype=float)
-        self._reserve(p.shape, n, h, np.empty)
-        self.fill(p.ravel())
-
-    @classmethod
-    def reserved(cls, shape: tuple, n: int, h: float) -> "_InterpPlan":
-        """A plan of `shape` queries with none filled yet."""
-        plan = cls.__new__(cls)
-        plan._reserve(shape, n, h, _on_demand)
-        return plan
-
-    def _reserve(self, shape: tuple, n: int, h: float, empty) -> None:
+    def __init__(self, m: int, n: int, h: float) -> None:
         _csr_matvec()  # a missing kernel fails here, before any plan is cached
-        m = math.prod(shape)
-        self.shape, self.n, self.h = shape, n, h
-        self.data = empty((m, 6))
-        self.indices = empty((m, 6), dtype=np.int32)
+        self.n, self.h = n, h
+        self.data = _on_demand((m, 6))
+        self.indices = _on_demand((m, 6), dtype=np.int32)
         self.filled = self.clamped = 0
 
     def fill(self, p: np.ndarray) -> None:
@@ -575,29 +568,18 @@ class _InterpPlan:
         _CSR_MATVEC(m, 3 * self.n, _row_pointer(m, len(self.data)),
                     self.indices[:m].reshape(-1), self.data[:m].reshape(-1), X, out)
 
-    def eval_sorted(self, v: np.ndarray) -> np.ndarray:
-        """The profile v at every query of a filled plan sorted by position.
-
-        Only the queries below the saturated tail are evaluated; every other
-        one is exactly +0, as the full evaluation 1 + M @ X gives it.
-        """
-        X, J = _node_table(v, self.h)
-        m = int(np.searchsorted(self.indices[:self.filled, 0], 3 * J))
-        out = np.zeros(self.filled)
-        self.gather(m, X.ravel(), out[:m])
-        out[:m] += 1.0
-        return out.reshape(self.shape)
-
 
 class _PrefixPlan:
     """An `_InterpPlan` of fixed sorted positions, filled as far as its live prefix.
 
-    `live_values(v)` takes the tail start J of `_node_table`, counts the
-    positions whose interval lies below it (M, from the cells computed at
-    construction), fills the plan with those of them not yet filled, and
-    gathers them, as `eval_sorted` does. It returns the M values; every
-    later position is exactly +0 and left out. So a plan fills each query
-    at most once, and only as far as the widest prefix asked of it.
+    The one path for evaluations at fixed positions: the drift, the
+    abscissae of `realspace.reconstruct` and `evaluate`. `values(v)` takes
+    the tail start J of `_node_table`, counts the positions whose interval
+    lies below it (M, from the cells computed at construction), fills the
+    plan with those of them not yet filled, and gathers them. It returns
+    (values, M): values at every position, exactly +0 from M on, as the full
+    evaluation gives them. So a plan fills each query at most once, and only
+    as far as the widest M asked of it.
     """
 
     __slots__ = ("positions", "cells", "plan")
@@ -605,18 +587,18 @@ class _PrefixPlan:
     def __init__(self, positions: np.ndarray, n: int, h: float) -> None:
         self.positions = positions
         self.cells = _cells(positions, n)[1]
-        self.plan = _InterpPlan.reserved(positions.shape, n, h)
+        self.plan = _InterpPlan(len(positions), n, h)
 
-    def live_values(self, v: np.ndarray) -> np.ndarray:
+    def values(self, v: np.ndarray) -> tuple[np.ndarray, int]:
         X, J = _node_table(v, self.plan.h)
         M = int(np.searchsorted(self.cells, J))
         plan = self.plan
         if plan.filled < M:
             plan.fill(self.positions[plan.filled:M])
-        out = np.zeros(M)
-        plan.gather(M, X.ravel(), out)
-        out += 1.0
-        return out
+        out = np.zeros(len(self.positions))
+        plan.gather(M, X.ravel(), out[:M])
+        out[:M] += 1.0
+        return out, M
 
 
 def gain_scales(e: float, quad_order: int = QUAD_ORDER):
@@ -685,9 +667,9 @@ class _GainPlan:
     a-_k, a+_k; the plan reads nothing else of the rule.
     Pair (k, i) queries phi at a-_k x_i and a+_k x_i. The pairs are sorted
     stably by the interval of their outer query max(a-_k, a+_k) i, and pair p
-    is the adjacent rows 2p (a-) and 2p + 1 (a+) of one reserved
-    `_InterpPlan`; `order[p]` is its flat index k n + i, and `below[j]`
-    counts the pairs whose outer query lies below interval j.
+    is the adjacent rows 2p (a-) and 2p + 1 (a+) of one `_InterpPlan`;
+    `order[p]` is its flat index k n + i, and `below[j]` counts the pairs
+    whose outer query lies below interval j.
 
     `apply` evaluates only the pairs below the saturated tail, the trailing
     run of saturated intervals from J on (`_node_table`), and takes every
@@ -737,7 +719,7 @@ class _GainPlan:
         lowest = float(np.min(np.maximum(self.a_minus, self.a_plus)))
         ramp = np.arange(grid.n)
         self.live = np.searchsorted(_cells(lowest * ramp, grid.n)[1], ramp)
-        self.plan = _InterpPlan.reserved((len(self.order), 2), grid.n, grid.dx)
+        self.plan = _InterpPlan(2 * len(self.order), grid.n, grid.dx)
         self.q = int(quad_order)
         self.indptr, self.weights = _node_sums(w, grid.n)
         # index[i q + k] is the position of pair (k, i): the inverse of
@@ -796,7 +778,7 @@ def _node_sums(w: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 _NODE_SUMS: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 _GAIN_CACHE: dict[tuple, _GainPlan] = {}
-_DRIFT_CACHE: dict[tuple, _InterpPlan] = {}
+_DRIFT_CACHE: dict[tuple, _PrefixPlan] = {}
 _RULE_CACHE: dict[tuple, tuple[np.ndarray, ...]] = {}
 _CACHE_CAP = 16
 
@@ -816,9 +798,9 @@ def _gain_plan(grid: RadialGrid, e: float, quad_order: int) -> _GainPlan:
                    lambda: _GainPlan(grid, e, quad_order))
 
 
-def _drift_plan(grid: RadialGrid, shift: float) -> _InterpPlan:
+def _drift_plan(grid: RadialGrid, shift: float) -> _PrefixPlan:
     return _cached(_DRIFT_CACHE, (grid.n, round(grid.x_max, 12), round(shift, 18)),
-                   lambda: _InterpPlan(math.exp(shift) * np.arange(grid.n, dtype=float),
+                   lambda: _PrefixPlan(math.exp(shift) * np.arange(grid.n, dtype=float),
                                        grid.n, grid.dx))
 
 
@@ -844,7 +826,7 @@ def gain_fourier(phi: CharacteristicProfile, e,
 
 def _drift_vals(v: np.ndarray, grid: RadialGrid, shift: float) -> np.ndarray:
     # exact rescaling phi(x) -> phi(x e^{shift}), at the sorted e^{shift} i
-    out = _drift_plan(grid, shift).eval_sorted(v)
+    out = _drift_plan(grid, shift).values(v)[0]
     out[0] = 1.0
     return out
 
@@ -1358,31 +1340,36 @@ def gamma_constants(alpha: float, e) -> tuple[float, float]:
 def _evaluate(phi: CharacteristicProfile, x) -> tuple[np.ndarray, np.ndarray]:
     """(values, live): `evaluate` at the abscissae x, and the mask of those gathered.
 
-    An abscissa is live when its clamped grid position lies in an interval
-    below the tail start J of `_node_table`. Only the live ones go into the
-    uncached `_InterpPlan`, so x need not be sorted; the others are exactly
-    +0, as the full evaluation gives them. NaN is rejected here, since the
-    mask keeps tail positions from the plan's own check.
+    The clamped grid positions of x, stably sorted, go into one uncached
+    `_PrefixPlan`, so x need not be sorted; its values are scattered back to
+    the shape of x. An abscissa is live when its position lies in an
+    interval below the tail start J of `_node_table`: the first M of the
+    sorted order. The others are exactly +0, as the full evaluation gives
+    them. NaN is rejected here, since the plan checks only the positions it
+    fills.
     """
     grid = phi.grid
     xq = np.asarray(x, dtype=float)
     if np.isnan(xq).any():
         raise ValueError("interpolation positions must be finite and nonnegative")
-    p = np.clip(xq, 0.0, grid.x_max) / grid.dx
-    X, J = _node_table(phi.values, grid.dx)
-    live = _cells(p, grid.n)[1] < J
-    vals = np.zeros(np.count_nonzero(live))
-    _InterpPlan(p[live], grid.n, grid.dx).gather(len(vals), X.ravel(), vals)
-    out = np.zeros(xq.shape)
-    out[live] = vals + 1.0
-    return out, live
+    p = np.clip(xq, 0.0, grid.x_max).ravel() / grid.dx
+    order = np.argsort(p, kind="stable")
+    vals, M = _PrefixPlan(p[order], grid.n, grid.dx).values(phi.values)
+    out = np.empty(len(p))
+    out[order] = vals
+    live = np.zeros(len(p), dtype=bool)
+    live[order[:M]] = True
+    return out.reshape(xq.shape), live.reshape(xq.shape)
 
 
 def evaluate(phi: CharacteristicProfile, x) -> np.ndarray:
     """Evaluate the profile at arbitrary abscissae, clamped to [0, x_max].
 
-    The one uncached off-grid evaluation. It gathers only the abscissae
-    below the saturated tail (`_evaluate`). NaN raises ValueError.
+    The one uncached off-grid evaluation: a `_PrefixPlan` of the sorted
+    abscissae, built and filled per call, which gathers only those below
+    the saturated tail (`_evaluate`). The result has the shape of x, and
+    every value is that of the full evaluation bit for bit. NaN raises
+    ValueError.
     """
     out = _evaluate(phi, np.atleast_1d(x))[0]
     return out if np.ndim(x) else float(out[0])

@@ -1,4 +1,4 @@
-"""Shared fixtures: expensive solver runs reused across test modules."""
+"""Shared fixtures (expensive solver runs reused across test modules) and helpers."""
 
 import warnings
 
@@ -6,6 +6,18 @@ import numpy as np
 import pytest
 
 from maxcool import spectral as sp
+
+
+def _filled_plan(positions, n, h):
+    """An `_InterpPlan` with every one of the (flattened) positions filled.
+
+    The oracle of the full evaluation, every query gathered, the tail
+    included, that each tail skip must reproduce bit for bit.
+    """
+    p = np.asarray(positions, dtype=float).ravel()
+    plan = sp._InterpPlan(len(p), n, h)
+    plan.fill(p)
+    return plan
 
 
 @pytest.fixture(scope="session")

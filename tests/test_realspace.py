@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import _filled_plan
 from maxcool import realspace as rs
 from maxcool import spectral as sp
 
@@ -144,7 +145,8 @@ sp.evaluate(phi, [0.5, 1.5])
 rs.reconstruct(phi, np.linspace(0.0, 10.0, 2001))
 print(any(m.startswith("scipy.sparse") for m in loaded()))
 import scipy.sparse
-(plan,) = sp._DRIFT_CACHE.values()
+(drift,) = sp._DRIFT_CACHE.values()
+plan = drift.plan
 X = sp._node_table(phi.values, g.dx)[0].ravel()
 out = np.zeros(plan.filled)
 plan.gather(plan.filled, X, out)
@@ -375,11 +377,11 @@ def _full_evaluate(phi, x):
     # phi at every abscissa x, each one gathered, the tail included: the
     # full evaluation that the tail skip of sp.evaluate must reproduce
     g = phi.grid
-    plan = sp._InterpPlan(np.clip(x, 0.0, g.x_max) / g.dx, g.n, g.dx)
+    plan = _filled_plan(np.clip(x, 0.0, g.x_max) / g.dx, g.n, g.dx)
     out = np.zeros(plan.filled)
     plan.gather(plan.filled, sp._node_table(phi.values, g.dx)[0].ravel(), out)
     out += 1.0
-    return out.reshape(plan.shape)
+    return out.reshape(np.shape(x))
 
 
 def _dense_inversion(phi, r):
@@ -531,11 +533,14 @@ grid = sp.RadialGrid(4096, 50.0)
 phi = sp.CharacteristicProfile.bimaxwellian(grid)
 gain = sp._GainPlan(grid, 0.95, 64)
 gain.apply(phi.values)
+sp.step(phi, 0.95, sp.SolverConfig(frame="rescaled-g"))
 rs.reconstruct(phi, rs.default_r_nodes())
+(drift,) = sp._DRIFT_CACHE.values()
 (prefix,) = rs._ABSCISSA_CACHE.values()
 (tables,) = rs._TRANSFORM_CACHE.values()
-arrays = [(p.data, 48 * p.filled) for p in (gain.plan, prefix.plan)]
-arrays += [(p.indices, 24 * p.filled) for p in (gain.plan, prefix.plan)]
+plans = [gain.plan, drift.plan, prefix.plan] + [p.plan for p in sp._GAIN_CACHE.values()]
+arrays = [(p.data, 48 * p.filled) for p in plans]
+arrays += [(p.indices, 24 * p.filled) for p in plans]
 arrays += [(t, 8 * t.shape[1] * tables.filled) for t in tables.tables]
 vmas = {}
 with open("/proc/self/smaps") as fh:
@@ -557,11 +562,12 @@ print(json.dumps({"vmas": [vmas[key] for key in held], "bound": bound, "filled":
 
 
 def test_kept_plans_and_sine_tables_are_resident_only_as_far_as_filled():
-    # a (4096, 50) q = 64 gain plan applied to the bimaxwellian, and the sine
-    # tables and abscissa plan of one reconstruct, in a fresh process: the
-    # memory mappings that hold their arrays have no huge page, and their
-    # resident bytes are at most the filled ones, rounded up to pages, plus
-    # one page per array
+    # a (4096, 50) q = 64 gain plan applied to the bimaxwellian, the gain
+    # and drift plans of one rescaled step, and the sine tables and abscissa
+    # plan of one reconstruct, in a fresh process: the memory mappings that
+    # hold their arrays have no huge page, and their resident bytes are at
+    # most the filled ones, rounded up to pages, plus one page per array.
+    # Adjacent reserves share one mapping, so every kept plan is listed
     if not os.path.exists("/proc/self/smaps"):
         pytest.skip("needs /proc/self/smaps")
     out = json.loads(subprocess.run([sys.executable, "-c", _RESIDENT_CODE],

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import _filled_plan
 from maxcool import realspace as rs, spectral as sp
 
 
@@ -326,18 +327,19 @@ def _full_head(gain, n):
 
 
 def _full_eval(plan, v):
-    # the profile v at every query of a filled plan, all of them gathered:
-    # the full evaluation that every tail skip must reproduce bit for bit
+    # the profile v at every filled query of a plan, in query order, all of
+    # them gathered: the full evaluation that every tail skip must reproduce
+    # bit for bit
     out = np.zeros(plan.filled)
     plan.gather(plan.filled, sp._node_table(v, plan.h)[0].ravel(), out)
     out += 1.0
-    return out.reshape(plan.shape)
+    return out
 
 
 def _eval_all(gain, v):
-    # the gain plan's queries at every pair
+    # the gain plan's queries at every pair, one (a-, a+) row per pair
     _full_head(gain, len(v))
-    return _full_eval(gain.plan, v)
+    return _full_eval(gain.plan, v).reshape(-1, 2)
 
 
 def _same_start(a, b):
@@ -409,7 +411,7 @@ def test_interp_operator_matches_hermite_reference():
             assert np.max(np.abs(gain.apply(v) - ref_gain)) <= tol
         # drift: the dilated queries run past x_max and are clamped
         for shift in (1e-4, 0.02):
-            plan = sp._drift_plan(g, shift)
+            plan = _filled_plan(sp._drift_plan(g, shift).positions, g.n, g.dx)
             assert plan.clamped > 0
             ref = _hermite_reference(v, math.exp(shift) * ramp, g.dx)
             ref[0] = 1.0
@@ -421,7 +423,7 @@ def test_interp_operator_matches_hermite_reference():
                              g.x_max + rng.uniform(0.0, 2.0, 5)])
         ref = _hermite_reference(v, np.minimum(xq, g.x_max) / g.dx, g.dx)
         assert np.max(np.abs(sp.evaluate(phi, xq) - ref)) <= tol
-        plan = sp._InterpPlan(np.minimum(xq, g.x_max) / g.dx, g.n, g.dx)
+        plan = _filled_plan(np.minimum(xq, g.x_max) / g.dx, g.n, g.dx)
         assert np.array_equal(sp.evaluate(phi, xq), _full_eval(plan, v))
 
 
@@ -443,12 +445,12 @@ class _FullGain:
     def __init__(self, grid, e, q):
         _, self.w, am, ap = sp.gain_scales(e, q)
         ramp = np.arange(grid.n, dtype=float)
-        self.plan = sp._InterpPlan(np.multiply.outer(np.concatenate([am, ap]), ramp),
-                                   grid.n, grid.dx)
+        self.plan = _filled_plan(np.multiply.outer(np.concatenate([am, ap]), ramp),
+                                 grid.n, grid.dx)
         self.q = q
 
     def apply(self, v):
-        vals = _full_eval(self.plan, v)
+        vals = _full_eval(self.plan, v).reshape(2 * self.q, -1)
         out = np.zeros(vals.shape[1])
         for k in range(self.q):
             out += self.w[k] * (vals[k] * vals[self.q + k])
@@ -544,7 +546,7 @@ def test_gain_plan_pairs_are_sorted_by_their_outer_interval():
         assert gain.order.dtype == np.int32  # 2 B per query beside M's 72
         assert np.array_equal(np.sort(gain.order), np.arange(q * g.n))
         k, i = np.divmod(gain.order, g.n)
-        assert gain.plan.shape == (q * g.n, 2)
+        assert len(gain.plan.data) == 2 * q * g.n
         outer = (M.indices.reshape(-1, 6)[:, 0] // 3).reshape(-1, 2).max(axis=1)
         assert np.all(np.diff(outer) >= 0)
         assert np.array_equal(outer, np.minimum(
@@ -581,8 +583,9 @@ def test_gather_is_the_scipy_csr_product_bit_for_bit():
     gain = sp._GainPlan(g, 0.7, 32)
     _full_head(gain, g.n)  # phi = 1: every pair filled
     xq = np.minimum(rng.uniform(0.0, 1.05 * g.x_max, 5001), g.x_max)
-    plans = {"gain": gain.plan, "drift": sp._drift_plan(g, 0.02),
-             "evaluate": sp._InterpPlan(xq / g.dx, g.n, g.dx)}
+    plans = {"gain": gain.plan,
+             "drift": _filled_plan(sp._drift_plan(g, 0.02).positions, g.n, g.dx),
+             "evaluate": _filled_plan(xq / g.dx, g.n, g.dx)}
     random = rng.uniform(-1.0, 1.0, g.n)
     random[0] = 1.0
     for name, plan in plans.items():
@@ -599,7 +602,7 @@ def test_gather_is_the_scipy_csr_product_bit_for_bit():
 def test_gather_rejects_what_the_kernel_would_misread():
     # csr_matvec reads past a short node table, and writes a strided output
     # to a copy that it drops
-    plan = sp._InterpPlan(np.linspace(0.0, 10.0, 7), 64, 0.1)
+    plan = _filled_plan(np.linspace(0.0, 10.0, 7), 64, 0.1)
     X = np.zeros(3 * 64)
     for bad_X, bad_out in ((X[:-1], np.zeros(7)), (X.reshape(64, 3), np.zeros(7)),
                            (X, np.zeros(6)), (X, np.zeros(14)[::2])):
@@ -651,8 +654,9 @@ def test_every_plan_has_value_weights_summing_to_one(monkeypatch):
     for gain in gains:
         _full_head(gain, g.n)
     plans = [gain.plan for gain in gains]
-    plans += [sp._drift_plan(g, shift) for shift in (1e-4, 0.02)]
-    plans.append(sp._InterpPlan(np.linspace(0.0, g.n - 1, 100003), g.n, g.dx))
+    plans += [_filled_plan(sp._drift_plan(g, shift).positions, g.n, g.dx)
+              for shift in (1e-4, 0.02)]
+    plans.append(_filled_plan(np.linspace(0.0, g.n - 1, 100003), g.n, g.dx))
     for plan in plans:
         W = plan.data[:plan.filled]
         assert np.all(W[:, 0] + W[:, 1] == 1.0)
@@ -664,7 +668,7 @@ def test_every_plan_has_value_weights_summing_to_one(monkeypatch):
 
     monkeypatch.setattr(sp, "_hermite_weights", off)
     with pytest.raises(ValueError, match="sum to exactly 1"):
-        sp._InterpPlan(np.linspace(0.0, 10.0, 7), g.n, g.dx)
+        _filled_plan(np.linspace(0.0, 10.0, 7), g.n, g.dx)
 
 
 def test_an_apply_fills_only_the_pairs_below_the_tail():
@@ -904,7 +908,7 @@ def test_a_drift_that_stops_at_the_tail_is_the_full_drift_bit_for_bit(shift, mon
         sp._DRIFT_CACHE.clear()
         with _gathers() as calls:
             out = sp._drift_vals(v, g, shift)
-        plan = sp._drift_plan(g, shift)
+        plan = _filled_plan(sp._drift_plan(g, shift).positions, g.n, g.dx)
         assert plan.clamped > 0, name
         ((m, *_),) = calls
         full = _full_eval(plan, v)
@@ -917,6 +921,39 @@ def test_a_drift_that_stops_at_the_tail_is_the_full_drift_bit_for_bit(shift, mon
             assert m < g.n - plan.clamped, name
 
 
+def test_a_drift_plan_fills_its_prefix_once(monkeypatch):
+    # a rescaled evolve fills the drift plan only as far as the widest live
+    # prefix of its calls, far short of the grid, and a second evolve fills
+    # no query; every drift call is the full evaluation bit for bit
+    monkeypatch.setattr(sp, "_DRIFT_CACHE", {})
+    g = sp.RadialGrid(4096, 50.0)
+    B = sp.CharacteristicProfile.bimaxwellian(g)
+    config = sp.SolverConfig(dt=0.005, t_max=10 * 0.005, frame="rescaled-g")
+    widest, fills, oracle = [], [], []
+    values, fill = sp._PrefixPlan.values, sp._InterpPlan.fill
+
+    def checked(self, v):
+        out, M = values(self, v)
+        if not oracle:  # the one drift plan of the run, every query filled
+            oracle.append(_filled_plan(self.positions, g.n, g.dx))
+        assert out.tobytes() == _full_eval(oracle[0], v).tobytes()
+        widest.append(M)
+        return out, M
+
+    def counted(self, p):
+        fills.append(len(p))
+        fill(self, p)
+
+    monkeypatch.setattr(sp._PrefixPlan, "values", checked)
+    first = sp.evolve(B, 0.95, config).final
+    (drift,) = sp._DRIFT_CACHE.values()
+    assert len(widest) == 2 * 10 and drift.plan.filled == max(widest) < g.n // 4
+    monkeypatch.setattr(sp._InterpPlan, "fill", counted)
+    again = sp.evolve(B, 0.95, config).final
+    assert fills == [] and drift.plan.filled == max(widest)
+    assert again.values.tobytes() == first.values.tobytes()
+
+
 def test_every_gather_is_a_view_of_its_plan(monkeypatch):
     # the kernel gets views of the plan's arrays, of under half of them too,
     # never copies
@@ -927,7 +964,7 @@ def test_every_gather_is_a_view_of_its_plan(monkeypatch):
     with _gathers() as calls:
         for frame in ("rescaled-g", "unscaled-f"):
             sp.evolve(B, 0.9, sp.SolverConfig(t_max=10 * sp.DT, frame=frame))
-    plans = [gain.plan for gain in sp._GAIN_CACHE.values()] + list(sp._DRIFT_CACHE.values())
+    plans = [p.plan for p in (*sp._GAIN_CACHE.values(), *sp._DRIFT_CACHE.values())]
     assert len(plans) == 2
     for plan in plans:
         mine = [M for M in calls if np.shares_memory(M.data, plan.data)]
@@ -1500,7 +1537,7 @@ def test_an_evaluated_dilation_is_the_full_evaluation_bit_for_bit(monkeypatch):
     for name, phi in profiles.items():
         lam = math.sqrt(3.0 / sp.moment(phi, 2))
         g = phi.grid
-        full = _full_eval(sp._InterpPlan(np.clip(lam * g.x, 0.0, g.x_max) / g.dx, g.n, g.dx),
+        full = _full_eval(_filled_plan(np.clip(lam * g.x, 0.0, g.x_max) / g.dx, g.n, g.dx),
                           phi.values)
         with _gathers() as calls:
             dilated = sp.evaluate(phi, lam * g.x)
@@ -1549,7 +1586,7 @@ def test_evaluate_rejects_positions_a_plan_cannot_index():
                 sp.evaluate(M, x)
     for p in ([math.nan], [3.0, -0.5]):
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            sp._InterpPlan(np.array(p), g.n, g.dx)
+            _filled_plan(np.array(p), g.n, g.dx)
     # infinities still clamp to the ends of the grid
     assert sp.evaluate(M, math.inf) == pytest.approx(M.values[-1], abs=1e-12)
     assert sp.evaluate(M, -math.inf) == 1.0
@@ -1557,7 +1594,8 @@ def test_evaluate_rejects_positions_a_plan_cannot_index():
 
 def test_evaluate_of_unsorted_abscissae_past_the_tail_is_the_full_evaluation():
     # the live mask marks the abscissae below the tail start wherever they
-    # sit; the others, those past x_max among them, are exactly +0
+    # sit; the others, those past x_max among them, are exactly +0. Empty,
+    # 2-D and repeated abscissae give the full evaluation in the shape of x
     rng = np.random.default_rng(3)
     g512 = sp.RadialGrid(512, 20.0)  # x_max/dx rounds to n - 1 here, not on (1024, 30)
     noisy = rng.uniform(-1.0, 1.0, g512.n)
@@ -1567,7 +1605,7 @@ def test_evaluate_of_unsorted_abscissae_past_the_tail_is_the_full_evaluation():
         x = np.concatenate([rng.permutation(np.concatenate([
             rng.uniform(0.0, g.x_max, 300), g.x_max + rng.uniform(0.0, 5.0, 20), [g.x_max]])),
             [0.0]])
-        full = _full_eval(sp._InterpPlan(np.minimum(x, g.x_max) / g.dx, g.n, g.dx), v)
+        full = _full_eval(_filled_plan(np.minimum(x, g.x_max) / g.dx, g.n, g.dx), v)
         with _gathers() as calls:
             got, live = sp._evaluate(phi, x)
         assert got.tobytes() == full.tobytes(), name  # zero signs included
@@ -1578,6 +1616,14 @@ def test_evaluate_of_unsorted_abscissae_past_the_tail_is_the_full_evaluation():
             assert live.all(), name
         else:  # unsorted: the live abscissae are no prefix of x
             assert not live[:m].all() and live[-1], name
+        for y in ([], np.zeros((0, 3)), x[:320].reshape(16, 20), np.tile(x[::7], 3)):
+            shape = np.shape(y)
+            ref = _full_eval(_filled_plan(np.minimum(y, g.x_max) / g.dx, g.n, g.dx), v)
+            got, live = sp._evaluate(phi, y)
+            assert got.shape == live.shape == shape, (name, shape)
+            assert got.tobytes() == ref.tobytes(), (name, shape)
+            assert got[~live].tobytes() == bytes(8 * np.count_nonzero(~live)), (name, shape)
+            assert sp.evaluate(phi, y).tobytes() == ref.tobytes(), (name, shape)
 
 
 def test_evaluate_leaves_the_plan_caches_alone(monkeypatch):
