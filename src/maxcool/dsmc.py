@@ -121,20 +121,24 @@ def parse_initial_spec(spec: str) -> dict:
     if name == "maxwellian":
         if len(vals) > 1:
             raise ValueError("maxwellian spec takes one parameter: theta")
-        theta = vals[0] if vals else 1.0
-        if theta <= 0.0:
-            raise ValueError(f"theta must be positive, got {theta}")
-        return {"kind": "maxwellian", "theta": theta}
-    if name in ("mixture", "bimax"):
+        out = {"kind": "maxwellian", "theta": vals[0] if vals else 1.0}
+    elif name in ("mixture", "bimax"):
         if len(vals) != 3:
             raise ValueError("mixture spec needs three parameters: p,theta1,theta2")
-        p, theta1, theta2 = vals
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"mixture weight p must lie in [0, 1], got {p}")
-        if theta1 <= 0.0 or theta2 <= 0.0:
-            raise ValueError("mixture temperatures must be positive")
-        return {"kind": "mixture", "p": p, "theta1": theta1, "theta2": theta2}
-    raise ValueError(f"unknown initial spec kind {name!r}")
+        out = {"kind": "mixture", **dict(zip(("p", "theta1", "theta2"), vals))}
+        if not 0.0 <= out["p"] <= 1.0:
+            raise ValueError(f"mixture weight p must lie in [0, 1], got {out['p']}")
+    else:
+        raise ValueError(f"unknown initial spec kind {name!r}")
+    for key, theta in out.items():
+        if key.startswith("theta") and not (theta > 0.0 and np.isfinite(theta)):
+            raise ValueError(f"{key} must be positive and finite, got {theta}")
+    return out
+
+
+def _check_dt(dt: float) -> None:
+    if not 0.0 < dt <= 0.1:
+        raise ValueError(f"dt must lie in (0, 0.1], got {dt}")
 
 
 def sample_initial(spec: str, N: int, seed: int, e: float = 1.0) -> Ensemble:
@@ -300,8 +304,7 @@ def run(ens: Ensemble, t_max: float, dt: float, x_grid=None,
     {"x_grid", "ecf", "ecf_stderr"} when x_grid is given; "batches" counts
     the vectorized updates.
     """
-    if dt <= 0.0 or dt > 0.1:
-        raise ValueError(f"dt must lie in (0, 0.1], got {dt}")
+    _check_dt(dt)
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
     n_steps = max(int(round(t_max / dt)), 1)

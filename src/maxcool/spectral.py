@@ -195,15 +195,15 @@ class CharacteristicProfile:
 
     @classmethod
     def maxwellian(cls, grid: RadialGrid, theta: float = 1.0):
-        if theta <= 0:
-            raise ValueError("temperature must be positive")
+        if not (theta > 0 and math.isfinite(theta)):
+            raise ValueError("temperature must be positive and finite")
         return cls(grid, np.exp(-0.5 * theta * grid.x ** 2))
 
     @classmethod
     def bimaxwellian(cls, grid: RadialGrid, p: float = 0.5, theta1: float = 0.6,
                      theta2: float = 1.4):
-        if not (0.0 <= p <= 1.0) or theta1 <= 0 or theta2 <= 0:
-            raise ValueError("mixture needs p in [0,1] and positive temperatures")
+        if not (0.0 <= p <= 1.0 and all(t > 0 and math.isfinite(t) for t in (theta1, theta2))):
+            raise ValueError("mixture needs p in [0,1] and positive, finite temperatures")
         x2 = grid.x ** 2
         return cls(grid, p * np.exp(-0.5 * theta1 * x2) + (1 - p) * np.exp(-0.5 * theta2 * x2))
 
@@ -1140,11 +1140,9 @@ def steady_profile(e, config: SolverConfig | None = None, tol: float = 1e-7,
 
     After `_NEWTON_STEPS` steps without such an update it warns and sets
     meta["converged"] = False. The meta holds "converged", "last_update_d2",
-    "mu", "newton_steps", "gmres_steps", "gain_applies" (the solve's;
-    "fixed_point_residual", `steady_residual` at the exact E, costs one
-    more), "history" (sup |R|, the update's d2 and the GMRES iterations of
-    each step), the qualitative "envelope" report and "e". `config` is read
-    only for `quad_order` and `frame`, which must be the rescaled one.
+    "mu", "newton_steps", "gmres_steps", "gain_applies" and "history" (sup
+    |R|, the update's d2 and the GMRES iterations of each step). `config` is
+    read only for `quad_order` and `frame`, which must be the rescaled one.
     """
     e = _check_e(e)
     grid = RadialGrid() if grid is None else grid
@@ -1156,7 +1154,6 @@ def steady_profile(e, config: SolverConfig | None = None, tol: float = 1e-7,
 
     gain = _gain_plan(grid, e, config.quad_order)
     E, x, dx, n = dissipation_rate(e), grid.x, grid.dx, grid.n
-    keep = x >= 2.0 * dx           # the rows d2 reads
     v = (_steady_start(grid, e) or CharacteristicProfile.maxwellian(grid)).values
     mu, applies, gmres_steps, history = 0.0, 0, 0, []
     eta, norm, update, converged = _FORCING[0], None, math.inf, False
@@ -1193,7 +1190,7 @@ def steady_profile(e, config: SolverConfig | None = None, tol: float = 1e-7,
         d, its = _gmres(jacobian, precondition, -F, max(eta * norm, floor))
         gmres_steps += its
         v, mu = v + d[:-1], mu + float(d[-1])
-        update = float(np.max(np.abs(d[:-1][keep]) / x[keep] ** 2))
+        update = _d2_size(d[:-1], grid)
         history.append({"residual": float(np.max(np.abs(F[:-1]))), "update_d2": update,
                         "gmres": its})
         if update < tol:
@@ -1204,24 +1201,15 @@ def steady_profile(e, config: SolverConfig | None = None, tol: float = 1e-7,
         warnings.warn(f"steady profile did not reach tol={tol:g}; last update "
                       f"d2={update:.3g} after {len(history)} Newton steps")
     phi = CharacteristicProfile(grid, v)
-    phi.meta.update({
-        "converged": converged,
-        "last_update_d2": update,
-        "mu": mu,
-        "newton_steps": len(history),
-        "gmres_steps": gmres_steps,
-        "gain_applies": applies,
-        "history": history,
-        "fixed_point_residual": steady_residual(phi, e, config.quad_order),
-        "envelope": envelope_report(phi),
-        "e": e,
-    })
+    phi.meta.update(converged=converged, last_update_d2=update, mu=mu,
+                    newton_steps=len(history), gmres_steps=gmres_steps,
+                    gain_applies=applies, history=history)
     for k, h in enumerate(history):
         logger.info("steady e=%g Newton step %d: sup|R|=%.3g update d2=%.3g GMRES %d",
                     e, k + 1, h["residual"], h["update_d2"], h["gmres"])
     logger.info("steady profile e=%g: converged=%s last update d2=%.3g mu=%.4g "
-                "residual=%.3g Newton steps=%d GMRES steps=%d gain applies=%d", e, converged,
-                update, mu, phi.meta["fixed_point_residual"], len(history), gmres_steps, applies)
+                "Newton steps=%d GMRES steps=%d gain applies=%d", e, converged,
+                update, mu, len(history), gmres_steps, applies)
     return phi
 
 
@@ -1243,10 +1231,12 @@ def d2_distance(phi1: CharacteristicProfile, phi2: CharacteristicProfile,
         t1, t2 = moment(phi1, 2) / 3.0, moment(phi2, 2) / 3.0
         if abs(t1 - t2) > 1e-4 * max(abs(t1), abs(t2), 1e-300):
             warnings.warn(f"temperature mismatch in d2: {t1:.6g} vs {t2:.6g}")
-    x = phi1.grid.x
-    mask = x >= 2.0 * phi1.grid.dx
-    diff = np.abs(phi1.values[mask] - phi2.values[mask])
-    return float(np.max(diff / x[mask] ** 2))
+    return _d2_size(phi1.values - phi2.values, phi1.grid)
+
+
+def _d2_size(h: np.ndarray, grid: RadialGrid) -> float:
+    keep = grid.x >= 2.0 * grid.dx
+    return float(np.max(np.abs(h[keep]) / grid.x[keep] ** 2))
 
 
 # Even-polynomial fit for the moment stencils: nodes k = 1..7 (scaled), basis

@@ -83,6 +83,8 @@ def test_run_validation():
         dsmc.run(ens, t_max=1.0, dt=0.2)
     with pytest.raises(ValueError, match="dt"):
         dsmc.run(ens, t_max=1.0, dt=0.0)
+    with pytest.raises(ValueError, match="dt"):
+        dsmc.run(ens, t_max=1.0, dt=float("nan"))
     with pytest.raises(ValueError, match="t_max"):
         dsmc.run(ens, t_max=0.0, dt=0.05)
     with pytest.raises(ValueError, match="record_every"):

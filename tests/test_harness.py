@@ -303,7 +303,7 @@ def test_jacobian_check_tests_the_coded_reflection(monkeypatch):
     # J is built from kinematics.reflect itself, so a wrong coefficient in
     # the coded map must show up as a wrong volume contraction
     def jacobian(e):
-        rows = harness._kinematics_exactness(e, 2000, seed=2)
+        rows = harness._kinematics_exactness(e, 2000)
         return next(c for c in rows if c["name"] == f"jacobian e={e:g}")
 
     for e in (0.5, 0.9):
@@ -321,7 +321,7 @@ def test_exactness_does_not_depend_on_the_block_size(monkeypatch):
 
     def measured(block, e):
         monkeypatch.setattr(harness, "_EXACTNESS_BLOCK", block)
-        rows = harness._kinematics_exactness(e, n, seed=2)
+        rows = harness._kinematics_exactness(e, n)
         assert len(rows) == 7
         return [float(r["measured"]).hex() for r in rows]
 
@@ -378,7 +378,7 @@ def test_an_elastic_swap_map_fails_the_energy_law(monkeypatch):
     swap = kin._swap_velocities
     monkeypatch.setattr(kin, "_swap_velocities",
                         lambda v, w, sigma, e, rel=None: swap(v, w, sigma, 1.0, rel))
-    rows = {r["name"]: r for r in harness._kinematics_exactness(0.5, 2000, seed=2)}
+    rows = {r["name"]: r for r in harness._kinematics_exactness(0.5, 2000)}
     assert rows["swap-momentum e=0.5"]["status"] == "pass"
     assert rows["swap-energy e=0.5"]["status"] == "fail"
 
@@ -622,6 +622,24 @@ def test_cli_malformed_x_grid_is_usage_error(monkeypatch, capsys):
     assert run_cli(["dsmc", "--n", "100", "--x-grid", "0,abc"]) == 2
     assert run_cli(["dsmc", "--n", "100", "--x-grid=0,-1"]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["dsmc", "evolve"])
+@pytest.mark.parametrize("spec, param", [
+    ("maxwellian:nan", "theta"), ("maxwellian:inf", "theta"),
+    ("mixture:0.5,nan,1.4", "theta1"), ("mixture:0.5,0.6,inf", "theta2")])
+def test_cli_non_finite_init_parameters_are_usage_errors(command, spec, param, capsys):
+    assert run_cli([command, "--init", spec]) == 2
+    assert f"error: {param} must be positive and finite" in capsys.readouterr().err
+
+
+def test_cli_dsmc_dt_out_of_range_is_usage_error(monkeypatch, capsys):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("ensemble sampled before --dt was validated")
+
+    monkeypatch.setattr(dsmc, "sample_initial", no_sampling)
+    assert run_cli(["dsmc", "--n", "100", "--dt", "0.2"]) == 2
+    assert "dt must lie in (0, 0.1]" in capsys.readouterr().err
 
 
 def test_cli_kincheck(capsys):

@@ -527,6 +527,7 @@ def test_reconstructs_that_stop_at_different_tails_share_one_lattice(monkeypatch
 
 _RESIDENT_CODE = """
 import json, mmap
+import numpy as np
 from maxcool import realspace as rs, spectral as sp
 
 grid = sp.RadialGrid(4096, 50.0)
@@ -551,13 +552,19 @@ with open("/proc/self/smaps") as fh:
         elif head[0] in ("Rss:", "AnonHugePages:"):
             vma[head[0]] = 1024 * int(head[1])
 page = mmap.PAGESIZE
-held, bound, filled = set(), 0, 0
-for a, f in arrays:
-    at = a.__array_interface__["data"][0]
-    held |= {key for key in vmas if key[0] < at + a.nbytes and at < key[1]}
-    bound += -(-f // page) * page + page
-    filled += f
-print(json.dumps({"vmas": [vmas[key] for key in held], "bound": bound, "filled": filled}))
+held, resident, bound, filled = set(), 0, 0, 0
+with open("/proc/self/pagemap", "rb") as pagemap:
+    for a, f in arrays:
+        at = a.__array_interface__["data"][0]
+        held |= {key for key in vmas if key[0] < at + a.nbytes and at < key[1]}
+        first, stop = at // page, -(-(at + a.nbytes) // page)
+        pagemap.seek(8 * first)
+        entries = np.frombuffer(pagemap.read(8 * (stop - first)), dtype="<u8")
+        resident += page * int(np.count_nonzero(entries >> np.uint64(63)))
+        bound += -(-f // page) * page + page
+        filled += f
+print(json.dumps({"vmas": [vmas[key] for key in held], "resident": resident,
+                  "bound": bound, "filled": filled}))
 """
 
 
@@ -565,16 +572,18 @@ def test_kept_plans_and_sine_tables_are_resident_only_as_far_as_filled():
     # a (4096, 50) q = 64 gain plan applied to the bimaxwellian, the gain
     # and drift plans of one rescaled step, and the sine tables and abscissa
     # plan of one reconstruct, in a fresh process: the memory mappings that
-    # hold their arrays have no huge page, and their resident bytes are at
-    # most the filled ones, rounded up to pages, plus one page per array.
-    # Adjacent reserves share one mapping, so every kept plan is listed
-    if not os.path.exists("/proc/self/smaps"):
-        pytest.skip("needs /proc/self/smaps")
+    # hold their arrays have no huge page, and the arrays' resident bytes are
+    # at most the filled ones, rounded up to pages, plus one page per array.
+    # The kernel merges adjacent anonymous mappings, so a mapping's Rss may
+    # count an unlisted neighbour: each array's own pages are read from the
+    # present bit (63) of /proc/self/pagemap instead
+    if not all(os.path.exists(f"/proc/self/{name}") for name in ("smaps", "pagemap")):
+        pytest.skip("needs /proc/self/smaps and /proc/self/pagemap")
     out = json.loads(subprocess.run([sys.executable, "-c", _RESIDENT_CODE],
                                     capture_output=True, text=True, check=True).stdout)
     assert out["filled"] > 4 * 2 ** 20
     assert all(vma["AnonHugePages:"] == 0 for vma in out["vmas"]), out
-    assert sum(vma["Rss:"] for vma in out["vmas"]) <= out["bound"], out
+    assert out["resident"] <= out["bound"], out
 
 
 def test_reconstruct_keeps_one_plan_per_lattice_filled_once(monkeypatch):

@@ -57,8 +57,11 @@ def test_profile_validation():
         sp.CharacteristicProfile(g, bad)
     with pytest.raises(ValueError):
         sp.CharacteristicProfile(g, vals[:-1])
-    with pytest.raises(ValueError):
-        sp.CharacteristicProfile.maxwellian(g, -1.0)
+    for theta in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            sp.CharacteristicProfile.maxwellian(g, theta)
+        with pytest.raises(ValueError, match="positive, finite"):
+            sp.CharacteristicProfile.bimaxwellian(g, theta2=theta)
     with pytest.raises(ValueError):
         sp.CharacteristicProfile.bimaxwellian(g, p=1.5)
 
@@ -519,14 +522,14 @@ def test_evolve_and_steady_solve_match_the_full_gain_bit_for_bit(monkeypatch):
         trace = sp.evolve(B, 0.95, sp.SolverConfig(t_max=80 * sp.DT, frame="rescaled-g"),
                           keep_profiles=True)
         steady = sp.steady_profile(0.95, grid=g)
-        return trace, steady
+        return trace, steady, sp.steady_residual(steady, 0.95)
 
     monkeypatch.setattr(sp, "_GAIN_CACHE", {})
-    fast_trace, fast_steady = run()
+    fast_trace, fast_steady, fast_residual = run()
     plans: dict = {}
     monkeypatch.setattr(sp, "_gain_plan", lambda grid, e, q: plans.setdefault(
         (grid.n, e, q), _FullGain(grid, e, q)))
-    full_trace, full_steady = run()
+    full_trace, full_steady, full_residual = run()
     assert plans and len(fast_trace.times) == len(full_trace.times)
     for a, b in zip(fast_trace.profiles, full_trace.profiles):
         assert np.array_equal(a.values, b.values)
@@ -534,7 +537,7 @@ def test_evolve_and_steady_solve_match_the_full_gain_bit_for_bit(monkeypatch):
         assert np.array_equal(d, full_trace.diagnostics[k]), k
     assert np.array_equal(fast_steady.values, full_steady.values)
     assert fast_steady.meta["history"] == full_steady.meta["history"]
-    assert fast_steady.meta["fixed_point_residual"] == full_steady.meta["fixed_point_residual"]
+    assert fast_residual == full_residual
 
 
 def test_gain_plan_pairs_are_sorted_by_their_outer_interval():
@@ -1243,12 +1246,13 @@ def test_steady_profile_e09(steady_e09):
     assert meta["converged"]
     assert meta["last_update_d2"] < 1e-7
     # fixed-point residual of (gain - id + drift generator): 10x the tolerance
-    assert meta["fixed_point_residual"] < 1e-6
+    assert sp.steady_residual(steady_e09, 0.9) < 1e-6
     # unit temperature is preserved from the Maxwellian start
     assert sp.moment(steady_e09, 2) / 3.0 == pytest.approx(1.0, abs=1e-4)
     # stationary profile lies inside the two-sided envelope at theta = 1
-    assert meta["envelope"]["lower_ok_fraction"] == 1.0
-    assert meta["envelope"]["upper_ok_fraction"] == 1.0
+    envelope = sp.envelope_report(steady_e09)
+    assert envelope["lower_ok_fraction"] == 1.0
+    assert envelope["upper_ok_fraction"] == 1.0
 
 
 @pytest.mark.parametrize("e", [0.05, 0.3, 0.5, 0.8, 0.95, 1.0])
@@ -1380,11 +1384,21 @@ def test_steady_profile_counts_its_steps(monkeypatch):
     assert meta["newton_steps"] == len(history) >= 2
     assert meta["gmres_steps"] == sum(h["gmres"] for h in history)
     # one residual per Newton step and one product per GMRES iteration at
-    # least (a restart adds one); the fixed-point residual is one more
+    # least (a restart adds one), and no apply after the last step
     assert meta["gain_applies"] >= meta["newton_steps"] + meta["gmres_steps"]
-    assert len(calls) == meta["gain_applies"] + 1
+    assert len(calls) == meta["gain_applies"]
     assert history[-1]["update_d2"] == meta["last_update_d2"] < 1e-10
     assert all(h["update_d2"] >= 1e-10 for h in history[:-1])
+
+
+_STEADY_META = {"converged", "last_update_d2", "mu", "newton_steps", "gmres_steps",
+                "gain_applies", "history"}
+
+
+def test_steady_meta_is_the_record_of_the_solve():
+    # the solve's own iterations and nothing measured after them
+    phi = sp.steady_profile(0.9, tol=1e-6, grid=sp.RadialGrid(256, 20.0))
+    assert phi.meta["converged"] and set(phi.meta) == _STEADY_META
 
 
 def test_steady_profile_short_budget_reports_nonconvergence(monkeypatch):
@@ -1392,6 +1406,7 @@ def test_steady_profile_short_budget_reports_nonconvergence(monkeypatch):
     with pytest.warns(UserWarning, match="did not reach tol"):
         phi = sp.steady_profile(0.2, tol=1e-7, grid=sp.RadialGrid(1024, 30.0))
     meta = phi.meta
+    assert set(meta) == _STEADY_META
     assert not meta["converged"]
     assert meta["newton_steps"] == len(meta["history"]) == 1
     assert meta["last_update_d2"] == meta["history"][0]["update_d2"] >= 1e-7
