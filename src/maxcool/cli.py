@@ -360,3 +360,7 @@ def run_cli(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -305,8 +305,8 @@ def run(ens: Ensemble, t_max: float, dt: float, x_grid=None,
     the vectorized updates.
     """
     _check_dt(dt)
-    if t_max <= 0.0:
-        raise ValueError("t_max must be positive")
+    if not (t_max > 0.0 and np.isfinite(t_max)):
+        raise ValueError("t_max must be positive and finite")
     n_steps = max(int(round(t_max / dt)), 1)
     if abs(n_steps * dt - t_max) > 1e-9 * max(t_max, 1.0):
         warnings.warn(

@@ -3,24 +3,24 @@
 A radial characteristic profile phi(x) determines an isotropic density by
 Fourier inversion, f(r) = (1/(2 pi^2 r)) int_0^inf phi(x) x sin(xr) dx, with
 the r = 0 limit (1/(2 pi^2)) int x^2 phi dx. The Simpson sum over m abscissae
-is taken at all R output nodes r_j = j dr at once by angle addition
-(`_sine_transform`): writing j = pB + l with B = ceil(sqrt(R)) splits
+is taken at all R output nodes r_j = j dr at once by angle addition: writing
+j = pB + l with B = ceil(sqrt(R)) splits
 sin(x r_j) = sin(x pB dr) cos(x l dr) + cos(x pB dr) sin(x l dr), so the sum
 is two (sqrt(R) x m)(m x sqrt(R)) matrix products instead of an m x R
 kernel, and requires the output nodes to equal j dr to a few ulp, as
-np.linspace gives. The four m x sqrt(R) sine and cosine tables depend only on
-the lattice, the exact abscissae x with R and dr, so they are kept per
-lattice in a FIFO cache of at most `spectral._CACHE_CAP` lattices.
-`reconstruct` sums only the abscissae below the profile's saturated tail,
-past which phi is exactly +0 (x ~ 11 for a Gaussian tail on the (4096, 50)
-grid, so the first M = 909 of 4097 are summed): a `spectral._PrefixPlan` of
-the lattice's abscissae, the one path of every evaluation at fixed positions
-(the drift and `spectral.evaluate` take it too), kept per lattice in a FIFO
-of the same size and filled only as far as a profile's live prefix has
-needed, gathers phi there, and the sums read only the first M rows of the
-lattice's tables. A table row is computed when a call first needs it, once
-(about 4 sqrt(R) sines per row), so a lattice holds 32 M sqrt(R) bytes of
-resident tables for the widest live prefix M asked of it, not 32 m sqrt(R).
+np.linspace gives. Everything but phi is fixed by the lattice, the profile
+grid with m and the R nodes of spacing dr, so `reconstruct` keeps one
+`_Lattice` per lattice, in a FIFO cache of at most `spectral._CACHE_CAP`:
+the abscissae, their Simpson weights, a `spectral._PrefixPlan` of them (the
+one path of every evaluation at fixed positions; the drift and
+`spectral.evaluate` take it too) and the four m x sqrt(R) sine and cosine
+tables. Only the abscissae below the profile's saturated tail, past which
+phi is exactly +0, are summed (x ~ 11 for a Gaussian tail on the (4096, 50)
+grid, so the first M = 909 of 4097): the plan gathers phi there and is
+filled only as far as a profile's live prefix has needed, and a table row is
+computed when a call first needs it, once (about 4 sqrt(R) sines per row).
+So a lattice holds 32 M sqrt(R) bytes of resident tables for the widest
+live prefix M asked of it, not 32 m sqrt(R).
 
 On top of reconstructed (or closed-form sampled) densities this module
 provides the Fisher information I(f) = int 4 pi r^2 f (d ln f / dr)^2 dr,
@@ -95,9 +95,10 @@ def simpson_weights(x: np.ndarray) -> np.ndarray:
     The weights depend only on n and the spacing h = (x[-1] - x[0])/(n - 1),
     so for h > 0 they are computed once per (n, h) and kept, read-only,
     while that lattice is among the last `spectral._CACHE_CAP` built;
-    `simpson`, `RadialDensity` and `reconstruct` read the kept weights. The
-    values are those of computing them afresh, bit for bit, and this function
-    returns a new array that the caller owns.
+    `simpson` and `RadialDensity` read the kept weights, and each kept
+    reconstruction lattice holds its own. The values are those of computing
+    them afresh, bit for bit, and this function returns a new array that the
+    caller owns.
     """
     return _simpson_table(x).copy()
 
@@ -135,8 +136,8 @@ def simpson(y, x: np.ndarray) -> float:
 
 def default_r_nodes(r_max: float = 8.0, n: int = 1601) -> np.ndarray:
     """Uniform radial velocity grid [0, r_max] (odd n keeps Simpson clean)."""
-    if not (r_max > 0) or n < 9:
-        raise ValueError("need r_max > 0 and at least 9 nodes")
+    if not (0 < r_max < math.inf) or n < 9:
+        raise ValueError("need a finite r_max > 0 and at least 9 nodes")
     return np.linspace(0.0, float(r_max), int(n))
 
 
@@ -237,141 +238,115 @@ def _required_xmax(x: np.ndarray, absv: np.ndarray, target: float) -> float:
     return float(x[-1] + math.log(tail / target) / rate)
 
 
-class _SineTables:
-    """The four sine and cosine tables of one lattice, filled row by row.
+class _Lattice:
+    """The kept state of one reconstruction lattice: a profile grid and an r-lattice.
 
-    Row i of sin/cos(x pB dr) holds x_i times the P coarse angles, and row i
-    of cos/sin(x l dr) x_i times the B fine ones. The tables are
+    The Simpson abscissae xq = linspace(0, x_max, m) of the profile grid,
+    their Simpson weights, a `spectral._PrefixPlan` of their grid positions
+    and the four sine and cosine tables of the R output nodes r_j = j dr.
+    Row i of sin/cos(x pB dr) holds xq_i times the P coarse angles, and row i
+    of cos/sin(x l dr) xq_i times the B fine ones. The tables are
     `spectral._on_demand` reserves of m rows, of which the first `filled`
-    are computed; `rows(x, M)` computes rows [filled, M) when M is wider
-    than any call before, with the expressions of a whole build applied to
-    those rows alone, so every row holds the bits a whole build gives it.
+    are computed. `sums(v)` computes rows [filled, M) when a profile's live
+    prefix M is wider than any before, with the expressions of a whole build
+    applied to those rows alone, so every row holds the bits a whole build
+    gives it, and the plan likewise fills each query once.
     """
 
-    __slots__ = ("coarse", "fine", "tables", "filled")
+    __slots__ = ("xq", "weights", "plan", "R", "coarse", "fine", "tables", "filled")
 
-    def __init__(self, m: int, R: int, dr: float) -> None:
+    def __init__(self, grid, m: int, R: int, dr: float) -> None:
+        xq = self.xq = np.linspace(0.0, grid.x_max, m)
+        self.weights = _simpson_build(m, (xq[-1] - xq[0]) / (m - 1))
+        self.plan = spectral._PrefixPlan(xq / grid.dx, grid.n, grid.dx)
         B = math.isqrt(R - 1) + 1
         P = -(-R // B)
+        self.R = R
         self.coarse = (B * dr) * np.arange(P)
         self.fine = dr * np.arange(B)
         self.tables = tuple(spectral._on_demand((m, k)) for k in (P, P, B, B))
         self.filled = 0
 
-    def rows(self, x: np.ndarray, M: int) -> tuple[np.ndarray, ...]:
-        """Row views [:M] of (sin_c, cos_c, cos_f, sin_f), filled first if need be."""
+    def sums(self, v: np.ndarray) -> tuple[float, np.ndarray]:
+        """(sum_i w_i phi_i x_i^2, sum_i w_i phi_i x_i sin(x_i r_j) for each j).
+
+        Both run over the live prefix M of the profile values v (phi is
+        exactly +0 past it). With j = pB + l the sine sums are the two
+        (P x M)(M x B) products of angle addition.
+        """
+        values, M = self.plan.values(v)
         f = self.filled
         if M > f:
             sin_c, cos_c, cos_f, sin_f = (t[f:M] for t in self.tables)
-            coarse = np.multiply.outer(x[f:M], self.coarse)
-            fine = np.multiply.outer(x[f:M], self.fine)
+            coarse = np.multiply.outer(self.xq[f:M], self.coarse)
+            fine = np.multiply.outer(self.xq[f:M], self.fine)
             np.sin(coarse, out=sin_c)
             np.cos(coarse, out=cos_c)
             np.cos(fine, out=cos_f)
             np.sin(fine, out=sin_f)
             self.filled = M
-        return tuple(t[:M] for t in self.tables)
+        sin_c, cos_c, cos_f, sin_f = (t[:M] for t in self.tables)
+        xs = self.xq[:M]
+        wq = self.weights[:M] * values[:M]
+        a = (wq * xs)[:, None]
+        out = (a * sin_c).T @ cos_f
+        out += (a * cos_c).T @ sin_f
+        return float(wq @ (xs * xs)), out.ravel()[:self.R]
 
 
-_TRANSFORM_CACHE: dict[tuple, _SineTables] = {}
-
-
-def _sine_transform(a: np.ndarray, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """sum_i a_i sin(x_i r_j) on output nodes r_j = j dr, without the m x R kernel.
-
-    With B = ceil(sqrt(R)), P = ceil(R / B) and j = p B + l, angle addition
-    sin(x (pB + l) dr) = sin(x pB dr) cos(x l dr) + cos(x pB dr) sin(x l dr)
-    turns the sum into two (P x M)(M x B) products over the first M = len(a)
-    abscissae. The tables sin/cos(x pB dr) and sin/cos(x l dr), about
-    4 M sqrt(R) sines and cosines instead of M R, are kept per lattice
-    while it is among the last `spectral._CACHE_CAP` used, and their rows
-    are computed only as far as the widest M asked of the lattice
-    (`_SineTables`), once each: a lattice holds 32 M sqrt(R) bytes of
-    resident tables for that widest M, in 4 kB pages. The key is the exact
-    bytes of x with R and dr, so abscissae that differ in one ulp get their
-    own tables. The identity holds only on the lattice r_j = j dr, so r
-    must equal it to 4 ulp of r_max (np.linspace nodes are within 1 ulp).
-    """
-    R = len(r)
-    dr = float(r[1])
-    if np.max(np.abs(r - dr * np.arange(R))) > 4.0 * np.spacing(r[-1]):
-        raise ValueError("output nodes must be j*dr to rounding (as np.linspace gives)")
-    tables = spectral._cached(_TRANSFORM_CACHE, (x.tobytes(), R, dr),
-                              lambda: _SineTables(len(x), R, dr))
-    M = len(a)
-    sin_c, cos_c, cos_f, sin_f = tables.rows(x, M)
-    a = a[:, None]
-    out = (a * sin_c).T @ cos_f
-    out += (a * cos_c).T @ sin_f
-    return out.ravel()[:R]
-
-
-_ABSCISSA_CACHE: dict[tuple, spectral._PrefixPlan] = {}
-
-
-def _abscissa_values(phi: CharacteristicProfile, xq: np.ndarray) -> np.ndarray:
-    # phi at the live prefix of the sorted Simpson abscissae xq, through one
-    # prefix plan per (grid, xq) lattice, kept and filled on demand
-    grid = phi.grid
-    plan = spectral._cached(_ABSCISSA_CACHE, (grid.n, grid.x_max, len(xq)),
-                            lambda: spectral._PrefixPlan(xq / grid.dx, grid.n, grid.dx))
-    values, M = plan.values(phi.values)
-    return values[:M]
+_LATTICE_CACHE: dict[tuple, _Lattice] = {}
 
 
 def reconstruct(phi: CharacteristicProfile, r_nodes) -> RadialDensity:
     """Invert a characteristic profile to an isotropic density.
 
     f(r) = (1/(2 pi^2 r)) int_0^xmax phi(x) x sin(xr) dx by composite Simpson
-    on a grid with at least 20 points per sin period at the largest r; the
-    r = 0 node uses the limit (1/(2 pi^2)) int x^2 phi dx. The m-node sum is
-    evaluated at all R nodes at once by angle addition (`_sine_transform`):
-    two (sqrt(R) x m)(m x sqrt(R)) products on sine tables kept per (x, r)
-    lattice, each row computed once. The sums stop at the saturated tail: the
-    lattice's kept `spectral._PrefixPlan` (`spectral.evaluate` builds one
-    per call) gathers phi at the abscissae below it, with the values
-    `spectral.evaluate` gives there, and the rest, exactly +0, are left out.
-    So the sums differ from the full ones only by the BLAS grouping of the
-    products, and a profile without a tail gets the full sums bit for bit.
-    The angle addition needs r_j = j dr to rounding, which is stricter than
-    `RadialDensity`'s uniformity check; np.linspace nodes meet it. Refuses
-    such off-lattice nodes, nonfinite ones, profiles that have not decayed at
-    x_max (tail above 1e-8) and inversions whose negative lobes exceed the
-    clipped-mass budget, reporting the x_max that the tail decay suggests
-    would be needed.
+    on m abscissae, at least 20 per sin period at the largest r; the r = 0
+    node uses the limit (1/(2 pi^2)) int x^2 phi dx. The sums come from the
+    kept `_Lattice` of (phi's grid, m, r_nodes): its prefix plan gathers phi
+    at the abscissae below the saturated tail, with the values
+    `spectral.evaluate` gives there (`spectral.evaluate` builds a plan per
+    call), the rest, exactly +0, are left out, and its tables give all R
+    sine sums at once by angle addition. So the sums differ from the full
+    ones only by the BLAS grouping of the products, and a profile without a
+    tail gets the full sums bit for bit. The angle addition needs r_j = j dr
+    to 4 ulp of r_max, which is stricter than `RadialDensity`'s uniformity
+    check; np.linspace nodes meet it. Refuses such off-lattice nodes,
+    nonfinite ones, profiles that have not decayed at x_max (tail above
+    1e-8) and inversions whose negative lobes exceed the clipped-mass
+    budget, reporting the x_max that the tail decay suggests would be needed.
     """
     r = _check_r_nodes(r_nodes)
-    x_max = phi.grid.x_max
+    grid = phi.grid
+    x_max = grid.x_max
     absv = np.abs(phi.values)
-    tail = float(np.max(absv[phi.grid.x >= 0.98 * x_max]))
+    tail = float(np.max(absv[grid.x >= 0.98 * x_max]))
     if tail >= _TAIL_TARGET:
-        need = _required_xmax(phi.grid.x, absv, _TAIL_TARGET)
+        need = _required_xmax(grid.x, absv, _TAIL_TARGET)
         raise ValueError(
             f"profile tail {tail:.2e} at x_max={x_max:g} exceeds {_TAIL_TARGET:g}; "
             f"estimated required x_max ~ {need:.3g}")
+    R = len(r)
+    dr = float(r[1])
+    if np.max(np.abs(r - dr * np.arange(R))) > 4.0 * np.spacing(r[-1]):
+        raise ValueError("output nodes must be j*dr to rounding (as np.linspace gives)")
 
     # >= 20 quadrature points per period of sin(x r_max), never coarser than
     # the profile's own grid; odd count for plain composite Simpson
-    m = max(phi.grid.n, int(math.ceil(20.0 * x_max * r[-1] / (2.0 * math.pi))) + 1)
+    m = max(grid.n, int(math.ceil(20.0 * x_max * r[-1] / (2.0 * math.pi))) + 1)
     if m % 2 == 0:
         m += 1
-    xq = np.linspace(0.0, x_max, m)
-    # phi is exactly +0 past its saturated tail, so only the live abscissae,
-    # the first M of the sorted xq (all of them without a tail), are summed
-    vals = _abscissa_values(phi, xq)
-    M = len(vals)
-    xs = xq[:M]
-    wq = _simpson_table(xq)[:M] * vals[:M]
-
+    lattice = spectral._cached(_LATTICE_CACHE, (grid.n, x_max, m, R, dr),
+                               lambda: _Lattice(grid, m, R, dr))
+    origin, integrals = lattice.sums(phi.values)
     f = np.empty_like(r)
-    f[0] = float(wq @ (xs * xs)) / (2.0 * math.pi ** 2)
-    integrals = _sine_transform(wq * xs, xq, r)
+    f[0] = origin / (2.0 * math.pi ** 2)
     f[1:] = integrals[1:] / (2.0 * math.pi ** 2 * r[1:])
 
     neg = np.minimum(f, 0.0)
     clipped = -FOUR_PI * float(simpson(r * r * neg, r))
     if clipped > _CLIP_BUDGET:
-        need = _required_xmax(phi.grid.x, absv, 1e-12)
+        need = _required_xmax(grid.x, absv, 1e-12)
         raise ValueError(
             f"inversion clipped mass {clipped:.3e} exceeds budget {_CLIP_BUDGET:g}; "
             f"estimated required x_max ~ {need:.3g}")

@@ -946,10 +946,10 @@ def evolve(phi0: CharacteristicProfile, e, config: SolverConfig,
                           profiles=profiles if keep_profiles else None)
 
 
-def steady_residual(phi: CharacteristicProfile, e, quad_order: int = QUAD_ORDER) -> float:
+def steady_residual(phi: CharacteristicProfile, e) -> float:
     """Sup-norm of (Q+ phi - phi + E x phi') over the grid."""
     e = _check_e(e)
-    gain = _gain_plan(phi.grid, e, int(quad_order))
+    gain = _gain_plan(phi.grid, e, QUAD_ORDER)
     E = dissipation_rate(e)
     d = _stencil_rows(phi.values, phi.grid.dx, phi.grid.n)[:, 1]
     R = gain.apply(phi.values) - phi.values + E * phi.grid.x * d
@@ -1294,8 +1294,8 @@ def sobolev_norm(phi: CharacteristicProfile, r: float) -> float:
     Trapezoid on the profile grid; warns when the integrand has not decayed
     below 1e-8 of its peak at x_max (truncated tail).
     """
-    if r < 0:
-        raise ValueError("order r must be nonnegative")
+    if not 0 <= r < math.inf:
+        raise ValueError(f"order r must be nonnegative and finite, got {r}")
     x = phi.grid.x
     g = 4.0 * math.pi * x ** (2.0 * r + 2.0) * phi.values ** 2
     peak = float(np.max(g))
@@ -1307,8 +1307,8 @@ def sobolev_norm(phi: CharacteristicProfile, r: float) -> float:
 
 def sup_weighted(phi: CharacteristicProfile, delta: float) -> float:
     """max over the grid of x^delta |phi(x)|."""
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    if not 0 <= delta < math.inf:
+        raise ValueError(f"delta must be nonnegative and finite, got {delta}")
     return float(np.max(phi.grid.x ** delta * np.abs(phi.values)))
 
 

@@ -5,6 +5,7 @@ bands are sized from the CLT with generous safety factors where the law is
 statistical, and tight absolute tolerances where the law is exact per event.
 """
 
+import math
 import os
 
 import numpy as np
@@ -85,8 +86,9 @@ def test_run_validation():
         dsmc.run(ens, t_max=1.0, dt=0.0)
     with pytest.raises(ValueError, match="dt"):
         dsmc.run(ens, t_max=1.0, dt=float("nan"))
-    with pytest.raises(ValueError, match="t_max"):
-        dsmc.run(ens, t_max=0.0, dt=0.05)
+    for t_max in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="t_max"):
+            dsmc.run(ens, t_max=t_max, dt=0.05)
     with pytest.raises(ValueError, match="record_every"):
         dsmc.run(ens, t_max=1.0, dt=0.05, record_every=0)
     with pytest.raises(ValueError, match="x_grid"):

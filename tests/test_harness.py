@@ -650,6 +650,19 @@ def test_cli_kincheck(capsys):
     assert "[ok] z-identity e=0.5" in out
 
 
+def test_python_m_cli_runs_the_command():
+    # `python -m maxcool.cli` runs the command and exits with its code; runpy
+    # warns on stderr that the package imported maxcool.cli first
+    def cli_module(*args):
+        return subprocess.run([sys.executable, "-m", "maxcool.cli", *args],
+                              capture_output=True, text=True)
+
+    done = cli_module("kincheck", "--e", "0.9", "--triples", "100")
+    assert done.returncode == 0, done.stderr
+    assert sum(line.startswith("[ok] ") for line in done.stdout.splitlines()) == 7
+    assert cli_module("kincheck", "--triples", "0").returncode == 2
+
+
 def test_cli_dsmc_writes_artifact(tmp_path, capsys, read_series):
     out = tmp_path / "dsmc.csv"
     code = run_cli(["dsmc", "--e", "0.5", "--n", "2000", "--t-max", "0.5",

@@ -164,8 +164,9 @@ print(out.tobytes() == (M @ X).tobytes())
 
 def test_r_nodes_and_density_validation(r10):
     assert r10[0] == 0.0 and len(r10) == 2001
-    with pytest.raises(ValueError):
-        rs.default_r_nodes(-1.0)
+    for r_max in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="r_max"):
+            rs.default_r_nodes(r_max, 100)
     with pytest.raises(ValueError):
         rs.RadialDensity(r10 + 0.1, np.ones_like(r10))  # not starting at 0
     bad_r = r10.copy()
@@ -240,20 +241,6 @@ def _sine_sum_reference(a, x, r):
     return np.sin(np.outer(x, r)).T @ a
 
 
-@pytest.mark.parametrize("R", [9, 10, 1601])  # B = 3 with P = 3; B = 4 with P = 3; B = 41
-@pytest.mark.parametrize("m", [256, 257])
-def test_sine_transform_matches_dense_kernel(R, m, monkeypatch):
-    monkeypatch.setattr(rs, "_TRANSFORM_CACHE", {})
-    rng = np.random.default_rng(R * m)
-    x = np.linspace(0.0, 50.0, m)
-    a = rng.normal(size=m)
-    r = np.linspace(0.0, 8.0, R)
-    got = rs._sine_transform(a, x, r)  # cold: builds the lattice's tables
-    assert got.shape == (R,)
-    assert np.max(np.abs(got - _sine_sum_reference(a, x, r))) <= 1e-14 * np.sum(np.abs(a))
-    assert np.array_equal(rs._sine_transform(a, x, r), got)  # warm
-
-
 def _whole_sine_tables(x, R, dr):
     # the tables of a lattice built whole, as before they were filled row by row
     B = math.isqrt(R - 1) + 1
@@ -263,87 +250,114 @@ def _whole_sine_tables(x, R, dr):
     return np.sin(coarse), np.cos(coarse), np.cos(fine), np.sin(fine)
 
 
+def _angle_addition(a, tables, R):
+    # the R sine sums of the coefficients a over the first len(a) rows of tables
+    sin_c, cos_c, cos_f, sin_f = (t[:len(a)] for t in tables)
+    out = (a[:, None] * sin_c).T @ cos_f
+    out += (a[:, None] * cos_c).T @ sin_f
+    return out.ravel()[:R]
+
+
+@pytest.mark.parametrize("R", [9, 10, 1601])  # B = 3 with P = 3; B = 4 with P = 3; B = 41
+@pytest.mark.parametrize("m", [256, 257])
+def test_sine_transform_matches_dense_kernel(R, m):
+    # a lattice's sums of random values without a tail, so every abscissa
+    # is live, against the dense kernel over the same Simpson coefficients
+    grid = sp.RadialGrid(1024, 50.0)
+    v = np.random.default_rng(R * m).uniform(-1.0, 1.0, grid.n)
+    v[0] = 1.0
+    r = np.linspace(0.0, 8.0, R)
+    lattice = rs._Lattice(grid, m, R, float(r[1]))
+    origin, got = lattice.sums(v)  # cold: fills the plan and the tables
+    assert lattice.filled == lattice.plan.plan.filled == m and got.shape == (R,)
+    xq = lattice.xq
+    assert xq.tobytes() == np.linspace(0.0, 50.0, m).tobytes()
+    assert lattice.weights.tobytes() == rs.simpson_weights(xq).tobytes()
+    wq = lattice.weights * _full_evaluate(sp.CharacteristicProfile(grid, v), xq)
+    a = wq * xq
+    assert origin == float(wq @ (xq * xq))
+    assert np.max(np.abs(got - _sine_sum_reference(a, xq, r))) <= 1e-14 * np.sum(np.abs(a))
+    warm = lattice.sums(v)
+    assert warm[0] == origin and np.array_equal(warm[1], got)
+
+
+def _tailed_values(grid, K, rng):
+    # random values on the first K nodes and exactly 0 from there on, so the
+    # live prefix of the Simpson abscissae ends near node K
+    v = np.zeros(grid.n)
+    v[:K] = rng.uniform(-1.0, 1.0, K)
+    v[0] = 1.0
+    return v
+
+
 @pytest.mark.parametrize("R", [9, 10, 1601])
-def test_sine_tables_filled_row_by_row_are_the_whole_build_bit_for_bit(R, monkeypatch):
+def test_sine_tables_filled_row_by_row_are_the_whole_build_bit_for_bit(R):
     # live prefixes rising, then falling: each call's rows and sums are those
     # of the whole build, and a narrower call writes no row (the reserves are
     # made read-only once the widest prefix is filled)
-    cache = {}
-    monkeypatch.setattr(rs, "_TRANSFORM_CACHE", cache)
-    x = np.linspace(0.0, 50.0, 4097)
+    grid = sp.RadialGrid(4096, 50.0)
     r = np.linspace(0.0, 8.0, R)
+    lattice = rs._Lattice(grid, 4097, R, float(r[1]))
+    x = lattice.xq
     whole = _whole_sine_tables(x, R, float(r[1]))
-    a = np.random.default_rng(R).normal(size=len(x))
-    widest = 0
-    for M in (1, 300, 909, 2000, 4097, 2000, 909, 300, 1):
+    rng = np.random.default_rng(R)
+    widest, prefixes = 0, []
+    for K in (1, 300, 909, 2000, 4096, 2000, 909, 300, 1):
+        v = _tailed_values(grid, K, rng)
+        M = int(np.searchsorted(lattice.plan.cells, sp._node_table(v, grid.dx)[1]))
         if M < widest:
-            for t in tables.tables:
+            for t in lattice.tables:
                 t.flags.writeable = False
-        got = rs._sine_transform(a[:M], x, r)
+        origin, got = lattice.sums(v)
         widest = max(widest, M)
-        (tables,) = cache.values()
-        assert tables.filled == widest
-        for t, w in zip(tables.tables, whole):
+        prefixes.append(M)
+        assert lattice.filled == lattice.plan.plan.filled == widest
+        for t, w in zip(lattice.tables, whole):
             assert t.shape == w.shape and t[:widest].tobytes() == w[:widest].tobytes()
-        sin_c, cos_c, cos_f, sin_f = (w[:M] for w in whole)
-        want = (a[:M, None] * sin_c).T @ cos_f
-        want += (a[:M, None] * cos_c).T @ sin_f
-        assert got.tobytes() == want.ravel()[:R].tobytes()
+        wq = lattice.weights[:M] * _full_evaluate(sp.CharacteristicProfile(grid, v), x[:M])
+        assert origin == float(wq @ (x[:M] * x[:M]))
+        assert got.tobytes() == _angle_addition(wq * x[:M], whole, R).tobytes()
+    assert prefixes[4] == 4097 and prefixes[0] < prefixes[1] < prefixes[2] < prefixes[3] < 4097
+    assert prefixes[::-1] == prefixes
 
 
 def test_sine_tables_are_cached_per_lattice(monkeypatch):
-    def cold(fn, *args):
-        monkeypatch.setattr(rs, "_TRANSFORM_CACHE", {})
-        return fn(*args)
+    def cold(phi, r):
+        monkeypatch.setattr(rs, "_LATTICE_CACHE", {})
+        return rs.reconstruct(phi, r).values
 
-    def forward(f, grid):
-        # a second lattice: the density's nodes as abscissae, the profile
-        # grid as output nodes
-        return rs._sine_transform(f.values * f.r, f.r, grid.x)
-
+    cases = []  # four (profile grid, r nodes) lattices, called interleaved
+    for n, x_max in ((4096, 50.0), (1024, 30.0)):
+        phi = sp.CharacteristicProfile.bimaxwellian(sp.RadialGrid(n, x_max))
+        for r_max, R in ((8.0, 1601), (10.0, 2001)):
+            r = rs.default_r_nodes(r_max, R)
+            cases.append((phi, r, cold(phi, r)))
     cache = {}
-    monkeypatch.setattr(rs, "_TRANSFORM_CACHE", cache)
-    cases = []  # two (profile grid, r nodes) pairs of lattices, called interleaved
-    for n, x_max, r_max, R in ((4096, 50.0, 8.0, 1601), (1024, 30.0, 10.0, 2001)):
-        grid = sp.RadialGrid(n, x_max)
-        phi = sp.CharacteristicProfile.bimaxwellian(grid)
-        r = rs.default_r_nodes(r_max, R)
-        f = rs.reconstruct(phi, r)
-        cases.append((phi, r, grid, f.values, forward(f, grid)))
-    assert len(cache) == 4  # the reconstruct lattice and the second one of each pair
+    monkeypatch.setattr(rs, "_LATTICE_CACHE", cache)
     for _ in range(2):
-        for phi, r, grid, f_vals, back_vals in cases:
-            f = rs.reconstruct(phi, r)
-            assert np.array_equal(f.values, f_vals)
-            assert np.array_equal(forward(f, grid), back_vals)
+        for phi, r, f_vals in cases:
+            assert np.array_equal(rs.reconstruct(phi, r).values, f_vals)
     assert len(cache) == 4
-    for phi, r, grid, f_vals, back_vals in cases:
-        assert np.array_equal(cold(rs.reconstruct, phi, r).values, f_vals)
-        f = rs.RadialDensity(r, f_vals)
-        assert np.array_equal(cold(forward, f, grid), back_vals)
 
-    # density nodes within the uniformity tolerance are another lattice
-    _, r, grid, _, _ = cases[1]
-    jittered = r + 1e-10 * np.random.default_rng(5).uniform(-1.0, 1.0, len(r))
-    jittered[0] = 0.0
-    exact, jit = rs.RadialDensity.maxwellian(r), rs.RadialDensity.maxwellian(jittered)
-    jit_cold = cold(forward, jit, grid)
+    # nodes whose step is one ulp wider are within 4 ulp of j dr, and another
+    # lattice: their own tables, warm as cold
+    phi, r, _ = cases[3]
+    nudged = np.nextafter(r[1], 1.0) * np.arange(len(r))
+    jit_cold = cold(phi, nudged)
     cache = {}
-    monkeypatch.setattr(rs, "_TRANSFORM_CACHE", cache)
-    forward(exact, grid)
-    assert np.array_equal(forward(jit, grid), jit_cold)
+    monkeypatch.setattr(rs, "_LATTICE_CACHE", cache)
+    rs.reconstruct(phi, r)
+    assert np.array_equal(rs.reconstruct(phi, nudged).values, jit_cold)
     assert len(cache) == 2
 
-    # one step and abscissae with another node count: B = 3, then B = 4
-    x, a = np.linspace(0.0, 50.0, 257), np.ones(257)
-    for R in (9, 10):
-        r = 0.25 * np.arange(R)
-        got = rs._sine_transform(a, x, r)
-        assert np.max(np.abs(got - _sine_sum_reference(a, x, r))) <= 1e-14 * len(a)
+    # one step with other node counts: B = 40, then B = 41, beside B = 45
+    for R in (1600, 1601):
+        rs.reconstruct(phi, 0.005 * np.arange(R))
+    assert [len(lattice.fine) for lattice in cache.values()] == [45, 45, 40, 41]
 
     # the cache holds at most _CACHE_CAP lattices
     for k in range(sp._CACHE_CAP + 3):
-        rs._sine_transform(a, np.linspace(0.0, 10.0 + k, 257), np.linspace(0.0, 2.0, 9))
+        rs.reconstruct(phi, rs.default_r_nodes(8.0, 1603 + 2 * k))
         assert len(cache) <= sp._CACHE_CAP
     assert len(cache) == sp._CACHE_CAP
 
@@ -402,33 +416,30 @@ def _dense_inversion(phi, r):
     return xq, a, f
 
 
-def _live_by_evaluate(phi, x):
-    # the values at the live abscissae of one uncached `_evaluate` call
-    vals, live = sp._evaluate(phi, x)
-    return vals[live]
-
-
 def _reconstruct_counted(phi, r, monkeypatch):
     # reconstruct(phi, r), or the error it raises, and the abscissae it
-    # evaluated, each call's values checked against `_evaluate`'s live ones
+    # evaluated: each gather of a kept lattice's plan is checked against the
+    # live values of one uncached `_evaluate` call, bit for bit
     seen = []
-    values = rs._abscissa_values
+    values = sp._PrefixPlan.values
 
-    def spy(p, x):
-        vals = values(p, x)
-        ref, live = sp._evaluate(p, x)
-        assert vals.tobytes() == ref[live].tobytes()
-        assert np.array_equal(live, np.arange(len(x)) < len(vals))
-        seen.append(x[live])
-        return vals
+    def spy(plan, v):
+        out, M = values(plan, v)
+        kept = [lattice.xq for lattice in rs._LATTICE_CACHE.values() if lattice.plan is plan]
+        if kept:  # not the plan of `_evaluate` itself
+            (xq,) = kept
+            ref, live = sp._evaluate(phi, xq)
+            assert out[:M].tobytes() == ref[live].tobytes()
+            assert np.array_equal(live, np.arange(len(xq)) < M)
+            seen.append(xq[:M])
+        return out, M
 
-    monkeypatch.setattr(rs, "_abscissa_values", spy)
-    try:
-        return rs.reconstruct(phi, r), seen
-    except ValueError as exc:
-        return exc, seen
-    finally:
-        monkeypatch.setattr(rs, "_abscissa_values", values)
+    with monkeypatch.context() as patch:
+        patch.setattr(sp._PrefixPlan, "values", spy)
+        try:
+            return rs.reconstruct(phi, r), seen
+        except ValueError as exc:
+            return exc, seen
 
 
 def test_a_reconstruct_builds_one_node_table(monkeypatch):
@@ -469,6 +480,8 @@ def test_reconstruct_of_a_profile_saturated_from_3dx_sums_a_few_abscissae(monkey
     # phi is exactly 0 from node 3 on; its density spreads far beyond
     # r = 10, so reconstruct reaches the mass check and fails it exactly as
     # the dense sum does, after summing a handful of abscissae
+    cache = {}
+    monkeypatch.setattr(rs, "_LATTICE_CACHE", cache)
     grid = sp.RadialGrid(1024, 30.0)
     v = np.zeros(grid.n)
     v[:3] = (1.0, 0.9, 0.7)
@@ -478,7 +491,8 @@ def test_reconstruct_of_a_profile_saturated_from_3dx_sums_a_few_abscissae(monkey
     error, (evaluated,) = _reconstruct_counted(phi, r, monkeypatch)
     M = len(evaluated)
     assert 1 <= M <= 8 and np.all(_full_evaluate(phi, xq[M:]) == 0.0)
-    got = rs._sine_transform(a[:M], xq, r)
+    (lattice,) = cache.values()
+    got = lattice.sums(phi.values)[1]
     assert np.max(np.abs(got - dense * 2.0 * math.pi ** 2 * r)) <= 1e-14 * np.sum(np.abs(a))
     with pytest.raises(ValueError) as dense_error:
         rs.RadialDensity(r, dense)
@@ -493,9 +507,10 @@ def test_reconstruct_of_a_tailless_profile_is_the_untruncated_sum_bit_for_bit(mo
     r = rs.default_r_nodes(10.0, 2001)
     xq = np.linspace(0.0, grid.x_max, 1025)
     wq = rs.simpson_weights(xq) * _full_evaluate(phi, xq)
+    sums = _angle_addition(wq * xq, _whole_sine_tables(xq, len(r), float(r[1])), len(r))
     f = np.empty_like(r)
     f[0] = float(wq @ (xq * xq)) / (2.0 * math.pi ** 2)
-    f[1:] = rs._sine_transform(wq * xq, xq, r)[1:] / (2.0 * math.pi ** 2 * r[1:])
+    f[1:] = sums[1:] / (2.0 * math.pi ** 2 * r[1:])
     got, (evaluated,) = _reconstruct_counted(phi, r, monkeypatch)
     assert np.array_equal(evaluated, xq)
     assert np.array_equal(got.values, rs.RadialDensity(r, f).values)
@@ -510,19 +525,19 @@ def test_reconstructs_that_stop_at_different_tails_share_one_lattice(monkeypatch
                 sp.CharacteristicProfile.maxwellian(grid, 2.0)]
     cold, counts = [], set()
     for phi in profiles:
-        monkeypatch.setattr(rs, "_TRANSFORM_CACHE", {})
+        monkeypatch.setattr(rs, "_LATTICE_CACHE", {})
         f, (evaluated,) = _reconstruct_counted(phi, r, monkeypatch)
         cold.append(f.values)
         counts.add(len(evaluated))
     assert len(counts) == 3
     cache = {}
-    monkeypatch.setattr(rs, "_TRANSFORM_CACHE", cache)
+    monkeypatch.setattr(rs, "_LATTICE_CACHE", cache)
     for _ in range(2):
         for phi, values in zip(profiles, cold):
             assert np.array_equal(rs.reconstruct(phi, r).values, values)
-    (tables,) = cache.values()
-    assert all(t.shape[0] == 4097 for t in tables.tables)
-    assert tables.filled == max(counts)  # rows only as far as the widest prefix
+    (lattice,) = cache.values()
+    assert all(t.shape[0] == 4097 for t in lattice.tables)
+    assert lattice.filled == max(counts)  # rows only as far as the widest prefix
 
 
 _RESIDENT_CODE = """
@@ -537,12 +552,11 @@ gain.apply(phi.values)
 sp.step(phi, 0.95, sp.SolverConfig(frame="rescaled-g"))
 rs.reconstruct(phi, rs.default_r_nodes())
 (drift,) = sp._DRIFT_CACHE.values()
-(prefix,) = rs._ABSCISSA_CACHE.values()
-(tables,) = rs._TRANSFORM_CACHE.values()
-plans = [gain.plan, drift.plan, prefix.plan] + [p.plan for p in sp._GAIN_CACHE.values()]
+(lattice,) = rs._LATTICE_CACHE.values()
+plans = [gain.plan, drift.plan, lattice.plan.plan] + [p.plan for p in sp._GAIN_CACHE.values()]
 arrays = [(p.data, 48 * p.filled) for p in plans]
 arrays += [(p.indices, 24 * p.filled) for p in plans]
-arrays += [(t, 8 * t.shape[1] * tables.filled) for t in tables.tables]
+arrays += [(t, 8 * t.shape[1] * lattice.filled) for t in lattice.tables]
 vmas = {}
 with open("/proc/self/smaps") as fh:
     for line in fh:
@@ -570,8 +584,8 @@ print(json.dumps({"vmas": [vmas[key] for key in held], "resident": resident,
 
 def test_kept_plans_and_sine_tables_are_resident_only_as_far_as_filled():
     # a (4096, 50) q = 64 gain plan applied to the bimaxwellian, the gain
-    # and drift plans of one rescaled step, and the sine tables and abscissa
-    # plan of one reconstruct, in a fresh process: the memory mappings that
+    # and drift plans of one rescaled step, and the plan and sine tables of
+    # one reconstruct's lattice, in a fresh process: the memory mappings that
     # hold their arrays have no huge page, and the arrays' resident bytes are
     # at most the filled ones, rounded up to pages, plus one page per array.
     # The kernel merges adjacent anonymous mappings, so a mapping's Rss may
@@ -587,18 +601,16 @@ def test_kept_plans_and_sine_tables_are_resident_only_as_far_as_filled():
 
 
 def test_reconstruct_keeps_one_plan_per_lattice_filled_once(monkeypatch):
-    # three profiles whose tails stop at different abscissae, in turn: the
-    # values of the uncached `_evaluate` path bit for bit, one kept plan of
-    # the lattice, and a second round computes no query's weights
-    monkeypatch.setattr(rs, "_ABSCISSA_CACHE", {})
+    # three profiles whose tails stop at different abscissae, in turn: one
+    # kept plan of the lattice, filled once per query and never past the
+    # widest prefix, a second round computes no query's weights, and the
+    # values are those of the uncached `_evaluate` path bit for bit
+    cache = {}
+    monkeypatch.setattr(rs, "_LATTICE_CACHE", cache)
     grid, r = sp.RadialGrid(4096, 50.0), rs.default_r_nodes()
     profiles = [sp.CharacteristicProfile.maxwellian(grid, 2.0),
                 sp.CharacteristicProfile.bimaxwellian(grid),
                 sp.CharacteristicProfile.maxwellian(grid, 0.5)]
-    values = rs._abscissa_values
-    monkeypatch.setattr(rs, "_abscissa_values", _live_by_evaluate)
-    uncached = [rs.reconstruct(phi, r).values for phi in profiles]
-    monkeypatch.setattr(rs, "_abscissa_values", values)
     rows = []
     inner = sp._hermite_weights
 
@@ -606,15 +618,36 @@ def test_reconstruct_keeps_one_plan_per_lattice_filled_once(monkeypatch):
         rows.append(len(t))
         inner(t, W)
 
-    monkeypatch.setattr(sp, "_hermite_weights", counted)
-    for phi, ref in zip(profiles, uncached):
-        assert rs.reconstruct(phi, r).values.tobytes() == ref.tobytes()
-    (plan,) = rs._ABSCISSA_CACHE.values()
-    assert sum(rows) == plan.plan.filled < len(plan.positions)  # never past the widest prefix
-    rows.clear()
-    for phi, ref in zip(profiles, uncached):
-        assert rs.reconstruct(phi, r).values.tobytes() == ref.tobytes()
-    assert rows == [] and len(rs._ABSCISSA_CACHE) == 1
+    with monkeypatch.context() as patch:
+        patch.setattr(sp, "_hermite_weights", counted)
+        kept = [rs.reconstruct(phi, r).values for phi in profiles]
+        (lattice,) = cache.values()
+        plan = lattice.plan
+        assert sum(rows) == plan.plan.filled < len(plan.positions)
+        rows.clear()
+        for phi, ref in zip(profiles, kept):
+            assert rs.reconstruct(phi, r).values.tobytes() == ref.tobytes()
+        assert rows == [] and len(cache) == 1
+    for phi, ref in zip(profiles, kept):
+        f, _ = _reconstruct_counted(phi, r, monkeypatch)
+        assert f.values.tobytes() == ref.tobytes()
+
+
+def test_a_reconstruct_keeps_one_lattice_filled_to_the_widest_prefix(monkeypatch):
+    # one lattice cache entry, whose plan and tables are both filled to the
+    # widest live prefix; the only Simpson weights kept are the r nodes'
+    lattices, weights = {}, {}
+    monkeypatch.setattr(rs, "_LATTICE_CACHE", lattices)
+    monkeypatch.setattr(rs, "_SIMPSON_CACHE", weights)
+    grid, r = sp.RadialGrid(4096, 50.0), rs.default_r_nodes()
+    widest = 0
+    for theta in (1.0, 2.0, 0.5, 1.0):
+        f, (evaluated,) = _reconstruct_counted(
+            sp.CharacteristicProfile.maxwellian(grid, theta), r, monkeypatch)
+        widest = max(widest, len(evaluated))
+        (lattice,) = lattices.values()
+        assert lattice.filled == lattice.plan.plan.filled == widest < len(lattice.xq)
+        assert [len(w) for w in weights.values()] == [len(r)]
 
 
 def test_evaluate_and_reconstruct_reject_nan_abscissae(bimax, r10):
